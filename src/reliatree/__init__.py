@@ -5,6 +5,7 @@ into system-level reliability curves, MTTF, and a fault-type dominance
 ratio.
 """
 
+from ._version import __version__
 from .adapters import (
     Adapter,
     ComponentContext,
@@ -84,5 +85,3 @@ from .thermal import (
     simulate_temperature,
     steady_state_temperature,
 )
-
-__version__ = "0.1.0"

@@ -27,7 +27,12 @@ from .softerror import (
     parse_netlist,
     read_workload,
 )
-from .successtree import brute_force_probability, tree_from_dict, tree_probability
+from .successtree import (
+    TREE_TOO_DEEP,
+    brute_force_probability,
+    tree_from_dict,
+    tree_probability,
+)
 from .thermal import ThermalParams, read_power_trace, simulate_temperature, write_temperature_profile
 
 __all__ = ["main"]
@@ -162,9 +167,12 @@ def _cmd_inject(args) -> int:
 def _cmd_tree_eval(args) -> int:
     with open(args.tree, "r", encoding="utf-8") as fp:
         try:
-            tree = tree_from_dict(json.load(fp))
+            doc = json.load(fp)
         except json.JSONDecodeError as exc:
             raise InputError(f"malformed tree file: {exc}") from None
+        except RecursionError:
+            raise InputError(TREE_TOO_DEEP) from None
+    tree = tree_from_dict(doc)
     with open(args.probs, "r", encoding="utf-8") as fp:
         try:
             probs = json.load(fp)

@@ -6,6 +6,10 @@ probabilities at every grid time. The Monte Carlo route draws failure
 times per component and mode by inverse CDF and reduces them through the
 tree (AND -> min, OR -> max, K-of-N -> k-th largest), which reproduces the
 structure function's alive/failed state at every time for coherent trees.
+It streams the samples in fixed blocks of MC_BLOCK_SAMPLES and keeps only
+a per-grid-bin count of system failures, so its memory is bounded by the
+block size and the grid, its time is linear in the sample count, and the
+result does not depend on the block size.
 """
 from __future__ import annotations
 
@@ -35,6 +39,11 @@ __all__ = [
     "monte_carlo_system",
     "write_curves_csv",
 ]
+
+# Samples per Monte Carlo block. Sample i is a pure function of (seed, i), so
+# this sets only the memory held at once (a few MB) and the per-call numpy
+# overhead, never the result.
+MC_BLOCK_SAMPLES = 16384
 
 
 @dataclass(frozen=True)
@@ -145,7 +154,8 @@ def monte_carlo_system(
     component_modes maps component id to (r_perm, r_trans). Each sample
     draws both failure times per component by inverse CDF, takes their
     minimum, and reduces the tree; sample i is a pure function of
-    (seed, i), so any batching yields identical results.
+    (seed, i), so any batching yields identical results. The grid may be
+    unsorted and may repeat points.
     """
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples!r}")
@@ -156,27 +166,37 @@ def monte_carlo_system(
             raise InputError(f"no fault-mode functions for component {event!r}")
 
     ordered = sorted(events)
-    lanes = []  # (component, rf_perm draws, rf_trans draws) lane layout
+    lanes = []  # (component, r_perm, r_trans, first lane, perm draws, all draws)
     total = 0
     for cid in ordered:
         r_perm, r_trans = component_modes[cid]
-        need = draw_count(r_perm) + draw_count(r_trans)
-        lanes.append((cid, r_perm, r_trans, total, need))
+        k_perm = draw_count(r_perm)
+        need = k_perm + draw_count(r_trans)
+        lanes.append((cid, r_perm, r_trans, total, k_perm, need))
         total += need
 
-    # counter = sample * total_lanes + lane, one open-interval uniform each
-    words = rng.word_block(seed, 0, n_samples * total).reshape(n_samples, total)
-    uniforms = 1.0 - (words >> np.uint64(11)) * (1.0 / (1 << 53))
-    comp_times = {}
-    for cid, r_perm, r_trans, offset, need in lanes:
-        u = uniforms[:, offset : offset + need].T
-        k_perm = draw_count(r_perm)
-        t_perm = sample_failure_times(r_perm, u[:k_perm])
-        t_trans = sample_failure_times(r_trans, u[k_perm:])
-        comp_times[cid] = np.minimum(t_perm, t_trans)
+    order = np.argsort(grid, kind="stable")
+    sorted_grid = grid[order]
+    # per_bin[k]: samples whose system failure time lies in
+    # (sorted_grid[k-1], sorted_grid[k]]; the last bin is past the grid.
+    per_bin = np.zeros(len(grid) + 1, dtype=np.int64)
+    for first in range(0, n_samples, MC_BLOCK_SAMPLES):
+        size = min(MC_BLOCK_SAMPLES, n_samples - first)
+        # counter = sample * total_lanes + lane, one open-interval uniform each
+        uniforms = rng.unit_open_floats(seed, first * total, size * total).reshape(size, total)
+        comp_times = {}
+        for cid, r_perm, r_trans, offset, k_perm, need in lanes:
+            u = uniforms[:, offset : offset + need].T
+            t_perm = sample_failure_times(r_perm, u[:k_perm])
+            t_trans = sample_failure_times(r_trans, u[k_perm:])
+            comp_times[cid] = np.minimum(t_perm, t_trans)
+        t_sys = _failure_times(tree, comp_times)
+        bins = np.searchsorted(sorted_grid, t_sys, side="left")
+        per_bin += np.bincount(bins, minlength=len(grid) + 1)
 
-    t_sys = np.sort(_failure_times(tree, comp_times))
-    fallen = np.searchsorted(t_sys, grid, side="right")
+    # A sample has fallen at grid point t exactly when its failure time is <= t.
+    fallen = np.empty(len(grid), dtype=np.int64)
+    fallen[order] = np.cumsum(per_bin[:-1])
     survival = 1.0 - fallen / n_samples
     stderr = np.sqrt(survival * (1.0 - survival) / n_samples)
     return McCurve(

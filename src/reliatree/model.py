@@ -21,7 +21,7 @@ from .adapters import Adapter, adapter_from_json, adapter_to_json, chain_end_tag
 from .aging import AgingParams
 from .errors import ModelError
 from .softerror import SerParams
-from .successtree import Gate, basic_events, tree_from_dict, tree_to_dict
+from .successtree import TREE_TOO_DEEP, Gate, basic_events, tree_from_dict, tree_to_dict
 from .thermal import ThermalParams
 
 __all__ = [
@@ -264,6 +264,8 @@ def load_system(
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError(f"malformed system description: {exc}") from None
+    except RecursionError:
+        raise ModelError(f"system description cannot be decoded: {TREE_TOO_DEEP}") from None
     _require_fields(
         doc,
         ("name", "time_horizon_hours", "grid_points", "hierarchy", "success_tree"),

@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng
+from ._version import __version__ as TOOL_VERSION
 from .adapters import ComponentContext, Measure, apply_adapter, combine_competing_risks
 from .aging import PermanentFaultResult
 from .curves import (
@@ -53,7 +54,6 @@ __all__ = [
     "TOOL_VERSION",
 ]
 
-TOOL_VERSION = "0.1.0"
 CURVES_FILENAME = "curves.csv"
 REPORT_FILENAME = "report.json"
 MC_SEED_LABEL = "system-mc"

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -69,6 +68,8 @@ class Sampled:
 
     times: tuple
     values: tuple
+    # (per-segment constant hazards, tail hazard), derived in __post_init__.
+    segment_rates: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
@@ -90,6 +91,7 @@ class Sampled:
         for a, b in zip(values, values[1:]):
             if b > a:
                 raise ValueError("sampled values must be non-increasing")
+        object.__setattr__(self, "segment_rates", _segment_rates(times, values))
 
 
 @dataclass(frozen=True)
@@ -116,13 +118,12 @@ def constant_one() -> Sampled:
     return Sampled((0.0,), (1.0,))
 
 
-@lru_cache(maxsize=None)
-def _segment_rates(curve: Sampled) -> tuple:
+def _segment_rates(times: tuple, values: tuple) -> tuple:
     """Per-segment constant hazards; the last one also extrapolates the tail."""
     rates = []
-    for i in range(len(curve.times) - 1):
-        dt = curve.times[i + 1] - curve.times[i]
-        r0, r1 = curve.values[i], curve.values[i + 1]
+    for i in range(len(times) - 1):
+        dt = times[i + 1] - times[i]
+        r0, r1 = values[i], values[i + 1]
         if r1 <= 0.0:
             rates.append(math.inf if r0 > 0.0 else 0.0)
         else:
@@ -132,7 +133,7 @@ def _segment_rates(curve: Sampled) -> tuple:
 
 
 def _sampled_at(curve: Sampled, t: float) -> float:
-    rates, tail = _segment_rates(curve)
+    rates, tail = curve.segment_rates
     times, values = curve.times, curve.values
     i = bisect_right(times, t) - 1
     if i >= len(times) - 1:
@@ -168,7 +169,7 @@ def reliability_at(rf: ReliabilityFunction, t: float) -> float:
 
 
 def _sampled_mttf(curve: Sampled) -> float:
-    rates, tail = _segment_rates(curve)
+    rates, tail = curve.segment_rates
     total = 0.0
     for i, rate in enumerate(rates):
         r0, r1 = curve.values[i], curve.values[i + 1]
@@ -257,7 +258,7 @@ def draw_count(rf: ReliabilityFunction) -> int:
 
 def _sampled_inverse(curve: Sampled, u: np.ndarray) -> np.ndarray:
     """Failure times with P(T > t) = R(t) for uniforms u in (0, 1]."""
-    rates, tail = _segment_rates(curve)
+    rates, tail = curve.segment_rates
     times = np.asarray(curve.times)
     values = np.asarray(curve.values)
     if len(times) == 1 or not rates:

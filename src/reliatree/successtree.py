@@ -28,9 +28,16 @@ __all__ = [
     "brute_force_probability",
     "tree_from_dict",
     "tree_to_dict",
+    "MAX_TREE_DEPTH",
 ]
 
 _BRUTE_FORCE_MAX_EVENTS = 20
+
+# Deepest gate nesting a tree document may have. Decoding, building and
+# evaluating a tree recurse once or twice per level, so this keeps every
+# accepted tree well inside Python's default recursion limit.
+MAX_TREE_DEPTH = 256
+TREE_TOO_DEEP = f"success tree is nested too deeply (the limit is {MAX_TREE_DEPTH} gate levels)"
 
 
 @dataclass(frozen=True)
@@ -220,7 +227,17 @@ _GATE_NAMES = {"AND": AndGate, "OR": OrGate, "KOFN": KofNGate}
 
 
 def tree_from_dict(obj) -> Gate:
-    """Build a tree from the JSON gate/event object form."""
+    """Build a tree from the JSON gate/event object form.
+
+    Gates may nest at most MAX_TREE_DEPTH levels deep.
+    """
+    try:
+        return _node_from_dict(obj, 0)
+    except RecursionError:
+        raise InputError(TREE_TOO_DEEP) from None
+
+
+def _node_from_dict(obj, gates_above: int) -> Gate:
     if not isinstance(obj, dict):
         raise InputError(f"tree node must be an object, got {type(obj).__name__}")
     if "event" in obj:
@@ -239,10 +256,12 @@ def tree_from_dict(obj) -> Gate:
         raise InputError(f"unknown fields on {kind} gate: {sorted(extra)}")
     if kind not in _GATE_NAMES:
         raise InputError(f"unknown gate kind {kind!r}")
+    if gates_above == MAX_TREE_DEPTH:
+        raise InputError(TREE_TOO_DEEP)
     inputs = obj.get("inputs")
     if not isinstance(inputs, list) or not inputs:
         raise InputError(f"{kind} gate needs a nonempty 'inputs' list")
-    children = tuple(tree_from_dict(c) for c in inputs)
+    children = tuple(_node_from_dict(c, gates_above + 1) for c in inputs)
     try:
         if kind == "KOFN":
             k = obj.get("k")

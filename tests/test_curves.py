@@ -1,20 +1,32 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from reliatree.adapters import combine_competing_risks
+from reliatree import rng
 from reliatree.curves import (
+    MC_BLOCK_SAMPLES,
     ComponentReliability,
+    _failure_times,
     monte_carlo_system,
     system_reliability_curves,
     write_curves_csv,
 )
 from reliatree.errors import InputError
 from reliatree.model import HierarchyNode, SystemModel
-from reliatree.reliability import Exponential, Weibull, constant_one
-from reliatree.successtree import AndGate, BasicEvent, KofNGate, OrGate
+from reliatree.reliability import (
+    Exponential,
+    Product,
+    Sampled,
+    Weibull,
+    constant_one,
+    draw_count,
+    sample_failure_times,
+)
+from reliatree.successtree import AndGate, BasicEvent, KofNGate, OrGate, basic_events
 
 
 def make_model(tree, horizon=10_000.0, points=128, component_ids=("pu1", "pu2")):
@@ -215,3 +227,96 @@ class TestMonteCarlo:
     def test_missing_component_rejected(self):
         with pytest.raises(InputError):
             monte_carlo_system(AND_TREE, {"pu1": (Exponential(1.0), constant_one())}, 10, 1, [0.0])
+
+
+def unblocked_monte_carlo(tree, component_modes, n_samples, seed, grid):
+    """The sampler as it was before blocking: every sample held at once and
+    one sort of all system failure times. Kept as the batching oracle."""
+    grid = np.asarray(grid, dtype=float)
+    lanes = []
+    total = 0
+    for cid in sorted(basic_events(tree)):
+        r_perm, r_trans = component_modes[cid]
+        need = draw_count(r_perm) + draw_count(r_trans)
+        lanes.append((cid, r_perm, r_trans, total, need))
+        total += need
+    words = rng.word_block(seed, 0, n_samples * total).reshape(n_samples, total)
+    uniforms = 1.0 - (words >> np.uint64(11)) * (1.0 / (1 << 53))
+    comp_times = {}
+    for cid, r_perm, r_trans, offset, need in lanes:
+        u = uniforms[:, offset : offset + need].T
+        k_perm = draw_count(r_perm)
+        t_perm = sample_failure_times(r_perm, u[:k_perm])
+        t_trans = sample_failure_times(r_trans, u[k_perm:])
+        comp_times[cid] = np.minimum(t_perm, t_trans)
+    t_sys = np.sort(_failure_times(tree, comp_times))
+    fallen = np.searchsorted(t_sys, grid, side="right")
+    survival = 1.0 - fallen / n_samples
+    stderr = np.sqrt(survival * (1.0 - survival) / n_samples)
+    return [float(v) for v in survival], [float(v) for v in stderr]
+
+
+_B = MC_BLOCK_SAMPLES
+_BATCH_TREE = OrGate(
+    (
+        AndGate((BasicEvent("a"), BasicEvent("b"))),
+        KofNGate(2, (BasicEvent("a"), BasicEvent("c"), BasicEvent("b"))),
+    )
+)
+_SORTED_GRID = np.linspace(0.0, 6000.0, 33)
+_BATCH_GRIDS = {
+    "sorted": _SORTED_GRID,
+    "unsorted": np.random.default_rng(3).permutation(_SORTED_GRID),
+    "duplicates": np.array([2500.0, 0.0, 1500.0, 2500.0, 6000.0, 1500.0, 0.0, 1e9, 2500.0]),
+}
+_BATCH_MODES = {
+    # Product modes take several uniform lanes per draw.
+    "product": {
+        "a": (Product((Weibull(3000.0, 2.0), Exponential(1e-4))), Exponential(2e-4)),
+        "b": (Weibull(4000.0, 1.5), Product((Exponential(3e-4), Exponential(1e-4)))),
+        "c": (Exponential(5e-4), Exponential(1e-4)),
+    },
+    # constant_one never fails, so some samples land past every grid point.
+    "constant_one": {
+        "a": (Exponential(2e-4), constant_one()),
+        "b": (constant_one(), constant_one()),
+        "c": (Weibull(2000.0, 3.0), constant_one()),
+    },
+    # The cliff to zero puts 60% of the draws exactly on t = 1500, a grid
+    # point of every grid, so ties between times and grid points occur.
+    "sampled_cliff": {
+        "a": (Sampled((0.0, 1500.0, 3000.0), (1.0, 0.6, 0.0)), constant_one()),
+        "b": (Sampled((0.0, 1500.0, 3000.0), (1.0, 0.6, 0.0)), Exponential(1e-4)),
+        "c": (Exponential(5e-4), constant_one()),
+    },
+}
+
+
+class TestMonteCarloBlocking:
+    @pytest.mark.parametrize("n_samples", [1, _B - 1, _B, _B + 1, 3 * _B + 7])
+    @pytest.mark.parametrize("grid_name", sorted(_BATCH_GRIDS))
+    @pytest.mark.parametrize("modes_name", sorted(_BATCH_MODES))
+    def test_matches_unblocked_reference_exactly(self, n_samples, grid_name, modes_name):
+        grid = _BATCH_GRIDS[grid_name]
+        modes = _BATCH_MODES[modes_name]
+        mc = monte_carlo_system(_BATCH_TREE, modes, n_samples, 29, grid)
+        survival, stderr = unblocked_monte_carlo(_BATCH_TREE, modes, n_samples, 29, grid)
+        assert list(mc.survival) == survival
+        assert list(mc.stderr) == stderr
+        assert list(mc.grid) == [float(t) for t in grid]
+
+    def test_memory_bounded_by_block_not_samples(self):
+        tree = OrGate((AndGate((BasicEvent("x"), BasicEvent("y"))), BasicEvent("z")))
+        modes = {
+            "x": (Weibull(3000.0, 2.0), Exponential(1e-4)),
+            "y": (Exponential(2e-4), Exponential(1e-4)),
+            "z": (Product((Weibull(5000.0, 2.0), Exponential(1e-4))), Exponential(3e-5)),
+        }
+        grid = np.linspace(0.0, 10_000.0, 512)
+        tracemalloc.start()
+        try:
+            monte_carlo_system(tree, modes, 1_000_000, 5, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20

@@ -7,6 +7,7 @@ import pytest
 from reliatree import cli
 from reliatree.errors import InputError, StageError
 from reliatree.model import load_system_file
+from reliatree.successtree import MAX_TREE_DEPTH
 from reliatree.pipeline import (
     PipelineOptions,
     injection_seed,
@@ -16,6 +17,30 @@ from reliatree.pipeline import (
 )
 
 from conftest import write_two_unit_model
+
+
+def deep_chain_text(depth, events):
+    """A chain of `depth` nested gates, alternating AND/OR, as JSON text.
+
+    Written by hand because json.dump itself overflows at large depths.
+    """
+    text = '{"event": "%s"}' % events[depth % len(events)]
+    for level in reversed(range(depth)):
+        gate = "AND" if level % 2 == 0 else "OR"
+        event = events[level % len(events)]
+        text = '{"gate": "%s", "inputs": [{"event": "%s"}, %s]}' % (gate, event, text)
+    return text
+
+
+def write_deep_tree_model(tmp_path, depth):
+    path = write_two_unit_model(tmp_path)
+    with open(path) as fp:
+        doc = json.load(fp)
+    doc["success_tree"] = "TREE"
+    text = json.dumps(doc).replace('"TREE"', deep_chain_text(depth, ("pu1", "pu2")))
+    with open(path, "w") as fp:
+        fp.write(text)
+    return path
 
 
 def run_cli(args, capsys):
@@ -472,6 +497,52 @@ class TestExitCodes:
             ["analyze", "--system", str(bad), "--out", str(tmp_path / "o")], capsys
         )
         assert code == 1 and "error:" in err
+
+    @pytest.mark.parametrize("depth", [MAX_TREE_DEPTH + 1, 900])
+    def test_tree_eval_too_deep_is_input_error(self, tmp_path, capsys, depth):
+        tree = tmp_path / "tree.json"
+        tree.write_text(deep_chain_text(depth, ("a", "b", "c")))
+        probs = tmp_path / "probs.json"
+        probs.write_text(json.dumps({"a": 0.9, "b": 0.8, "c": 0.7}))
+        code, _, err = run_cli(
+            ["tree-eval", "--tree", str(tree), "--probs", str(probs)], capsys
+        )
+        assert code == 1
+        assert "nested too deeply" in err and str(MAX_TREE_DEPTH) in err
+
+    def test_tree_eval_at_depth_limit(self, tmp_path, capsys):
+        tree = tmp_path / "tree.json"
+        tree.write_text(deep_chain_text(MAX_TREE_DEPTH, ("a", "b", "c")))
+        probs = tmp_path / "probs.json"
+        probs.write_text(json.dumps({"a": 0.9, "b": 0.8, "c": 0.7}))
+        args = ["tree-eval", "--tree", str(tree), "--probs", str(probs)]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        code, brute, _ = run_cli(args + ["--brute-force"], capsys)
+        assert code == 0
+        assert json.loads(out)["probability"] == pytest.approx(
+            json.loads(brute)["probability"], abs=1e-12
+        )
+
+    @pytest.mark.parametrize("depth", [MAX_TREE_DEPTH + 1, 900])
+    def test_analyze_too_deep_is_input_error(self, tmp_path, capsys, depth):
+        path = write_deep_tree_model(tmp_path, depth)
+        code, _, err = run_cli(
+            ["analyze", "--system", path, "--out", str(tmp_path / "o")], capsys
+        )
+        assert code == 1
+        assert "nested too deeply" in err and str(MAX_TREE_DEPTH) in err
+        assert not (tmp_path / "o").exists()
+
+    def test_analyze_at_depth_limit(self, tmp_path, capsys):
+        path = write_deep_tree_model(tmp_path, MAX_TREE_DEPTH)
+        code, out, _ = run_cli(
+            ["analyze", "--system", path, "--out", str(tmp_path / "o"), "--seed", "3",
+             "--mc-trials", "1000"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["system"]["monte_carlo"]["n_samples"] == 1000
 
     def test_runtime_failures_map_to_two(self, tmp_path, capsys, monkeypatch):
         path = write_two_unit_model(tmp_path)

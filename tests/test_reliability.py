@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -143,6 +145,24 @@ class TestMttf:
         assert reliability_at(s, 5.0) == 0.0
         assert reliability_at(s, 20.0) == 0.0
         assert mttf(s) == 0.0
+
+    def test_sampled_curve_is_freed_after_use(self):
+        # Evaluation must not keep a reference to the curve (no global cache).
+        s = Sampled((0.0, 10.0, 20.0), (1.0, 0.8, 0.5))
+        mttf(s)
+        reliability_at(s, 15.0)
+        sample_failure_times(s, np.array([[0.3]]))
+        ref = weakref.ref(s)
+        del s
+        gc.collect()
+        assert ref() is None
+
+    def test_segment_rates_do_not_affect_equality_or_repr(self):
+        a = Sampled((0.0, 10.0), (1.0, 0.5))
+        assert a == Sampled((0.0, 10.0), (1.0, 0.5))
+        assert hash(a) == hash(Sampled((0.0, 10.0), (1.0, 0.5)))
+        assert repr(a) == "Sampled(times=(0.0, 10.0), values=(1.0, 0.5))"
+        assert a.segment_rates == ((math.log(2.0) / 10.0,), math.log(2.0) / 10.0)
 
 
 class TestSampling:
