@@ -32,6 +32,7 @@ from .successtree import (
     brute_force_probability,
     tree_from_dict,
     tree_probability,
+    tree_too_wide,
 )
 from .thermal import ThermalParams, read_power_trace, simulate_temperature, write_temperature_profile
 
@@ -187,7 +188,10 @@ def _cmd_tree_eval(args) -> int:
             raise InputError(str(exc)) from None
         method = "brute-force"
     else:
-        value = tree_probability(tree, probs)
+        try:
+            value = tree_probability(tree, probs)
+        except RecursionError:
+            raise InputError(tree_too_wide(tree)) from None
         method = "shannon"
     _emit(
         json.dumps({"probability": value, "method": method}, indent=2, sort_keys=True) + "\n",

@@ -38,6 +38,7 @@ from .softerror import (
     parse_netlist,
     transient_failure_rate,
 )
+from .successtree import tree_too_wide
 from .thermal import read_power_trace, steady_state_temperature
 
 __all__ = [
@@ -220,7 +221,10 @@ def run_pipeline(model: SystemModel, options: PipelineOptions) -> PipelineResult
         analyses[cid] = _analyze_component(model, node, options)
 
     funcs = {cid: a.reliability for cid, a in analyses.items()}
-    curves = system_reliability_curves(model, funcs)
+    try:
+        curves = system_reliability_curves(model, funcs)
+    except RecursionError:
+        raise InputError(tree_too_wide(model.success_tree)) from None
 
     mc = None
     if options.mc_trials is not None:

@@ -33,11 +33,20 @@ def word_at(seed: int, counter: int) -> int:
 
 def word_block(seed: int, start: int, count: int) -> np.ndarray:
     """Words for counters [start, start+count), identical to word_at calls."""
-    counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = counters * np.uint64(_GOLDEN) + np.uint64(seed & _MASK)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
+    # In place on one array (uint64 arithmetic wraps like the & _MASK of
+    # word_at); `shifted` is the only temporary.
+    z = np.arange(count, dtype=np.uint64)
+    z += np.uint64((start + 1) & _MASK)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(seed & _MASK)
+    shifted = np.empty_like(z)
+    for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
+        np.right_shift(z, np.uint64(shift), out=shifted)
+        z ^= shifted
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+    return z
 
 
 def unit_open_floats(seed: int, start: int, count: int) -> np.ndarray:

@@ -3,11 +3,19 @@
 A netlist is parsed in topological order, simulated golden and with a
 single bit flipped on one net, and the fraction of input vectors whose
 flip reaches a primary output is the derating factor of that net.
-Campaigns are Monte Carlo with a counter-based RNG (bit-reproducible for
-a given seed, batchable without changing results); an exhaustive
-enumerator over all input vectors serves as the exact oracle for small
-circuits. Raw per-net FIT rates weighted by derating give the transient
-failure rate.
+Campaigns are Monte Carlo with a counter-based RNG: trial i of a campaign
+reads counters [i*L, (i+1)*L), L = ceil(inputs/64), so results are
+bit-reproducible for a given seed and independent of batching.
+
+Each netlist is compiled once into integer-indexed ops with fan-out
+lists, and each net's fan-out cone is found once. A campaign is
+parallel-pattern single-fault propagation: 64 trials per uint64 word,
+a golden pass over all ops, a faulty pass over the cone only, and a
+popcount of the output differences, streamed in blocks of
+INJECTION_BLOCK_TRIALS trials so memory does not grow with the trial
+count. A per-vector simulator over all input vectors is the exact
+oracle for small circuits. Raw per-net FIT rates weighted by derating
+give the transient failure rate.
 """
 from __future__ import annotations
 
@@ -50,6 +58,28 @@ PER_HOUR_PER_FIT = 1e-9
 
 _EXHAUSTIVE_MAX_INPUTS = 24
 
+# Trials per streamed block of a campaign; a multiple of 64.
+INJECTION_BLOCK_TRIALS = 65536
+
+# Bit-plane form of each gate kind: (binary ufunc or None for one
+# input, invert the result).
+_PLANE_OPS = {
+    "AND": (np.bitwise_and, False),
+    "OR": (np.bitwise_or, False),
+    "XOR": (np.bitwise_xor, False),
+    "NAND": (np.bitwise_and, True),
+    "NOR": (np.bitwise_or, True),
+    "BUF": (None, False),
+    "NOT": (None, True),
+}
+
+# Masks of the three rounds of an 8x8 bit-matrix transpose on uint64
+# words whose byte r is row r (Hacker's Delight, section 7-3).
+_TRANSPOSE8 = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+)
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -58,11 +88,56 @@ class Gate:
     inputs: tuple
 
 
+class _Compiled:
+    """Integer form of a netlist for bit-parallel simulation.
+
+    Net i is the i-th name of `Netlist.nets()`, so gate k drives net
+    len(inputs) + k. A net's cone is computed on first use and kept.
+    """
+
+    def __init__(self, netlist: "Netlist"):
+        nets = netlist.nets()
+        self.n_inputs = len(netlist.inputs)
+        self.index = {net: i for i, net in enumerate(nets)}
+        self.ops = tuple(
+            (g.kind, self.index[g.output], tuple(self.index[n] for n in g.inputs))
+            for g in netlist.gates
+        )
+        self.outputs = frozenset(self.index[n] for n in netlist.outputs)
+        fanout = [[] for _ in nets]
+        for _, out, ins in self.ops:
+            for i in set(ins):
+                fanout[i].append(out)
+        self.fanout = tuple(tuple(f) for f in fanout)
+        self._cones: dict = {}
+
+    def cone(self, net: int) -> tuple:
+        """(ops the net reaches in topological order, outputs it reaches)."""
+        cone = self._cones.get(net)
+        if cone is None:
+            reached = {net}
+            stack = [net]
+            while stack:
+                for out in self.fanout[stack.pop()]:
+                    if out not in reached:
+                        reached.add(out)
+                        stack.append(out)
+            ops = tuple(self.ops[r - self.n_inputs] for r in sorted(reached - {net}))
+            cone = (ops, tuple(sorted(reached & self.outputs)))
+            self._cones[net] = cone
+        return cone
+
+
 @dataclass(frozen=True)
 class Netlist:
     inputs: tuple
     gates: tuple
     outputs: tuple
+    # Integer ops, fan-out lists and cones, derived in __post_init__.
+    compiled: _Compiled = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "compiled", _Compiled(self))
 
     def nets(self) -> tuple:
         """All net names in definition order: primary inputs, then gate outputs."""
@@ -217,22 +292,13 @@ def evaluate(netlist: Netlist, assignment: Mapping[str, int]) -> dict:
     return {name: values[name] for name in netlist.outputs}
 
 
-def _downstream_gates(netlist: Netlist, node: str) -> list:
-    reached = {node}
-    affected = []
-    for gate in netlist.gates:
-        if any(src in reached for src in gate.inputs):
-            reached.add(gate.output)
-            affected.append(gate)
-    return affected
-
-
 def _fault_error_mask(netlist: Netlist, golden: dict, node: str):
     """Per-vector flag: does flipping `node` change any primary output?"""
     faulty = {node: golden[node] ^ 1}
-    for gate in _downstream_gates(netlist, node):
-        ops = [faulty.get(n, golden[n]) for n in gate.inputs]
-        faulty[gate.output] = _gate_value(gate.kind, ops)
+    for gate in netlist.gates:
+        if any(src in faulty for src in gate.inputs):
+            ops = [faulty.get(n, golden[n]) for n in gate.inputs]
+            faulty[gate.output] = _gate_value(gate.kind, ops)
     err = None
     for out in netlist.outputs:
         if out not in faulty:
@@ -245,8 +311,75 @@ def _fault_error_mask(netlist: Netlist, golden: dict, node: str):
 
 
 def _require_node(netlist: Netlist, node: str) -> None:
-    if node not in netlist.nets():
+    if node not in netlist.compiled.index:
         raise ValueError(f"unknown injection node {node!r}")
+
+
+def _trial_planes(words: np.ndarray, n_inputs: int) -> np.ndarray:
+    """Input words per trial -> bit planes of trials per input.
+
+    `words` is (trials, lanes) with input j at bit j%64 of lane j//64.
+    The result is (n_inputs, ceil(trials/64)) uint64 with trial t at bit
+    t%64 of word t//64; bits past the last trial are 0. Each 8x8 block of
+    (trials, inputs) bits is transposed inside one uint64.
+    """
+    size = words.shape[0]
+    n_words = -(-size // 64)
+    groups = -(-n_inputs // 8)
+    if size % 64:
+        padded = np.zeros((n_words * 64, words.shape[1]), dtype=np.uint64)
+        padded[:size] = words
+        words = padded
+    # Byte g of row t holds inputs 8g..8g+7 of trial t. Gather the bytes
+    # of trials 8q..8q+7 of one group into word q of that group's row.
+    rows = words.astype("<u8", copy=False).view(np.uint8)[:, :groups]
+    blocks = np.ascontiguousarray(rows.reshape(n_words * 8, 8, groups).transpose(2, 0, 1))
+    x = blocks.view("<u8").reshape(groups, n_words * 8)
+    for shift, mask in _TRANSPOSE8:
+        t = (x ^ (x >> shift)) & mask
+        x ^= t ^ (t << shift)
+    # Now byte c of word q in group g holds trials 8q..8q+7 of input 8g+c.
+    planes = blocks.transpose(0, 2, 1).reshape(groups * 8, n_words * 8)[:n_inputs]
+    return np.ascontiguousarray(planes).view("<u8")
+
+
+def _run_ops(ops, rows) -> None:
+    for kind, out, ins in ops:
+        fn, invert = _PLANE_OPS[kind]
+        dst = rows[out]
+        if fn is None:
+            np.copyto(dst, rows[ins[0]])
+        else:
+            fn(rows[ins[0]], rows[ins[1]], out=dst)
+            for i in ins[2:]:
+                fn(dst, rows[i], out=dst)
+        if invert:
+            np.invert(dst, out=dst)
+
+
+def _count_errors(compiled: _Compiled, node: int, planes: np.ndarray, size: int) -> int:
+    """Trials among the first `size` whose flip on `node` reaches an output.
+
+    `planes` holds the input planes; the golden pass fills in the rest.
+    """
+    golden = list(planes)
+    _run_ops(compiled.ops, golden)
+    cone_ops, cone_outputs = compiled.cone(node)
+    faulty = list(golden)
+    cone_rows = np.empty((len(cone_ops) + 1, planes.shape[1]), dtype=np.uint64)
+    faulty[node] = cone_rows[0]
+    for k, (_, out, _) in enumerate(cone_ops, start=1):
+        faulty[out] = cone_rows[k]
+    np.invert(golden[node], out=faulty[node])
+    _run_ops(cone_ops, faulty)
+    err = np.zeros(planes.shape[1], dtype=np.uint64)
+    diff = np.empty_like(err)
+    for out in cone_outputs:
+        np.bitwise_xor(faulty[out], golden[out], out=diff)
+        err |= diff
+    if size % 64:
+        err[-1] &= np.uint64((1 << (size % 64)) - 1)
+    return int(np.bitwise_count(err).sum())
 
 
 def inject_campaign(
@@ -261,19 +394,19 @@ def inject_campaign(
     Each trial draws an input vector (uniform over all vectors, or
     uniformly from the explicit workload), flips the golden value on
     `node`, re-propagates only downstream gates, and counts an error when
-    any primary output differs. Trial i depends only on (seed, i).
+    any primary output differs. Trial i depends only on (seed, i): it
+    reads RNG counters [i*L, (i+1)*L), L = ceil(inputs/64), or counter i
+    to pick a workload vector. Trials run 64 to a word in blocks of
+    INJECTION_BLOCK_TRIALS, so memory is bounded and the block size does
+    not change the result.
     """
     _require_node(netlist, node)
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials!r}")
+    compiled = netlist.compiled
     n_in = len(netlist.inputs)
-    values: dict = {}
-    if workload is None:
-        lanes = (n_in + 63) // 64
-        words = rng.word_block(seed, 0, trials * lanes).reshape(trials, lanes)
-        for j, name in enumerate(netlist.inputs):
-            values[name] = ((words[:, j // 64] >> np.uint64(j % 64)) & np.uint64(1)).astype(np.uint8)
-    else:
+    lanes = (n_in + 63) // 64
+    if workload is not None:
         vectors = list(workload)
         if not vectors:
             raise ValueError("explicit workload is empty")
@@ -282,13 +415,22 @@ def inject_campaign(
             raise ValueError(f"workload vectors must have width {n_in}")
         if matrix.max(initial=0) > 1:
             raise ValueError("workload vectors must be binary")
-        u = rng.unit_halfopen_floats(seed, 0, trials)
-        idx = (u * len(vectors)).astype(np.int64)
-        for j, name in enumerate(netlist.inputs):
-            values[name] = matrix[idx, j]
-    _forward(netlist, values)
-    err = _fault_error_mask(netlist, values, node)
-    errors = int(err.sum())
+        packed = np.zeros((len(vectors), lanes * 8), dtype=np.uint8)
+        packed[:, : (n_in + 7) // 8] = np.packbits(matrix, axis=1, bitorder="little")
+        vector_words = packed.view("<u8")
+    node_index = compiled.index[node]
+    n_nets = len(compiled.index)
+    errors = 0
+    for first in range(0, trials, INJECTION_BLOCK_TRIALS):
+        size = min(INJECTION_BLOCK_TRIALS, trials - first)
+        if workload is None:
+            words = rng.word_block(seed, first * lanes, size * lanes).reshape(size, lanes)
+        else:
+            u = rng.unit_halfopen_floats(seed, first, size)
+            words = vector_words[(u * len(vectors)).astype(np.int64)]
+        planes = np.empty((n_nets, -(-size // 64)), dtype=np.uint64)
+        planes[:n_in] = _trial_planes(words, n_in)
+        errors += _count_errors(compiled, node_index, planes, size)
     derating = errors / trials
     _, half = wilson_interval(errors, trials, Z_95)
     return InjectionResult(node, trials, errors, derating, half)

@@ -194,6 +194,14 @@ def tree_probability(tree: Gate, probs: Mapping[str, float]) -> float:
     return prob(tree)
 
 
+def tree_too_wide(tree: Gate) -> str:
+    """Message for a tree whose exact evaluation overflows the Python stack."""
+    return (
+        f"success tree over {len(basic_events(tree))} basic events is too wide to "
+        "evaluate (exact evaluation recurses once per event, past Python's recursion limit)"
+    )
+
+
 def _batch_structure(tree: Gate, bits: Mapping[str, np.ndarray]) -> np.ndarray:
     if isinstance(tree, BasicEvent):
         return bits[tree.component_id]

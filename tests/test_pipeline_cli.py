@@ -16,7 +16,7 @@ from reliatree.pipeline import (
     write_outputs,
 )
 
-from conftest import write_two_unit_model
+from conftest import AND2, write_two_unit_model
 
 
 def deep_chain_text(depth, events):
@@ -543,6 +543,45 @@ class TestExitCodes:
         )
         assert code == 0
         assert json.loads(out)["system"]["monte_carlo"]["n_samples"] == 1000
+
+    def test_tree_eval_too_wide_is_input_error(self, tmp_path, capsys):
+        events = [f"e{k}" for k in range(1200)]
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps({"gate": "AND", "inputs": [{"event": e} for e in events]}))
+        probs = tmp_path / "probs.json"
+        probs.write_text(json.dumps({e: 0.999 for e in events}))
+        code, _, err = run_cli(
+            ["tree-eval", "--tree", str(tree), "--probs", str(probs)], capsys
+        )
+        assert code == 1
+        assert "1200 basic events" in err
+
+    def test_analyze_too_wide_is_input_error(self, tmp_path, capsys):
+        from conftest import DEFAULT_CHAINS, component_obj, write_power_csv
+
+        events = [f"e{k}" for k in range(1200)]
+        write_power_csv(tmp_path / "p.csv", (0.0,) * 4)
+        (tmp_path / "c.net").write_text(AND2)
+        doc = {
+            "name": "wide",
+            "time_horizon_hours": 10000.0,
+            "grid_points": 8,
+            "hierarchy": {
+                "id": "soc",
+                "kind": "System",
+                "children": [component_obj(e, "p.csv", "c.net") for e in events],
+            },
+            "adapters": {e: DEFAULT_CHAINS for e in events},
+            "success_tree": {"gate": "AND", "inputs": [{"event": e} for e in events]},
+        }
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            ["analyze", "--system", str(path), "--out", str(tmp_path / "o")], capsys
+        )
+        assert code == 1
+        assert "1200 basic events" in err
+        assert not (tmp_path / "o").exists()
 
     def test_runtime_failures_map_to_two(self, tmp_path, capsys, monkeypatch):
         path = write_two_unit_model(tmp_path)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from reliatree import rng
 
@@ -39,3 +40,10 @@ def test_derive_seed_is_stable_and_label_sensitive():
     assert a != rng.derive_seed(42, "inject/pu1/s2")
     assert a != rng.derive_seed(43, "inject/pu1/s1")
     assert 0 <= a < 2**64
+
+
+@pytest.mark.parametrize("start", [2**63 - 17, 2**63, 2**64 - 40])
+def test_blocks_near_the_top_of_the_counter_range_match_scalar(start):
+    # The last block ends at counter 2**64 - 1, whose +1 wraps to 0.
+    block = rng.word_block(77, start, 40)
+    assert [int(w) for w in block] == [rng.word_at(77, start + i) for i in range(40)]

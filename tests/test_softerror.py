@@ -1,24 +1,113 @@
+import io
 import math
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from reliatree.errors import NetlistParseError
+from reliatree import rng
+from reliatree.errors import InputError, NetlistParseError
 from reliatree.reliability import reliability_at
 from reliatree.softerror import (
+    GATE_KINDS,
+    INJECTION_BLOCK_TRIALS,
     Z_99,
     InjectionResult,
     SerParams,
+    _fault_error_mask,
+    _forward,
     evaluate,
     exhaustive_derating,
     exponential_reliability,
     inject_campaign,
     parse_netlist,
+    read_workload,
     transient_failure_rate,
     wilson_interval,
 )
 
-from conftest import AND2, OR2
+from conftest import AND2, FULL_ADDER, OR2
+
+PARITY4 = (
+    "INPUT a\nINPUT b\nINPUT c\nINPUT d\n"
+    "GATE x1 XOR a b\nGATE x2 XOR c d\nGATE p XOR x1 x2\nOUTPUT p\n"
+)
+MUX21 = (
+    "INPUT s\nINPUT a\nINPUT b\n"
+    "GATE ns NOT s\nGATE t0 AND a ns\nGATE t1 AND b s\nGATE y OR t0 t1\nOUTPUT y\n"
+)
+# Every gate kind, three-input AND/OR/XOR/NAND/NOR, an input that is also
+# an output, and a net that reaches no output.
+ALL_KINDS = """\
+INPUT a
+INPUT b
+INPUT c
+INPUT d
+GATE n1 AND a b c
+GATE n2 OR a b c
+GATE n3 XOR a b c
+GATE n4 NAND b c d
+GATE n5 NOR a c d
+GATE n6 NOT n1
+GATE n7 BUF n2
+GATE n8 XOR n3 n4 n5
+GATE dead AND n6 n7
+GATE y OR n8 n6 n7
+OUTPUT y
+OUTPUT d
+OUTPUT n4
+"""
+
+
+def ripple_adder(bits):
+    """Ripple-carry adder with 2*bits + 1 inputs and 5*bits gates."""
+    lines = []
+    for i in range(bits):
+        lines += [f"INPUT a{i}", f"INPUT b{i}"]
+    lines.append("INPUT c0")
+    for i in range(bits):
+        lines += [
+            f"GATE x{i} XOR a{i} b{i}",
+            f"GATE g{i} AND a{i} b{i}",
+            f"GATE s{i} XOR x{i} c{i}",
+            f"GATE p{i} AND x{i} c{i}",
+            f"GATE c{i + 1} OR g{i} p{i}",
+        ]
+    lines += [f"OUTPUT s{i}" for i in range(bits)] + [f"OUTPUT c{bits}"]
+    return "\n".join(lines) + "\n"
+
+
+def reference_errors(netlist, node, trials, seed, workload=None):
+    """Per-trial campaign with one uint8 per trial per net: the reference.
+
+    Trial i reads RNG counters [i*L, (i+1)*L), L = ceil(inputs/64), input
+    j being bit j%64 of word j//64; with a workload, counter i picks the
+    vector.
+    """
+    n_in = len(netlist.inputs)
+    values = {}
+    if workload is None:
+        lanes = (n_in + 63) // 64
+        words = rng.word_block(seed, 0, trials * lanes).reshape(trials, lanes)
+        for j, name in enumerate(netlist.inputs):
+            values[name] = ((words[:, j // 64] >> np.uint64(j % 64)) & np.uint64(1)).astype(np.uint8)
+    else:
+        matrix = np.asarray(workload, dtype=np.uint8)
+        u = rng.unit_halfopen_floats(seed, 0, trials)
+        idx = (u * len(workload)).astype(np.int64)
+        for j, name in enumerate(netlist.inputs):
+            values[name] = matrix[idx, j]
+    _forward(netlist, values)
+    return int(_fault_error_mask(netlist, values, node).sum())
+
+
+def random_workload(n_inputs, n_vectors, seed):
+    rnd = random.Random(seed)
+    return [tuple(rnd.randint(0, 1) for _ in range(n_inputs)) for _ in range(n_vectors)]
 
 
 class TestParser:
@@ -224,6 +313,122 @@ class TestCampaign:
 
         merged = partition_errors(0, 400) + partition_errors(400, 600)
         assert merged == whole.errors
+
+
+B = INJECTION_BLOCK_TRIALS
+TRIAL_COUNTS = (1, 63, 64, 65, 1000, B - 1, B, B + 1, 2 * B + 65)
+SMALL_NETLISTS = {
+    "full_adder": FULL_ADDER,
+    "and2": AND2,
+    "or2": OR2,
+    "parity4": PARITY4,
+    "mux21": MUX21,
+    "all_kinds": ALL_KINDS,
+}
+
+
+class TestBitParallelCampaign:
+    """The packed, blocked engine against the per-trial reference."""
+
+    @pytest.mark.parametrize("use_workload", [False, True], ids=["rng", "workload"])
+    @pytest.mark.parametrize("trials", TRIAL_COUNTS)
+    @pytest.mark.parametrize("name", sorted(SMALL_NETLISTS))
+    def test_every_net_matches_reference(self, name, trials, use_workload):
+        net = parse_netlist(SMALL_NETLISTS[name])
+        workload = random_workload(len(net.inputs), 5, trials) if use_workload else None
+        for node in net.nets():
+            got = inject_campaign(net, node, trials, 1000 + trials, workload)
+            assert got.errors == reference_errors(net, node, trials, 1000 + trials, workload), node
+
+    @pytest.mark.parametrize("use_workload", [False, True], ids=["rng", "workload"])
+    @pytest.mark.parametrize("trials", TRIAL_COUNTS)
+    def test_two_lane_adder_matches_reference(self, trials, use_workload):
+        net = parse_netlist(ripple_adder(32))
+        assert len(net.inputs) == 65
+        workload = random_workload(65, 7, trials) if use_workload else None
+        for node in ("a0", "b31", "c0", "g7", "p20", "c16", "s31", "c32"):
+            got = inject_campaign(net, node, trials, 77, workload)
+            assert got.errors == reference_errors(net, node, trials, 77, workload), node
+
+    def test_dead_net_and_output_input(self):
+        net = parse_netlist(ALL_KINDS)
+        assert exhaustive_derating(net, "dead") == 0.0
+        assert inject_campaign(net, "dead", 5000, seed=4).errors == 0
+        assert inject_campaign(net, "d", 5000, seed=4).errors == 5000
+
+    def test_memory_bounded_by_block_not_trials(self):
+        net = parse_netlist(ripple_adder(32))
+        inject_campaign(net, "c16", 1000, seed=1)
+        tracemalloc.start()
+        try:
+            inject_campaign(net, "c16", 1_000_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+@st.composite
+def random_netlists(draw):
+    """Topologically ordered netlists of every gate kind, repeated operands allowed."""
+    nets = [f"i{k}" for k in range(draw(st.integers(1, 12)))]
+    lines = [f"INPUT {n}" for n in nets]
+    for k in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(GATE_KINDS))
+        arity = 1 if kind in ("NOT", "BUF") else draw(st.integers(2, 4))
+        operands = draw(st.lists(st.sampled_from(nets), min_size=arity, max_size=arity))
+        lines.append(f"GATE g{k} {kind} {' '.join(operands)}")
+        nets.append(f"g{k}")
+    outputs = draw(st.lists(st.sampled_from(nets), min_size=1, max_size=4))
+    lines += [f"OUTPUT {n}" for n in outputs]
+    return parse_netlist("\n".join(lines) + "\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    net=random_netlists(),
+    trials=st.integers(1, 300),
+    seed=st.integers(0, 2**64 - 1),
+    n_vectors=st.integers(1, 6),
+)
+def test_random_netlists_match_reference(net, trials, seed, n_vectors):
+    workload = random_workload(len(net.inputs), n_vectors, seed)
+    for node in net.nets():
+        for wl in (None, workload):
+            got = inject_campaign(net, node, trials, seed, wl)
+            assert got.errors == reference_errors(net, node, trials, seed, wl), node
+
+
+_NETLIST_WORDS = st.sampled_from(
+    ["INPUT", "GATE", "OUTPUT", "#", "a", "b", "g1", "g2"] + list(GATE_KINDS)
+)
+_NETLIST_LIKE_TEXT = st.lists(
+    st.lists(_NETLIST_WORDS, max_size=6).map(" ".join), max_size=8
+).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.text(), _NETLIST_LIKE_TEXT))
+def test_parse_netlist_raises_only_input_errors(text):
+    try:
+        net = parse_netlist(text)
+    except InputError:
+        return
+    for node in net.nets():
+        inject_campaign(net, node, 3, seed=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.one_of(st.text(), st.text(alphabet="01 #\n\t")),
+    n_inputs=st.integers(0, 8),
+)
+def test_read_workload_raises_only_input_errors(text, n_inputs):
+    try:
+        vectors = read_workload(io.StringIO(text), n_inputs)
+    except InputError:
+        return
+    assert vectors and all(len(v) == n_inputs for v in vectors)
 
 
 class TestWilson:
