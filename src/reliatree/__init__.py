@@ -1,19 +1,11 @@
 """Cross-layer reliability analysis: per-component permanent-fault
 (power -> temperature -> wear-out) and transient-fault (fault injection ->
-soft error rate) analyses composed through adapters and a success tree
-into system-level reliability curves, MTTF, and a fault-type dominance
-ratio.
+soft error rate) analyses, combined as competing risks and composed
+through a success tree into system-level reliability curves, MTTF, and a
+fault-type dominance ratio.
 """
 
 from ._version import __version__
-from .adapters import (
-    Adapter,
-    ComponentContext,
-    Measure,
-    apply_adapter,
-    apply_chain,
-    combine_competing_risks,
-)
 from .aging import (
     AgingParams,
     PermanentFaultResult,
@@ -31,11 +23,9 @@ from .curves import (
 )
 from .errors import InputError, ModelError, NetlistParseError, StageError
 from .model import (
-    AdapterChains,
     ComponentPayload,
     HierarchyNode,
     SystemModel,
-    check_measure_compatibility,
     dump_system,
     load_system,
     load_system_file,

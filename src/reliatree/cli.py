@@ -108,8 +108,6 @@ def _cmd_analyze(args) -> int:
     options = PipelineOptions(
         seed=args.seed, injection_trials=args.injection_trials, mc_trials=args.mc_trials
     )
-    if args.injection_trials <= 0:
-        raise InputError(f"--injection-trials must be positive, got {args.injection_trials}")
     result = run_pipeline(model, options)
     write_outputs(result, args.out)
     sys.stdout.write(report_to_json(result.report))

@@ -4,20 +4,20 @@ success tree at the root.
 The document is JSON: a recursive hierarchy of System / Subsystem /
 Component nodes, per-edge adapter chains keyed by child id, and a success
 tree whose basic events name leaf components. Loading validates structure
-and file references; measure-tag compatibility of the adapter chains is a
-separate check that reports violations instead of raising.
+and file references, and checks that every component declares the one
+adapter chain the pipeline runs (CANONICAL_CHAINS).
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .adapters import Adapter, adapter_from_json, adapter_to_json, chain_end_tag
 from .aging import AgingParams
 from .errors import ModelError
 from .softerror import SerParams
@@ -27,16 +27,26 @@ from .thermal import ThermalParams
 __all__ = [
     "ComponentPayload",
     "HierarchyNode",
-    "AdapterChains",
     "SystemModel",
     "load_system",
     "load_system_file",
     "dump_system",
-    "check_measure_compatibility",
+    "CANONICAL_CHAINS",
     "DEFAULT_WEIBULL_BETA",
 ]
 
 DEFAULT_WEIBULL_BETA = 2.0
+
+# The adapter chains of every component, as its `adapters` entry: power
+# to temperature to a wear-out rate to a Weibull survival (permanent
+# faults), FIT to an exponential survival (transient faults), and the
+# product of the two (competing risks). The pipeline runs exactly these
+# steps; the entry only documents them.
+CANONICAL_CHAINS = {
+    "permanent": ["PowerToTemperature", "TemperatureToFailureRate", "FailureRateToReliability"],
+    "transient": ["FitToReliability"],
+    "combine": ["CompetingRisksCombine"],
+}
 
 _KINDS = ("System", "Subsystem", "Component")
 _WS = re.compile(r"\s")
@@ -61,22 +71,12 @@ class HierarchyNode:
 
 
 @dataclass(frozen=True)
-class AdapterChains:
-    """Adapter chains on the edge above one component."""
-
-    permanent: tuple = ()
-    transient: tuple = ()
-    combine: tuple = (Adapter("CompetingRisksCombine"),)
-
-
-@dataclass(frozen=True)
 class SystemModel:
     name: str
     time_horizon_hours: float
     grid_points: int
     root: HierarchyNode
     success_tree: Gate
-    adapters: dict = field(default_factory=dict)
 
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, self.time_horizon_hours, self.grid_points)
@@ -220,38 +220,43 @@ def _parse_node(obj, level: int, base_dir: str, default_beta: float, seen_ids: d
     return HierarchyNode(node_id, kind, level, children)
 
 
-def _parse_chain(entries, what: str) -> tuple:
-    if not isinstance(entries, list):
-        raise ModelError(f"{what} must be a list of adapters")
-    return tuple(adapter_from_json(e) for e in entries)
+def _adapter_kind(entry):
+    """The kind an entry names: a bare name or {"kind": name} without params."""
+    if isinstance(entry, str):
+        return entry
+    if isinstance(entry, dict) and set(entry) <= {"kind", "params"} and entry.get("params", {}) == {}:
+        return entry.get("kind")
+    return None
 
 
-def _parse_adapters(obj, model_nodes: dict) -> dict:
+def _check_chain(entries, expected: list, what: str) -> None:
+    if not isinstance(entries, list) or [_adapter_kind(e) for e in entries] != expected:
+        raise ModelError(f"{what} must be {json.dumps(expected)}; no other chain can run")
+
+
+def _check_adapters(obj, model_nodes: dict) -> None:
+    """Check that every component declares CANONICAL_CHAINS and nothing else."""
     if not isinstance(obj, dict):
         raise ModelError("'adapters' must be an object keyed by child node id")
-    out = {}
     for child_id, entry in obj.items():
         node = model_nodes.get(child_id)
         if node is None:
             raise ModelError(f"adapters reference unknown node {child_id!r}")
         if node.level == 1:
             raise ModelError(f"adapters cannot be attached to the root {child_id!r}")
-        if node.kind == "Component":
-            what = f"adapters for component {child_id!r}"
-            _require_fields(entry, ("permanent", "transient"), ("combine",), what)
-            combine = (
-                _parse_chain(entry["combine"], f"{what}: 'combine'")
-                if "combine" in entry
-                else (Adapter("CompetingRisksCombine"),)
+        if node.kind != "Component":
+            _check_chain(entry, [], f"adapters for node {child_id!r}: the upward chain")
+            continue
+        what = f"adapters for component {child_id!r}"
+        _require_fields(entry, ("permanent", "transient"), ("combine",), what)
+        for chain, expected in CANONICAL_CHAINS.items():
+            if chain in entry:
+                _check_chain(entry[chain], expected, f"{what}: chain {chain!r}")
+    for node_id, node in model_nodes.items():
+        if node.kind == "Component" and node_id not in obj:
+            raise ModelError(
+                f"component {node_id!r} has no adapters entry; it needs {json.dumps(CANONICAL_CHAINS)}"
             )
-            out[child_id] = AdapterChains(
-                permanent=_parse_chain(entry["permanent"], f"{what}: 'permanent'"),
-                transient=_parse_chain(entry["transient"], f"{what}: 'transient'"),
-                combine=combine,
-            )
-        else:
-            out[child_id] = _parse_chain(entry, f"adapters for node {child_id!r}")
-    return out
 
 
 def load_system(
@@ -268,14 +273,14 @@ def load_system(
         raise ModelError(f"system description cannot be decoded: {TREE_TOO_DEEP}") from None
     _require_fields(
         doc,
-        ("name", "time_horizon_hours", "grid_points", "hierarchy", "success_tree"),
-        ("adapters",),
+        ("name", "time_horizon_hours", "grid_points", "hierarchy", "adapters", "success_tree"),
+        (),
         "system description",
     )
     name = _ident(doc["name"], "model name")
     horizon = _number(doc, "time_horizon_hours", "system description")
-    if horizon <= 0:
-        raise ModelError(f"time_horizon_hours must be positive, got {horizon}")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ModelError(f"time_horizon_hours must be positive and finite, got {horizon}")
     grid_points = doc["grid_points"]
     if not isinstance(grid_points, int) or isinstance(grid_points, bool) or grid_points < 2:
         raise ModelError(f"grid_points must be an integer >= 2, got {grid_points!r}")
@@ -299,8 +304,8 @@ def load_system(
         if node.kind != "Component":
             raise ModelError(f"success tree event {event!r} must name a leaf component")
 
-    chains = _parse_adapters(doc.get("adapters", {}), model_nodes)
-    return SystemModel(name, horizon, grid_points, root, tree, chains)
+    _check_adapters(doc["adapters"], model_nodes)
+    return SystemModel(name, horizon, grid_points, root, tree)
 
 
 def load_system_file(path: str, default_weibull_beta: float = DEFAULT_WEIBULL_BETA) -> SystemModel:
@@ -339,70 +344,12 @@ def _node_to_dict(node: HierarchyNode) -> dict:
 
 def dump_system(model: SystemModel) -> str:
     """Serialize back to document form (file paths come out resolved)."""
-    adapters: dict = {}
-    for child_id, entry in model.adapters.items():
-        if isinstance(entry, AdapterChains):
-            adapters[child_id] = {
-                "permanent": [adapter_to_json(a) for a in entry.permanent],
-                "transient": [adapter_to_json(a) for a in entry.transient],
-                "combine": [adapter_to_json(a) for a in entry.combine],
-            }
-        else:
-            adapters[child_id] = [adapter_to_json(a) for a in entry]
     doc = {
         "name": model.name,
         "time_horizon_hours": model.time_horizon_hours,
         "grid_points": model.grid_points,
         "hierarchy": _node_to_dict(model.root),
-        "adapters": adapters,
+        "adapters": {cid: CANONICAL_CHAINS for cid in model.components()},
         "success_tree": tree_to_dict(model.success_tree),
     }
     return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def _chain_violations(edge: str, label: str, start: str, chain, end: str) -> list:
-    got, mismatch = chain_end_tag(start, chain)
-    if mismatch is not None:
-        expected, found = mismatch
-        return [f"{edge} [{label}]: adapter expects {expected} but chain carries {found}"]
-    if got != end:
-        return [f"{edge} [{label}]: chain ends at {got} but parent consumes {end}"]
-    return []
-
-
-def check_measure_compatibility(model: SystemModel) -> list:
-    """Tag-compatibility violations for every parent-child edge.
-
-    Components produce a PowerTrace (permanent path) and a FitRate
-    (transient path); every parent consumes Reliability. An empty list
-    means all declared chains line up.
-    """
-    violations: list = []
-
-    def walk(parent: HierarchyNode):
-        for child in parent.children:
-            edge = f"edge {parent.id!r}->{child.id!r}"
-            entry = model.adapters.get(child.id)
-            if child.kind == "Component":
-                chains = entry if isinstance(entry, AdapterChains) else AdapterChains((), ())
-                violations.extend(
-                    _chain_violations(edge, "permanent", "PowerTrace", chains.permanent, "Reliability")
-                )
-                violations.extend(
-                    _chain_violations(edge, "transient", "FitRate", chains.transient, "Reliability")
-                )
-                if not chains.combine or chains.combine[0].kind != "CompetingRisksCombine":
-                    violations.append(f"{edge} [combine]: chain must start with CompetingRisksCombine")
-                else:
-                    violations.extend(
-                        _chain_violations(edge, "combine", "Reliability", chains.combine[1:], "Reliability")
-                    )
-            else:
-                chain = entry if entry is not None else ()
-                violations.extend(
-                    _chain_violations(edge, "upward", "Reliability", chain, "Reliability")
-                )
-                walk(child)
-
-    walk(model.root)
-    return violations

@@ -1,5 +1,10 @@
-"""End-to-end analysis: leaf analyses per component, adapter application,
-competing-risks combination, and system-level curves.
+"""End-to-end analysis: leaf analyses per component, competing-risks
+combination, and system-level curves.
+
+Each component runs the chain its `adapters` entry declares
+(model.CANONICAL_CHAINS): power trace -> temperature profile -> wear-out
+rate -> Weibull survival, FIT -> exponential survival, and the product of
+the two survivals.
 
 Every stochastic stage derives its own sub-seed from the master seed and a
 stable label, so reruns are byte-identical and each stage can be
@@ -17,9 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import rng
+# thermal and aging are called through their modules so that a tracer can
+# wrap their functions at one place.
+from . import aging, rng, thermal
 from ._version import __version__ as TOOL_VERSION
-from .adapters import ComponentContext, Measure, apply_adapter, combine_competing_risks
 from .aging import PermanentFaultResult
 from .curves import (
     ComponentReliability,
@@ -30,10 +36,10 @@ from .curves import (
     write_curves_csv,
 )
 from .errors import InputError, StageError
-from .model import AdapterChains, SystemModel, check_measure_compatibility
-from .reliability import mttf
+from .model import SystemModel
+from .reliability import Product, mttf
 from .softerror import (
-    PER_HOUR_PER_FIT,
+    exponential_reliability,
     inject_campaign,
     parse_netlist,
     transient_failure_rate,
@@ -94,18 +100,9 @@ def injection_seed(master_seed: int, component_id: str, net: str) -> int:
     return rng.derive_seed(master_seed, f"inject/{component_id}/{net}")
 
 
-def _component_chains(model: SystemModel, component_id: str) -> AdapterChains:
-    entry = model.adapters.get(component_id)
-    if not isinstance(entry, AdapterChains):
-        raise InputError(f"component {component_id!r} has no adapter chains")
-    return entry
-
-
-def _analyze_component(model: SystemModel, node, options: PipelineOptions) -> ComponentAnalysis:
+def _analyze_component(node, options: PipelineOptions) -> ComponentAnalysis:
     cid = node.id
     payload = node.payload
-    chains = _component_chains(model, cid)
-    context = ComponentContext(cid, payload.thermal, payload.aging)
 
     def stage(name, fn):
         try:
@@ -120,24 +117,14 @@ def _analyze_component(model: SystemModel, node, options: PipelineOptions) -> Co
     trace = stage("power-trace", read_trace)
 
     def permanent_path():
-        measure = Measure("PowerTrace", trace, "seconds")
-        seen = {}
-        for adapter in chains.permanent:
-            measure = apply_adapter(adapter, measure, context)
-            seen[measure.tag] = measure
-        return measure, seen
+        profile = thermal.simulate_temperature(trace, payload.thermal)
+        lam = aging.failure_rate_from_profile(profile, payload.aging)
+        if not lam > 0:
+            raise InputError(f"failure rate must be positive, got {lam!r}")
+        return profile, lam, aging.weibull_from_mttf(1.0 / lam, payload.aging.weibull_beta)
 
-    perm_measure, perm_intermediates = stage("permanent-path", permanent_path)
-    profile = perm_intermediates.get("TemperatureProfile")
-    rate_measure = perm_intermediates.get("FailureRate")
-    if profile is None or rate_measure is None or perm_measure.tag != "Reliability":
-        raise StageError(
-            cid,
-            "permanent-path",
-            InputError("permanent chain must pass through temperature and failure rate"),
-        )
-    lambda_eff = rate_measure.payload
-    peak_temp = max(profile.payload.samples)
+    profile, lambda_eff, r_perm = stage("permanent-path", permanent_path)
+    peak_temp = max(profile.samples)
     mean_power = sum(trace.samples) / len(trace.samples)
     steady_temp = steady_state_temperature(mean_power, payload.thermal)
 
@@ -169,56 +156,35 @@ def _analyze_component(model: SystemModel, node, options: PipelineOptions) -> Co
     def transient_path():
         deratings = {net: res.derating for net, res in injections.items()}
         lam = transient_failure_rate(netlist, payload.ser, deratings)
-        measure = Measure("FitRate", lam / PER_HOUR_PER_FIT, "hours")
-        for adapter in chains.transient:
-            measure = apply_adapter(adapter, measure, context)
-        return lam, measure
+        return lam, exponential_reliability(lam)
 
-    lambda_trans, trans_measure = stage("transient-path", transient_path)
-    if trans_measure.tag != "Reliability":
-        raise StageError(
-            cid, "transient-path", InputError("transient chain must end at Reliability")
-        )
-
-    def combine():
-        measure = Measure(
-            "Reliability",
-            combine_competing_risks(perm_measure.payload, trans_measure.payload),
-            "hours",
-        )
-        for adapter in chains.combine[1:]:
-            measure = apply_adapter(adapter, measure, context)
-        return measure
-
-    combined_measure = stage("combine", combine)
-    reliability = ComponentReliability(
-        r_perm=perm_measure.payload,
-        r_trans=trans_measure.payload,
-        r_combined=combined_measure.payload,
-    )
+    lambda_trans, r_trans = stage("transient-path", transient_path)
+    r_combined = Product((r_perm, r_trans))  # independent competing risks
 
     return ComponentAnalysis(
         component_id=cid,
         steady_state_temp_k=steady_temp,
         peak_temp_k=peak_temp,
-        permanent=PermanentFaultResult(lambda_eff, 1.0 / lambda_eff, perm_measure.payload),
+        permanent=PermanentFaultResult(lambda_eff, 1.0 / lambda_eff, r_perm),
         transient_lambda_per_hour=lambda_trans,
         injections=injections,
-        reliability=reliability,
-        combined_mttf_hours=mttf(combined_measure.payload),
+        reliability=ComponentReliability(r_perm, r_trans, r_combined),
+        combined_mttf_hours=mttf(r_combined),
     )
 
 
 def run_pipeline(model: SystemModel, options: PipelineOptions) -> PipelineResult:
     """Full analysis of a validated model; nothing is written to disk."""
-    violations = check_measure_compatibility(model)
-    if violations:
-        raise InputError(
-            "measure compatibility violations:\n  " + "\n  ".join(violations)
-        )
+    if options.injection_trials <= 0:
+        raise InputError(f"injection_trials must be positive, got {options.injection_trials!r}")
+    if options.mc_trials is not None:
+        if options.mc_trials <= 0:
+            raise InputError(f"mc_trials must be positive, got {options.mc_trials!r}")
+        if options.seed is None:
+            raise InputError("a master seed is required for the Monte Carlo check")
     analyses = {}
     for cid, node in model.components().items():
-        analyses[cid] = _analyze_component(model, node, options)
+        analyses[cid] = _analyze_component(node, options)
 
     funcs = {cid: a.reliability for cid, a in analyses.items()}
     try:
@@ -228,10 +194,6 @@ def run_pipeline(model: SystemModel, options: PipelineOptions) -> PipelineResult
 
     mc = None
     if options.mc_trials is not None:
-        if options.mc_trials <= 0:
-            raise InputError(f"mc_trials must be positive, got {options.mc_trials!r}")
-        if options.seed is None:
-            raise InputError("a master seed is required for the Monte Carlo check")
         modes = {cid: (a.reliability.r_perm, a.reliability.r_trans) for cid, a in analyses.items()}
         mc = monte_carlo_system(
             model.success_tree,

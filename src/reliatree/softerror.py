@@ -150,8 +150,8 @@ class SerParams:
     default_fit: float = 0.0
 
     def __post_init__(self):
-        if self.default_fit < 0:
-            raise ValueError(f"default FIT must be >= 0, got {self.default_fit!r}")
+        if not (math.isfinite(self.default_fit) and self.default_fit >= 0):
+            raise ValueError(f"default FIT must be finite and >= 0, got {self.default_fit!r}")
         for net, fit in self.fit_per_node.items():
             if fit < 0 or not math.isfinite(fit):
                 raise ValueError(f"FIT for {net!r} must be >= 0, got {fit!r}")

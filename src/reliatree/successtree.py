@@ -161,6 +161,8 @@ def _check_probs(events, probs) -> None:
         if event not in probs:
             raise InputError(f"no probability for basic event {event!r}")
         p = probs[event]
+        if not isinstance(p, (int, float)) or isinstance(p, bool):
+            raise InputError(f"probability for {event!r} must be a number, got {p!r}")
         if not 0.0 <= p <= 1.0:
             raise InputError(f"probability for {event!r} out of [0,1]: {p!r}")
 
@@ -262,7 +264,7 @@ def _node_from_dict(obj, gates_above: int) -> Gate:
     extra = set(obj) - allowed
     if extra:
         raise InputError(f"unknown fields on {kind} gate: {sorted(extra)}")
-    if kind not in _GATE_NAMES:
+    if not isinstance(kind, str) or kind not in _GATE_NAMES:
         raise InputError(f"unknown gate kind {kind!r}")
     if gates_above == MAX_TREE_DEPTH:
         raise InputError(TREE_TOO_DEEP)
@@ -273,7 +275,7 @@ def _node_from_dict(obj, gates_above: int) -> Gate:
     try:
         if kind == "KOFN":
             k = obj.get("k")
-            if not isinstance(k, int):
+            if not isinstance(k, int) or isinstance(k, bool):
                 raise InputError("KOFN gate needs an integer 'k'")
             return KofNGate(k, children)
         return _GATE_NAMES[kind](children)

@@ -97,7 +97,10 @@ def simulate_temperature(trace: PowerTrace, params: ThermalParams) -> Temperatur
 
 def read_power_trace(fp, component_id: str) -> PowerTrace:
     """Parse a `time_s,power_w` CSV with a uniform time grid starting at 0."""
-    rows = list(csv.reader(fp))
+    try:
+        rows = list(csv.reader(fp))
+    except csv.Error as exc:
+        raise InputError(f"power trace is not valid CSV: {exc}") from None
     if not rows or rows[0] != ["time_s", "power_w"]:
         raise InputError("power trace must start with header 'time_s,power_w'")
     if len(rows) < 3:

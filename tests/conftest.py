@@ -3,6 +3,7 @@ import os
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from reliatree.softerror import parse_netlist
 from reliatree.successtree import AndGate, BasicEvent, KofNGate, OrGate, basic_events
@@ -24,6 +25,16 @@ OUTPUT cout
 
 AND2 = "INPUT a\nINPUT b\nGATE g1 AND a b\nOUTPUT g1\n"
 OR2 = "INPUT a\nINPUT b\nGATE g1 OR a b\nOUTPUT g1\n"
+
+
+# Any value a JSON document can hold, NaN and the infinities included
+# (Python's json module reads and writes them).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=10), children, max_size=4),
+    max_leaves=16,
+)
 
 
 def random_tree(rnd, events, depth):

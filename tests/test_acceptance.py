@@ -22,10 +22,9 @@ from reliatree.curves import (
     monte_carlo_system,
     system_reliability_curves,
 )
-from reliatree.adapters import combine_competing_risks
 from reliatree.aging import BOLTZMANN_EV_PER_K, AgingParams, black_mttf, weibull_from_mttf
 from reliatree.model import HierarchyNode, SystemModel
-from reliatree.reliability import Exponential, Weibull, mttf, reliability_at
+from reliatree.reliability import Exponential, Product, Weibull, mttf, reliability_at
 from reliatree.softerror import (
     Z_99,
     exhaustive_derating,
@@ -55,7 +54,7 @@ def two_component_and_model(horizon=10_000.0, points=512):
     tree = AndGate((BasicEvent("pu1"), BasicEvent("pu2")))
     children = tuple(HierarchyNode(c, "Component", 2) for c in ("pu1", "pu2"))
     root = HierarchyNode("soc", "System", 1, children)
-    return SystemModel("closed_form", horizon, points, root, tree, {})
+    return SystemModel("closed_form", horizon, points, root, tree)
 
 
 def test_c1_closed_form_system_oracle():
@@ -65,7 +64,7 @@ def test_c1_closed_form_system_oracle():
         c: ComponentReliability(
             Exponential(1e-4),
             Exponential(4e-4),
-            combine_competing_risks(Exponential(1e-4), Exponential(4e-4)),
+            Product((Exponential(1e-4), Exponential(4e-4))),
         )
         for c in ("pu1", "pu2")
     }

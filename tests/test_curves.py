@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reliatree.adapters import combine_competing_risks
 from reliatree import rng
 from reliatree.curves import (
     MC_BLOCK_SAMPLES,
@@ -32,14 +31,14 @@ from reliatree.successtree import AndGate, BasicEvent, KofNGate, OrGate, basic_e
 def make_model(tree, horizon=10_000.0, points=128, component_ids=("pu1", "pu2")):
     children = tuple(HierarchyNode(cid, "Component", 2) for cid in component_ids)
     root = HierarchyNode("soc", "System", 1, children)
-    return SystemModel("closed_form", horizon, points, root, tree, {})
+    return SystemModel("closed_form", horizon, points, root, tree)
 
 
 def exp_pair(lam_perm, lam_trans):
     return ComponentReliability(
         Exponential(lam_perm),
         Exponential(lam_trans),
-        combine_competing_risks(Exponential(lam_perm), Exponential(lam_trans)),
+        Product((Exponential(lam_perm), Exponential(lam_trans))),
     )
 
 
@@ -87,7 +86,7 @@ class TestSystemCurves:
             c: ComponentReliability(
                 Exponential(1e-4),
                 constant_one(),
-                combine_competing_risks(Exponential(1e-4), constant_one()),
+                Product((Exponential(1e-4), constant_one())),
             )
             for c in ("pu1", "pu2")
         }
@@ -111,7 +110,7 @@ class TestSystemCurves:
             "pu1": ComponentReliability(
                 Weibull(4000.0, 2.0),
                 Exponential(1e-4),
-                combine_competing_risks(Weibull(4000.0, 2.0), Exponential(1e-4)),
+                Product((Weibull(4000.0, 2.0), Exponential(1e-4))),
             ),
             "pu2": exp_pair(2e-4, 5e-5),
         }

@@ -1,18 +1,15 @@
 import json
+import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reliatree.errors import ModelError
-from reliatree.model import (
-    AdapterChains,
-    check_measure_compatibility,
-    dump_system,
-    load_system,
-    load_system_file,
-)
+from reliatree.errors import InputError, ModelError
+from reliatree.model import CANONICAL_CHAINS, dump_system, load_system, load_system_file
 
-from conftest import AND2, DEFAULT_CHAINS, component_obj, write_power_csv, write_two_unit_model
+from conftest import AND2, DEFAULT_CHAINS, JSON_VALUES, component_obj, write_power_csv, write_two_unit_model
 
 
 def write_inputs(tmp_path):
@@ -57,7 +54,6 @@ class TestLoad:
         model = load_system_file(path)
         assert len(model.nodes()) == 3
         assert sorted(model.components()) == ["pu1", "pu2"]
-        assert check_measure_compatibility(model) == []
 
     def test_subsystem_levels(self, tmp_path):
         write_inputs(tmp_path)
@@ -140,6 +136,19 @@ class TestLoad:
         write_inputs(tmp_path)
         with pytest.raises((ModelError, Exception)):
             load(tmp_path, minimal_doc(**patch))
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("field", ["time_horizon_hours", "default_fit"])
+    def test_non_finite_numbers_rejected(self, tmp_path, field, value):
+        write_inputs(tmp_path)
+        doc = minimal_doc()
+        if field == "default_fit":
+            doc["hierarchy"]["children"][0]["ser"]["default_fit"] = value
+        else:
+            doc[field] = value
+        with pytest.raises(ModelError) as err:
+            load(tmp_path, doc)
+        assert field in str(err.value) or "FIT" in str(err.value)
 
     def test_component_with_children_rejected(self, tmp_path):
         write_inputs(tmp_path)
@@ -241,95 +250,224 @@ class TestRoundTrip:
         assert grid[0] == 0.0 and grid[-1] == 1000.0 and len(grid) == 16
 
 
-class TestMeasureCompatibility:
-    def test_fully_wired_model_is_clean(self, tmp_path):
-        path = write_two_unit_model(tmp_path)
-        assert check_measure_compatibility(load_system_file(path)) == []
+SUBSYSTEM_HIERARCHY = {
+    "id": "sys",
+    "kind": "System",
+    "children": [
+        {"id": "sub", "kind": "Subsystem", "children": [component_obj("c1", "p.csv", "n.net")]}
+    ],
+}
 
-    def test_empty_component_chain_reports_tags(self, tmp_path):
-        write_inputs(tmp_path)
-        doc = minimal_doc(adapters={"c1": {"permanent": [], "transient": ["FitToReliability"]}})
-        model = load(tmp_path, doc)
-        violations = check_measure_compatibility(model)
-        assert len(violations) == 1
-        assert "PowerTrace" in violations[0] and "Reliability" in violations[0]
-        assert "c1" in violations[0]
+PERMANENT = DEFAULT_CHAINS["permanent"]
+BRIDGE = {"kind": "TimeUnitBridge", "params": {"from": "seconds", "to": "hours"}}
 
-    def test_wrong_order_reports_adapter_mismatch(self, tmp_path):
-        write_inputs(tmp_path)
-        doc = minimal_doc(
-            adapters={
-                "c1": {
-                    "permanent": ["TemperatureToFailureRate", "PowerToTemperature"],
-                    "transient": ["FitToReliability"],
-                }
-            }
-        )
-        violations = check_measure_compatibility(load(tmp_path, doc))
-        assert len(violations) >= 1
-        assert "TemperatureProfile" in violations[0] and "PowerTrace" in violations[0]
 
-    def test_missing_adapters_entry_flagged(self, tmp_path):
-        write_inputs(tmp_path)
-        model = load(tmp_path, minimal_doc(adapters={}))
-        violations = check_measure_compatibility(model)
-        assert len(violations) == 2  # permanent and transient chains both missing
+def chains(**overrides):
+    entry = dict(DEFAULT_CHAINS)
+    entry.update(overrides)
+    return entry
 
-    def test_subsystem_chain_must_preserve_reliability(self, tmp_path):
-        write_inputs(tmp_path)
-        doc = minimal_doc(
-            hierarchy={
-                "id": "sys",
-                "kind": "System",
-                "children": [
-                    {
-                        "id": "sub",
-                        "kind": "Subsystem",
-                        "children": [component_obj("c1", "p.csv", "n.net")],
-                    }
-                ],
-            },
-            adapters={
-                "c1": DEFAULT_CHAINS,
-                "sub": [{"kind": "TimeUnitBridge", "params": {"from": "seconds", "to": "hours"}}],
-            },
-        )
-        model = load(tmp_path, doc)
-        violations = check_measure_compatibility(model)
-        assert len(violations) == 1 and "FailureRate" in violations[0]
 
-    def test_violation_set_is_deterministic(self, tmp_path):
-        write_inputs(tmp_path)
-        model = load(tmp_path, minimal_doc(adapters={}))
-        assert check_measure_compatibility(model) == check_measure_compatibility(model)
+class TestAdapters:
+    """The adapters block must declare the one chain the pipeline runs."""
 
-    def test_combine_chain_must_start_with_combiner(self, tmp_path):
-        write_inputs(tmp_path)
-        doc = minimal_doc(
-            adapters={
-                "c1": {
-                    "permanent": DEFAULT_CHAINS["permanent"],
-                    "transient": DEFAULT_CHAINS["transient"],
-                    "combine": [],
-                }
-            }
-        )
-        model = load(tmp_path, doc)
-        violations = check_measure_compatibility(model)
-        assert len(violations) == 1 and "CompetingRisksCombine" in violations[0]
+    def test_canonical_chains_match_the_documented_entry(self):
+        assert CANONICAL_CHAINS == DEFAULT_CHAINS
 
-    def test_default_combine_chain(self, tmp_path):
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            chains(),
+            {"permanent": PERMANENT, "transient": ["FitToReliability"]},
+            chains(transient=[{"kind": "FitToReliability"}]),
+            chains(combine=[{"kind": "CompetingRisksCombine", "params": {}}]),
+        ],
+        ids=["names", "combine-omitted", "kind-object", "empty-params"],
+    )
+    def test_accepted_forms(self, tmp_path, entry):
         write_inputs(tmp_path)
-        doc = minimal_doc(
-            adapters={
-                "c1": {
-                    "permanent": DEFAULT_CHAINS["permanent"],
-                    "transient": DEFAULT_CHAINS["transient"],
-                }
-            }
-        )
-        model = load(tmp_path, doc)
-        chains = model.adapters["c1"]
-        assert isinstance(chains, AdapterChains)
-        assert chains.combine[0].kind == "CompetingRisksCombine"
-        assert check_measure_compatibility(model) == []
+        model = load(tmp_path, minimal_doc(adapters={"c1": entry}))
+        assert list(model.components()) == ["c1"]
+
+    def test_empty_upward_chain_accepted(self, tmp_path):
+        write_inputs(tmp_path)
+        doc = minimal_doc(hierarchy=SUBSYSTEM_HIERARCHY, adapters={"c1": DEFAULT_CHAINS, "sub": []})
+        load(tmp_path, doc)
+
+    @pytest.mark.parametrize(
+        "chain, entry",
+        [
+            ("permanent", chains(permanent=[])),
+            ("permanent", chains(permanent=["TemperatureToFailureRate", "PowerToTemperature"])),
+            ("permanent", chains(permanent=PERMANENT + ["TimeUnitBridge"])),
+            (
+                "permanent",
+                chains(
+                    permanent=PERMANENT[:2]
+                    + [
+                        {"kind": "TimeUnitBridge", "params": {"from": "hours", "to": "seconds"}},
+                        BRIDGE,
+                    ]
+                    + PERMANENT[2:]
+                ),
+            ),
+            ("permanent", chains(permanent=PERMANENT[:2] + [BRIDGE] + PERMANENT[2:])),
+            ("transient", chains(transient=[{"kind": "FitToReliability", "params": {"scale": 1000}}])),
+            ("transient", chains(transient=[{"kind": "Nope"}])),
+            ("transient", chains(transient=[{"type": "FitToReliability"}])),
+            ("transient", chains(transient=[7])),
+            ("transient", chains(transient="FitToReliability")),
+            ("combine", chains(combine=[])),
+            ("combine", chains(combine=["CompetingRisksCombine", "CompetingRisksCombine"])),
+        ],
+        ids=[
+            "empty",
+            "wrong-order",
+            "bare-bridge",
+            "bridge-pair",
+            "readme-bridge",
+            "ignored-params",
+            "unknown-kind",
+            "no-kind",
+            "number",
+            "not-a-list",
+            "empty-combine",
+            "double-combine",
+        ],
+    )
+    def test_other_chains_rejected_with_location(self, tmp_path, chain, entry):
+        write_inputs(tmp_path)
+        with pytest.raises(ModelError) as err:
+            load(tmp_path, minimal_doc(adapters={"c1": entry}))
+        msg = str(err.value)
+        assert "'c1'" in msg and repr(chain) in msg
+        assert json.dumps(CANONICAL_CHAINS[chain]) in msg
+
+    def test_missing_component_entry_rejected(self, tmp_path):
+        write_inputs(tmp_path)
+        with pytest.raises(ModelError) as err:
+            load(tmp_path, minimal_doc(adapters={}))
+        assert "'c1'" in str(err.value) and "FitToReliability" in str(err.value)
+
+    def test_missing_adapters_block_rejected(self, tmp_path):
+        write_inputs(tmp_path)
+        doc = minimal_doc()
+        del doc["adapters"]
+        with pytest.raises(ModelError) as err:
+            load(tmp_path, doc)
+        assert "adapters" in str(err.value)
+
+    @pytest.mark.parametrize("field", ["permanent", "transient"])
+    def test_missing_chain_rejected(self, tmp_path, field):
+        write_inputs(tmp_path)
+        entry = chains()
+        del entry[field]
+        with pytest.raises(ModelError) as err:
+            load(tmp_path, minimal_doc(adapters={"c1": entry}))
+        assert "'c1'" in str(err.value) and field in str(err.value)
+
+    def test_unknown_chain_field_rejected(self, tmp_path):
+        write_inputs(tmp_path)
+        with pytest.raises(ModelError) as err:
+            load(tmp_path, minimal_doc(adapters={"c1": chains(upward=[])}))
+        assert "'c1'" in str(err.value) and "upward" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "chain", [["CompetingRisksCombine"], [BRIDGE], {}], ids=["combine", "bridge", "object"]
+    )
+    def test_nonempty_upward_chain_rejected(self, tmp_path, chain):
+        write_inputs(tmp_path)
+        doc = minimal_doc(hierarchy=SUBSYSTEM_HIERARCHY, adapters={"c1": DEFAULT_CHAINS, "sub": chain})
+        with pytest.raises(ModelError) as err:
+            load(tmp_path, doc)
+        assert "'sub'" in str(err.value) and "upward chain must be []" in str(err.value)
+
+    def test_root_entry_rejected(self, tmp_path):
+        write_inputs(tmp_path)
+        with pytest.raises(ModelError) as err:
+            load(tmp_path, minimal_doc(adapters={"c1": DEFAULT_CHAINS, "sys": []}))
+        assert "root" in str(err.value)
+
+    def test_dump_writes_canonical_chains(self, tmp_path):
+        write_inputs(tmp_path)
+        doc = minimal_doc(adapters={"c1": {"permanent": PERMANENT, "transient": [{"kind": "FitToReliability"}]}})
+        dumped = json.loads(dump_system(load(tmp_path, doc)))
+        assert dumped["adapters"] == {"c1": CANONICAL_CHAINS}
+
+
+_KIND_NAMES = st.sampled_from(
+    sorted({kind for chain in CANONICAL_CHAINS.values() for kind in chain} | {"TimeUnitBridge", "Nope"})
+)
+_CHAIN = st.one_of(
+    st.sampled_from(list(CANONICAL_CHAINS.values()) + [[]]),
+    st.lists(
+        _KIND_NAMES | st.fixed_dictionaries({"kind": _KIND_NAMES}, optional={"params": JSON_VALUES}),
+        max_size=4,
+    ),
+    JSON_VALUES,
+)
+_ADAPTER_ENTRY = st.one_of(
+    st.just(DEFAULT_CHAINS),
+    st.fixed_dictionaries(
+        {}, optional={"permanent": _CHAIN, "transient": _CHAIN, "combine": _CHAIN, "upward": _CHAIN}
+    ),
+    JSON_VALUES,
+)
+_ADAPTERS_BLOCK = st.one_of(
+    st.dictionaries(st.sampled_from(["c1", "sub", "sys", "ghost"]), _ADAPTER_ENTRY, max_size=3),
+    JSON_VALUES,
+)
+_EDGE_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 0, -1.0, 1e308, True, "1", None, [], {}])
+_FIELD_PATHS = [
+    ("thermal",),
+    ("thermal", "r_th"),
+    ("thermal", "t_ambient"),
+    ("aging", "n_exp"),
+    ("aging", "weibull_beta"),
+    ("ser",),
+    ("ser", "default_fit"),
+    ("ser", "fit_per_node"),
+    ("power_trace",),
+    ("netlist",),
+    ("id",),
+    ("kind",),
+]
+
+
+@st.composite
+def system_documents(draw):
+    """A valid one-component document with one part replaced by any JSON."""
+    hierarchy = draw(st.sampled_from([minimal_doc()["hierarchy"], SUBSYSTEM_HIERARCHY]))
+    doc = json.loads(json.dumps(minimal_doc(hierarchy=hierarchy)))
+    component = doc["hierarchy"]["children"][0]
+    if component["kind"] == "Subsystem":
+        component = component["children"][0]
+    where = draw(st.sampled_from(["adapters", "top level"] + _FIELD_PATHS))
+    if where == "adapters":
+        doc["adapters"] = draw(_ADAPTERS_BLOCK)
+    elif where == "top level":
+        doc[draw(st.sampled_from(sorted(doc) + ["extra"]))] = draw(JSON_VALUES)
+    else:
+        target = component if len(where) == 1 else component[where[0]]
+        target[where[-1]] = draw(_EDGE_VALUES | JSON_VALUES)
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def input_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("inputs")
+    write_inputs(path)
+    return str(path)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(system_documents(), JSON_VALUES.map(json.dumps), st.text()))
+def test_load_system_raises_only_input_errors(input_dir, text):
+    try:
+        model = load_system(text, base_dir=input_dir)
+    except InputError:
+        return
+    assert math.isfinite(model.time_horizon_hours)
+    for node in model.components().values():
+        assert math.isfinite(node.payload.ser.default_fit)
+    assert load_system(dump_system(model), base_dir=input_dir) == model

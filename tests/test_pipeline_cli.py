@@ -4,9 +4,13 @@ import os
 
 import pytest
 
-from reliatree import cli
-from reliatree.errors import InputError, StageError
+import numpy as np
+
+from reliatree import cli, pipeline
+from reliatree.aging import black_mttf, weibull_from_mttf
+from reliatree.errors import InputError, ModelError, StageError
 from reliatree.model import load_system_file
+from reliatree.reliability import reliability_at
 from reliatree.successtree import MAX_TREE_DEPTH
 from reliatree.pipeline import (
     PipelineOptions,
@@ -16,7 +20,7 @@ from reliatree.pipeline import (
     write_outputs,
 )
 
-from conftest import AND2, write_two_unit_model
+from conftest import AND2, DEFAULT_CHAINS, write_two_unit_model
 
 
 def deep_chain_text(depth, events):
@@ -91,16 +95,58 @@ class TestPipeline:
         assert section["n_samples"] == 5000
         assert section["within_3_stderr_fraction"] >= 0.9
 
-    def test_compatibility_violations_abort(self, tmp_path):
+    def test_non_canonical_chain_aborts_at_load(self, tmp_path):
         path = write_two_unit_model(tmp_path)
         doc = json.load(open(path))
         doc["adapters"]["pu1"] = {"permanent": [], "transient": []}
         with open(path, "w") as fp:
             json.dump(doc, fp)
+        with pytest.raises(ModelError) as err:
+            load_system_file(path)
+        assert "'pu1'" in str(err.value) and "'permanent'" in str(err.value)
+
+    def test_permanent_chain_reproduces_closed_form(self, tmp_path):
+        # Constant 10 W from the steady state: a flat 320 K profile, so the
+        # permanent survival must equal weibull_from_mttf(black_mttf(320), beta).
+        path = write_two_unit_model(tmp_path, powers=(10.0,) * 16)
+        doc = json.load(open(path))
+        for child in doc["hierarchy"]["children"]:
+            child["thermal"]["t_initial"] = 320.0
+        with open(path, "w") as fp:
+            json.dump(doc, fp)
         model = load_system_file(path)
+        result = run_pipeline(model, PipelineOptions(seed=None))
+        aging = model.components()["pu1"].payload.aging
+        expected = weibull_from_mttf(black_mttf(320.0, aging), aging.weibull_beta)
+        pu1 = result.components["pu1"]
+        assert pu1.peak_temp_k == 320.0
+        assert pu1.permanent.mttf_hours == pytest.approx(black_mttf(320.0, aging), rel=1e-12)
+        for t in np.linspace(0.0, 2e5, 41):
+            assert reliability_at(pu1.reliability.r_perm, float(t)) == pytest.approx(
+                reliability_at(expected, float(t)), abs=1e-9
+            )
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            PipelineOptions(seed=1, mc_trials=0),
+            PipelineOptions(seed=1, mc_trials=-5),
+            PipelineOptions(seed=None, mc_trials=100),
+            PipelineOptions(seed=1, injection_trials=0),
+        ],
+        ids=["mc-zero", "mc-negative", "mc-no-seed", "injection-zero"],
+    )
+    def test_options_rejected_before_any_campaign(self, tmp_path, monkeypatch, options):
+        path = write_two_unit_model(tmp_path, default_fit=100.0)
+        model = load_system_file(path)
+
+        def no_campaigns(*args, **kwargs):
+            raise AssertionError("a campaign ran before the options were checked")
+
+        monkeypatch.setattr(pipeline, "inject_campaign", no_campaigns)
         with pytest.raises(InputError) as err:
-            run_pipeline(model, PipelineOptions(seed=1))
-        assert "PowerTrace" in str(err.value)
+            run_pipeline(model, options)
+        assert not isinstance(err.value, StageError)
 
     def test_stage_error_names_component_and_stage(self, tmp_path):
         path = write_two_unit_model(tmp_path, default_fit=10.0)
@@ -582,6 +628,76 @@ class TestExitCodes:
         assert code == 1
         assert "1200 basic events" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("brute_force", [False, True], ids=["shannon", "brute-force"])
+    @pytest.mark.parametrize("value", ["0.5", None, [0.5], True], ids=["string", "null", "list", "true"])
+    def test_tree_eval_non_numeric_probability(self, tmp_path, capsys, value, brute_force):
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps({"gate": "AND", "inputs": [{"event": "a"}, {"event": "b"}]}))
+        probs = tmp_path / "probs.json"
+        probs.write_text(json.dumps({"a": value, "b": 0.5}))
+        args = ["tree-eval", "--tree", str(tree), "--probs", str(probs)]
+        code, out, err = run_cli(args + ["--brute-force"] * brute_force, capsys)
+        assert code == 1 and out == ""
+        assert "'a'" in err and "must be a number" in err
+
+    @pytest.mark.parametrize(
+        "chain, adapters",
+        [
+            (
+                "permanent",
+                dict(
+                    DEFAULT_CHAINS,
+                    permanent=DEFAULT_CHAINS["permanent"][:2]
+                    + [{"kind": "TimeUnitBridge", "params": {"from": "seconds", "to": "hours"}}]
+                    + DEFAULT_CHAINS["permanent"][2:],
+                ),
+            ),
+            ("permanent", dict(DEFAULT_CHAINS, permanent=DEFAULT_CHAINS["permanent"] + ["TimeUnitBridge"])),
+            (
+                "transient",
+                dict(DEFAULT_CHAINS, transient=[{"kind": "FitToReliability", "params": {"scale": 1000}}]),
+            ),
+            ("combine", dict(DEFAULT_CHAINS, combine=[])),
+            ("adapters entry", None),
+        ],
+        ids=["readme-bridge", "bare-bridge", "ignored-params", "empty-combine", "missing"],
+    )
+    def test_analyze_other_adapter_chains_exit_one(self, tmp_path, capsys, chain, adapters):
+        path = write_two_unit_model(tmp_path, default_fit=10.0)
+        doc = json.load(open(path))
+        if adapters is None:
+            del doc["adapters"]["pu2"]
+        else:
+            doc["adapters"]["pu2"] = adapters
+        with open(path, "w") as fp:
+            json.dump(doc, fp)
+        code, _, err = run_cli(
+            ["analyze", "--system", path, "--out", str(tmp_path / "o"), "--seed", "1"], capsys
+        )
+        assert code == 1
+        assert "'pu2'" in err and chain in err
+        assert not (tmp_path / "o").exists()
+
+    def test_vanishing_failure_rate_is_input_error(self, tmp_path, capsys):
+        # Black's lifetime overflows to inf, so the wear-out rate is 0.
+        path = write_two_unit_model(tmp_path)
+        doc = json.load(open(path))
+        doc["hierarchy"]["children"][0]["aging"].update(a_const=1e308, j_density=1e-6)
+        with open(path, "w") as fp:
+            json.dump(doc, fp)
+        code, _, err = run_cli(["analyze", "--system", path, "--out", str(tmp_path / "o")], capsys)
+        assert code == 1
+        assert "'pu1'" in err and "failure rate must be positive" in err
+
+    @pytest.mark.parametrize("flag", ["--mc-trials", "--injection-trials"])
+    def test_analyze_nonpositive_trials_exit_one(self, tmp_path, capsys, flag):
+        path = write_two_unit_model(tmp_path, default_fit=10.0)
+        code, _, err = run_cli(
+            ["analyze", "--system", path, "--out", str(tmp_path / "o"), "--seed", "1", flag, "0"],
+            capsys,
+        )
+        assert code == 1 and "must be positive" in err
 
     def test_runtime_failures_map_to_two(self, tmp_path, capsys, monkeypatch):
         path = write_two_unit_model(tmp_path)

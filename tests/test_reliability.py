@@ -105,6 +105,44 @@ class TestInvariants:
             assert reliability_at(prod, float(t)) == reliability_at(rf, float(t))
 
 
+class TestCombine:
+    """Independent competing risks: the product of the fault-mode survivals."""
+
+    def test_identity_factor(self):
+        r = Exponential(1e-4)
+        combined = Product((r, constant_one()))
+        for t in (0.0, 100.0, 1e4, 3e5):
+            assert reliability_at(combined, t) == reliability_at(r, t)
+
+    def test_rate_addition(self):
+        combined = Product((Exponential(1e-4), Exponential(4e-4)))
+        target = Exponential(5e-4)
+        for t in (0.0, 123.0, 9999.0):
+            assert reliability_at(combined, t) == pytest.approx(
+                reliability_at(target, t), abs=1e-12
+            )
+        assert mttf(combined) == pytest.approx(2000.0, rel=1e-3)
+
+    def test_domination(self):
+        a = Exponential(2e-4)
+        b = Product((Exponential(1e-4), Exponential(3e-4)))
+        combined = Product((a, b))
+        for t in np.linspace(0.0, 2e4, 33):
+            va = reliability_at(a, float(t))
+            vb = reliability_at(b, float(t))
+            assert reliability_at(combined, float(t)) <= min(va, vb) + 1e-12
+
+    def test_grouping_and_order_equivalence(self):
+        x, y, z = Exponential(1e-4), Exponential(2e-4), Exponential(3e-4)
+        left = Product((Product((x, y)), z))
+        right = Product((x, Product((y, z))))
+        swapped = Product((z, Product((y, x))))
+        for t in np.linspace(0.0, 3e4, 17):
+            v = reliability_at(left, float(t))
+            assert reliability_at(right, float(t)) == pytest.approx(v, abs=1e-15)
+            assert reliability_at(swapped, float(t)) == pytest.approx(v, abs=1e-15)
+
+
 class TestMttf:
     def test_exponential(self):
         assert mttf(Exponential(1e-3)) == pytest.approx(1000.0)

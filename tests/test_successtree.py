@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reliatree.errors import InputError
 from reliatree.successtree import (
@@ -14,7 +16,7 @@ from reliatree.successtree import (
     tree_to_dict,
 )
 
-from conftest import seeded_cases
+from conftest import JSON_VALUES, seeded_cases
 
 A, B, C = BasicEvent("a"), BasicEvent("b"), BasicEvent("c")
 SHARED = OrGate((AndGate((A, B)), AndGate((A, C))))
@@ -152,8 +154,33 @@ class TestJson:
             {"event": "x", "gate": "AND"},
             {"foo": 1},
             {"event": ""},
+            {"gate": ["AND"], "inputs": [{"event": "x"}]},
+            {"gate": "KOFN", "k": True, "inputs": [{"event": "x"}]},
         ],
     )
     def test_rejects_malformed(self, obj):
         with pytest.raises(InputError):
             tree_from_dict(obj)
+
+
+_TREE_LIKE = st.recursive(
+    st.fixed_dictionaries({"event": st.sampled_from(["a", "b", "", 7, None])}),
+    lambda children: st.fixed_dictionaries(
+        {
+            "gate": st.sampled_from(["AND", "OR", "KOFN", "XOR", ["AND"], None]),
+            "inputs": st.lists(children, max_size=4) | JSON_VALUES,
+        },
+        optional={"k": st.integers(-1, 5) | JSON_VALUES},
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.one_of(JSON_VALUES, _TREE_LIKE))
+def test_tree_from_dict_raises_only_input_errors(doc):
+    try:
+        tree = tree_from_dict(doc)
+    except InputError:
+        return
+    assert tree_from_dict(tree_to_dict(tree)) == tree

@@ -2,6 +2,8 @@ import io
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reliatree.errors import InputError
 from reliatree.thermal import (
@@ -157,3 +159,21 @@ class TestCsv:
         assert lines[0] == "time_s,temp_k"
         assert len(lines) == 3
         assert lines[1].startswith("0.0,")
+
+
+_CSV_FIELD = st.sampled_from(["0", "0.0", "1", "2.0", "-1", "1e400", "nan", "inf", "x", "", '"1"', '"'])
+_TRACE_LIKE = st.lists(
+    st.lists(_CSV_FIELD, min_size=1, max_size=3).map(",".join), max_size=6
+).map(lambda rows: "\n".join(["time_s,power_w"] + rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.text(), _TRACE_LIKE), newline=st.sampled_from([None, ""]))
+# A field longer than the csv module's limit.
+@example(text="time_s,power_w\n0,1\n1," + "1" * 200_000, newline=None)
+def test_read_power_trace_raises_only_input_errors(text, newline):
+    try:
+        trace = read_power_trace(io.StringIO(text, newline=newline), "c")
+    except InputError:
+        return
+    assert len(trace.samples) >= 2 and trace.dt_seconds > 0
