@@ -40,9 +40,7 @@ from .reliability import (
     Exponential,
     Product,
     ReliabilityFunction,
-    Sampled,
     Weibull,
-    constant_one,
     mttf,
     reliability_at,
 )

@@ -60,11 +60,18 @@ class PermanentFaultResult:
 
 
 def black_mttf(temperature_k: float, params: AgingParams) -> float:
-    """Median electromigration lifetime in hours at a fixed temperature."""
+    """Median electromigration lifetime in hours at a fixed temperature.
+
+    math.inf when it overflows a float: so cold (or so little current) that
+    wear-out never happens, and the temperature adds 0 to the failure rate.
+    """
     if temperature_k <= 0:
         raise ValueError(f"temperature must be positive, got {temperature_k!r}")
-    accel = math.exp(params.ea_ev / (BOLTZMANN_EV_PER_K * temperature_k))
-    return params.a_const * params.j_density ** (-params.n_exp) * accel
+    try:
+        accel = math.exp(params.ea_ev / (BOLTZMANN_EV_PER_K * temperature_k))
+        return params.a_const * params.j_density ** (-params.n_exp) * accel
+    except OverflowError:
+        return math.inf
 
 
 def failure_rate_from_profile(profile: TemperatureProfile, params: AgingParams) -> float:

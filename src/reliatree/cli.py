@@ -12,7 +12,7 @@ import io
 import json
 import sys
 
-from .errors import InputError, StageError
+from .errors import InputError, StageError, read_text
 from .model import DEFAULT_WEIBULL_BETA, load_system_file
 from .pipeline import (
     DEFAULT_INJECTION_TRIALS,
@@ -121,8 +121,7 @@ def _cmd_thermal(args) -> int:
         )
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    with open(args.trace, "r", encoding="utf-8", newline="") as fp:
-        trace = read_power_trace(fp, args.component_id)
+    trace = read_power_trace(io.StringIO(read_text(args.trace), newline=""), args.component_id)
     profile = simulate_temperature(trace, params)
     buf = io.StringIO()
     write_temperature_profile(profile, buf)
@@ -131,8 +130,7 @@ def _cmd_thermal(args) -> int:
 
 
 def _cmd_inject(args) -> int:
-    with open(args.netlist, "r", encoding="utf-8") as fp:
-        netlist = parse_netlist(fp.read())
+    netlist = parse_netlist(read_text(args.netlist))
     document: dict = {"node": args.node}
     if not args.exhaustive and (args.trials is None or args.seed is None):
         raise InputError("--trials and --seed are required unless --exhaustive is given")
@@ -141,8 +139,7 @@ def _cmd_inject(args) -> int:
             raise InputError("--seed is required to run a campaign")
         workload = None
         if args.workload:
-            with open(args.workload, "r", encoding="utf-8") as fp:
-                workload = read_workload(fp, len(netlist.inputs))
+            workload = read_workload(io.StringIO(read_text(args.workload), newline=""), len(netlist.inputs))
         try:
             res = inject_campaign(netlist, args.node, args.trials, args.seed, workload)
         except ValueError as exc:
@@ -164,19 +161,17 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_tree_eval(args) -> int:
-    with open(args.tree, "r", encoding="utf-8") as fp:
-        try:
-            doc = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"malformed tree file: {exc}") from None
-        except RecursionError:
-            raise InputError(TREE_TOO_DEEP) from None
+    try:
+        doc = json.loads(read_text(args.tree))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed tree file: {exc}") from None
+    except RecursionError:
+        raise InputError(TREE_TOO_DEEP) from None
     tree = tree_from_dict(doc)
-    with open(args.probs, "r", encoding="utf-8") as fp:
-        try:
-            probs = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"malformed probabilities file: {exc}") from None
+    try:
+        probs = json.loads(read_text(args.probs))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed probabilities file: {exc}") from None
     if not isinstance(probs, dict):
         raise InputError("probabilities file must be a JSON object")
     if args.brute_force:

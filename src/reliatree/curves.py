@@ -23,13 +23,12 @@ from . import rng
 from .errors import InputError
 from .reliability import (
     ReliabilityFunction,
-    Sampled,
     draw_count,
-    mttf,
+    integrate_survival,
     reliability_at,
     sample_failure_times,
 )
-from .successtree import AndGate, BasicEvent, Gate, KofNGate, OrGate, basic_events, tree_probability
+from .successtree import AndGate, BasicEvent, Gate, KofNGate, OrGate, _shannon, basic_events, tree_probability
 
 __all__ = [
     "ComponentReliability",
@@ -63,7 +62,6 @@ class SystemCurves:
     r_sys_trans: tuple
     ratio: tuple  # entries are float or None (absent)
     mttf_sys: float
-    component_mttf: dict
 
 
 @dataclass(frozen=True)
@@ -89,9 +87,12 @@ def system_reliability_curves(
 ) -> SystemCurves:
     """Exact system curves on the model grid plus MTTF and dominance ratio.
 
-    ratio(t) = r_sys_perm / r_sys_trans; a value above 1 means transient
-    faults are currently the more destructive type. The ratio is absent
-    (None) where both curves have vanished below 1e-15.
+    The MTTF integrates the exact system survival by integrate_survival;
+    the sum of the component survivals bounds it, because a coherent
+    system is down once every component is. ratio(t) = r_sys_perm /
+    r_sys_trans; a value above 1 means transient faults are currently the
+    more destructive type. The ratio is absent (None) where both curves
+    have vanished below 1e-15.
     """
     events = basic_events(model.success_tree)
     for event in events:
@@ -114,8 +115,14 @@ def system_reliability_curves(
         else:
             ratio.append(float(p / q))
 
-    mttf_sys = mttf(Sampled(tuple(float(t) for t in grid), tuple(float(v) for v in r_sys)))
-    component_mttf = {cid: mttf(cr.r_combined) for cid, cr in component_functions.items()}
+    def survival(times: list) -> np.ndarray:
+        probs = {cid: np.array([reliability_at(combined[cid], t) for t in times]) for cid in events}
+        return _shannon(model.success_tree, probs)
+
+    def bound(t: float) -> float:
+        return sum(reliability_at(combined[cid], t) for cid in events)
+
+    mttf_sys = integrate_survival(survival, bound)
     return SystemCurves(
         grid=tuple(float(t) for t in grid),
         r_sys=tuple(float(v) for v in r_sys),
@@ -123,7 +130,6 @@ def system_reliability_curves(
         r_sys_trans=tuple(float(v) for v in r_trans),
         ratio=tuple(ratio),
         mttf_sys=mttf_sys,
-        component_mttf=component_mttf,
     )
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and the reader of input text
+files that turns bytes which are not UTF-8 into an InputError."""
 
 
 class InputError(ValueError):
@@ -20,3 +21,16 @@ class StageError(RuntimeError):
         super().__init__(f"component {component_id!r}, stage {stage!r}: {cause}")
         self.component_id = component_id
         self.stage = stage
+
+
+def read_text(path: str) -> str:
+    """A UTF-8 text file with its line ends as they are; InputError naming
+    the file and the offset of the first byte that is not UTF-8."""
+    with open(path, "rb") as fp:
+        data = fp.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"{path}: not UTF-8 text (byte 0x{data[exc.start]:02x} at offset {exc.start})"
+        ) from None

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .aging import AgingParams
-from .errors import ModelError
+from .errors import ModelError, read_text
 from .softerror import SerParams
 from .successtree import TREE_TOO_DEEP, Gate, basic_events, tree_from_dict, tree_to_dict
 from .thermal import ThermalParams
@@ -50,6 +50,9 @@ CANONICAL_CHAINS = {
 
 _KINDS = ("System", "Subsystem", "Component")
 _WS = re.compile(r"\s")
+# A JSON string (group 1 its body, group 2 set when it is a member name)
+# or a bracket.
+_JSON_TOKEN = re.compile(r'"((?:\\.|[^"\\])*)"(\s*:)?|[\[\]{}]')
 
 
 @dataclass(frozen=True)
@@ -259,6 +262,24 @@ def _check_adapters(obj, model_nodes: dict) -> None:
             )
 
 
+def _deepest_nesting(text: str) -> tuple:
+    """Deepest bracket nesting of a JSON text, and the top-level member
+    where it is first reached."""
+    depth = deepest = 0
+    member = where = None
+    for m in _JSON_TOKEN.finditer(text):
+        token = m.group()
+        if m.group(2) and depth == 1:
+            member = m.group(1)
+        elif token in ("[", "{"):
+            depth += 1
+            if depth > deepest:
+                deepest, where = depth, member
+        elif token in ("]", "}"):
+            depth -= 1
+    return deepest, where
+
+
 def load_system(
     text: str,
     base_dir: str = ".",
@@ -270,7 +291,12 @@ def load_system(
     except json.JSONDecodeError as exc:
         raise ModelError(f"malformed system description: {exc}") from None
     except RecursionError:
-        raise ModelError(f"system description cannot be decoded: {TREE_TOO_DEEP}") from None
+        depth, member = _deepest_nesting(text)
+        where = "" if member is None else f" in member {member!r}"
+        cause = TREE_TOO_DEEP if member == "success_tree" else "too deep for the JSON decoder"
+        raise ModelError(
+            f"system description cannot be decoded: its JSON nests {depth} levels deep{where}: {cause}"
+        ) from None
     _require_fields(
         doc,
         ("name", "time_horizon_hours", "grid_points", "hierarchy", "adapters", "success_tree"),
@@ -309,9 +335,7 @@ def load_system(
 
 
 def load_system_file(path: str, default_weibull_beta: float = DEFAULT_WEIBULL_BETA) -> SystemModel:
-    with open(path, "r", encoding="utf-8") as fp:
-        text = fp.read()
-    return load_system(text, os.path.dirname(os.path.abspath(path)), default_weibull_beta)
+    return load_system(read_text(path), os.path.dirname(os.path.abspath(path)), default_weibull_beta)
 
 
 def _node_to_dict(node: HierarchyNode) -> dict:

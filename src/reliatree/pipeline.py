@@ -35,7 +35,7 @@ from .curves import (
     system_reliability_curves,
     write_curves_csv,
 )
-from .errors import InputError, StageError
+from .errors import InputError, StageError, read_text
 from .model import SystemModel
 from .reliability import Product, mttf
 from .softerror import (
@@ -111,8 +111,7 @@ def _analyze_component(node, options: PipelineOptions) -> ComponentAnalysis:
             raise StageError(cid, name, exc) from exc
 
     def read_trace():
-        with open(payload.power_trace, "r", encoding="utf-8", newline="") as fp:
-            return read_power_trace(fp, cid)
+        return read_power_trace(io.StringIO(read_text(payload.power_trace), newline=""), cid)
 
     trace = stage("power-trace", read_trace)
 
@@ -129,8 +128,7 @@ def _analyze_component(node, options: PipelineOptions) -> ComponentAnalysis:
     steady_temp = steady_state_temperature(mean_power, payload.thermal)
 
     def read_netlist():
-        with open(payload.netlist, "r", encoding="utf-8") as fp:
-            return parse_netlist(fp.read())
+        return parse_netlist(read_text(payload.netlist))
 
     netlist = stage("netlist", read_netlist)
 

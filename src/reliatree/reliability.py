@@ -1,16 +1,15 @@
 """Survival-function forms: the measure every analysis passes upward.
 
-All times are hours. Four forms cover the engine: closed-form Exponential
-and Weibull, Sampled curves interpolated as piecewise-exponential segments
-(constant hazard per segment, so the curve stays positive, monotone, and
-integrable in closed form), and Product for independent competing failure
-modes. Every form evaluates to a probability in [0, 1] with R(0) = 1.
+All times are hours. Three forms cover the engine: closed-form Exponential
+and Weibull, and Product for independent competing failure modes. Every
+form evaluates to a probability in [0, 1] with R(0) = 1. An MTTF without a
+closed form, of a Product here or of a whole system in curves.py, is the
+integral of the survival by integrate_survival.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -18,21 +17,20 @@ import numpy as np
 __all__ = [
     "Exponential",
     "Weibull",
-    "Sampled",
     "Product",
     "ReliabilityFunction",
-    "constant_one",
     "reliability_at",
+    "integrate_survival",
     "mttf",
     "draw_count",
     "sample_failure_times",
 ]
 
-# Product-form MTTF quadrature: integrate until the survival drops below
-# the tail threshold, never past the horizon cap (truncation documented).
+# MTTF quadrature: integrate until a bound on the survival drops below the
+# tail threshold, never past the horizon cap (truncation documented).
 _TAIL_SURVIVAL = 1e-9
 _HORIZON_CAP_HOURS = 1e9
-_QUAD_REL_TOL = 1e-6
+_GAUSS_POINTS = 32
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -42,12 +40,13 @@ def _require_positive(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class Exponential:
-    """Constant hazard: R(t) = exp(-lam * t), lam in 1/hour."""
+    """Constant hazard: R(t) = exp(-lam * t), lam in 1/hour; lam = 0 never fails."""
 
     lam: float
 
     def __post_init__(self):
-        _require_positive("exponential rate", self.lam)
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"exponential rate must be nonnegative and finite, got {self.lam!r}")
 
 
 @dataclass(frozen=True)
@@ -63,38 +62,6 @@ class Weibull:
 
 
 @dataclass(frozen=True)
-class Sampled:
-    """A survival curve given by samples, starting at (0, 1), non-increasing."""
-
-    times: tuple
-    values: tuple
-    # (per-segment constant hazards, tail hazard), derived in __post_init__.
-    segment_rates: tuple = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        values = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if len(times) != len(values) or not times:
-            raise ValueError("sampled curve needs matching, nonempty times/values")
-        if times[0] != 0.0:
-            raise ValueError("sampled curve must start at t=0")
-        if values[0] != 1.0:
-            raise ValueError("sampled curve must start at R=1")
-        for a, b in zip(times, times[1:]):
-            if not b > a:
-                raise ValueError("sampled times must be strictly increasing")
-        for v in values:
-            if not (0.0 <= v <= 1.0) or math.isnan(v):
-                raise ValueError(f"sampled value out of [0,1]: {v!r}")
-        for a, b in zip(values, values[1:]):
-            if b > a:
-                raise ValueError("sampled values must be non-increasing")
-        object.__setattr__(self, "segment_rates", _segment_rates(times, values))
-
-
-@dataclass(frozen=True)
 class Product:
     """Independent competing risks: R(t) is the product of the factors."""
 
@@ -106,47 +73,11 @@ class Product:
         if not factors:
             raise ValueError("product needs at least one factor")
         for f in factors:
-            if not isinstance(f, (Exponential, Weibull, Sampled, Product)):
+            if not isinstance(f, (Exponential, Weibull, Product)):
                 raise ValueError(f"not a reliability function: {f!r}")
 
 
-ReliabilityFunction = Union[Exponential, Weibull, Sampled, Product]
-
-
-def constant_one() -> Sampled:
-    """The never-fails function: R(t) = 1 with zero hazard everywhere."""
-    return Sampled((0.0,), (1.0,))
-
-
-def _segment_rates(times: tuple, values: tuple) -> tuple:
-    """Per-segment constant hazards; the last one also extrapolates the tail."""
-    rates = []
-    for i in range(len(times) - 1):
-        dt = times[i + 1] - times[i]
-        r0, r1 = values[i], values[i + 1]
-        if r1 <= 0.0:
-            rates.append(math.inf if r0 > 0.0 else 0.0)
-        else:
-            rates.append(math.log(r0 / r1) / dt)
-    tail = rates[-1] if rates else 0.0
-    return tuple(rates), tail
-
-
-def _sampled_at(curve: Sampled, t: float) -> float:
-    rates, tail = curve.segment_rates
-    times, values = curve.times, curve.values
-    i = bisect_right(times, t) - 1
-    if i >= len(times) - 1:
-        last = values[-1]
-        if last <= 0.0:
-            return 0.0
-        if tail == 0.0:
-            return last
-        return last * math.exp(-tail * (t - times[-1]))
-    rate = rates[i]
-    if rate == math.inf:
-        return values[i] if t == times[i] else values[i + 1]
-    return values[i] * math.exp(-rate * (t - times[i]))
+ReliabilityFunction = Union[Exponential, Weibull, Product]
 
 
 def reliability_at(rf: ReliabilityFunction, t: float) -> float:
@@ -157,8 +88,6 @@ def reliability_at(rf: ReliabilityFunction, t: float) -> float:
         r = math.exp(-rf.lam * t)
     elif isinstance(rf, Weibull):
         r = math.exp(-((t / rf.eta) ** rf.beta))
-    elif isinstance(rf, Sampled):
-        r = _sampled_at(rf, t)
     elif isinstance(rf, Product):
         r = 1.0
         for f in rf.factors:
@@ -168,84 +97,72 @@ def reliability_at(rf: ReliabilityFunction, t: float) -> float:
     return min(1.0, max(0.0, r))
 
 
-def _sampled_mttf(curve: Sampled) -> float:
-    rates, tail = curve.segment_rates
-    total = 0.0
-    for i, rate in enumerate(rates):
-        r0, r1 = curve.values[i], curve.values[i + 1]
-        dt = curve.times[i + 1] - curve.times[i]
-        if rate == 0.0:
-            total += r0 * dt
-        elif rate == math.inf:
-            pass
-        else:
-            total += (r0 - r1) / rate
-    last = curve.values[-1]
-    if last > 0.0:
-        if tail == 0.0 or tail == math.inf:
-            return math.inf if tail == 0.0 else total
-        total += last / tail
-    return total
+def _gauss_legendre(n: int) -> tuple:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on the Legendre three-term recurrence in plain floats,
+    so every MTTF is the same on every machine, whatever its linear-algebra
+    library.
+    """
+    nodes, weights = [], []
+    for i in range(n):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(100):
+            p0, p1 = 1.0, x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            slope = n * (x * p1 - p0) / (x * x - 1.0)
+            step = p1 / slope
+            x -= step
+            if abs(step) <= 1e-16:
+                break
+        nodes.append(x)
+        weights.append(2.0 / ((1.0 - x * x) * slope * slope))
+    return tuple(nodes), tuple(weights)
 
 
-def _adaptive_simpson(f, a, m, b, fa, fm, fb, whole, tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return _adaptive_simpson(
-        f, a, lm, m, fa, flm, fm, left, 0.5 * tol, depth - 1
-    ) + _adaptive_simpson(f, m, rm, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
+_GAUSS_NODES, _GAUSS_WEIGHTS = _gauss_legendre(_GAUSS_POINTS)
 
 
-def _integrate(f, a: float, b: float, rel_tol: float) -> float:
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    tol = max(abs(whole) * rel_tol, 1e-300)
-    return _adaptive_simpson(f, a, m, b, fa, fm, fb, whole, tol, 48)
+def integrate_survival(survival, bound) -> float:
+    """The integral of a survival function over [0, inf) hours: its MTTF.
 
-
-def _product_mttf(rf: Product) -> float:
-    def survival(t: float) -> float:
-        return reliability_at(rf, t)
-
-    horizon = 1.0
-    while survival(horizon) >= _TAIL_SURVIVAL and horizon < _HORIZON_CAP_HOURS:
-        horizon *= 2.0
-    horizon = min(horizon, _HORIZON_CAP_HOURS)
-    if survival(horizon) > 1.0 - 1e-12:
+    survival(times) gives R at each of a list of times, in one call;
+    bound(t) >= R(t) at one time. 32-point Gauss-Legendre runs on the
+    panels [0, 1], [1, 2], [2, 4], ... and stops at the end of the first
+    panel where bound < 1e-9, or at 1e9 hours. math.inf when R is still
+    above 1 - 1e-12 there.
+    """
+    ends = [0.0, 1.0]
+    while bound(ends[-1]) >= _TAIL_SURVIVAL and ends[-1] < _HORIZON_CAP_HOURS:
+        ends.append(min(2.0 * ends[-1], _HORIZON_CAP_HOURS))
+    times, weights = [], []
+    for lo, hi in zip(ends, ends[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        times.extend(mid + half * x for x in _GAUSS_NODES)
+        weights.extend(half * w for w in _GAUSS_WEIGHTS)
+    values = survival(times + [ends[-1]])
+    if values[-1] > 1.0 - 1e-12:
         return math.inf
-    total = 0.0
-    lo = 0.0
-    hi = 1.0
-    while lo < horizon:
-        hi = min(hi, horizon)
-        total += _integrate(survival, lo, hi, _QUAD_REL_TOL)
-        lo, hi = hi, hi * 2.0
-    return total
+    return math.fsum(w * v for w, v in zip(weights, values))
 
 
 def mttf(rf: ReliabilityFunction) -> float:
     """Mean time to failure in hours; math.inf when the hazard is zero.
 
-    Exponential and Weibull use their closed forms, Sampled sums the exact
-    per-segment integrals plus the constant-hazard tail, and Product falls
-    back to adaptive quadrature truncated once R drops below 1e-9 (capped
-    at 1e9 hours).
+    Exponential and Weibull use their closed forms; a Product is integrated
+    by integrate_survival, truncated once R drops below 1e-9.
     """
     if isinstance(rf, Exponential):
-        return 1.0 / rf.lam
+        return math.inf if rf.lam == 0.0 else 1.0 / rf.lam
     if isinstance(rf, Weibull):
         return rf.eta * math.gamma(1.0 + 1.0 / rf.beta)
-    if isinstance(rf, Sampled):
-        return _sampled_mttf(rf)
     if isinstance(rf, Product):
-        return _product_mttf(rf)
+
+        def at(t: float) -> float:
+            return reliability_at(rf, t)
+
+        return integrate_survival(lambda times: [at(t) for t in times], at)
     raise ValueError(f"not a reliability function: {rf!r}")
 
 
@@ -254,30 +171,6 @@ def draw_count(rf: ReliabilityFunction) -> int:
     if isinstance(rf, Product):
         return sum(draw_count(f) for f in rf.factors)
     return 1
-
-
-def _sampled_inverse(curve: Sampled, u: np.ndarray) -> np.ndarray:
-    """Failure times with P(T > t) = R(t) for uniforms u in (0, 1]."""
-    rates, tail = curve.segment_rates
-    times = np.asarray(curve.times)
-    values = np.asarray(curve.values)
-    if len(times) == 1 or not rates:
-        if tail == 0.0:
-            return np.full_like(u, np.inf)
-    seg_rates = np.asarray(rates + (tail,)) if rates else np.asarray([tail])
-    # Last index i with values[i] >= u; values is non-increasing.
-    idx = np.searchsorted(-values, -u, side="right") - 1
-    idx = np.clip(idx, 0, len(times) - 1)
-    rate = seg_rates[np.minimum(idx, len(seg_rates) - 1)]
-    base_t = times[idx]
-    base_r = values[idx]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        offset = np.log(base_r / u) / rate
-    out = base_t + offset
-    out = np.where(rate == np.inf, base_t, out)
-    out = np.where((rate == 0.0) & (u < base_r), np.inf, out)
-    out = np.where((rate == 0.0) & (u >= base_r), base_t, out)
-    return out
 
 
 def sample_failure_times(rf: ReliabilityFunction, uniforms: np.ndarray) -> np.ndarray:
@@ -292,11 +185,12 @@ def sample_failure_times(rf: ReliabilityFunction, uniforms: np.ndarray) -> np.nd
             f"need {draw_count(rf)} uniform rows, got {uniforms.shape[0]}"
         )
     if isinstance(rf, Exponential):
+        if rf.lam == 0.0:
+            # Never fails; -log(1.0) / 0 would be NaN. The draw is still taken.
+            return np.full_like(uniforms[0], np.inf)
         return -np.log(uniforms[0]) / rf.lam
     if isinstance(rf, Weibull):
         return rf.eta * (-np.log(uniforms[0])) ** (1.0 / rf.beta)
-    if isinstance(rf, Sampled):
-        return _sampled_inverse(rf, uniforms[0])
     if isinstance(rf, Product):
         row = 0
         draws = []

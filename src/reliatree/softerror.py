@@ -27,7 +27,7 @@ import numpy as np
 
 from . import rng
 from .errors import InputError, NetlistParseError
-from .reliability import Exponential, ReliabilityFunction, constant_one
+from .reliability import Exponential, ReliabilityFunction
 
 __all__ = [
     "Gate",
@@ -487,11 +487,7 @@ def transient_failure_rate(
 
 
 def exponential_reliability(lam: float) -> ReliabilityFunction:
-    """Memoryless survival for a per-hour upset rate; constant 1 when zero."""
-    if lam < 0:
-        raise ValueError(f"rate must be nonnegative, got {lam!r}")
-    if lam == 0.0:
-        return constant_one()
+    """Memoryless survival for a per-hour upset rate; Exponential(0) never fails."""
     return Exponential(lam)
 
 

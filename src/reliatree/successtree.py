@@ -175,6 +175,13 @@ def tree_probability(tree: Gate, probs: Mapping[str, float]) -> float:
     events are conditioned once per path and never double-counted.
     """
     _check_probs(basic_events(tree), probs)
+    return _shannon(tree, probs)
+
+
+def _shannon(tree: Gate, probs: Mapping):
+    """tree_probability without the checks. The probabilities may also be
+    numpy arrays of one shape: every step is elementwise, so each element
+    equals the scalar result on that element's probabilities."""
     memo: dict = {}
 
     def prob(node) -> float:

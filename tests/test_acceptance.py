@@ -15,16 +15,26 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from reliatree.cli import main as cli_main
 from reliatree.curves import (
     ComponentReliability,
+    _failure_times,
     monte_carlo_system,
     system_reliability_curves,
 )
 from reliatree.aging import BOLTZMANN_EV_PER_K, AgingParams, black_mttf, weibull_from_mttf
 from reliatree.model import HierarchyNode, SystemModel
-from reliatree.reliability import Exponential, Product, Weibull, mttf, reliability_at
+from reliatree.reliability import (
+    Exponential,
+    Product,
+    Weibull,
+    draw_count,
+    mttf,
+    reliability_at,
+    sample_failure_times,
+)
 from reliatree.softerror import (
     Z_99,
     exhaustive_derating,
@@ -35,6 +45,7 @@ from reliatree.softerror import (
 from reliatree.successtree import (
     AndGate,
     BasicEvent,
+    KofNGate,
     OrGate,
     brute_force_probability,
     tree_probability,
@@ -75,7 +86,7 @@ def test_c1_closed_form_system_oracle():
         assert math.isclose(ratio, expected_ratio, rel_tol=1e-9, abs_tol=1e-9)
         if t > 0:
             assert ratio > 1.0
-    assert curves.mttf_sys == pytest.approx(1000.0, rel=1e-3)
+    assert curves.mttf_sys == pytest.approx(1000.0, rel=1e-9)
     finish("closed-form system oracle", 1.0, started)
 
 
@@ -250,3 +261,48 @@ def test_c8_analyze_determinism(tmp_path, capsys):
     assert payloads[0][1] == payloads[1][1], "curves.csv differs between reruns"
     assert json.loads(payloads[0][0])["model"] == "dual_core"
     finish("byte-identical reruns of the shipped example", 30.0, started)
+
+
+WEAR_OUT = {
+    "pu1": (Weibull(3000.0, 2.0), Exponential(2e-5)),
+    "pu2": (Weibull(4500.0, 2.0), Exponential(5e-5)),
+    "pu3": (Weibull(6000.0, 2.0), Exponential(0.0)),
+}
+_EVENTS = tuple(BasicEvent(c) for c in WEAR_OUT)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [AndGate(_EVENTS), OrGate(_EVENTS), KofNGate(2, _EVENTS)],
+    ids=["AND", "OR", "KOFN"],
+)
+def test_c9_exact_system_mttf(tree):
+    started = time.perf_counter()
+    children = tuple(HierarchyNode(c, "Component", 2) for c in WEAR_OUT)
+    model = SystemModel("wear_out", 10_000.0, 64, HierarchyNode("soc", "System", 1, children), tree)
+    funcs = {c: ComponentReliability(p, q, Product((p, q))) for c, (p, q) in WEAR_OUT.items()}
+    exact = system_reliability_curves(model, funcs).mttf_sys
+
+    def survival(t):
+        return tree_probability(tree, {c: reliability_at(f.r_combined, t) for c, f in funcs.items()})
+
+    reference = 0.0
+    lo, hi = 0.0, 1000.0
+    while lo < 2e5:  # survival(2e5) < 1e-300 for every tree
+        reference += quad(survival, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        lo, hi = hi, 2.0 * hi
+    assert exact == pytest.approx(reference, rel=1e-9)
+    if isinstance(tree, AndGate):
+        assert exact <= min(mttf(f.r_combined) for f in funcs.values())
+
+    # Monte Carlo: the mean of the sampled system failure times.
+    n = 200_000
+    draws = np.random.default_rng(99)
+    comp_times = {}
+    for c, (p, q) in WEAR_OUT.items():
+        u = 1.0 - draws.random((draw_count(p) + draw_count(q), n))  # in (0, 1]
+        comp_times[c] = np.minimum(sample_failure_times(p, u[:1]), sample_failure_times(q, u[1:]))
+    t_sys = _failure_times(tree, comp_times)
+    stderr = float(np.std(t_sys)) / math.sqrt(n)
+    assert abs(float(np.mean(t_sys)) - exact) <= 3.0 * stderr
+    finish(f"exact system MTTF under {type(tree).__name__}", 5.0, started)

@@ -49,6 +49,14 @@ class TestBlackEquation:
         with pytest.raises(ValueError):
             black_mttf(0.0, PARAMS)
 
+    @pytest.mark.parametrize(
+        "temp, params",
+        [(1.0, PARAMS), (10.0, PARAMS), (300.0, AgingParams(1.0e6, 1e-200, 2.0, 0.7, 2.0))],
+        ids=["1K", "10K", "tiny-current"],
+    )
+    def test_overflow_is_unbounded_lifetime(self, temp, params):
+        assert black_mttf(temp, params) == math.inf
+
 
 class TestProfileAveraging:
     def test_constant_profile(self):
@@ -66,6 +74,11 @@ class TestProfileAveraging:
         saw = failure_rate_from_profile(profile([300.0, 350.0] * 8), PARAMS)
         mid = 1.0 / black_mttf(325.0, PARAMS)
         assert saw > mid
+
+    def test_cold_samples_add_nothing(self):
+        lam = failure_rate_from_profile(profile([1.0, 330.0, 5.0, 330.0]), PARAMS)
+        assert lam == pytest.approx(0.5 / black_mttf(330.0, PARAMS), rel=1e-12)
+        assert failure_rate_from_profile(profile([1.0, 2.0]), PARAMS) == 0.0
 
     def test_rate_increases_with_any_sample(self):
         cool = failure_rate_from_profile(profile([300.0, 310.0, 320.0]), PARAMS)

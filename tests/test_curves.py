@@ -19,10 +19,9 @@ from reliatree.model import HierarchyNode, SystemModel
 from reliatree.reliability import (
     Exponential,
     Product,
-    Sampled,
     Weibull,
-    constant_one,
     draw_count,
+    mttf,
     sample_failure_times,
 )
 from reliatree.successtree import AndGate, BasicEvent, KofNGate, OrGate, basic_events
@@ -77,16 +76,16 @@ class TestSystemCurves:
     def test_system_mttf_for_and_of_exponentials(self):
         model = make_model(AND_TREE, horizon=10_000.0, points=512)
         curves = system_reliability_curves(model, {c: exp_pair(1e-4, 4e-4) for c in ("pu1", "pu2")})
-        assert curves.mttf_sys == pytest.approx(1000.0, rel=1e-3)
-        assert curves.component_mttf["pu1"] == pytest.approx(2000.0, rel=1e-3)
+        assert curves.mttf_sys == pytest.approx(1000.0, rel=1e-9)
+        assert mttf(exp_pair(1e-4, 4e-4).r_combined) == pytest.approx(2000.0, rel=1e-9)
 
     def test_constant_transient_keeps_ratio_equal_to_perm_curve(self):
         model = make_model(AND_TREE)
         funcs = {
             c: ComponentReliability(
                 Exponential(1e-4),
-                constant_one(),
-                Product((Exponential(1e-4), constant_one())),
+                Exponential(0.0),
+                Product((Exponential(1e-4), Exponential(0.0))),
             )
             for c in ("pu1", "pu2")
         }
@@ -140,7 +139,7 @@ class TestMonteCarlo:
     def test_single_component_matches_exponential(self):
         grid = np.linspace(0.0, 5000.0, 64)
         tree = BasicEvent("c")
-        mc = monte_carlo_system(tree, {"c": (Exponential(1e-3), constant_one())}, 100_000, 7, grid)
+        mc = monte_carlo_system(tree, {"c": (Exponential(1e-3), Exponential(0.0))}, 100_000, 7, grid)
         for t, emp in zip(mc.grid, mc.survival):
             p = math.exp(-1e-3 * t)
             bound = 3.0 * math.sqrt(p * (1.0 - p) / 100_000)
@@ -148,7 +147,7 @@ class TestMonteCarlo:
 
     def test_and_of_two_iid_exponentials(self):
         grid = np.linspace(0.0, 3000.0, 64)
-        modes = {c: (Exponential(1e-3), constant_one()) for c in ("pu1", "pu2")}
+        modes = {c: (Exponential(1e-3), Exponential(0.0)) for c in ("pu1", "pu2")}
         mc = monte_carlo_system(AND_TREE, modes, 100_000, 11, grid)
         for t, emp in zip(mc.grid, mc.survival):
             p = math.exp(-2e-3 * t)
@@ -192,8 +191,8 @@ class TestMonteCarlo:
         )
         grid = np.linspace(0.0, 4000.0, 48)
         modes = {
-            "x": (Exponential(3e-4), constant_one()),
-            "y": (Weibull(2500.0, 2.0), constant_one()),
+            "x": (Exponential(3e-4), Exponential(0.0)),
+            "y": (Weibull(2500.0, 2.0), Exponential(0.0)),
             "z": (Exponential(1e-4), Exponential(2e-4)),
         }
         mc = monte_carlo_system(tree, modes, 200_000, 17, grid)
@@ -214,24 +213,22 @@ class TestMonteCarlo:
     def test_stderr_definition(self):
         grid = np.linspace(0.0, 1000.0, 8)
         mc = monte_carlo_system(
-            BasicEvent("c"), {"c": (Exponential(1e-3), constant_one())}, 4000, 9, grid
+            BasicEvent("c"), {"c": (Exponential(1e-3), Exponential(0.0))}, 4000, 9, grid
         )
         for emp, se in zip(mc.survival, mc.stderr):
             assert se == pytest.approx(math.sqrt(emp * (1 - emp) / 4000), abs=1e-15)
 
     def test_bad_sample_count_rejected(self):
         with pytest.raises(ValueError):
-            monte_carlo_system(BasicEvent("c"), {"c": (Exponential(1.0), constant_one())}, 0, 1, [0.0])
+            monte_carlo_system(BasicEvent("c"), {"c": (Exponential(1.0), Exponential(0.0))}, 0, 1, [0.0])
 
     def test_missing_component_rejected(self):
         with pytest.raises(InputError):
-            monte_carlo_system(AND_TREE, {"pu1": (Exponential(1.0), constant_one())}, 10, 1, [0.0])
+            monte_carlo_system(AND_TREE, {"pu1": (Exponential(1.0), Exponential(0.0))}, 10, 1, [0.0])
 
 
-def unblocked_monte_carlo(tree, component_modes, n_samples, seed, grid):
-    """The sampler as it was before blocking: every sample held at once and
-    one sort of all system failure times. Kept as the batching oracle."""
-    grid = np.asarray(grid, dtype=float)
+def unblocked_failure_times(tree, component_modes, n_samples, seed):
+    """System failure times of every sample, all drawn at once."""
     lanes = []
     total = 0
     for cid in sorted(basic_events(tree)):
@@ -248,7 +245,14 @@ def unblocked_monte_carlo(tree, component_modes, n_samples, seed, grid):
         t_perm = sample_failure_times(r_perm, u[:k_perm])
         t_trans = sample_failure_times(r_trans, u[k_perm:])
         comp_times[cid] = np.minimum(t_perm, t_trans)
-    t_sys = np.sort(_failure_times(tree, comp_times))
+    return _failure_times(tree, comp_times)
+
+
+def unblocked_monte_carlo(tree, component_modes, n_samples, seed, grid):
+    """The sampler as it was before blocking: every sample held at once and
+    one sort of all system failure times. Kept as the batching oracle."""
+    grid = np.asarray(grid, dtype=float)
+    t_sys = np.sort(unblocked_failure_times(tree, component_modes, n_samples, seed))
     fallen = np.searchsorted(t_sys, grid, side="right")
     survival = 1.0 - fallen / n_samples
     stderr = np.sqrt(survival * (1.0 - survival) / n_samples)
@@ -275,18 +279,11 @@ _BATCH_MODES = {
         "b": (Weibull(4000.0, 1.5), Product((Exponential(3e-4), Exponential(1e-4)))),
         "c": (Exponential(5e-4), Exponential(1e-4)),
     },
-    # constant_one never fails, so some samples land past every grid point.
+    # Exponential(0) never fails, so some samples land past every grid point.
     "constant_one": {
-        "a": (Exponential(2e-4), constant_one()),
-        "b": (constant_one(), constant_one()),
-        "c": (Weibull(2000.0, 3.0), constant_one()),
-    },
-    # The cliff to zero puts 60% of the draws exactly on t = 1500, a grid
-    # point of every grid, so ties between times and grid points occur.
-    "sampled_cliff": {
-        "a": (Sampled((0.0, 1500.0, 3000.0), (1.0, 0.6, 0.0)), constant_one()),
-        "b": (Sampled((0.0, 1500.0, 3000.0), (1.0, 0.6, 0.0)), Exponential(1e-4)),
-        "c": (Exponential(5e-4), constant_one()),
+        "a": (Exponential(2e-4), Exponential(0.0)),
+        "b": (Exponential(0.0), Exponential(0.0)),
+        "c": (Weibull(2000.0, 3.0), Exponential(0.0)),
     },
 }
 
@@ -303,6 +300,18 @@ class TestMonteCarloBlocking:
         assert list(mc.survival) == survival
         assert list(mc.stderr) == stderr
         assert list(mc.grid) == [float(t) for t in grid]
+
+    @pytest.mark.parametrize("n_samples", [1, _B + 1, 3 * _B + 7])
+    def test_ties_with_grid_points(self, n_samples):
+        # Grid points placed exactly on sampled failure times: a sample has
+        # fallen at t when its failure time is <= t.
+        modes = _BATCH_MODES["product"]
+        t_sys = unblocked_failure_times(_BATCH_TREE, modes, n_samples, 29)
+        grid = np.concatenate(([0.0], t_sys[:: max(1, n_samples // 7)], [t_sys.max()]))
+        mc = monte_carlo_system(_BATCH_TREE, modes, n_samples, 29, grid)
+        survival, _ = unblocked_monte_carlo(_BATCH_TREE, modes, n_samples, 29, grid)
+        assert list(mc.survival) == survival
+        assert mc.survival[-1] == 0.0
 
     def test_memory_bounded_by_block_not_samples(self):
         tree = OrGate((AndGate((BasicEvent("x"), BasicEvent("y"))), BasicEvent("z")))

@@ -122,6 +122,22 @@ class TestLoad:
         with pytest.raises(ModelError):
             load_system("{not json")
 
+    def test_deep_hierarchy_names_its_json_depth(self, tmp_path):
+        # 520 nested Subsystems over a one-event success tree: the decoder
+        # runs out of stack in the hierarchy, not in the tree.
+        write_inputs(tmp_path)
+        doc = minimal_doc()
+        node = json.dumps(doc["hierarchy"]["children"][0])
+        for k in range(520):
+            node = '{"id": "s%d", "kind": "Subsystem", "children": [%s]}' % (k, node)
+        doc["hierarchy"]["children"] = "NODE"
+        text = json.dumps(doc).replace('"NODE"', f"[{node}]")
+        with pytest.raises(ModelError) as err:
+            load_system(text, base_dir=str(tmp_path))
+        message = str(err.value)
+        assert "its JSON nests 1046 levels deep in member 'hierarchy'" in message
+        assert "success tree" not in message
+
     @pytest.mark.parametrize(
         "patch",
         [

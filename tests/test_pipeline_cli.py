@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 
 import pytest
 
@@ -20,7 +21,7 @@ from reliatree.pipeline import (
     write_outputs,
 )
 
-from conftest import AND2, DEFAULT_CHAINS, write_two_unit_model
+from conftest import AND2, DEFAULT_CHAINS, SAMPLE_DIR, write_two_unit_model
 
 
 def deep_chain_text(depth, events):
@@ -689,6 +690,68 @@ class TestExitCodes:
         code, _, err = run_cli(["analyze", "--system", path, "--out", str(tmp_path / "o")], capsys)
         assert code == 1
         assert "'pu1'" in err and "failure rate must be positive" in err
+
+    def test_all_cold_component_is_input_error(self, tmp_path, capsys):
+        # Black's exp(Ea / kT) overflows below about 11 K; an overflowing
+        # lifetime is unbounded, so a profile cold everywhere has no wear-out.
+        shutil.copytree(SAMPLE_DIR, tmp_path / "s")
+        path = str(tmp_path / "s" / "system.json")
+        doc = json.load(open(path))
+        doc["hierarchy"]["children"][0]["thermal"].update(t_ambient=1.0, t_initial=1.0, r_th=0.01)
+        with open(path, "w") as fp:
+            json.dump(doc, fp)
+        code, _, err = run_cli(
+            ["analyze", "--system", path, "--out", str(tmp_path / "o"), "--seed", "1"], capsys
+        )
+        assert code == 1
+        assert "'pu1'" in err and "failure rate must be positive" in err
+
+    def test_cold_samples_add_no_wear_out(self, tmp_path, capsys):
+        # pu1 sits at 1 K for two samples, then at 301 K for two.
+        path = write_two_unit_model(tmp_path, powers=(0.0, 0.0, 100.0, 100.0))
+        doc = json.load(open(path))
+        doc["hierarchy"]["children"][0]["thermal"].update(t_ambient=1.0, r_th=3.0, c_th=1e-3)
+        with open(path, "w") as fp:
+            json.dump(doc, fp)
+        code, out, _ = run_cli(["analyze", "--system", path, "--out", str(tmp_path / "o")], capsys)
+        assert code == 0
+        aging = load_system_file(path).components()["pu1"].payload.aging
+        lam = json.loads(out)["components"]["pu1"]["lambda_eff_per_hour"]
+        assert lam == pytest.approx(0.5 / black_mttf(301.0, aging), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "system.json",
+            "pu1.csv",
+            "pu1.net",
+            "thermal:pu1.csv",
+            "inject:pu1.net",
+            "inject:w.txt",
+            "tree-eval:tree.json",
+            "tree-eval:probs.json",
+        ],
+    )
+    def test_non_utf8_input_names_file_and_offset(self, tmp_path, capsys, bad):
+        system = write_two_unit_model(tmp_path)
+        (tmp_path / "w.txt").write_text("011\n")
+        (tmp_path / "tree.json").write_text('{"event": "a"}')
+        (tmp_path / "probs.json").write_text('{"a": 0.5}')
+        command, _, name = bad.rpartition(":")
+        size = os.path.getsize(tmp_path / name)
+        with open(tmp_path / name, "ab") as fp:
+            fp.write(b"\xff")
+        f = {n: str(tmp_path / n) for n in ("pu1.csv", "pu1.net", "w.txt", "tree.json", "probs.json")}
+        args = {
+            "": ["analyze", "--system", system, "--out", str(tmp_path / "o")],
+            "thermal": ["thermal", "--trace", f["pu1.csv"], "--rth", "1", "--cth", "1", "--tamb", "300"],
+            "inject": ["inject", "--netlist", f["pu1.net"], "--node", "sum", "--trials", "10",
+                       "--seed", "1", "--workload", f["w.txt"]],
+            "tree-eval": ["tree-eval", "--tree", f["tree.json"], "--probs", f["probs.json"]],
+        }[command]
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert name in err and f"not UTF-8 text (byte 0xff at offset {size})" in err
 
     @pytest.mark.parametrize("flag", ["--mc-trials", "--injection-trials"])
     def test_analyze_nonpositive_trials_exit_one(self, tmp_path, capsys, flag):

@@ -9,12 +9,11 @@ from scipy import integrate
 from reliatree.reliability import (
     Exponential,
     Product,
-    Sampled,
     Weibull,
-    constant_one,
     draw_count,
     mttf,
     reliability_at,
+    integrate_survival,
     sample_failure_times,
 )
 
@@ -32,16 +31,6 @@ class TestForms:
     def test_exponential_closed_form(self):
         assert reliability_at(Exponential(1e-3), 1000.0) == pytest.approx(math.exp(-1.0))
 
-    def test_sampled_log_linear_midpoint(self):
-        # Hand oracle: exp(0.5 * ln 0.5) = sqrt(0.5).
-        s = Sampled((0.0, 100.0), (1.0, 0.5))
-        assert reliability_at(s, 50.0) == pytest.approx(math.sqrt(0.5), abs=1e-12)
-
-    def test_sampled_constant_hazard_tail(self):
-        s = Sampled((0.0, 100.0), (1.0, 0.5))
-        # Final-segment hazard ln2/100 extrapolates: R(200) = 0.25.
-        assert reliability_at(s, 200.0) == pytest.approx(0.25, abs=1e-12)
-
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             reliability_at(Exponential(1.0), -0.1)
@@ -49,26 +38,22 @@ class TestForms:
     @pytest.mark.parametrize(
         "bad",
         [
-            lambda: Exponential(0.0),
             lambda: Exponential(-1.0),
             lambda: Weibull(0.0, 1.0),
             lambda: Weibull(1.0, -2.0),
-            lambda: Sampled((0.0, 1.0), (1.0, 1.1)),
-            lambda: Sampled((0.0, 1.0), (0.9, 0.5)),
-            lambda: Sampled((1.0, 2.0), (1.0, 0.5)),
-            lambda: Sampled((0.0, 1.0), (1.0, -0.1)),
-            lambda: Sampled((0.0, 1.0, 1.0), (1.0, 0.5, 0.4)),
-            lambda: Sampled((0.0, 1.0), (1.0, 1.0 + 1e-9)),
             lambda: Product(()),
+            # The rate check admits 0 but still nothing negative or non-finite.
+            lambda: Exponential(-1e-300),
+            lambda: Exponential(math.nan),
+            lambda: Exponential(math.inf),
+            lambda: Weibull(math.nan, 1.0),
+            lambda: Weibull(1.0, math.inf),
+            lambda: Product((0.5,)),
         ],
     )
     def test_invalid_constructions(self, bad):
         with pytest.raises(ValueError):
             bad()
-
-    def test_sampled_non_increasing_required(self):
-        with pytest.raises(ValueError):
-            Sampled((0.0, 1.0, 2.0), (1.0, 0.4, 0.5))
 
 
 GRID = np.linspace(0.0, 50_000.0, 257)
@@ -78,10 +63,9 @@ FORMS = [
     Exponential(3.3e-3),
     Weibull(1000.0, 2.0),
     Weibull(5000.0, 0.7),
-    Sampled((0.0, 10.0, 400.0, 2000.0), (1.0, 0.99, 0.8, 0.3)),
-    constant_one(),
+    Exponential(0.0),
     Product((Exponential(1e-4), Weibull(2000.0, 1.5))),
-    Product((Product((Exponential(2e-4), Exponential(1e-4))), constant_one())),
+    Product((Product((Exponential(2e-4), Exponential(1e-4))), Exponential(0.0))),
 ]
 
 
@@ -110,7 +94,7 @@ class TestCombine:
 
     def test_identity_factor(self):
         r = Exponential(1e-4)
-        combined = Product((r, constant_one()))
+        combined = Product((r, Exponential(0.0)))
         for t in (0.0, 100.0, 1e4, 3e5):
             assert reliability_at(combined, t) == reliability_at(r, t)
 
@@ -161,52 +145,89 @@ class TestMttf:
         assert mttf(rf) == pytest.approx(expected, rel=1e-4)
         assert mttf(rf) < min(886.23, 10_000.0)
 
-    def test_sampled_exponential_grid_is_exact(self):
-        grid = np.linspace(0.0, 10_000.0, 512)
-        s = Sampled(tuple(grid), tuple(np.exp(-1e-3 * grid)))
-        assert mttf(s) == pytest.approx(1000.0, rel=1e-9)
+    @pytest.mark.parametrize(
+        "rf",
+        [
+            Product((Weibull(1000.0, 2.0), Exponential(1e-4))),
+            Product((Weibull(5000.0, 0.7), Exponential(3e-5))),
+            Product((Weibull(40.0, 4.0), Weibull(60.0, 1.5))),
+            Product((Exponential(1e-4), Exponential(0.0))),
+        ],
+    )
+    def test_gauss_legendre_against_scipy(self, rf):
+        # scipy.integrate.quad on the same doubling panels, far past R = 1e-9.
+        expected = 0.0
+        lo, hi = 0.0, 1.0
+        while hi < 1e7:
+            expected += integrate.quad(
+                lambda t: reliability_at(rf, t), lo, hi, epsabs=0.0, epsrel=1e-13, limit=200
+            )[0]
+            lo, hi = hi, 2.0 * hi
+        assert mttf(rf) == pytest.approx(expected, rel=1e-9)
+
+    def test_gauss_legendre_rule(self):
+        # The Newton-iterated rule equals numpy's eigenvalue-based one and
+        # integrates polynomials up to degree 63 exactly.
+        from reliatree.reliability import _GAUSS_NODES, _GAUSS_WEIGHTS
+
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        order = np.argsort(_GAUSS_NODES)
+        assert np.allclose(np.asarray(_GAUSS_NODES)[order], nodes, rtol=0.0, atol=1e-15)
+        assert np.allclose(np.asarray(_GAUSS_WEIGHTS)[order], weights, rtol=0.0, atol=1e-15)
+        for degree in (0, 2, 62):
+            got = math.fsum(w * x**degree for x, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS))
+            assert got == pytest.approx(2.0 / (degree + 1), rel=1e-13)
 
     def test_unbounded_is_distinguished(self):
-        assert math.isinf(mttf(constant_one()))
-        assert math.isinf(mttf(Product((constant_one(), constant_one()))))
+        assert math.isinf(mttf(Exponential(0.0)))
+        assert math.isinf(mttf(Product((Exponential(0.0), Exponential(0.0)))))
 
-    def test_sampled_flat_segment(self):
-        s = Sampled((0.0, 10.0, 20.0), (1.0, 1.0, 0.5))
-        expected = 10.0 + (1.0 - 0.5) / (math.log(2.0) / 10.0) + 0.5 / (math.log(2.0) / 10.0)
-        assert mttf(s) == pytest.approx(expected, rel=1e-12)
+    def test_negligible_hazard_is_unbounded(self):
+        # R(1e9 h) = exp(-1e-13) is above 1 - 1e-12: no failure within the cap.
+        assert math.isinf(mttf(Product((Exponential(1e-22), Exponential(0.0)))))
 
-    def test_sampled_dropping_to_zero(self):
-        # Log-linear interpolation to an exact zero collapses the segment:
-        # the curve is 1 at t=0 and 0 beyond.
-        s = Sampled((0.0, 10.0), (1.0, 0.0))
-        assert reliability_at(s, 0.0) == 1.0
-        assert reliability_at(s, 5.0) == 0.0
-        assert reliability_at(s, 20.0) == 0.0
-        assert mttf(s) == 0.0
+    def test_truncated_at_horizon_cap(self):
+        # R(1e9 h) = exp(-1e-3): finite, integrated up to the cap and no further.
+        lam = 1e-12
+        expected = -math.expm1(-lam * 1e9) / lam
+        assert mttf(Product((Exponential(lam), Exponential(0.0)))) == pytest.approx(
+            expected, rel=1e-12
+        )
 
-    def test_sampled_curve_is_freed_after_use(self):
-        # Evaluation must not keep a reference to the curve (no global cache).
-        s = Sampled((0.0, 10.0, 20.0), (1.0, 0.8, 0.5))
-        mttf(s)
-        reliability_at(s, 15.0)
-        sample_failure_times(s, np.array([[0.3]]))
-        ref = weakref.ref(s)
-        del s
+    def test_integrate_survival_reads_the_survival_once(self):
+        calls = []
+
+        def survival(times):
+            calls.append(list(times))
+            return [math.exp(-1e-3 * t) for t in times]
+
+        def bound(t):
+            return math.exp(-1e-3 * t)
+
+        got = integrate_survival(survival, bound)
+        assert len(calls) == 1
+        # The last time is the end of the first doubling panel below 1e-9.
+        end = calls[0][-1]
+        assert end == 32768.0
+        assert bound(end) < 1e-9 <= bound(end / 2)
+        assert got == pytest.approx(1000.0, rel=1e-12)
+
+    def test_product_is_freed_after_use(self):
+        # Evaluation must not keep a reference to the function (no global cache).
+        rf = Product((Weibull(1000.0, 2.0), Exponential(1e-4)))
+        mttf(rf)
+        reliability_at(rf, 15.0)
+        sample_failure_times(rf, np.array([[0.3], [0.6]]))
+        ref = weakref.ref(rf)
+        del rf
         gc.collect()
         assert ref() is None
-
-    def test_segment_rates_do_not_affect_equality_or_repr(self):
-        a = Sampled((0.0, 10.0), (1.0, 0.5))
-        assert a == Sampled((0.0, 10.0), (1.0, 0.5))
-        assert hash(a) == hash(Sampled((0.0, 10.0), (1.0, 0.5)))
-        assert repr(a) == "Sampled(times=(0.0, 10.0), values=(1.0, 0.5))"
-        assert a.segment_rates == ((math.log(2.0) / 10.0,), math.log(2.0) / 10.0)
 
 
 class TestSampling:
     def test_draw_counts(self):
         assert draw_count(Exponential(1.0)) == 1
-        nested = Product((Exponential(1.0), Product((Weibull(1.0, 1.0), constant_one()))))
+        nested = Product((Exponential(1.0), Product((Weibull(1.0, 1.0), Exponential(0.0)))))
         assert draw_count(nested) == 3
 
     def test_exponential_inversion(self):
@@ -219,23 +240,16 @@ class TestSampling:
         t = sample_failure_times(Weibull(500.0, 2.0), u[None, :])
         assert t[0] == pytest.approx(500.0)
 
-    def test_constant_one_never_fails(self):
-        u = np.linspace(0.01, 0.99, 9)
-        assert np.all(np.isinf(sample_failure_times(constant_one(), u[None, :])))
-
-    @pytest.mark.parametrize(
-        "curve",
-        [
-            Sampled((0.0, 100.0), (1.0, 0.5)),
-            Sampled((0.0, 10.0, 400.0, 2000.0), (1.0, 0.99, 0.8, 0.3)),
-            Sampled((0.0, 50.0, 100.0), (1.0, 1.0, 0.25)),
-        ],
-    )
-    def test_sampled_inverse_against_evaluation(self, curve):
-        u = np.linspace(0.31, 1.0, 23)
-        t = sample_failure_times(curve, u[None, :])
-        for ui, ti in zip(u, t):
-            assert reliability_at(curve, float(ti)) == pytest.approx(float(ui), abs=1e-9)
+    def test_zero_rate_never_fails(self):
+        rf = Exponential(0.0)
+        for t in (0.0, 1.0, 1e9):
+            assert reliability_at(rf, t) == 1.0
+        assert math.isinf(mttf(rf))
+        assert draw_count(rf) == 1
+        # u = 1.0 would give -log(1.0) / 0 = NaN without the special case.
+        u = np.array([1.0, 0.5, 2.0**-53])
+        t = sample_failure_times(rf, u[None, :])
+        assert np.all(np.isposinf(t))
 
     def test_product_sampling_is_min_of_factors(self):
         rf = Product((Exponential(1e-3), Exponential(2e-3)))

@@ -11,7 +11,7 @@ from scipy import integrate
 
 from reliatree import rng
 from reliatree.errors import InputError, NetlistParseError
-from reliatree.reliability import reliability_at
+from reliatree.reliability import Exponential, reliability_at
 from reliatree.softerror import (
     GATE_KINDS,
     INJECTION_BLOCK_TRIALS,
@@ -482,6 +482,7 @@ class TestRates:
 class TestExponentialReliability:
     def test_zero_rate_is_constant_one(self):
         rf = exponential_reliability(0.0)
+        assert rf == Exponential(0.0)
         for t in (0.0, 1.0, 1e9):
             assert reliability_at(rf, t) == 1.0
 
