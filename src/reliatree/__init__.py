@@ -8,13 +8,11 @@ fault-type dominance ratio.
 from ._version import __version__
 from .aging import (
     AgingParams,
-    PermanentFaultResult,
     black_mttf,
     failure_rate_from_profile,
     weibull_from_mttf,
 )
 from .curves import (
-    ComponentReliability,
     McCurve,
     SystemCurves,
     monte_carlo_system,
@@ -50,7 +48,6 @@ from .softerror import (
     SerParams,
     evaluate,
     exhaustive_derating,
-    exponential_reliability,
     inject_campaign,
     parse_netlist,
     transient_failure_rate,

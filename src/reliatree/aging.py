@@ -10,13 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .reliability import ReliabilityFunction, Weibull
+from .reliability import Weibull
 from .thermal import TemperatureProfile
 
 __all__ = [
     "BOLTZMANN_EV_PER_K",
     "AgingParams",
-    "PermanentFaultResult",
     "black_mttf",
     "failure_rate_from_profile",
     "weibull_from_mttf",
@@ -40,23 +39,12 @@ class AgingParams:
                 raise ValueError(f"aging {name} must be positive, got {v!r}")
         if not (math.isfinite(self.n_exp) and self.n_exp >= 0):
             raise ValueError(f"aging n_exp must be >= 0, got {self.n_exp!r}")
-
-
-@dataclass(frozen=True)
-class PermanentFaultResult:
-    lambda_eff: float  # 1/hour
-    mttf_hours: float
-    reliability: ReliabilityFunction
-
-    def __post_init__(self):
-        if not self.lambda_eff > 0:
-            raise ValueError(f"lambda_eff must be positive, got {self.lambda_eff!r}")
-        if not math.isclose(self.mttf_hours, 1.0 / self.lambda_eff, rel_tol=1e-9):
-            raise ValueError("mttf_hours must equal 1/lambda_eff")
-        if isinstance(self.reliability, Weibull):
-            eta = self.mttf_hours / math.gamma(1.0 + 1.0 / self.reliability.beta)
-            if not math.isclose(self.reliability.eta, eta, rel_tol=1e-9):
-                raise ValueError("weibull scale inconsistent with the stated MTTF")
+        try:
+            math.gamma(1.0 + 1.0 / self.weibull_beta)  # weibull_from_mttf divides by it
+        except OverflowError:
+            raise ValueError(
+                f"aging weibull_beta {self.weibull_beta!r} is too small: Gamma(1 + 1/beta) overflows"
+            ) from None
 
 
 def black_mttf(temperature_k: float, params: AgingParams) -> float:
@@ -83,7 +71,8 @@ def failure_rate_from_profile(profile: TemperatureProfile, params: AgingParams) 
         raise ValueError("temperature profile is empty")
     total = 0.0
     for temp in profile.samples:
-        total += 1.0 / black_mttf(temp, params)
+        life = black_mttf(temp, params)
+        total += math.inf if life == 0.0 else 1.0 / life  # a lifetime that underflowed fails at once
     return total / len(profile.samples)
 
 

@@ -172,6 +172,10 @@ def _cmd_tree_eval(args) -> int:
         probs = json.loads(read_text(args.probs))
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed probabilities file: {exc}") from None
+    except RecursionError:
+        raise InputError(
+            f"probabilities file {args.probs!r} cannot be decoded: its JSON is nested too deeply"
+        ) from None
     if not isinstance(probs, dict):
         raise InputError("probabilities file must be a JSON object")
     if args.brute_force:

@@ -22,6 +22,7 @@ import numpy as np
 from . import rng
 from .errors import InputError
 from .reliability import (
+    Product,
     ReliabilityFunction,
     draw_count,
     integrate_survival,
@@ -31,7 +32,6 @@ from .reliability import (
 from .successtree import AndGate, BasicEvent, Gate, KofNGate, OrGate, _shannon, basic_events, tree_probability
 
 __all__ = [
-    "ComponentReliability",
     "SystemCurves",
     "McCurve",
     "system_reliability_curves",
@@ -43,15 +43,6 @@ __all__ = [
 # this sets only the memory held at once (a few MB) and the per-call numpy
 # overhead, never the result.
 MC_BLOCK_SAMPLES = 16384
-
-
-@dataclass(frozen=True)
-class ComponentReliability:
-    """The two fault-mode survivals of one component plus their combination."""
-
-    r_perm: ReliabilityFunction
-    r_trans: ReliabilityFunction
-    r_combined: ReliabilityFunction
 
 
 @dataclass(frozen=True)
@@ -82,10 +73,12 @@ def _tree_curve(tree: Gate, grid: np.ndarray, funcs: Mapping[str, ReliabilityFun
     return np.minimum.accumulate(np.clip(values, 0.0, 1.0))
 
 
-def system_reliability_curves(
-    model, component_functions: Mapping[str, ComponentReliability]
-) -> SystemCurves:
+def system_reliability_curves(model, component_modes: Mapping[str, tuple]) -> SystemCurves:
     """Exact system curves on the model grid plus MTTF and dominance ratio.
+
+    component_modes maps component id to (r_perm, r_trans), as for
+    monte_carlo_system; a component survives both as independent
+    competing risks, Product((r_perm, r_trans)).
 
     The MTTF integrates the exact system survival by integrate_survival;
     the sum of the component survivals bounds it, because a coherent
@@ -96,12 +89,12 @@ def system_reliability_curves(
     """
     events = basic_events(model.success_tree)
     for event in events:
-        if event not in component_functions:
+        if event not in component_modes:
             raise InputError(f"no reliability functions for component {event!r}")
     grid = model.grid()
-    combined = {cid: cr.r_combined for cid, cr in component_functions.items()}
-    perm_only = {cid: cr.r_perm for cid, cr in component_functions.items()}
-    trans_only = {cid: cr.r_trans for cid, cr in component_functions.items()}
+    combined = {cid: Product(modes) for cid, modes in component_modes.items()}
+    perm_only = {cid: r_perm for cid, (r_perm, _) in component_modes.items()}
+    trans_only = {cid: r_trans for cid, (_, r_trans) in component_modes.items()}
     r_sys = _tree_curve(model.success_tree, grid, combined)
     r_perm = _tree_curve(model.success_tree, grid, perm_only)
     r_trans = _tree_curve(model.success_tree, grid, trans_only)

@@ -17,6 +17,7 @@ import io
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,9 +27,7 @@ import numpy as np
 # wrap their functions at one place.
 from . import aging, rng, thermal
 from ._version import __version__ as TOOL_VERSION
-from .aging import PermanentFaultResult
 from .curves import (
-    ComponentReliability,
     McCurve,
     SystemCurves,
     monte_carlo_system,
@@ -37,13 +36,8 @@ from .curves import (
 )
 from .errors import InputError, StageError, read_text
 from .model import SystemModel
-from .reliability import Product, mttf
-from .softerror import (
-    exponential_reliability,
-    inject_campaign,
-    parse_netlist,
-    transient_failure_rate,
-)
+from .reliability import Exponential, Product, Weibull, mttf
+from .softerror import inject_campaign, parse_netlist, transient_failure_rate
 from .successtree import tree_too_wide
 from .thermal import read_power_trace, steady_state_temperature
 
@@ -80,10 +74,11 @@ class ComponentAnalysis:
     component_id: str
     steady_state_temp_k: float  # equilibrium at the trace's mean power
     peak_temp_k: float
-    permanent: PermanentFaultResult
+    lambda_eff_per_hour: float
     transient_lambda_per_hour: float
     injections: dict  # net -> InjectionResult
-    reliability: ComponentReliability
+    r_perm: Weibull  # wear-out
+    r_trans: Exponential  # soft errors
     combined_mttf_hours: float
 
 
@@ -100,74 +95,69 @@ def injection_seed(master_seed: int, component_id: str, net: str) -> int:
     return rng.derive_seed(master_seed, f"inject/{component_id}/{net}")
 
 
+@contextmanager
+def _stage(cid: str, name: str):
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(cid, name, exc) from exc
+
+
 def _analyze_component(node, options: PipelineOptions) -> ComponentAnalysis:
     cid = node.id
     payload = node.payload
 
-    def stage(name, fn):
-        try:
-            return fn()
-        except Exception as exc:
-            raise StageError(cid, name, exc) from exc
+    with _stage(cid, "power-trace"):
+        trace = read_power_trace(io.StringIO(read_text(payload.power_trace), newline=""), cid)
 
-    def read_trace():
-        return read_power_trace(io.StringIO(read_text(payload.power_trace), newline=""), cid)
-
-    trace = stage("power-trace", read_trace)
-
-    def permanent_path():
+    with _stage(cid, "permanent-path"):
         profile = thermal.simulate_temperature(trace, payload.thermal)
-        lam = aging.failure_rate_from_profile(profile, payload.aging)
-        if not lam > 0:
-            raise InputError(f"failure rate must be positive, got {lam!r}")
-        return profile, lam, aging.weibull_from_mttf(1.0 / lam, payload.aging.weibull_beta)
-
-    profile, lambda_eff, r_perm = stage("permanent-path", permanent_path)
+        lambda_eff = aging.failure_rate_from_profile(profile, payload.aging)
+        if not lambda_eff > 0:
+            raise InputError(f"failure rate must be positive, got {lambda_eff!r}")
+        beta = payload.aging.weibull_beta
+        try:
+            r_perm = aging.weibull_from_mttf(1.0 / lambda_eff, beta)
+        except ValueError as exc:
+            raise InputError(
+                f"wear-out rate {lambda_eff!r} per hour with weibull_beta {beta!r}: {exc}"
+            ) from None
     peak_temp = max(profile.samples)
     mean_power = sum(trace.samples) / len(trace.samples)
     steady_temp = steady_state_temperature(mean_power, payload.thermal)
 
-    def read_netlist():
-        return parse_netlist(read_text(payload.netlist))
+    with _stage(cid, "netlist"):
+        netlist = parse_netlist(read_text(payload.netlist))
 
-    netlist = stage("netlist", read_netlist)
-
-    def run_campaigns():
+    with _stage(cid, "fault-injection"):
         for net in payload.ser.fit_per_node:
             if net not in netlist.nets():
                 raise InputError(f"FIT map names unknown net {net!r}")
         targets = [net for net in netlist.nets() if payload.ser.fit_for(net) > 0.0]
         if targets and options.seed is None:
             raise InputError("a master seed is required to run injection campaigns")
-        results = {}
-        for net in targets:
-            results[net] = inject_campaign(
-                netlist,
-                net,
-                options.injection_trials,
-                injection_seed(options.seed, cid, net),
+        injections = {
+            net: inject_campaign(
+                netlist, net, options.injection_trials, injection_seed(options.seed, cid, net)
             )
-        return results
+            for net in targets
+        }
 
-    injections = stage("fault-injection", run_campaigns)
-
-    def transient_path():
+    with _stage(cid, "transient-path"):
         deratings = {net: res.derating for net, res in injections.items()}
-        lam = transient_failure_rate(netlist, payload.ser, deratings)
-        return lam, exponential_reliability(lam)
-
-    lambda_trans, r_trans = stage("transient-path", transient_path)
-    r_combined = Product((r_perm, r_trans))  # independent competing risks
+        lambda_trans = transient_failure_rate(netlist, payload.ser, deratings)
+        r_trans = Exponential(lambda_trans)
 
     return ComponentAnalysis(
         component_id=cid,
         steady_state_temp_k=steady_temp,
         peak_temp_k=peak_temp,
-        permanent=PermanentFaultResult(lambda_eff, 1.0 / lambda_eff, r_perm),
+        lambda_eff_per_hour=lambda_eff,
         transient_lambda_per_hour=lambda_trans,
         injections=injections,
-        reliability=ComponentReliability(r_perm, r_trans, r_combined),
-        combined_mttf_hours=mttf(r_combined),
+        r_perm=r_perm,
+        r_trans=r_trans,
+        combined_mttf_hours=mttf(Product((r_perm, r_trans))),  # independent competing risks
     )
 
 
@@ -184,15 +174,14 @@ def run_pipeline(model: SystemModel, options: PipelineOptions) -> PipelineResult
     for cid, node in model.components().items():
         analyses[cid] = _analyze_component(node, options)
 
-    funcs = {cid: a.reliability for cid, a in analyses.items()}
+    modes = {cid: (a.r_perm, a.r_trans) for cid, a in analyses.items()}
     try:
-        curves = system_reliability_curves(model, funcs)
+        curves = system_reliability_curves(model, modes)
     except RecursionError:
         raise InputError(tree_too_wide(model.success_tree)) from None
 
     mc = None
     if options.mc_trials is not None:
-        modes = {cid: (a.reliability.r_perm, a.reliability.r_trans) for cid, a in analyses.items()}
         mc = monte_carlo_system(
             model.success_tree,
             modes,
@@ -255,8 +244,8 @@ def _build_report(model, options, analyses, curves: SystemCurves, mc) -> dict:
         components[cid] = {
             "steady_state_temp_k": a.steady_state_temp_k,
             "peak_temp_k": a.peak_temp_k,
-            "lambda_eff_per_hour": a.permanent.lambda_eff,
-            "permanent_mttf_hours": a.permanent.mttf_hours,
+            "lambda_eff_per_hour": a.lambda_eff_per_hour,
+            "permanent_mttf_hours": 1.0 / a.lambda_eff_per_hour,
             "transient_lambda_per_hour": a.transient_lambda_per_hour,
             "combined_mttf_hours": a.combined_mttf_hours,
             "deratings": {

@@ -9,6 +9,7 @@ integral of the survival by integrate_survival.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -87,7 +88,10 @@ def reliability_at(rf: ReliabilityFunction, t: float) -> float:
     if isinstance(rf, Exponential):
         r = math.exp(-rf.lam * t)
     elif isinstance(rf, Weibull):
-        r = math.exp(-((t / rf.eta) ** rf.beta))
+        try:
+            r = math.exp(-((t / rf.eta) ** rf.beta))
+        except OverflowError:  # (t/eta)^beta past the largest float: R rounds to 0
+            r = 0.0
     elif isinstance(rf, Product):
         r = 1.0
         for f in rf.factors:
@@ -129,11 +133,15 @@ def integrate_survival(survival, bound) -> float:
 
     survival(times) gives R at each of a list of times, in one call;
     bound(t) >= R(t) at one time. 32-point Gauss-Legendre runs on the
-    panels [0, 1], [1, 2], [2, 4], ... and stops at the end of the first
-    panel where bound < 1e-9, or at 1e9 hours. math.inf when R is still
-    above 1 - 1e-12 there.
+    panels [0, h], [h, 2h], [2h, 4h], ... and stops at the end of the first
+    panel where bound < 1e-9, or at 1e9 hours. h is 1 hour, halved while
+    bound(h) < 1/2 so that a sub-hour lifetime spans several panels.
+    math.inf when R is still above 1 - 1e-12 at the end.
     """
-    ends = [0.0, 1.0]
+    first = 1.0
+    while bound(first) < 0.5 and first > sys.float_info.min:
+        first *= 0.5
+    ends = [0.0, first]
     while bound(ends[-1]) >= _TAIL_SURVIVAL and ends[-1] < _HORIZON_CAP_HOURS:
         ends.append(min(2.0 * ends[-1], _HORIZON_CAP_HOURS))
     times, weights = [], []

@@ -27,7 +27,6 @@ import numpy as np
 
 from . import rng
 from .errors import InputError, NetlistParseError
-from .reliability import Exponential, ReliabilityFunction
 
 __all__ = [
     "Gate",
@@ -39,7 +38,6 @@ __all__ = [
     "inject_campaign",
     "exhaustive_derating",
     "transient_failure_rate",
-    "exponential_reliability",
     "wilson_interval",
     "read_workload",
     "Z_95",
@@ -484,11 +482,6 @@ def transient_failure_rate(
             raise ValueError(f"derating for {net!r} out of [0,1]: {d!r}")
         total_fit += fit * d
     return total_fit * PER_HOUR_PER_FIT
-
-
-def exponential_reliability(lam: float) -> ReliabilityFunction:
-    """Memoryless survival for a per-hour upset rate; Exponential(0) never fails."""
-    return Exponential(lam)
 
 
 def read_workload(fp, n_inputs: int) -> list:

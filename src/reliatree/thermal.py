@@ -36,6 +36,10 @@ class ThermalParams:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"thermal {name} must be positive, got {v!r}")
+        if not self.tau_seconds > 0:
+            raise ValueError(
+                f"thermal time constant r_th * c_th underflows to 0 (r_th={self.r_th!r}, c_th={self.c_th!r})"
+            )
 
     @property
     def tau_seconds(self) -> float:

@@ -19,7 +19,6 @@ from scipy.integrate import quad
 
 from reliatree.cli import main as cli_main
 from reliatree.curves import (
-    ComponentReliability,
     _failure_times,
     monte_carlo_system,
     system_reliability_curves,
@@ -71,15 +70,8 @@ def two_component_and_model(horizon=10_000.0, points=512):
 def test_c1_closed_form_system_oracle():
     started = time.perf_counter()
     model = two_component_and_model()
-    funcs = {
-        c: ComponentReliability(
-            Exponential(1e-4),
-            Exponential(4e-4),
-            Product((Exponential(1e-4), Exponential(4e-4))),
-        )
-        for c in ("pu1", "pu2")
-    }
-    curves = system_reliability_curves(model, funcs)
+    modes = {c: (Exponential(1e-4), Exponential(4e-4)) for c in ("pu1", "pu2")}
+    curves = system_reliability_curves(model, modes)
     for t, r, ratio in zip(curves.grid, curves.r_sys, curves.ratio):
         assert abs(r - math.exp(-1e-3 * t)) <= 1e-9
         expected_ratio = math.exp(6e-4 * t)
@@ -280,11 +272,11 @@ def test_c9_exact_system_mttf(tree):
     started = time.perf_counter()
     children = tuple(HierarchyNode(c, "Component", 2) for c in WEAR_OUT)
     model = SystemModel("wear_out", 10_000.0, 64, HierarchyNode("soc", "System", 1, children), tree)
-    funcs = {c: ComponentReliability(p, q, Product((p, q))) for c, (p, q) in WEAR_OUT.items()}
-    exact = system_reliability_curves(model, funcs).mttf_sys
+    exact = system_reliability_curves(model, WEAR_OUT).mttf_sys
+    combined = {c: Product(modes) for c, modes in WEAR_OUT.items()}
 
     def survival(t):
-        return tree_probability(tree, {c: reliability_at(f.r_combined, t) for c, f in funcs.items()})
+        return tree_probability(tree, {c: reliability_at(f, t) for c, f in combined.items()})
 
     reference = 0.0
     lo, hi = 0.0, 1000.0
@@ -293,7 +285,7 @@ def test_c9_exact_system_mttf(tree):
         lo, hi = hi, 2.0 * hi
     assert exact == pytest.approx(reference, rel=1e-9)
     if isinstance(tree, AndGate):
-        assert exact <= min(mttf(f.r_combined) for f in funcs.values())
+        assert exact <= min(mttf(f) for f in combined.values())
 
     # Monte Carlo: the mean of the sampled system failure times.
     n = 200_000

@@ -80,6 +80,12 @@ class TestProfileAveraging:
         assert lam == pytest.approx(0.5 / black_mttf(330.0, PARAMS), rel=1e-12)
         assert failure_rate_from_profile(profile([1.0, 2.0]), PARAMS) == 0.0
 
+    def test_underflowing_lifetime_is_infinite_rate(self):
+        # A * J^-n = 1e-300 * 1e-40 rounds to 0, so Black's lifetime is 0.0.
+        instant = AgingParams(1e-300, 1e20, 2.0, 0.7, 2.0)
+        assert black_mttf(330.0, instant) == 0.0
+        assert failure_rate_from_profile(profile([330.0, 330.0]), instant) == math.inf
+
     def test_rate_increases_with_any_sample(self):
         cool = failure_rate_from_profile(profile([300.0, 310.0, 320.0]), PARAMS)
         warm = failure_rate_from_profile(profile([300.0, 311.0, 320.0]), PARAMS)
@@ -118,6 +124,12 @@ class TestWeibullFromMttf:
         with pytest.raises(ValueError):
             weibull_from_mttf(100.0, 0.0)
 
+    def test_shape_whose_mean_overflows_rejected(self):
+        # Gamma(1 + 1/0.005) = 200! is past the largest float.
+        with pytest.raises(ValueError, match="weibull_beta 0.005 is too small"):
+            AgingParams(1.0e6, 1.0e6, 2.0, 0.7, 0.005)
+        assert AgingParams(1.0e6, 1.0e6, 2.0, 0.7, 0.006).weibull_beta == 0.006
+
 
 class TestGamma:
     def test_integer_values_exact(self):
@@ -126,25 +138,3 @@ class TestGamma:
 
     def test_half_is_sqrt_pi(self):
         assert abs(math.gamma(0.5) - math.sqrt(math.pi)) < 1e-10
-
-
-class TestPermanentFaultResult:
-    def test_consistent_bundle_accepted(self):
-        from reliatree.aging import PermanentFaultResult
-
-        lam = failure_rate_from_profile(profile([330.0] * 4), PARAMS)
-        result = PermanentFaultResult(lam, 1.0 / lam, weibull_from_mttf(1.0 / lam, 2.0))
-        assert result.mttf_hours == pytest.approx(1.0 / result.lambda_eff)
-
-    def test_inconsistent_mttf_rejected(self):
-        from reliatree.aging import PermanentFaultResult
-
-        with pytest.raises(ValueError):
-            PermanentFaultResult(1e-5, 2e5, weibull_from_mttf(1e5, 2.0))
-
-    def test_inconsistent_scale_rejected(self):
-        from reliatree.aging import PermanentFaultResult
-        from reliatree.reliability import Weibull
-
-        with pytest.raises(ValueError):
-            PermanentFaultResult(1e-5, 1e5, Weibull(1e5, 2.0))

@@ -8,7 +8,6 @@ import pytest
 from reliatree import rng
 from reliatree.curves import (
     MC_BLOCK_SAMPLES,
-    ComponentReliability,
     _failure_times,
     monte_carlo_system,
     system_reliability_curves,
@@ -34,11 +33,7 @@ def make_model(tree, horizon=10_000.0, points=128, component_ids=("pu1", "pu2"))
 
 
 def exp_pair(lam_perm, lam_trans):
-    return ComponentReliability(
-        Exponential(lam_perm),
-        Exponential(lam_trans),
-        Product((Exponential(lam_perm), Exponential(lam_trans))),
-    )
+    return Exponential(lam_perm), Exponential(lam_trans)
 
 
 AND_TREE = AndGate((BasicEvent("pu1"), BasicEvent("pu2")))
@@ -77,19 +72,17 @@ class TestSystemCurves:
         model = make_model(AND_TREE, horizon=10_000.0, points=512)
         curves = system_reliability_curves(model, {c: exp_pair(1e-4, 4e-4) for c in ("pu1", "pu2")})
         assert curves.mttf_sys == pytest.approx(1000.0, rel=1e-9)
-        assert mttf(exp_pair(1e-4, 4e-4).r_combined) == pytest.approx(2000.0, rel=1e-9)
+        assert mttf(Product(exp_pair(1e-4, 4e-4))) == pytest.approx(2000.0, rel=1e-9)
+
+    def test_system_mttf_of_sub_hour_components(self):
+        # Components that last a fraction of a second: 1 / (2 * 4000) hours.
+        model = make_model(AND_TREE, horizon=1.0, points=16)
+        curves = system_reliability_curves(model, {c: exp_pair(3e3, 1e3) for c in ("pu1", "pu2")})
+        assert curves.mttf_sys == pytest.approx(1.0 / 8e3, rel=1e-9)
 
     def test_constant_transient_keeps_ratio_equal_to_perm_curve(self):
         model = make_model(AND_TREE)
-        funcs = {
-            c: ComponentReliability(
-                Exponential(1e-4),
-                Exponential(0.0),
-                Product((Exponential(1e-4), Exponential(0.0))),
-            )
-            for c in ("pu1", "pu2")
-        }
-        curves = system_reliability_curves(model, funcs)
+        curves = system_reliability_curves(model, {c: exp_pair(1e-4, 0.0) for c in ("pu1", "pu2")})
         for r, p, q, ratio in zip(
             curves.r_sys, curves.r_sys_perm, curves.r_sys_trans, curves.ratio
         ):
@@ -106,11 +99,7 @@ class TestSystemCurves:
     def test_curves_non_increasing(self):
         model = make_model(OrGate((BasicEvent("pu1"), BasicEvent("pu2"))))
         funcs = {
-            "pu1": ComponentReliability(
-                Weibull(4000.0, 2.0),
-                Exponential(1e-4),
-                Product((Weibull(4000.0, 2.0), Exponential(1e-4))),
-            ),
+            "pu1": (Weibull(4000.0, 2.0), Exponential(1e-4)),
             "pu2": exp_pair(2e-4, 5e-5),
         }
         curves = system_reliability_curves(model, funcs)
@@ -123,6 +112,15 @@ class TestSystemCurves:
         model = make_model(AND_TREE)
         with pytest.raises(InputError):
             system_reliability_curves(model, {"pu1": exp_pair(1e-4, 1e-4)})
+
+    def test_one_modes_map_feeds_exact_curves_and_monte_carlo(self):
+        model = make_model(OrGate((BasicEvent("pu1"), BasicEvent("pu2"))), points=32)
+        modes = {"pu1": (Weibull(4000.0, 2.0), Exponential(1e-4)), "pu2": exp_pair(2e-4, 5e-5)}
+        curves = system_reliability_curves(model, modes)
+        mc = monte_carlo_system(model.success_tree, modes, 100_000, 5, model.grid())
+        assert mc.grid == curves.grid
+        for exact, emp in zip(curves.r_sys, mc.survival):
+            assert abs(emp - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / 100_000) + 1e-12
 
     def test_csv_export_shape(self):
         model = make_model(AND_TREE, points=8)

@@ -121,9 +121,9 @@ class TestPipeline:
         expected = weibull_from_mttf(black_mttf(320.0, aging), aging.weibull_beta)
         pu1 = result.components["pu1"]
         assert pu1.peak_temp_k == 320.0
-        assert pu1.permanent.mttf_hours == pytest.approx(black_mttf(320.0, aging), rel=1e-12)
+        assert 1.0 / pu1.lambda_eff_per_hour == pytest.approx(black_mttf(320.0, aging), rel=1e-12)
         for t in np.linspace(0.0, 2e5, 41):
-            assert reliability_at(pu1.reliability.r_perm, float(t)) == pytest.approx(
+            assert reliability_at(pu1.r_perm, float(t)) == pytest.approx(
                 reliability_at(expected, float(t)), abs=1e-9
             )
 
@@ -213,9 +213,10 @@ class TestPipeline:
         result = run_pipeline(model, PipelineOptions(seed=5, injection_trials=300))
         assert set(result.report["components"]) == {"c1", "c2", "c3"}
         # 2-of-3 by inclusion-exclusion: r1r2 + r1r3 + r2r3 - 2 r1r2r3.
-        from reliatree.reliability import reliability_at
+        from reliatree.reliability import Product, reliability_at
 
-        funcs = [result.components[c].reliability.r_combined for c in ("c1", "c2", "c3")]
+        analyses = [result.components[c] for c in ("c1", "c2", "c3")]
+        funcs = [Product((a.r_perm, a.r_trans)) for a in analyses]
         for t, r_sys in zip(result.curves.grid, result.curves.r_sys):
             r1, r2, r3 = (reliability_at(f, float(t)) for f in funcs)
             expected = r1 * r2 + r1 * r3 + r2 * r3 - 2.0 * r1 * r2 * r3
@@ -431,6 +432,14 @@ class TestOtherSubcommands:
             capsys,
         )
         assert code == 1 and "workload" in err
+
+    def test_thermal_time_constant_underflow_exits_one(self, tmp_path, capsys):
+        trace = tmp_path / "p.csv"
+        trace.write_text("time_s,power_w\n0,1.0\n1,2.0\n")
+        args = ["thermal", "--trace", str(trace), "--rth", "1e-200", "--cth", "1e-200", "--tamb", "300"]
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert "underflows to 0" in err
 
     def test_thermal_out_file(self, tmp_path, capsys):
         trace = tmp_path / "p.csv"
@@ -718,6 +727,44 @@ class TestExitCodes:
         aging = load_system_file(path).components()["pu1"].payload.aging
         lam = json.loads(out)["components"]["pu1"]["lambda_eff_per_hour"]
         assert lam == pytest.approx(0.5 / black_mttf(301.0, aging), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "field, edit, code, message",
+        [
+            # (t/eta)^beta overflows a float: the survival is 0.0, as rounded.
+            ("aging", {"weibull_beta": 1e6}, 0, None),
+            # Black's lifetime underflows to 0: the wear-out rate is inf.
+            ("aging", {"a_const": 1e-300, "j_density": 1e20, "n_exp": 2}, 1, "wear-out rate inf per hour"),
+            ("aging", {"a_const": 1e-300, "j_density": 1e10, "n_exp": 2}, 1, "weibull_beta 2.0"),
+            ("aging", {"weibull_beta": 0.005}, 1, "node 'pu1': field 'aging': aging weibull_beta 0.005"),
+            ("thermal", {"r_th": 1e-200, "c_th": 1e-200}, 1, "node 'pu1': field 'thermal': thermal time"),
+        ],
+        ids=["huge-beta", "lifetime-underflow", "rate-overflow", "tiny-beta", "tau-underflow"],
+    )
+    def test_extreme_sample_parameters_exit_zero_or_one(self, tmp_path, capsys, field, edit, code, message):
+        shutil.copytree(SAMPLE_DIR, tmp_path / "s")
+        path = str(tmp_path / "s" / "system.json")
+        doc = json.load(open(path))
+        doc["hierarchy"]["children"][0][field].update(edit)
+        with open(path, "w") as fp:
+            json.dump(doc, fp)
+        args = ["analyze", "--system", path, "--out", str(tmp_path / "o"), "--seed", "1"]
+        got, out, err = run_cli(args + ["--injection-trials", "100"], capsys)
+        assert got == code
+        if code == 1:
+            assert message in err and not (tmp_path / "o").exists()
+        else:
+            assert err == ""
+            pu1_mttf = json.loads(out)["components"]["pu1"]["combined_mttf_hours"]
+            assert 0.0 < json.loads(out)["system"]["mttf_hours"] <= pu1_mttf
+
+    def test_tree_eval_deep_probabilities_is_input_error(self, tmp_path, capsys):
+        (tmp_path / "tree.json").write_text('{"event": "a"}')
+        (tmp_path / "probs.json").write_text('{"a": ' + "[" * 5000 + "]" * 5000 + "}")
+        tree, probs = str(tmp_path / "tree.json"), str(tmp_path / "probs.json")
+        code, out, err = run_cli(["tree-eval", "--tree", tree, "--probs", probs], capsys)
+        assert code == 1 and out == ""
+        assert "probs.json" in err and "nested too deeply" in err
 
     @pytest.mark.parametrize(
         "bad",

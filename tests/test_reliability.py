@@ -31,6 +31,15 @@ class TestForms:
     def test_exponential_closed_form(self):
         assert reliability_at(Exponential(1e-3), 1000.0) == pytest.approx(math.exp(-1.0))
 
+    def test_exponential_zero_rate_never_fails(self):
+        for t in (0.0, 1.0, 1e9):
+            assert reliability_at(Exponential(0.0), t) == 1.0
+
+    def test_weibull_overflow_rounds_to_zero(self):
+        # (2/1)^1e6 is past the largest float; exp(-that) rounds to 0.0.
+        assert reliability_at(Weibull(1.0, 1e6), 2.0) == 0.0
+        assert reliability_at(Weibull(1.0, 1e6), 0.5) == 1.0
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             reliability_at(Exponential(1.0), -0.1)
@@ -177,6 +186,18 @@ class TestMttf:
         for degree in (0, 2, 62):
             got = math.fsum(w * x**degree for x, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS))
             assert got == pytest.approx(2.0 / (degree + 1), rel=1e-13)
+
+    @pytest.mark.parametrize("beta, rel", [(1.0, 1e-10), (2.0, 1e-10), (8.0, 1e-10), (0.5, 5e-7)])
+    def test_sub_hour_lifetimes_against_closed_form(self, beta, rel):
+        # The first panel is halved until R at its end is >= 1/2, so a
+        # lifetime far below an hour still spans many panels.
+        for eta in (1e-300, 1e-8, 1e-3, 1.0, 1e4):
+            rf = Product((Weibull(eta, beta), Exponential(0.0)))
+            assert mttf(rf) == pytest.approx(eta * math.gamma(1.0 + 1.0 / beta), rel=rel)
+
+    def test_subnormal_scale_terminates(self):
+        # R is below 1/2 already at the smallest normal float; the halving stops there.
+        assert 0.0 <= mttf(Product((Weibull(5e-324, 2.0), Exponential(0.0)))) <= 1e-300
 
     def test_unbounded_is_distinguished(self):
         assert math.isinf(mttf(Exponential(0.0)))

@@ -1,5 +1,4 @@
 import io
-import math
 import random
 import tracemalloc
 
@@ -7,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
 from reliatree import rng
 from reliatree.errors import InputError, NetlistParseError
@@ -22,7 +20,6 @@ from reliatree.softerror import (
     _forward,
     evaluate,
     exhaustive_derating,
-    exponential_reliability,
     inject_campaign,
     parse_netlist,
     read_workload,
@@ -456,7 +453,7 @@ class TestRates:
         ser = SerParams({}, 100.0)
         lam = transient_failure_rate(net, ser, {n: 0.0 for n in net.nets()})
         assert lam == 0.0
-        assert reliability_at(exponential_reliability(lam), 1e6) == 1.0
+        assert reliability_at(Exponential(lam), 1e6) == 1.0
 
     def test_two_node_sum(self):
         net = parse_netlist(AND2)
@@ -477,24 +474,3 @@ class TestRates:
     def test_negative_fit_rejected(self):
         with pytest.raises(ValueError):
             SerParams({"g1": -1.0}, 0.0)
-
-
-class TestExponentialReliability:
-    def test_zero_rate_is_constant_one(self):
-        rf = exponential_reliability(0.0)
-        assert rf == Exponential(0.0)
-        for t in (0.0, 1.0, 1e9):
-            assert reliability_at(rf, t) == 1.0
-
-    def test_closed_form(self):
-        rf = exponential_reliability(1e-6)
-        assert reliability_at(rf, 1e6) == pytest.approx(math.exp(-1.0))
-
-    def test_mttf_by_quadrature(self):
-        rf = exponential_reliability(1e-3)
-        oracle, _ = integrate.quad(lambda t: reliability_at(rf, t), 0.0, 40_000.0, limit=400)
-        assert oracle == pytest.approx(1000.0, rel=1e-3)
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            exponential_reliability(-1e-9)
