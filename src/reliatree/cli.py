@@ -32,7 +32,6 @@ from .successtree import (
     brute_force_probability,
     tree_from_dict,
     tree_probability,
-    tree_too_wide,
 )
 from .thermal import ThermalParams, read_power_trace, simulate_temperature, write_temperature_profile
 
@@ -134,11 +133,13 @@ def _cmd_inject(args) -> int:
     document: dict = {"node": args.node}
     if not args.exhaustive and (args.trials is None or args.seed is None):
         raise InputError("--trials and --seed are required unless --exhaustive is given")
+    if args.workload is not None and args.trials is None:
+        raise InputError("--workload needs --trials: it sets the inputs of a sampled campaign")
     if args.trials is not None:
         if args.seed is None:
             raise InputError("--seed is required to run a campaign")
         workload = None
-        if args.workload:
+        if args.workload is not None:
             workload = read_workload(io.StringIO(read_text(args.workload), newline=""), len(netlist.inputs))
         try:
             res = inject_campaign(netlist, args.node, args.trials, args.seed, workload)
@@ -185,10 +186,7 @@ def _cmd_tree_eval(args) -> int:
             raise InputError(str(exc)) from None
         method = "brute-force"
     else:
-        try:
-            value = tree_probability(tree, probs)
-        except RecursionError:
-            raise InputError(tree_too_wide(tree)) from None
+        value = tree_probability(tree, probs)
         method = "shannon"
     _emit(
         json.dumps({"probability": value, "method": method}, indent=2, sort_keys=True) + "\n",

@@ -3,9 +3,9 @@ Monte Carlo cross-check of the whole combination chain.
 
 The exact route evaluates the success tree on per-component survival
 probabilities at every grid time. The Monte Carlo route draws failure
-times per component and mode by inverse CDF and reduces them through the
-tree (AND -> min, OR -> max, K-of-N -> k-th largest), which reproduces the
-structure function's alive/failed state at every time for coherent trees.
+times per component and mode by inverse CDF and applies the structure
+function (successtree.evaluate_structure) to them, which gives the system
+failure time and so its alive/failed state at every time.
 It streams the samples in fixed blocks of MC_BLOCK_SAMPLES and keeps only
 a per-grid-bin count of system failures, so its memory is bounded by the
 block size and the grid, its time is linear in the sample count, and the
@@ -29,7 +29,7 @@ from .reliability import (
     reliability_at,
     sample_failure_times,
 )
-from .successtree import AndGate, BasicEvent, Gate, KofNGate, OrGate, _shannon, basic_events, tree_probability
+from .successtree import Gate, _shannon, basic_events, evaluate_structure, tree_probability
 
 __all__ = [
     "SystemCurves",
@@ -126,21 +126,6 @@ def system_reliability_curves(model, component_modes: Mapping[str, tuple]) -> Sy
     )
 
 
-def _failure_times(tree: Gate, comp_times: Mapping[str, np.ndarray]) -> np.ndarray:
-    if isinstance(tree, BasicEvent):
-        return comp_times[tree.component_id]
-    parts = [_failure_times(c, comp_times) for c in tree.children]
-    if isinstance(tree, AndGate):
-        return np.minimum.reduce(parts)
-    if isinstance(tree, OrGate):
-        return np.maximum.reduce(parts)
-    assert isinstance(tree, KofNGate)
-    stack = np.stack(parts)
-    # The system dies when the number of working children drops below k,
-    # i.e. at the k-th largest child failure time.
-    return np.partition(stack, len(parts) - tree.k, axis=0)[len(parts) - tree.k]
-
-
 def monte_carlo_system(
     tree: Gate,
     component_modes: Mapping[str, tuple],
@@ -151,10 +136,10 @@ def monte_carlo_system(
     """Empirical system survival with per-point binomial standard errors.
 
     component_modes maps component id to (r_perm, r_trans). Each sample
-    draws both failure times per component by inverse CDF, takes their
-    minimum, and reduces the tree; sample i is a pure function of
-    (seed, i), so any batching yields identical results. The grid may be
-    unsorted and may repeat points.
+    draws a failure time per component from Product((r_perm, r_trans)) by
+    inverse CDF and applies the structure function to them; sample i is a
+    pure function of (seed, i), so any batching yields identical results.
+    The grid may be unsorted and may repeat points.
     """
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples!r}")
@@ -164,14 +149,12 @@ def monte_carlo_system(
         if event not in component_modes:
             raise InputError(f"no fault-mode functions for component {event!r}")
 
-    ordered = sorted(events)
-    lanes = []  # (component, r_perm, r_trans, first lane, perm draws, all draws)
+    lanes = []  # (component, its survival, first lane, lane count)
     total = 0
-    for cid in ordered:
-        r_perm, r_trans = component_modes[cid]
-        k_perm = draw_count(r_perm)
-        need = k_perm + draw_count(r_trans)
-        lanes.append((cid, r_perm, r_trans, total, k_perm, need))
+    for cid in sorted(events):
+        rf = Product(component_modes[cid])
+        need = draw_count(rf)
+        lanes.append((cid, rf, total, need))
         total += need
 
     order = np.argsort(grid, kind="stable")
@@ -183,13 +166,11 @@ def monte_carlo_system(
         size = min(MC_BLOCK_SAMPLES, n_samples - first)
         # counter = sample * total_lanes + lane, one open-interval uniform each
         uniforms = rng.unit_open_floats(seed, first * total, size * total).reshape(size, total)
-        comp_times = {}
-        for cid, r_perm, r_trans, offset, k_perm, need in lanes:
-            u = uniforms[:, offset : offset + need].T
-            t_perm = sample_failure_times(r_perm, u[:k_perm])
-            t_trans = sample_failure_times(r_trans, u[k_perm:])
-            comp_times[cid] = np.minimum(t_perm, t_trans)
-        t_sys = _failure_times(tree, comp_times)
+        comp_times = {
+            cid: sample_failure_times(rf, uniforms[:, first_lane : first_lane + need].T)
+            for cid, rf, first_lane, need in lanes
+        }
+        t_sys = evaluate_structure(tree, comp_times)
         bins = np.searchsorted(sorted_grid, t_sys, side="left")
         per_bin += np.bincount(bins, minlength=len(grid) + 1)
 

@@ -38,7 +38,6 @@ from .errors import InputError, StageError, read_text
 from .model import SystemModel
 from .reliability import Exponential, Product, Weibull, mttf
 from .softerror import inject_campaign, parse_netlist, transient_failure_rate
-from .successtree import tree_too_wide
 from .thermal import read_power_trace, steady_state_temperature
 
 __all__ = [
@@ -175,10 +174,7 @@ def run_pipeline(model: SystemModel, options: PipelineOptions) -> PipelineResult
         analyses[cid] = _analyze_component(node, options)
 
     modes = {cid: (a.r_perm, a.r_trans) for cid, a in analyses.items()}
-    try:
-        curves = system_reliability_curves(model, modes)
-    except RecursionError:
-        raise InputError(tree_too_wide(model.success_tree)) from None
+    curves = system_reliability_curves(model, modes)
 
     mc = None
     if options.mc_trials is not None:

@@ -101,16 +101,18 @@ def basic_events(tree: Gate) -> list:
     return order
 
 
-def evaluate_structure(tree: Gate, states: Mapping[str, bool]) -> bool:
-    """Structure function on a given up/down state of every event."""
+def evaluate_structure(tree: Gate, values: Mapping):
+    """Structure function, elementwise on scalars or numpy arrays: on
+    up/down states the system state, on component failure times the system
+    failure time (AND: min, OR: max, K-of-N: k-th largest)."""
     if isinstance(tree, BasicEvent):
-        return bool(states[tree.component_id])
+        return values[tree.component_id]
+    parts = [evaluate_structure(c, values) for c in tree.children]
     if isinstance(tree, AndGate):
-        return all(evaluate_structure(c, states) for c in tree.children)
+        return np.minimum.reduce(parts)
     if isinstance(tree, OrGate):
-        return any(evaluate_structure(c, states) for c in tree.children)
-    working = sum(evaluate_structure(c, states) for c in tree.children)
-    return working >= tree.k
+        return np.maximum.reduce(parts)
+    return np.partition(np.stack(parts), len(parts) - tree.k, axis=0)[len(parts) - tree.k]
 
 
 def _restrict(tree: Gate, event: str, value: bool):
@@ -200,27 +202,13 @@ def _shannon(tree: Gate, probs: Mapping):
         memo[node] = value
         return value
 
-    return prob(tree)
-
-
-def tree_too_wide(tree: Gate) -> str:
-    """Message for a tree whose exact evaluation overflows the Python stack."""
-    return (
-        f"success tree over {len(basic_events(tree))} basic events is too wide to "
-        "evaluate (exact evaluation recurses once per event, past Python's recursion limit)"
-    )
-
-
-def _batch_structure(tree: Gate, bits: Mapping[str, np.ndarray]) -> np.ndarray:
-    if isinstance(tree, BasicEvent):
-        return bits[tree.component_id]
-    parts = [_batch_structure(c, bits) for c in tree.children]
-    if isinstance(tree, AndGate):
-        return np.logical_and.reduce(parts)
-    if isinstance(tree, OrGate):
-        return np.logical_or.reduce(parts)
-    counts = np.sum(np.stack(parts).astype(np.int32), axis=0)
-    return counts >= tree.k
+    try:
+        return prob(tree)
+    except RecursionError:
+        raise InputError(
+            f"success tree over {len(basic_events(tree))} basic events is too wide to "
+            "evaluate (exact evaluation recurses once per event, past Python's recursion limit)"
+        ) from None
 
 
 def brute_force_probability(tree: Gate, probs: Mapping[str, float]) -> float:
@@ -236,7 +224,7 @@ def brute_force_probability(tree: Gate, probs: Mapping[str, float]) -> float:
     for e in events:
         p = probs[e]
         weight *= np.where(bits[e], p, 1.0 - p)
-    up = _batch_structure(tree, bits)
+    up = evaluate_structure(tree, bits)
     return float(np.sum(weight[up]))
 
 
@@ -248,10 +236,7 @@ def tree_from_dict(obj) -> Gate:
 
     Gates may nest at most MAX_TREE_DEPTH levels deep.
     """
-    try:
-        return _node_from_dict(obj, 0)
-    except RecursionError:
-        raise InputError(TREE_TOO_DEEP) from None
+    return _node_from_dict(obj, 0)
 
 
 def _node_from_dict(obj, gates_above: int) -> Gate:

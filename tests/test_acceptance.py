@@ -19,7 +19,6 @@ from scipy.integrate import quad
 
 from reliatree.cli import main as cli_main
 from reliatree.curves import (
-    _failure_times,
     monte_carlo_system,
     system_reliability_curves,
 )
@@ -47,6 +46,7 @@ from reliatree.successtree import (
     KofNGate,
     OrGate,
     brute_force_probability,
+    evaluate_structure,
     tree_probability,
 )
 from reliatree.thermal import PowerTrace, ThermalParams, simulate_temperature
@@ -294,7 +294,7 @@ def test_c9_exact_system_mttf(tree):
     for c, (p, q) in WEAR_OUT.items():
         u = 1.0 - draws.random((draw_count(p) + draw_count(q), n))  # in (0, 1]
         comp_times[c] = np.minimum(sample_failure_times(p, u[:1]), sample_failure_times(q, u[1:]))
-    t_sys = _failure_times(tree, comp_times)
+    t_sys = evaluate_structure(tree, comp_times)
     stderr = float(np.std(t_sys)) / math.sqrt(n)
     assert abs(float(np.mean(t_sys)) - exact) <= 3.0 * stderr
     finish(f"exact system MTTF under {type(tree).__name__}", 5.0, started)

@@ -8,7 +8,6 @@ import pytest
 from reliatree import rng
 from reliatree.curves import (
     MC_BLOCK_SAMPLES,
-    _failure_times,
     monte_carlo_system,
     system_reliability_curves,
     write_curves_csv,
@@ -23,7 +22,7 @@ from reliatree.reliability import (
     mttf,
     sample_failure_times,
 )
-from reliatree.successtree import AndGate, BasicEvent, KofNGate, OrGate, basic_events
+from reliatree.successtree import AndGate, BasicEvent, KofNGate, OrGate, basic_events, evaluate_structure
 
 
 def make_model(tree, horizon=10_000.0, points=128, component_ids=("pu1", "pu2")):
@@ -131,6 +130,12 @@ class TestSystemCurves:
         assert lines[0] == "t_hours,r_sys,r_sys_perm,r_sys_trans,ratio"
         assert len(lines) == 9
         assert lines[1].split(",") == ["0.0", "1.0", "1.0", "1.0", "1.0"]
+
+    def test_too_wide_tree_is_input_error(self):
+        ids = tuple(f"e{k}" for k in range(1200))
+        model = make_model(AndGate(tuple(BasicEvent(c) for c in ids)), points=4, component_ids=ids)
+        with pytest.raises(InputError, match="over 1200 basic events is too wide"):
+            system_reliability_curves(model, {c: exp_pair(1e-6, 1e-6) for c in ids})
 
 
 class TestMonteCarlo:
@@ -243,7 +248,7 @@ def unblocked_failure_times(tree, component_modes, n_samples, seed):
         t_perm = sample_failure_times(r_perm, u[:k_perm])
         t_trans = sample_failure_times(r_trans, u[k_perm:])
         comp_times[cid] = np.minimum(t_perm, t_trans)
-    return _failure_times(tree, comp_times)
+    return evaluate_structure(tree, comp_times)
 
 
 def unblocked_monte_carlo(tree, component_modes, n_samples, seed, grid):

@@ -433,6 +433,27 @@ class TestOtherSubcommands:
         )
         assert code == 1 and "workload" in err
 
+    def test_inject_workload_needs_trials(self, tmp_path, capsys):
+        # A workload without a campaign must not be dropped in favour of the
+        # exhaustive result.
+        netlist = tmp_path / "and.net"
+        netlist.write_text("INPUT a\nINPUT b\nGATE g1 AND a b\nOUTPUT g1\n")
+        code, out, err = run_cli(
+            [
+                "inject",
+                "--netlist",
+                str(netlist),
+                "--node",
+                "a",
+                "--exhaustive",
+                "--workload",
+                str(tmp_path / "missing.txt"),
+            ],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert "--workload" in err and "--trials" in err
+
     def test_thermal_time_constant_underflow_exits_one(self, tmp_path, capsys):
         trace = tmp_path / "p.csv"
         trace.write_text("time_s,power_w\n0,1.0\n1,2.0\n")

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,6 +110,24 @@ class TestProperties:
         assert evaluate_structure(SHARED, {"a": True, "b": False, "c": True})
         assert not evaluate_structure(SHARED, {"a": False, "b": True, "c": True})
 
+    def test_structure_on_times_matches_structure_on_states(self):
+        # The Monte Carlo reads the system failure time off evaluate_structure
+        # on component failure times. For that to be the structure function,
+        # "system alive past t" must equal the structure function of "each
+        # event alive past t" at every t, with ties and never-failing events.
+        levels = (0.0, 1.0, 2.0, 3.0, np.inf)
+        thresholds = (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, np.inf)
+        rnd = random.Random(31)
+        for tree, _ in seeded_cases(200, seed=31):
+            times = {e: np.array([rnd.choice(levels) for _ in range(64)]) for e in basic_events(tree)}
+            t_sys = evaluate_structure(tree, times)
+            assert t_sys.shape == (64,)
+            for t in thresholds:
+                alive = {e: v > t for e, v in times.items()}
+                np.testing.assert_array_equal(t_sys > t, evaluate_structure(tree, alive))
+                scalar = {e: bool(v[0]) for e, v in alive.items()}
+                assert bool(evaluate_structure(tree, scalar)) == bool(t_sys[0] > t)
+
     def test_kofn_boundaries(self):
         probs = {"a": 0.3, "b": 0.6, "c": 0.9}
         one_of = tree_probability(KofNGate(1, (A, B, C)), probs)
@@ -116,6 +137,11 @@ class TestProperties:
 
 
 class TestValidation:
+    def test_too_wide_tree_is_input_error(self):
+        events = tuple(BasicEvent(f"e{k}") for k in range(1200))
+        with pytest.raises(InputError, match="over 1200 basic events is too wide"):
+            tree_probability(AndGate(events), {f"e{k}": 0.999 for k in range(1200)})
+
     def test_missing_probability(self):
         with pytest.raises(InputError):
             tree_probability(AndGate((A, B)), {"a": 0.5})
