@@ -130,7 +130,7 @@ def _analyze_component(node, options: PipelineOptions) -> ComponentAnalysis:
 
     with _stage(cid, "fault-injection"):
         for net in payload.ser.fit_per_node:
-            if net not in netlist.nets():
+            if net not in netlist.compiled.index:
                 raise InputError(f"FIT map names unknown net {net!r}")
         targets = [net for net in netlist.nets() if payload.ser.fit_for(net) > 0.0]
         if targets and options.seed is None:

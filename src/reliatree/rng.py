@@ -8,6 +8,8 @@ golden-ratio counter stride, evaluated either scalar or vectorized.
 """
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -31,15 +33,31 @@ def word_at(seed: int, counter: int) -> int:
     return mix64((seed + (counter + 1) * _GOLDEN) & _MASK)
 
 
-def word_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Words for counters [start, start+count), identical to word_at calls."""
+def word_block(
+    seed: int,
+    start: int,
+    count: int,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Words for counters [start, start+count), identical to word_at calls.
+
+    The words go into the first `count` entries of `out` and `scratch`
+    holds a temporary (both uint64, at least `count` long, fresh arrays
+    when omitted); the returned array is that prefix of `out`.
+    """
     # In place on one array (uint64 arithmetic wraps like the & _MASK of
-    # word_at); `shifted` is the only temporary.
-    z = np.arange(count, dtype=np.uint64)
-    z += np.uint64((start + 1) & _MASK)
-    z *= np.uint64(_GOLDEN)
-    z += np.uint64(seed & _MASK)
-    shifted = np.empty_like(z)
+    # word_at). Counter start+1+i enters as seed + (start+1+i)*_GOLDEN,
+    # filled by doubling: words [k, 2k) are words [0, k) plus k*_GOLDEN.
+    z = np.empty(count, dtype=np.uint64) if out is None else out[:count]
+    shifted = np.empty(count, dtype=np.uint64) if scratch is None else scratch[:count]
+    if count:
+        z[0] = (seed + (start + 1) * _GOLDEN) & _MASK
+    filled = 1
+    while filled < count:
+        n = min(filled, count - filled)
+        np.add(z[:n], np.uint64((filled * _GOLDEN) & _MASK), out=z[filled : filled + n])
+        filled += n
     for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
         np.right_shift(z, np.uint64(shift), out=shifted)
         z ^= shifted

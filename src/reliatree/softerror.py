@@ -13,7 +13,8 @@ parallel-pattern single-fault propagation: 64 trials per uint64 word,
 a golden pass over all ops, a faulty pass over the cone only, and a
 popcount of the output differences, streamed in blocks of
 INJECTION_BLOCK_TRIALS trials so memory does not grow with the trial
-count. A per-vector simulator over all input vectors is the exact
+count. The block buffers are pooled on the compiled netlist and reused
+by every later campaign on it. A per-vector simulator over all input vectors is the exact
 oracle for small circuits. Raw per-net FIT rates weighted by derating
 give the transient failure rate.
 """
@@ -90,7 +91,8 @@ class _Compiled:
     """Integer form of a netlist for bit-parallel simulation.
 
     Net i is the i-th name of `Netlist.nets()`, so gate k drives net
-    len(inputs) + k. A net's cone is computed on first use and kept.
+    len(inputs) + k. A net's cone is computed on first use and kept, and
+    so are the block workspaces of the campaigns run on the netlist.
     """
 
     def __init__(self, netlist: "Netlist"):
@@ -108,6 +110,25 @@ class _Compiled:
                 fanout[i].append(out)
         self.fanout = tuple(tuple(f) for f in fanout)
         self._cones: dict = {}
+        # Idle block workspaces. One campaign owns a workspace from
+        # take_workspace until it appends it back, so campaigns running at
+        # the same time never share one; list.pop and list.append are
+        # atomic, so the pool needs no lock.
+        self.workspaces: list = []
+
+    def take_workspace(self, n_words: int) -> "_Workspace":
+        """An idle workspace for blocks of up to `n_words` words, or a new one.
+
+        Narrower idle workspaces met on the way are dropped, so the pool
+        holds at most one workspace per campaign that ran at the same time.
+        """
+        while True:
+            try:
+                ws = self.workspaces.pop()
+            except IndexError:
+                return _Workspace(self, n_words)
+            if ws.n_words >= n_words:
+                return ws
 
     def cone(self, net: int) -> tuple:
         """(ops the net reaches in topological order, outputs it reaches)."""
@@ -126,12 +147,55 @@ class _Compiled:
         return cone
 
 
+class _Workspace:
+    """Block buffers of one campaign at a time on one compiled netlist.
+
+    Sized for blocks of up to `n_words` words of 64 trials; a block of
+    fewer words uses a prefix of each flat buffer, reshaped to contiguous
+    rows. Nothing is cleared between blocks or campaigns: a block writes
+    every entry it reads, except the bits of trials past its end in its
+    last word, which `_count_errors` masks off.
+    """
+
+    def __init__(self, compiled: _Compiled, n_words: int):
+        self.n_words = n_words
+        self.n_nets = len(compiled.index)
+        self.lanes = -(-compiled.n_inputs // 64)
+        self.groups = -(-compiled.n_inputs // 8)
+        # Little-endian words, since _trial_planes reads their bytes.
+        le64 = np.dtype("<u8")
+        # RNG words of the block's trials, (trials, lanes) row-major; the
+        # scratch takes word_block's shifts and _trial_planes's rounds.
+        self.words = np.zeros(n_words * 64 * self.lanes, dtype=le64)
+        self.scratch = np.zeros(n_words * 64 * self.lanes, dtype=le64)
+        self.blocks = np.zeros(self.groups * 8 * n_words, dtype=le64)
+        # One row per net; the input planes are written 8 rows at a time.
+        self.planes = np.zeros(max(self.n_nets, self.groups * 8) * n_words, dtype=le64)
+        self.faulty = np.zeros(self.n_nets * n_words, dtype=le64)
+        self.err = np.zeros(n_words, dtype=np.uint64)
+        self.diff = np.zeros(n_words, dtype=np.uint64)
+        self._rows_words = 0
+        self._rows: tuple = ()
+
+    def rows(self, n_words: int) -> tuple:
+        """(golden rows, faulty rows): one view of `n_words` words per net."""
+        if n_words != self._rows_words:
+            size = self.n_nets * n_words
+            self._rows = (
+                list(self.planes[:size].reshape(self.n_nets, n_words)),
+                list(self.faulty[:size].reshape(self.n_nets, n_words)),
+            )
+            self._rows_words = n_words
+        return self._rows
+
+
 @dataclass(frozen=True)
 class Netlist:
     inputs: tuple
     gates: tuple
     outputs: tuple
-    # Integer ops, fan-out lists and cones, derived in __post_init__.
+    # Integer ops, fan-out lists, cones and block workspaces, made in
+    # __post_init__.
     compiled: _Compiled = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -313,32 +377,39 @@ def _require_node(netlist: Netlist, node: str) -> None:
         raise ValueError(f"unknown injection node {node!r}")
 
 
-def _trial_planes(words: np.ndarray, n_inputs: int) -> np.ndarray:
+def _trial_planes(ws: "_Workspace", size: int) -> None:
     """Input words per trial -> bit planes of trials per input.
 
-    `words` is (trials, lanes) with input j at bit j%64 of lane j//64.
-    The result is (n_inputs, ceil(trials/64)) uint64 with trial t at bit
-    t%64 of word t//64; bits past the last trial are 0. Each 8x8 block of
-    (trials, inputs) bits is transposed inside one uint64.
+    `ws.words` holds the words of trials 0..size-1 as (trials, lanes)
+    with input j at bit j%64 of lane j//64. Row j of `ws.planes` becomes
+    the plane of input j: trial t at bit t%64 of word t//64. Bits past
+    the last trial are whatever the words buffer held there. Each 8x8
+    block of (trials, inputs) bits is transposed inside one uint64.
     """
-    size = words.shape[0]
     n_words = -(-size // 64)
-    groups = -(-n_inputs // 8)
-    if size % 64:
-        padded = np.zeros((n_words * 64, words.shape[1]), dtype=np.uint64)
-        padded[:size] = words
-        words = padded
+    groups = ws.groups
     # Byte g of row t holds inputs 8g..8g+7 of trial t. Gather the bytes
     # of trials 8q..8q+7 of one group into word q of that group's row.
-    rows = words.astype("<u8", copy=False).view(np.uint8)[:, :groups]
-    blocks = np.ascontiguousarray(rows.reshape(n_words * 8, 8, groups).transpose(2, 0, 1))
-    x = blocks.view("<u8").reshape(groups, n_words * 8)
+    rows = ws.words[: n_words * 64 * ws.lanes].view(np.uint8).reshape(n_words * 64, ws.lanes * 8)
+    x = ws.blocks[: groups * n_words * 8].reshape(groups, n_words * 8)
+    np.copyto(
+        x.view(np.uint8).reshape(groups, n_words * 8, 8),
+        rows[:, :groups].reshape(n_words * 8, 8, groups).transpose(2, 0, 1),
+    )
+    t = ws.scratch[: x.size].reshape(x.shape)
     for shift, mask in _TRANSPOSE8:
-        t = (x ^ (x >> shift)) & mask
-        x ^= t ^ (t << shift)
+        # x ^= t ^ (t << shift) with t = (x ^ (x >> shift)) & mask
+        np.right_shift(x, shift, out=t)
+        t ^= x
+        t &= mask
+        x ^= t
+        t <<= shift
+        x ^= t
     # Now byte c of word q in group g holds trials 8q..8q+7 of input 8g+c.
-    planes = blocks.transpose(0, 2, 1).reshape(groups * 8, n_words * 8)[:n_inputs]
-    return np.ascontiguousarray(planes).view("<u8")
+    # Rows n_inputs..8*groups-1 receive unused bits; the golden pass
+    # overwrites those that are nets.
+    planes = ws.planes[: groups * 8 * n_words].view(np.uint8).reshape(groups, 8, n_words * 8)
+    np.copyto(planes, x.view(np.uint8).reshape(groups, n_words * 8, 8).transpose(0, 2, 1))
 
 
 def _run_ops(ops, rows) -> None:
@@ -355,23 +426,25 @@ def _run_ops(ops, rows) -> None:
             np.invert(dst, out=dst)
 
 
-def _count_errors(compiled: _Compiled, node: int, planes: np.ndarray, size: int) -> int:
+def _count_errors(compiled: _Compiled, node: int, ws: "_Workspace", size: int) -> int:
     """Trials among the first `size` whose flip on `node` reaches an output.
 
-    `planes` holds the input planes; the golden pass fills in the rest.
+    The workspace rows hold the input planes; the golden pass fills in
+    the rest.
     """
-    golden = list(planes)
+    n_words = -(-size // 64)
+    golden, faulty_rows = ws.rows(n_words)
     _run_ops(compiled.ops, golden)
     cone_ops, cone_outputs = compiled.cone(node)
     faulty = list(golden)
-    cone_rows = np.empty((len(cone_ops) + 1, planes.shape[1]), dtype=np.uint64)
-    faulty[node] = cone_rows[0]
-    for k, (_, out, _) in enumerate(cone_ops, start=1):
-        faulty[out] = cone_rows[k]
+    faulty[node] = faulty_rows[node]
+    for _, out, _ in cone_ops:
+        faulty[out] = faulty_rows[out]
     np.invert(golden[node], out=faulty[node])
     _run_ops(cone_ops, faulty)
-    err = np.zeros(planes.shape[1], dtype=np.uint64)
-    diff = np.empty_like(err)
+    err = ws.err[:n_words]
+    diff = ws.diff[:n_words]
+    err.fill(0)
     for out in cone_outputs:
         np.bitwise_xor(faulty[out], golden[out], out=diff)
         err |= diff
@@ -417,18 +490,24 @@ def inject_campaign(
         packed[:, : (n_in + 7) // 8] = np.packbits(matrix, axis=1, bitorder="little")
         vector_words = packed.view("<u8")
     node_index = compiled.index[node]
-    n_nets = len(compiled.index)
     errors = 0
-    for first in range(0, trials, INJECTION_BLOCK_TRIALS):
-        size = min(INJECTION_BLOCK_TRIALS, trials - first)
-        if workload is None:
-            words = rng.word_block(seed, first * lanes, size * lanes).reshape(size, lanes)
-        else:
-            u = rng.unit_halfopen_floats(seed, first, size)
-            words = vector_words[(u * len(vectors)).astype(np.int64)]
-        planes = np.empty((n_nets, -(-size // 64)), dtype=np.uint64)
-        planes[:n_in] = _trial_planes(words, n_in)
-        errors += _count_errors(compiled, node_index, planes, size)
+    ws = compiled.take_workspace(-(-min(trials, INJECTION_BLOCK_TRIALS) // 64))
+    try:
+        for first in range(0, trials, INJECTION_BLOCK_TRIALS):
+            size = min(INJECTION_BLOCK_TRIALS, trials - first)
+            if workload is None:
+                rng.word_block(seed, first * lanes, size * lanes, out=ws.words, scratch=ws.scratch)
+            else:
+                u = rng.unit_halfopen_floats(seed, first, size)
+                # u < 1, so every index is below len(vectors) and "clip"
+                # never clips; unlike "raise", it writes `out` unbuffered.
+                picks = (u * len(vectors)).astype(np.int64)
+                trial_words = ws.words[: size * lanes].reshape(size, lanes)
+                np.take(vector_words, picks, axis=0, out=trial_words, mode="clip")
+            _trial_planes(ws, size)
+            errors += _count_errors(compiled, node_index, ws, size)
+    finally:
+        compiled.workspaces.append(ws)
     derating = errors / trials
     _, half = wilson_interval(errors, trials, Z_95)
     return InjectionResult(node, trials, errors, derating, half)
@@ -468,7 +547,7 @@ def transient_failure_rate(
 ) -> float:
     """Per-hour transient rate: sum of FIT * derating * 1e-9 over nets."""
     for net in ser.fit_per_node:
-        if net not in netlist.nets():
+        if net not in netlist.compiled.index:
             raise ValueError(f"FIT map names unknown net {net!r}")
     total_fit = 0.0
     for net in netlist.nets():

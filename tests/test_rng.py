@@ -47,3 +47,17 @@ def test_blocks_near_the_top_of_the_counter_range_match_scalar(start):
     # The last block ends at counter 2**64 - 1, whose +1 wraps to 0.
     block = rng.word_block(77, start, 40)
     assert [int(w) for w in block] == [rng.word_at(77, start + i) for i in range(40)]
+
+
+@pytest.mark.parametrize("start", [0, 2**64 - 40])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 64, 65, 1000])
+def test_block_into_reused_buffers_matches_scalar(start, count):
+    # Buffers longer than the block and holding other words: only the
+    # first `count` entries of `out` change.
+    out = rng.word_block(5, 100, count + 7)
+    scratch = rng.word_block(6, 100, count + 3)
+    tail = out[count:].copy()
+    block = rng.word_block(77, start, count, out=out, scratch=scratch)
+    assert [int(w) for w in block] == [rng.word_at(77, start + i) for i in range(count)]
+    assert count == 0 or np.shares_memory(block, out)
+    assert np.array_equal(out[count:], tail)

@@ -1,5 +1,7 @@
 import io
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -363,6 +365,69 @@ class TestBitParallelCampaign:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestWorkspaceReuse:
+    """Campaigns on one netlist share its pooled block workspaces."""
+
+    # Wide, narrow, one word past a block, one trial, mid-size, one short
+    # of a block: each campaign reads buffers the one before left stale.
+    STALE_ORDER = (2 * B + 65, 65, B + 1, 1, 1000, B - 1)
+    # Carry-logic nets, whose flips are masked in about a quarter of trials.
+    NODES = ("g0", "p5", "g7", "p20", "g31", "p31")
+
+    @pytest.mark.parametrize("use_workload", [False, True], ids=["rng", "workload"])
+    def test_stale_buffers_do_not_change_counts(self, use_workload):
+        net = parse_netlist(ripple_adder(32))
+        assert len(net.inputs) == 65
+        workload = random_workload(65, 9, 5) if use_workload else None
+        for k, (trials, node) in enumerate(zip(self.STALE_ORDER, self.NODES)):
+            got = inject_campaign(net, node, trials, 300 + k, workload)
+            assert got.errors == reference_errors(net, node, trials, 300 + k, workload), (trials, node)
+
+    def test_concurrent_campaigns_on_one_netlist(self):
+        net = parse_netlist(ripple_adder(32))
+        trial_counts = (1000, 65, B + 1, 1, 20_000, 130)
+        jobs = [(node, trials, 40 + k) for k, (node, trials) in enumerate(zip(self.NODES, trial_counts))]
+        want = [reference_errors(net, node, trials, seed) for node, trials, seed in jobs]
+        results = [[], []]
+
+        def run(out, order):
+            for _ in range(3):
+                for i in order:
+                    node, trials, seed = jobs[i]
+                    out.append((i, inject_campaign(net, node, trials, seed).errors))
+
+        threads = [
+            threading.Thread(target=run, args=(results[0], range(len(jobs)))),
+            threading.Thread(target=run, args=(results[1], range(len(jobs) - 1, -1, -1))),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for out in results:
+            assert len(out) == 3 * len(jobs)
+            assert all(errors == want[i] for i, errors in out)
+
+    def test_second_campaign_allocates_no_block(self):
+        # A 20,000-trial campaign on the 32-bit adder needs about 1.9 MB of
+        # block arrays; the second one on the netlist reuses the first's.
+        net = parse_netlist(ripple_adder(32))
+        inject_campaign(net, "c16", 20_000, seed=1)
+        tracemalloc.start()
+        try:
+            inject_campaign(net, "a3", 20_000, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**10
 
 
 @st.composite
