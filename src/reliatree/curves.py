@@ -6,10 +6,11 @@ probabilities at every grid time. The Monte Carlo route draws failure
 times per component and mode by inverse CDF and applies the structure
 function (successtree.evaluate_structure) to them, which gives the system
 failure time and so its alive/failed state at every time.
-It streams the samples in fixed blocks of MC_BLOCK_SAMPLES and keeps only
-a per-grid-bin count of system failures, so its memory is bounded by the
-block size and the grid, its time is linear in the sample count, and the
-result does not depend on the block size.
+It streams the samples in fixed blocks of MC_BLOCK_SAMPLES through buffers
+allocated once per call, sorts each block's system failure times and keeps
+only a running count of fallen samples per grid point, so its memory is
+bounded by the block size and the grid, its time is linear in the sample
+count, and the result does not depend on the block size.
 """
 from __future__ import annotations
 
@@ -139,7 +140,9 @@ def monte_carlo_system(
     draws a failure time per component from Product((r_perm, r_trans)) by
     inverse CDF and applies the structure function to them; sample i is a
     pure function of (seed, i), so any batching yields identical results.
-    The grid may be unsorted and may repeat points.
+    A sample has fallen at grid point t when its failure time is <= t;
+    each block is sorted once and searched for every grid point, so the
+    grid may be unsorted and may repeat points.
     """
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples!r}")
@@ -157,26 +160,29 @@ def monte_carlo_system(
         lanes.append((cid, rf, total, need))
         total += need
 
-    order = np.argsort(grid, kind="stable")
-    sorted_grid = grid[order]
-    # per_bin[k]: samples whose system failure time lies in
-    # (sorted_grid[k-1], sorted_grid[k]]; the last bin is past the grid.
-    per_bin = np.zeros(len(grid) + 1, dtype=np.int64)
+    # Allocated once per call and refilled every block: the uniforms in the
+    # (sample, lane) order they are drawn in, the RNG words behind them,
+    # and the same uniforms as one contiguous row per lane.
+    block_size = min(MC_BLOCK_SAMPLES, n_samples)
+    drawn = np.empty(block_size * total)
+    words = np.empty(block_size * total, dtype=np.uint64)
+    rows = np.empty((total, block_size))
+    # fallen[j]: samples whose system failure time is <= grid[j].
+    fallen = np.zeros(len(grid), dtype=np.int64)
     for first in range(0, n_samples, MC_BLOCK_SAMPLES):
         size = min(MC_BLOCK_SAMPLES, n_samples - first)
         # counter = sample * total_lanes + lane, one open-interval uniform each
-        uniforms = rng.unit_open_floats(seed, first * total, size * total).reshape(size, total)
+        uniforms = rng.unit_open_floats(seed, first * total, size * total, out=drawn, scratch=words)
+        block = rows[:, :size]
+        np.copyto(block, uniforms.reshape(size, total).T)
         comp_times = {
-            cid: sample_failure_times(rf, uniforms[:, first_lane : first_lane + need].T)
+            cid: sample_failure_times(rf, block[first_lane : first_lane + need])
             for cid, rf, first_lane, need in lanes
         }
         t_sys = evaluate_structure(tree, comp_times)
-        bins = np.searchsorted(sorted_grid, t_sys, side="left")
-        per_bin += np.bincount(bins, minlength=len(grid) + 1)
+        t_sys.sort()
+        fallen += np.searchsorted(t_sys, grid, side="right")
 
-    # A sample has fallen at grid point t exactly when its failure time is <= t.
-    fallen = np.empty(len(grid), dtype=np.int64)
-    fallen[order] = np.cumsum(per_bin[:-1])
     survival = 1.0 - fallen / n_samples
     stderr = np.sqrt(survival * (1.0 - survival) / n_samples)
     return McCurve(

@@ -67,9 +67,27 @@ def word_block(
     return z
 
 
-def unit_open_floats(seed: int, start: int, count: int) -> np.ndarray:
-    """Uniform floats in (0, 1], one per counter. Safe as inverse-CDF input."""
-    return 1.0 - (word_block(seed, start, count) >> np.uint64(11)) * _U53
+def unit_open_floats(
+    seed: int,
+    start: int,
+    count: int,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Uniform floats in (0, 1], one per counter. Safe as inverse-CDF input.
+
+    The floats go into the first `count` entries of `out` (float64, at
+    least `count` long) and the words into `scratch` (uint64, at least
+    `count` long); either is a fresh array when omitted.
+    `out` doubles as word_block's temporary. The returned array is that
+    prefix of `out`.
+    """
+    u = np.empty(count) if out is None else out[:count]
+    words = word_block(seed, start, count, out=scratch, scratch=u.view(np.uint64))
+    words >>= np.uint64(11)
+    np.multiply(words, _U53, out=u)
+    np.subtract(1.0, u, out=u)
+    return u
 
 
 def unit_halfopen_floats(seed: int, start: int, count: int) -> np.ndarray:

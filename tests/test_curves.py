@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reliatree import rng
+from reliatree import curves, rng
 from reliatree.curves import (
     MC_BLOCK_SAMPLES,
     monte_carlo_system,
@@ -291,11 +291,20 @@ _BATCH_MODES = {
 }
 
 
+# (block size, sample count): the shipped block size around its boundaries,
+# and small blocks, so that one call refills its block buffers several
+# times and ends on a short block.
+_BLOCKING_CASES = [pytest.param(_B, n, id=str(n)) for n in (1, _B - 1, _B, _B + 1, 3 * _B + 7)] + [
+    pytest.param(b, n, id=f"block{b}-{n}") for b in (64, 1000) for n in (1, b - 1, 2 * b + 37)
+]
+
+
 class TestMonteCarloBlocking:
-    @pytest.mark.parametrize("n_samples", [1, _B - 1, _B, _B + 1, 3 * _B + 7])
+    @pytest.mark.parametrize("block, n_samples", _BLOCKING_CASES)
     @pytest.mark.parametrize("grid_name", sorted(_BATCH_GRIDS))
     @pytest.mark.parametrize("modes_name", sorted(_BATCH_MODES))
-    def test_matches_unblocked_reference_exactly(self, n_samples, grid_name, modes_name):
+    def test_matches_unblocked_reference_exactly(self, monkeypatch, block, n_samples, grid_name, modes_name):
+        monkeypatch.setattr(curves, "MC_BLOCK_SAMPLES", block)
         grid = _BATCH_GRIDS[grid_name]
         modes = _BATCH_MODES[modes_name]
         mc = monte_carlo_system(_BATCH_TREE, modes, n_samples, 29, grid)

@@ -98,7 +98,8 @@ class TestPipeline:
 
     def test_non_canonical_chain_aborts_at_load(self, tmp_path):
         path = write_two_unit_model(tmp_path)
-        doc = json.load(open(path))
+        with open(path) as fp:
+            doc = json.load(fp)
         doc["adapters"]["pu1"] = {"permanent": [], "transient": []}
         with open(path, "w") as fp:
             json.dump(doc, fp)
@@ -110,7 +111,8 @@ class TestPipeline:
         # Constant 10 W from the steady state: a flat 320 K profile, so the
         # permanent survival must equal weibull_from_mttf(black_mttf(320), beta).
         path = write_two_unit_model(tmp_path, powers=(10.0,) * 16)
-        doc = json.load(open(path))
+        with open(path) as fp:
+            doc = json.load(fp)
         for child in doc["hierarchy"]["children"]:
             child["thermal"]["t_initial"] = 320.0
         with open(path, "w") as fp:
@@ -230,7 +232,8 @@ class TestPipeline:
         paths = write_outputs(result, out_dir)
         assert os.path.isfile(paths["report.json"])
         assert os.path.isfile(paths["curves.csv"])
-        header = open(paths["curves.csv"]).readline().strip()
+        with open(paths["curves.csv"]) as fp:
+            header = fp.readline().strip()
         assert header == "t_hours,r_sys,r_sys_perm,r_sys_trans,ratio"
 
 
@@ -279,9 +282,8 @@ class TestAnalyzeCli:
             )
             assert code == 0, err
         for name in ("report.json", "curves.csv"):
-            a = open(os.path.join(dirs[0], name), "rb").read()
-            b = open(os.path.join(dirs[1], name), "rb").read()
-            assert a == b
+            with open(os.path.join(dirs[0], name), "rb") as fa, open(os.path.join(dirs[1], name), "rb") as fb:
+                assert fa.read() == fb.read()
 
     def test_stage_equivalence_with_standalone_inject(
         self, sample_system_path, tmp_path, capsys
@@ -696,7 +698,8 @@ class TestExitCodes:
     )
     def test_analyze_other_adapter_chains_exit_one(self, tmp_path, capsys, chain, adapters):
         path = write_two_unit_model(tmp_path, default_fit=10.0)
-        doc = json.load(open(path))
+        with open(path) as fp:
+            doc = json.load(fp)
         if adapters is None:
             del doc["adapters"]["pu2"]
         else:
@@ -713,7 +716,8 @@ class TestExitCodes:
     def test_vanishing_failure_rate_is_input_error(self, tmp_path, capsys):
         # Black's lifetime overflows to inf, so the wear-out rate is 0.
         path = write_two_unit_model(tmp_path)
-        doc = json.load(open(path))
+        with open(path) as fp:
+            doc = json.load(fp)
         doc["hierarchy"]["children"][0]["aging"].update(a_const=1e308, j_density=1e-6)
         with open(path, "w") as fp:
             json.dump(doc, fp)
@@ -726,7 +730,8 @@ class TestExitCodes:
         # lifetime is unbounded, so a profile cold everywhere has no wear-out.
         shutil.copytree(SAMPLE_DIR, tmp_path / "s")
         path = str(tmp_path / "s" / "system.json")
-        doc = json.load(open(path))
+        with open(path) as fp:
+            doc = json.load(fp)
         doc["hierarchy"]["children"][0]["thermal"].update(t_ambient=1.0, t_initial=1.0, r_th=0.01)
         with open(path, "w") as fp:
             json.dump(doc, fp)
@@ -739,7 +744,8 @@ class TestExitCodes:
     def test_cold_samples_add_no_wear_out(self, tmp_path, capsys):
         # pu1 sits at 1 K for two samples, then at 301 K for two.
         path = write_two_unit_model(tmp_path, powers=(0.0, 0.0, 100.0, 100.0))
-        doc = json.load(open(path))
+        with open(path) as fp:
+            doc = json.load(fp)
         doc["hierarchy"]["children"][0]["thermal"].update(t_ambient=1.0, r_th=3.0, c_th=1e-3)
         with open(path, "w") as fp:
             json.dump(doc, fp)
@@ -765,7 +771,8 @@ class TestExitCodes:
     def test_extreme_sample_parameters_exit_zero_or_one(self, tmp_path, capsys, field, edit, code, message):
         shutil.copytree(SAMPLE_DIR, tmp_path / "s")
         path = str(tmp_path / "s" / "system.json")
-        doc = json.load(open(path))
+        with open(path) as fp:
+            doc = json.load(fp)
         doc["hierarchy"]["children"][0][field].update(edit)
         with open(path, "w") as fp:
             json.dump(doc, fp)

@@ -61,3 +61,20 @@ def test_block_into_reused_buffers_matches_scalar(start, count):
     assert [int(w) for w in block] == [rng.word_at(77, start + i) for i in range(count)]
     assert count == 0 or np.shares_memory(block, out)
     assert np.array_equal(out[count:], tail)
+
+
+@pytest.mark.parametrize("start", [0, 2**64 - 40])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 64, 65, 1000])
+def test_unit_open_floats_into_reused_buffers_match_scalar(start, count):
+    # Buffers longer than the block and holding other values: the floats
+    # are 1 - (top 53 bits of each word) * 2**-53, and only the first
+    # `count` entries of `out` change.
+    out = rng.unit_open_floats(5, 100, count + 7)
+    scratch = rng.word_block(6, 100, count + 3)
+    tail = out[count:].copy()
+    u = rng.unit_open_floats(77, start, count, out=out, scratch=scratch)
+    expected = [1.0 - (rng.word_at(77, start + i) >> 11) * 2**-53 for i in range(count)]
+    assert u.tolist() == expected
+    assert rng.unit_open_floats(77, start, count).tolist() == expected
+    assert count == 0 or np.shares_memory(u, out)
+    assert np.array_equal(out[count:], tail)
