@@ -24,7 +24,6 @@ from .model import (
     ComponentPayload,
     HierarchyNode,
     SystemModel,
-    dump_system,
     load_system,
     load_system_file,
 )

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .errors import InputError, StageError, read_text
-from .model import DEFAULT_WEIBULL_BETA, load_system_file
+from .model import load_system_file
 from .pipeline import (
     DEFAULT_INJECTION_TRIALS,
     PipelineOptions,
@@ -60,12 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"Monte Carlo trials per injected net (default {DEFAULT_INJECTION_TRIALS})",
     )
     p.add_argument("--mc-trials", type=int, help="also run the system-level Monte Carlo check")
-    p.add_argument(
-        "--beta",
-        type=float,
-        default=DEFAULT_WEIBULL_BETA,
-        help="Weibull shape for components whose aging payload omits it",
-    )
 
     p = sub.add_parser("thermal", help="simulate a temperature profile from a power trace")
     p.add_argument("--trace", required=True, help="power trace CSV (time_s,power_w)")
@@ -73,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cth", type=float, required=True, help="thermal capacitance J/K")
     p.add_argument("--tamb", type=float, required=True, help="ambient temperature K")
     p.add_argument("--tinit", type=float, help="initial temperature K (default: ambient)")
-    p.add_argument("--component-id", default="component", help="id recorded on the profile")
     p.add_argument("--out", help="write the profile CSV here instead of stdout")
 
     p = sub.add_parser("inject", help="single-net fault injection on a netlist")
@@ -103,7 +96,7 @@ def _emit(document: str, out_path) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    model = load_system_file(args.system, default_weibull_beta=args.beta)
+    model = load_system_file(args.system)
     options = PipelineOptions(
         seed=args.seed, injection_trials=args.injection_trials, mc_trials=args.mc_trials
     )
@@ -120,7 +113,7 @@ def _cmd_thermal(args) -> int:
         )
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    trace = read_power_trace(io.StringIO(read_text(args.trace), newline=""), args.component_id)
+    trace = read_power_trace(io.StringIO(read_text(args.trace), newline=""))
     profile = simulate_temperature(trace, params)
     buf = io.StringIO()
     write_temperature_profile(profile, buf)
@@ -162,16 +155,21 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_tree_eval(args) -> int:
+    # A ValueError from json.loads is a JSONDecodeError or an integer past
+    # the digit limit; the text is read first, since read_text raises an
+    # InputError, which is a ValueError too.
+    text = read_text(args.tree)
     try:
-        doc = json.loads(read_text(args.tree))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except ValueError as exc:
         raise InputError(f"malformed tree file: {exc}") from None
     except RecursionError:
         raise InputError(TREE_TOO_DEEP) from None
     tree = tree_from_dict(doc)
+    text = read_text(args.probs)
     try:
-        probs = json.loads(read_text(args.probs))
-    except json.JSONDecodeError as exc:
+        probs = json.loads(text)
+    except ValueError as exc:
         raise InputError(f"malformed probabilities file: {exc}") from None
     except RecursionError:
         raise InputError(

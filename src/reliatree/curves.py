@@ -62,7 +62,6 @@ class McCurve:
     survival: tuple
     stderr: tuple
     n_samples: int
-    seed: int
 
 
 def _tree_curve(tree: Gate, grid: np.ndarray, funcs: Mapping[str, ReliabilityFunction]) -> np.ndarray:
@@ -190,7 +189,6 @@ def monte_carlo_system(
         survival=tuple(float(v) for v in survival),
         stderr=tuple(float(v) for v in stderr),
         n_samples=n_samples,
-        seed=seed,
     )
 
 

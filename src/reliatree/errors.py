@@ -19,8 +19,6 @@ class StageError(RuntimeError):
 
     def __init__(self, component_id: str, stage: str, cause: BaseException):
         super().__init__(f"component {component_id!r}, stage {stage!r}: {cause}")
-        self.component_id = component_id
-        self.stage = stage
 
 
 def read_text(path: str) -> str:

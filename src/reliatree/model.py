@@ -2,10 +2,10 @@
 success tree at the root.
 
 The document is JSON: a recursive hierarchy of System / Subsystem /
-Component nodes, per-edge adapter chains keyed by child id, and a success
-tree whose basic events name leaf components. Loading validates structure
-and file references, and checks that every component declares the one
-adapter chain the pipeline runs (CANONICAL_CHAINS).
+Component nodes, an `adapters` entry per component id, and a success tree
+whose basic events name leaf components. Loading validates structure and
+file references, and checks that every component's `adapters` entry
+declares the one chain the pipeline runs (CANONICAL_CHAINS).
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import numpy as np
 from .aging import AgingParams
 from .errors import ModelError, read_text
 from .softerror import SerParams
-from .successtree import TREE_TOO_DEEP, Gate, basic_events, tree_from_dict, tree_to_dict
+from .successtree import TREE_TOO_DEEP, Gate, basic_events, tree_from_dict
 from .thermal import ThermalParams
 
 __all__ = [
@@ -30,18 +30,18 @@ __all__ = [
     "SystemModel",
     "load_system",
     "load_system_file",
-    "dump_system",
     "CANONICAL_CHAINS",
     "DEFAULT_WEIBULL_BETA",
 ]
 
+# Weibull shape of the wear-out survival when `aging` omits weibull_beta.
 DEFAULT_WEIBULL_BETA = 2.0
 
 # The adapter chains of every component, as its `adapters` entry: power
 # to temperature to a wear-out rate to a Weibull survival (permanent
 # faults), FIT to an exponential survival (transient faults), and the
-# product of the two (competing risks). The pipeline runs exactly these
-# steps; the entry only documents them.
+# product of the two (competing risks; the entry may omit it). The
+# pipeline runs exactly these steps; the entry only documents them.
 CANONICAL_CHAINS = {
     "permanent": ["PowerToTemperature", "TemperatureToFailureRate", "FailureRateToReliability"],
     "transient": ["FitToReliability"],
@@ -49,6 +49,8 @@ CANONICAL_CHAINS = {
 }
 
 _KINDS = ("System", "Subsystem", "Component")
+# The largest grid np.linspace can be asked for.
+_MAX_GRID_POINTS = int(np.iinfo(np.intp).max)
 _WS = re.compile(r"\s")
 # A JSON string (group 1 its body, group 2 set when it is a member name)
 # or a bracket.
@@ -116,11 +118,17 @@ def _require_fields(obj: dict, required, optional, what: str) -> None:
         raise ModelError(f"{what}: missing fields {missing}")
 
 
-def _number(obj: dict, key: str, what: str) -> float:
-    v = obj.get(key)
+def _float(v, what: str) -> float:
     if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ModelError(f"{what}: field {key!r} must be a number, got {v!r}")
-    return float(v)
+        raise ModelError(f"{what} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ModelError(f"{what} is an integer too large for a float") from None
+
+
+def _number(obj: dict, key: str, what: str) -> float:
+    return _float(obj.get(key), f"{what}: field {key!r}")
 
 
 def _resolve_file(raw, base_dir: str, node_id: str, fieldname: str) -> str:
@@ -135,26 +143,21 @@ def _resolve_file(raw, base_dir: str, node_id: str, fieldname: str) -> str:
 def _parse_thermal(obj, node_id: str) -> ThermalParams:
     what = f"node {node_id!r}: field 'thermal'"
     _require_fields(obj, ("r_th", "c_th", "t_ambient"), ("t_initial",), what)
-    t_amb = _number(obj, "t_ambient", what)
+    r_th, c_th, t_amb = (_number(obj, key, what) for key in ("r_th", "c_th", "t_ambient"))
     t_init = _number(obj, "t_initial", what) if "t_initial" in obj else t_amb
     try:
-        return ThermalParams(_number(obj, "r_th", what), _number(obj, "c_th", what), t_amb, t_init)
+        return ThermalParams(r_th, c_th, t_amb, t_init)
     except ValueError as exc:
         raise ModelError(f"{what}: {exc}") from None
 
 
-def _parse_aging(obj, node_id: str, default_beta: float) -> AgingParams:
+def _parse_aging(obj, node_id: str) -> AgingParams:
     what = f"node {node_id!r}: field 'aging'"
     _require_fields(obj, ("a_const", "j_density", "n_exp", "ea_ev"), ("weibull_beta",), what)
-    beta = _number(obj, "weibull_beta", what) if "weibull_beta" in obj else default_beta
+    numbers = [_number(obj, key, what) for key in ("a_const", "j_density", "n_exp", "ea_ev")]
+    beta = _number(obj, "weibull_beta", what) if "weibull_beta" in obj else DEFAULT_WEIBULL_BETA
     try:
-        return AgingParams(
-            _number(obj, "a_const", what),
-            _number(obj, "j_density", what),
-            _number(obj, "n_exp", what),
-            _number(obj, "ea_ev", what),
-            beta,
-        )
+        return AgingParams(*numbers, beta)
     except ValueError as exc:
         raise ModelError(f"{what}: {exc}") from None
 
@@ -165,16 +168,16 @@ def _parse_ser(obj, node_id: str) -> SerParams:
     fit_map = obj.get("fit_per_node", {})
     if not isinstance(fit_map, dict):
         raise ModelError(f"{what}: 'fit_per_node' must be an object")
-    for net, fit in fit_map.items():
-        if not isinstance(fit, (int, float)) or isinstance(fit, bool):
-            raise ModelError(f"{what}: FIT for {net!r} must be a number")
+    fits = {net: _float(fit, f"{what}: FIT for {net!r}") for net, fit in fit_map.items()}
+    default_fit = _number(obj, "default_fit", what)
     try:
-        return SerParams({k: float(v) for k, v in fit_map.items()}, _number(obj, "default_fit", what))
+        return SerParams(fits, default_fit)
     except ValueError as exc:
         raise ModelError(f"{what}: {exc}") from None
 
 
-def _parse_node(obj, level: int, base_dir: str, default_beta: float, seen_ids: dict) -> HierarchyNode:
+def _parse_node(obj, level: int, base_dir: str, nodes: dict) -> HierarchyNode:
+    """Parse one node and its subtree, adding every node to `nodes` by id."""
     _require_fields(
         obj,
         ("id", "kind"),
@@ -182,9 +185,9 @@ def _parse_node(obj, level: int, base_dir: str, default_beta: float, seen_ids: d
         "hierarchy node",
     )
     node_id = _ident(obj["id"], "node id")
-    if node_id in seen_ids:
+    if node_id in nodes:
         raise ModelError(f"duplicate node id {node_id!r}")
-    seen_ids[node_id] = True
+    nodes[node_id] = None  # claimed before the children are parsed
     kind = obj["kind"]
     if kind not in _KINDS:
         raise ModelError(f"node {node_id!r}: unknown kind {kind!r}")
@@ -202,12 +205,13 @@ def _parse_node(obj, level: int, base_dir: str, default_beta: float, seen_ids: d
                 raise ModelError(f"component {node_id!r}: missing field {needed!r}")
         payload = ComponentPayload(
             thermal=_parse_thermal(obj["thermal"], node_id),
-            aging=_parse_aging(obj["aging"], node_id, default_beta),
+            aging=_parse_aging(obj["aging"], node_id),
             power_trace=_resolve_file(obj["power_trace"], base_dir, node_id, "power_trace"),
             netlist=_resolve_file(obj["netlist"], base_dir, node_id, "netlist"),
             ser=_parse_ser(obj["ser"], node_id),
         )
-        return HierarchyNode(node_id, kind, level, (), payload)
+        node = nodes[node_id] = HierarchyNode(node_id, kind, level, (), payload)
+        return node
 
     for banned in ("thermal", "aging", "power_trace", "netlist", "ser"):
         if banned in obj:
@@ -215,51 +219,33 @@ def _parse_node(obj, level: int, base_dir: str, default_beta: float, seen_ids: d
     raw_children = obj.get("children", [])
     if not isinstance(raw_children, list):
         raise ModelError(f"node {node_id!r}: 'children' must be a list")
-    children = tuple(
-        _parse_node(c, level + 1, base_dir, default_beta, seen_ids) for c in raw_children
-    )
+    children = tuple(_parse_node(c, level + 1, base_dir, nodes) for c in raw_children)
     if kind == "Subsystem" and not children:
         raise ModelError(f"subsystem {node_id!r} needs at least one child")
-    return HierarchyNode(node_id, kind, level, children)
+    node = nodes[node_id] = HierarchyNode(node_id, kind, level, children)
+    return node
 
 
-def _adapter_kind(entry):
-    """The kind an entry names: a bare name or {"kind": name} without params."""
-    if isinstance(entry, str):
-        return entry
-    if isinstance(entry, dict) and set(entry) <= {"kind", "params"} and entry.get("params", {}) == {}:
-        return entry.get("kind")
-    return None
-
-
-def _check_chain(entries, expected: list, what: str) -> None:
-    if not isinstance(entries, list) or [_adapter_kind(e) for e in entries] != expected:
-        raise ModelError(f"{what} must be {json.dumps(expected)}; no other chain can run")
-
-
-def _check_adapters(obj, model_nodes: dict) -> None:
-    """Check that every component declares CANONICAL_CHAINS and nothing else."""
+def _check_adapters(obj, nodes: dict) -> None:
+    """Check that `adapters` holds CANONICAL_CHAINS for every component and
+    nothing else."""
     if not isinstance(obj, dict):
-        raise ModelError("'adapters' must be an object keyed by child node id")
-    for child_id, entry in obj.items():
-        node = model_nodes.get(child_id)
-        if node is None:
-            raise ModelError(f"adapters reference unknown node {child_id!r}")
-        if node.level == 1:
-            raise ModelError(f"adapters cannot be attached to the root {child_id!r}")
-        if node.kind != "Component":
-            _check_chain(entry, [], f"adapters for node {child_id!r}: the upward chain")
-            continue
-        what = f"adapters for component {child_id!r}"
+        raise ModelError("'adapters' must be an object keyed by component id")
+    for cid, entry in obj.items():
+        node = nodes.get(cid)
+        if node is None or node.kind != "Component":
+            what = "no node" if node is None else f"a {node.kind}"
+            raise ModelError(f"adapters entry {cid!r} names {what}; entries are keyed by component id")
+        what = f"adapters for component {cid!r}"
         _require_fields(entry, ("permanent", "transient"), ("combine",), what)
-        for chain, expected in CANONICAL_CHAINS.items():
-            if chain in entry:
-                _check_chain(entry[chain], expected, f"{what}: chain {chain!r}")
-    for node_id, node in model_nodes.items():
-        if node.kind == "Component" and node_id not in obj:
-            raise ModelError(
-                f"component {node_id!r} has no adapters entry; it needs {json.dumps(CANONICAL_CHAINS)}"
-            )
+        for chain, names in entry.items():
+            if names != CANONICAL_CHAINS[chain]:
+                raise ModelError(
+                    f"{what}: chain {chain!r} must be {json.dumps(CANONICAL_CHAINS[chain])}; no other chain can run"
+                )
+    for cid, node in nodes.items():
+        if node.kind == "Component" and cid not in obj:
+            raise ModelError(f"component {cid!r} has no adapters entry; it needs {json.dumps(CANONICAL_CHAINS)}")
 
 
 def _deepest_nesting(text: str) -> tuple:
@@ -280,15 +266,11 @@ def _deepest_nesting(text: str) -> tuple:
     return deepest, where
 
 
-def load_system(
-    text: str,
-    base_dir: str = ".",
-    default_weibull_beta: float = DEFAULT_WEIBULL_BETA,
-) -> SystemModel:
+def load_system(text: str, base_dir: str = ".") -> SystemModel:
     """Parse and validate a system description document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise ModelError(f"malformed system description: {exc}") from None
     except RecursionError:
         depth, member = _deepest_nesting(text)
@@ -310,70 +292,22 @@ def load_system(
     grid_points = doc["grid_points"]
     if not isinstance(grid_points, int) or isinstance(grid_points, bool) or grid_points < 2:
         raise ModelError(f"grid_points must be an integer >= 2, got {grid_points!r}")
+    if grid_points > _MAX_GRID_POINTS:
+        raise ModelError(f"grid_points must be at most {_MAX_GRID_POINTS}")
 
-    seen: dict = {}
-    root = _parse_node(doc["hierarchy"], 1, base_dir, default_weibull_beta, seen)
-
+    nodes: dict = {}
+    root = _parse_node(doc["hierarchy"], 1, base_dir, nodes)
     tree = tree_from_dict(doc["success_tree"])
-    model_nodes = {}
-
-    def collect(node):
-        model_nodes[node.id] = node
-        for child in node.children:
-            collect(child)
-
-    collect(root)
     for event in basic_events(tree):
-        node = model_nodes.get(event)
+        node = nodes.get(event)
         if node is None:
             raise ModelError(f"success tree references unknown component {event!r}")
         if node.kind != "Component":
             raise ModelError(f"success tree event {event!r} must name a leaf component")
 
-    _check_adapters(doc["adapters"], model_nodes)
+    _check_adapters(doc["adapters"], nodes)
     return SystemModel(name, horizon, grid_points, root, tree)
 
 
-def load_system_file(path: str, default_weibull_beta: float = DEFAULT_WEIBULL_BETA) -> SystemModel:
-    return load_system(read_text(path), os.path.dirname(os.path.abspath(path)), default_weibull_beta)
-
-
-def _node_to_dict(node: HierarchyNode) -> dict:
-    obj: dict = {"id": node.id, "kind": node.kind}
-    if node.kind == "Component":
-        p = node.payload
-        obj["thermal"] = {
-            "r_th": p.thermal.r_th,
-            "c_th": p.thermal.c_th,
-            "t_ambient": p.thermal.t_ambient,
-            "t_initial": p.thermal.t_initial,
-        }
-        obj["aging"] = {
-            "a_const": p.aging.a_const,
-            "j_density": p.aging.j_density,
-            "n_exp": p.aging.n_exp,
-            "ea_ev": p.aging.ea_ev,
-            "weibull_beta": p.aging.weibull_beta,
-        }
-        obj["power_trace"] = p.power_trace
-        obj["netlist"] = p.netlist
-        obj["ser"] = {
-            "default_fit": p.ser.default_fit,
-            "fit_per_node": dict(p.ser.fit_per_node),
-        }
-    else:
-        obj["children"] = [_node_to_dict(c) for c in node.children]
-    return obj
-
-
-def dump_system(model: SystemModel) -> str:
-    """Serialize back to document form (file paths come out resolved)."""
-    doc = {
-        "name": model.name,
-        "time_horizon_hours": model.time_horizon_hours,
-        "grid_points": model.grid_points,
-        "hierarchy": _node_to_dict(model.root),
-        "adapters": {cid: CANONICAL_CHAINS for cid in model.components()},
-        "success_tree": tree_to_dict(model.success_tree),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+def load_system_file(path: str) -> SystemModel:
+    return load_system(read_text(path), os.path.dirname(os.path.abspath(path)))

@@ -70,7 +70,6 @@ class PipelineOptions:
 
 @dataclass(frozen=True)
 class ComponentAnalysis:
-    component_id: str
     steady_state_temp_k: float  # equilibrium at the trace's mean power
     peak_temp_k: float
     lambda_eff_per_hour: float
@@ -83,7 +82,6 @@ class ComponentAnalysis:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    model_name: str
     components: dict
     curves: SystemCurves
     mc: Optional[McCurve]
@@ -107,7 +105,7 @@ def _analyze_component(node, options: PipelineOptions) -> ComponentAnalysis:
     payload = node.payload
 
     with _stage(cid, "power-trace"):
-        trace = read_power_trace(io.StringIO(read_text(payload.power_trace), newline=""), cid)
+        trace = read_power_trace(io.StringIO(read_text(payload.power_trace), newline=""))
 
     with _stage(cid, "permanent-path"):
         profile = thermal.simulate_temperature(trace, payload.thermal)
@@ -148,7 +146,6 @@ def _analyze_component(node, options: PipelineOptions) -> ComponentAnalysis:
         r_trans = Exponential(lambda_trans)
 
     return ComponentAnalysis(
-        component_id=cid,
         steady_state_temp_k=steady_temp,
         peak_temp_k=peak_temp,
         lambda_eff_per_hour=lambda_eff,
@@ -187,7 +184,7 @@ def run_pipeline(model: SystemModel, options: PipelineOptions) -> PipelineResult
         )
 
     report = _build_report(model, options, analyses, curves, mc)
-    return PipelineResult(model.name, analyses, curves, mc, report)
+    return PipelineResult(analyses, curves, mc, report)
 
 
 def _dominance_summary(curves: SystemCurves) -> dict:

@@ -224,7 +224,6 @@ class SerParams:
 
 @dataclass(frozen=True)
 class InjectionResult:
-    node: str
     trials: int
     errors: int
     derating: float
@@ -510,7 +509,7 @@ def inject_campaign(
         compiled.workspaces.append(ws)
     derating = errors / trials
     _, half = wilson_interval(errors, trials, Z_95)
-    return InjectionResult(node, trials, errors, derating, half)
+    return InjectionResult(trials, errors, derating, half)
 
 
 def exhaustive_derating(netlist: Netlist, node: str) -> float:

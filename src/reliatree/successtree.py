@@ -27,7 +27,6 @@ __all__ = [
     "tree_probability",
     "brute_force_probability",
     "tree_from_dict",
-    "tree_to_dict",
     "MAX_TREE_DEPTH",
 ]
 
@@ -274,11 +273,3 @@ def _node_from_dict(obj, gates_above: int) -> Gate:
     except ValueError as exc:
         raise InputError(str(exc)) from None
 
-
-def tree_to_dict(tree: Gate):
-    if isinstance(tree, BasicEvent):
-        return {"event": tree.component_id}
-    if isinstance(tree, KofNGate):
-        return {"gate": "KOFN", "k": tree.k, "inputs": [tree_to_dict(c) for c in tree.children]}
-    name = "AND" if isinstance(tree, AndGate) else "OR"
-    return {"gate": name, "inputs": [tree_to_dict(c) for c in tree.children]}

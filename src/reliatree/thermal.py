@@ -58,7 +58,6 @@ def _check_series(kind: str, samples, lower=0.0):
 
 @dataclass(frozen=True)
 class PowerTrace:
-    component_id: str
     dt_seconds: float
     samples: tuple
 
@@ -70,7 +69,6 @@ class PowerTrace:
 
 @dataclass(frozen=True)
 class TemperatureProfile:
-    component_id: str
     dt_seconds: float
     samples: tuple
 
@@ -96,10 +94,10 @@ def simulate_temperature(trace: PowerTrace, params: ThermalParams) -> Temperatur
         t_ss = params.t_ambient + params.r_th * power
         temp = t_ss + (temp - t_ss) * decay
         out.append(temp)
-    return TemperatureProfile(trace.component_id, trace.dt_seconds, tuple(out))
+    return TemperatureProfile(trace.dt_seconds, tuple(out))
 
 
-def read_power_trace(fp, component_id: str) -> PowerTrace:
+def read_power_trace(fp) -> PowerTrace:
     """Parse a `time_s,power_w` CSV with a uniform time grid starting at 0."""
     try:
         rows = list(csv.reader(fp))
@@ -128,7 +126,7 @@ def read_power_trace(fp, component_id: str) -> PowerTrace:
         if abs(t - k * dt) > 1e-6 * dt:
             raise InputError(f"power trace time grid not uniform at row {k + 2}")
     try:
-        return PowerTrace(component_id, dt, tuple(powers))
+        return PowerTrace(dt, tuple(powers))
     except ValueError as exc:
         raise InputError(str(exc)) from None
 

@@ -185,11 +185,11 @@ def test_c5_thermal_analytic_checks():
     started = time.perf_counter()
     params = ThermalParams(r_th=2.0, c_th=5.0, t_ambient=300.0, t_initial=300.0)
     # Constant power, tau = 10 s: within 1e-3 K of 320 K after >= 10 tau.
-    profile = simulate_temperature(PowerTrace("c", 1.0, (10.0,) * 120), params)
+    profile = simulate_temperature(PowerTrace(1.0, (10.0,) * 120), params)
     for sample in profile.samples[100:]:
         assert abs(sample - 320.0) < 1e-3
 
-    ramp = PowerTrace("c", 1.0, tuple(10.0 * k / 49 for k in range(50)))
+    ramp = PowerTrace(1.0, tuple(10.0 * k / 49 for k in range(50)))
     exact = simulate_temperature(ramp, params).samples
     h = ramp.dt_seconds / 1000.0
     temp = params.t_initial

@@ -17,7 +17,7 @@ PARAMS = AgingParams(a_const=1.0e6, j_density=1.0e6, n_exp=2.0, ea_ev=0.7, weibu
 
 
 def profile(temps, dt=1.0):
-    return TemperatureProfile("c", dt, tuple(temps))
+    return TemperatureProfile(dt, tuple(temps))
 
 
 class TestBlackEquation:

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -285,6 +287,38 @@ class TestAnalyzeCli:
             with open(os.path.join(dirs[0], name), "rb") as fa, open(os.path.join(dirs[1], name), "rb") as fb:
                 assert fa.read() == fb.read()
 
+    def test_bytes_do_not_depend_on_simd_dispatch(self, sample_system_path, tmp_path):
+        """The sample analysis gives the same report.json and curves.csv
+        with every SIMD target that numpy dispatches to at run time
+        switched off in turn, as with all of them available.
+
+        numpy's vectorised exp, log and power differ from math's in the
+        last bit on some targets (AVX-512 among them); the exact curves
+        use math and the Monte Carlo's integer counts absorb the draws'
+        last bits, so the bytes must not change. On a host without such
+        targets numpy lists none, and this test checks nothing.
+        """
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = {}
+        for disabled in [None, *__cpu_dispatch__]:
+            env = dict(os.environ, PYTHONPATH=pythonpath)
+            env.pop("NPY_DISABLE_CPU_FEATURES", None)
+            if disabled is not None:
+                env["NPY_DISABLE_CPU_FEATURES"] = disabled
+            out_dir = tmp_path / str(disabled)
+            done = subprocess.run(
+                [sys.executable, "-m", "reliatree.cli", "analyze", "--system", sample_system_path,
+                 "--out", str(out_dir), "--seed", "7", "--mc-trials", "100000"],
+                env=env, capture_output=True, text=True, check=False,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs[disabled] = [(out_dir / name).read_bytes() for name in ("report.json", "curves.csv")]
+        for disabled, files in outputs.items():
+            assert files == outputs[None], f"NPY_DISABLE_CPU_FEATURES={disabled} changed the output"
+
     def test_stage_equivalence_with_standalone_inject(
         self, sample_system_path, tmp_path, capsys
     ):
@@ -549,7 +583,7 @@ class TestOtherSubcommands:
         from reliatree.thermal import PowerTrace, ThermalParams, simulate_temperature
 
         profile = simulate_temperature(
-            PowerTrace("component", 1.0, (10.0, 10.0, 10.0)),
+            PowerTrace(1.0, (10.0, 10.0, 10.0)),
             ThermalParams(2.0, 5.0, 300.0, 300.0),
         )
         got = [float(line.split(",")[1]) for line in lines[1:]]
@@ -557,10 +591,18 @@ class TestOtherSubcommands:
 
 
 class TestExitCodes:
-    def test_unknown_flag(self, capsys):
-        code = cli.main(["analyze", "--bogus"])
-        capsys.readouterr()
-        assert code == 1
+    # --beta and --component-id were options once; they are unknown now.
+    @pytest.mark.parametrize("command, flag", [("analyze", "--bogus"), ("analyze", "--beta"), ("thermal", "--component-id")])
+    def test_unknown_flag(self, sample_system_path, tmp_path, capsys, command, flag):
+        args = {
+            "analyze": ["analyze", "--system", sample_system_path, "--out", str(tmp_path / "o"), "--seed", "1"],
+            "thermal": ["thermal", "--trace", os.path.join(SAMPLE_DIR, "traces", "pu1_power.csv"),
+                        "--rth", "1", "--cth", "1", "--tamb", "300"],
+        }[command]
+        code, out, err = run_cli(args + [flag, "2"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("usage:") and f"unrecognized arguments: {flag} 2" in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_system_file(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -793,6 +835,57 @@ class TestExitCodes:
         code, out, err = run_cli(["tree-eval", "--tree", tree, "--probs", probs], capsys)
         assert code == 1 and out == ""
         assert "probs.json" in err and "nested too deeply" in err
+
+    # 10**400 is an integer that no float can hold.
+    @pytest.mark.parametrize(
+        "path",
+        [("thermal", "r_th"), ("aging", "weibull_beta"), ("ser", "default_fit"), ("ser", "fit_per_node", "sum")],
+        ids=lambda path: path[-1],
+    )
+    def test_integer_too_large_for_a_float_exits_one(self, tmp_path, capsys, path):
+        shutil.copytree(SAMPLE_DIR, tmp_path / "s")
+        system = tmp_path / "s" / "system.json"
+        with open(system) as fp:
+            doc = json.load(fp)
+        target = doc["hierarchy"]["children"][0]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = 10**400
+        system.write_text(json.dumps(doc))
+        code, out, err = run_cli(["analyze", "--system", str(system), "--out", str(tmp_path / "o"), "--seed", "1"], capsys)
+        assert code == 1 and out == ""
+        assert err.count("node 'pu1'") == 1 and repr(path[-1]) in err and "too large for a float" in err
+
+    def test_grid_points_past_the_largest_array_exits_one(self, tmp_path, capsys):
+        shutil.copytree(SAMPLE_DIR, tmp_path / "s")
+        system = tmp_path / "s" / "system.json"
+        with open(system) as fp:
+            doc = json.load(fp)
+        doc["grid_points"] = 10**400
+        system.write_text(json.dumps(doc))
+        code, out, err = run_cli(["analyze", "--system", str(system), "--out", str(tmp_path / "o"), "--seed", "1"], capsys)
+        assert code == 1 and out == ""
+        assert "grid_points must be at most" in err
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
+    @pytest.mark.parametrize("bad", ["system.json", "tree.json", "probs.json"])
+    def test_integer_past_the_digit_limit_exits_one(self, tmp_path, capsys, bad):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for
+        # an integer literal longer than 4300 digits.
+        big = "1" * 5000
+        system = write_two_unit_model(tmp_path)
+        (tmp_path / "tree.json").write_text('{"event": "a"}')
+        (tmp_path / "probs.json").write_text('{"a": 0.5}')
+        (tmp_path / bad).write_text((tmp_path / bad).read_text().replace("{", '{"big": %s, ' % big, 1))
+        if bad == "system.json":
+            args = ["analyze", "--system", system, "--out", str(tmp_path / "o")]
+            what = "malformed system description"
+        else:
+            args = ["tree-eval", "--tree", str(tmp_path / "tree.json"), "--probs", str(tmp_path / "probs.json")]
+            what = "malformed tree file" if bad == "tree.json" else "malformed probabilities file"
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert what in err and "4300" in err
 
     @pytest.mark.parametrize(
         "bad",

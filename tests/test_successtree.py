@@ -16,7 +16,6 @@ from reliatree.successtree import (
     evaluate_structure,
     tree_from_dict,
     tree_probability,
-    tree_to_dict,
 )
 
 from conftest import JSON_VALUES, seeded_cases
@@ -160,9 +159,10 @@ class TestValidation:
 
 
 class TestJson:
-    def test_round_trip(self):
-        tree = KofNGate(2, (A, OrGate((B, C)), AndGate((A, C))))
-        assert tree_from_dict(tree_to_dict(tree)) == tree
+    def test_parses_nested_gates(self):
+        a, b, c = ({"event": e} for e in "abc")
+        obj = {"gate": "KOFN", "k": 2, "inputs": [a, {"gate": "OR", "inputs": [b, c]}, {"gate": "AND", "inputs": [a, c]}]}
+        assert tree_from_dict(obj) == KofNGate(2, (A, OrGate((B, C)), AndGate((A, C))))
 
     def test_parses_gate_objects(self):
         obj = {"gate": "KOFN", "k": 2, "inputs": [{"event": "x"}, {"event": "y"}, {"event": "z"}]}
@@ -209,4 +209,4 @@ def test_tree_from_dict_raises_only_input_errors(doc):
         tree = tree_from_dict(doc)
     except InputError:
         return
-    assert tree_from_dict(tree_to_dict(tree)) == tree
+    assert 0.0 <= tree_probability(tree, dict.fromkeys(basic_events(tree), 0.5)) <= 1.0

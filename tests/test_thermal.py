@@ -50,13 +50,13 @@ class TestSteadyState:
 
 class TestSimulate:
     def test_equilibrium_fixed_point(self):
-        trace = PowerTrace("c", 1.0, (0.0,) * 20)
+        trace = PowerTrace(1.0, (0.0,) * 20)
         profile = simulate_temperature(trace, PARAMS)
         assert all(t == 300.0 for t in profile.samples)
 
     def test_constant_power_reaches_steady_state(self):
         # tau = 10 s; after >= 10 tau the error is below 1e-3 K.
-        trace = PowerTrace("c", 1.0, (10.0,) * 120)
+        trace = PowerTrace(1.0, (10.0,) * 120)
         profile = simulate_temperature(trace, PARAMS)
         assert abs(profile.samples[-1] - 320.0) < 1e-3
         for sample in profile.samples[100:]:
@@ -64,14 +64,14 @@ class TestSimulate:
 
     def test_ramp_against_fine_euler(self):
         powers = tuple(10.0 * k / 49 for k in range(50))
-        trace = PowerTrace("c", 1.0, powers)
+        trace = PowerTrace(1.0, powers)
         exact = simulate_temperature(trace, PARAMS).samples
         approx = euler_oracle(trace, PARAMS)
         worst = max(abs(a - b) for a, b in zip(exact, approx))
         assert worst <= 1e-3
 
     def test_monotone_approach_for_constant_power(self):
-        trace = PowerTrace("c", 0.5, (8.0,) * 64)
+        trace = PowerTrace(0.5, (8.0,) * 64)
         profile = simulate_temperature(trace, PARAMS)
         t_ss = steady_state_temperature(8.0, PARAMS)
         gaps = [abs(t - t_ss) for t in profile.samples]
@@ -81,7 +81,7 @@ class TestSimulate:
     def test_envelope_bounds(self):
         powers = (0.0, 5.0, 17.0, 3.0, 17.0, 0.0, 9.0)
         params = ThermalParams(2.0, 5.0, 300.0, 340.0)
-        profile = simulate_temperature(PowerTrace("c", 2.0, powers), params)
+        profile = simulate_temperature(PowerTrace(2.0, powers), params)
         lo = min(params.t_initial, params.t_ambient)
         hi = max(
             max(params.t_ambient + params.r_th * p for p in powers), params.t_initial
@@ -92,22 +92,21 @@ class TestSimulate:
     def test_half_step_consistency(self):
         # The exact stepper is step-size exact for piecewise-constant power.
         powers = (3.0, 12.0, 7.0, 0.0, 15.0)
-        full = simulate_temperature(PowerTrace("c", 2.0, powers), PARAMS)
+        full = simulate_temperature(PowerTrace(2.0, powers), PARAMS)
         doubled = tuple(p for p in powers for _ in range(2))
-        half = simulate_temperature(PowerTrace("c", 1.0, doubled), PARAMS)
+        half = simulate_temperature(PowerTrace(1.0, doubled), PARAMS)
         for k, t in enumerate(full.samples):
             assert abs(t - half.samples[2 * k + 1]) <= 1e-9
 
     def test_deterministic(self):
-        trace = PowerTrace("c", 1.0, (1.0, 2.0, 3.0))
+        trace = PowerTrace(1.0, (1.0, 2.0, 3.0))
         a = simulate_temperature(trace, PARAMS)
         b = simulate_temperature(trace, PARAMS)
         assert a == b
 
     def test_profile_metadata(self):
-        trace = PowerTrace("pu1", 0.25, (1.0, 2.0))
+        trace = PowerTrace(0.25, (1.0, 2.0))
         profile = simulate_temperature(trace, PARAMS)
-        assert profile.component_id == "pu1"
         assert profile.dt_seconds == 0.25
         assert len(profile.samples) == 2
 
@@ -115,15 +114,15 @@ class TestSimulate:
 class TestValidation:
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
-            PowerTrace("c", 1.0, ())
+            PowerTrace(1.0, ())
 
     def test_non_finite_power_rejected(self):
         with pytest.raises(ValueError):
-            PowerTrace("c", 1.0, (1.0, math.nan))
+            PowerTrace(1.0, (1.0, math.nan))
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
-            PowerTrace("c", 1.0, (-0.5,))
+            PowerTrace(1.0, (-0.5,))
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
@@ -133,7 +132,7 @@ class TestValidation:
 class TestCsv:
     def test_round_trip(self):
         text = "time_s,power_w\n0.0,1.5\n2.0,2.5\n4.0,0.0\n"
-        trace = read_power_trace(io.StringIO(text), "c")
+        trace = read_power_trace(io.StringIO(text))
         assert trace.dt_seconds == 2.0
         assert trace.samples == (1.5, 2.5, 0.0)
 
@@ -149,10 +148,10 @@ class TestCsv:
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(InputError):
-            read_power_trace(io.StringIO(text), "c")
+            read_power_trace(io.StringIO(text))
 
     def test_profile_export_shape(self):
-        profile = simulate_temperature(PowerTrace("c", 1.0, (5.0, 5.0)), PARAMS)
+        profile = simulate_temperature(PowerTrace(1.0, (5.0, 5.0)), PARAMS)
         buf = io.StringIO()
         write_temperature_profile(profile, buf)
         lines = buf.getvalue().splitlines()
@@ -173,7 +172,7 @@ _TRACE_LIKE = st.lists(
 @example(text="time_s,power_w\n0,1\n1," + "1" * 200_000, newline=None)
 def test_read_power_trace_raises_only_input_errors(text, newline):
     try:
-        trace = read_power_trace(io.StringIO(text, newline=newline), "c")
+        trace = read_power_trace(io.StringIO(text, newline=newline))
     except InputError:
         return
     assert len(trace.samples) >= 2 and trace.dt_seconds > 0
