@@ -70,7 +70,6 @@ class ComponentPayload:
 class HierarchyNode:
     id: str
     kind: str
-    level: int
     children: tuple = ()
     payload: Optional[ComponentPayload] = None
 
@@ -210,7 +209,7 @@ def _parse_node(obj, level: int, base_dir: str, nodes: dict) -> HierarchyNode:
             netlist=_resolve_file(obj["netlist"], base_dir, node_id, "netlist"),
             ser=_parse_ser(obj["ser"], node_id),
         )
-        node = nodes[node_id] = HierarchyNode(node_id, kind, level, (), payload)
+        node = nodes[node_id] = HierarchyNode(node_id, kind, (), payload)
         return node
 
     for banned in ("thermal", "aging", "power_trace", "netlist", "ser"):
@@ -222,7 +221,7 @@ def _parse_node(obj, level: int, base_dir: str, nodes: dict) -> HierarchyNode:
     children = tuple(_parse_node(c, level + 1, base_dir, nodes) for c in raw_children)
     if kind == "Subsystem" and not children:
         raise ModelError(f"subsystem {node_id!r} needs at least one child")
-    node = nodes[node_id] = HierarchyNode(node_id, kind, level, children)
+    node = nodes[node_id] = HierarchyNode(node_id, kind, children)
     return node
 
 

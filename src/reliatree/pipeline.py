@@ -166,6 +166,14 @@ def run_pipeline(model: SystemModel, options: PipelineOptions) -> PipelineResult
             raise InputError(f"mc_trials must be positive, got {options.mc_trials!r}")
         if options.seed is None:
             raise InputError("a master seed is required for the Monte Carlo check")
+    # Allocated before any leaf work, so a grid too large for memory fails
+    # at once as an input error.
+    try:
+        grid = model.grid()
+    except MemoryError:
+        raise InputError(
+            f"grid_points {model.grid_points} is too large: the time grid does not fit in memory"
+        ) from None
     analyses = {}
     for cid, node in model.components().items():
         analyses[cid] = _analyze_component(node, options)
@@ -180,7 +188,7 @@ def run_pipeline(model: SystemModel, options: PipelineOptions) -> PipelineResult
             modes,
             options.mc_trials,
             rng.derive_seed(options.seed, MC_SEED_LABEL),
-            model.grid(),
+            grid,
         )
 
     report = _build_report(model, options, analyses, curves, mc)

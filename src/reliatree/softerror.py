@@ -7,14 +7,22 @@ Campaigns are Monte Carlo with a counter-based RNG: trial i of a campaign
 reads counters [i*L, (i+1)*L), L = ceil(inputs/64), so results are
 bit-reproducible for a given seed and independent of batching.
 
-Each netlist is compiled once into integer-indexed ops with fan-out
-lists, and each net's fan-out cone is found once. A campaign is
-parallel-pattern single-fault propagation: 64 trials per uint64 word,
-a golden pass over all ops, a faulty pass over the cone only, and a
-popcount of the output differences, streamed in blocks of
-INJECTION_BLOCK_TRIALS trials so memory does not grow with the trial
-count. The block buffers are pooled on the compiled netlist and reused
-by every later campaign on it. A per-vector simulator over all input vectors is the exact
+Each netlist is compiled once into `(ufunc, a, b, out)` calls on row
+indices, one to three per gate (NOT is XOR with an all-ones row, BUF is
+OR of a row with itself), with fan-out lists, and each net's fan-out
+cone is found once. Two kinds of net are decided by the structure alone:
+a flip on a primary output is an error in every trial, and a flip on a
+net with no path to an output never is, so their campaigns simulate
+nothing and draw no RNG words. Every other campaign is parallel-pattern
+single-fault propagation: 64 trials per uint64 word, a golden pass over
+all gates, a faulty pass over the cone only, and a popcount of the
+output differences, streamed in blocks of INJECTION_BLOCK_TRIALS trials
+so memory does not grow with the trial count. The block buffers are
+pooled on the compiled netlist and reused by every later campaign on it.
+Both passes replay the compiled calls bound to a workspace's row views:
+the golden program is bound once per workspace and block width, the
+cone program once per block of a campaign.
+A per-vector simulator over all input vectors is the exact
 oracle for small circuits. Raw per-net FIT rates weighted by derating
 give the transient failure rate.
 """
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -60,16 +69,14 @@ _EXHAUSTIVE_MAX_INPUTS = 24
 # Trials per streamed block of a campaign; a multiple of 64.
 INJECTION_BLOCK_TRIALS = 65536
 
-# Bit-plane form of each gate kind: (binary ufunc or None for one
-# input, invert the result).
+# Bit-plane ufunc of each multi-input gate kind, and whether the result
+# is inverted (by XOR with an all-ones row).
 _PLANE_OPS = {
     "AND": (np.bitwise_and, False),
     "OR": (np.bitwise_or, False),
     "XOR": (np.bitwise_xor, False),
     "NAND": (np.bitwise_and, True),
     "NOR": (np.bitwise_or, True),
-    "BUF": (None, False),
-    "NOT": (None, True),
 }
 
 # Masks of the three rounds of an 8x8 bit-matrix transpose on uint64
@@ -87,27 +94,56 @@ class Gate:
     inputs: tuple
 
 
+def _gate_calls(kind: str, out: int, ins: Sequence[int], ones: int) -> tuple:
+    """One gate as `(ufunc, a, b, out)` calls on row indices.
+
+    A multi-input gate folds its inputs pairwise into its output row and
+    inverts by XOR with the all-ones row `ones`; NOT is `a ^ ones` and
+    BUF is `a | a`.
+    """
+    if kind == "NOT":
+        return ((np.bitwise_xor, ins[0], ones, out),)
+    if kind == "BUF":
+        return ((np.bitwise_or, ins[0], ins[0], out),)
+    fn, invert = _PLANE_OPS[kind]
+    calls = [(fn, ins[0], ins[1], out)]
+    calls += [(fn, out, i, out) for i in ins[2:]]
+    if invert:
+        calls.append((np.bitwise_xor, out, ones, out))
+    return tuple(calls)
+
+
+def _bind(calls, rows) -> list:
+    """Calls on row indices -> the same calls on the arrays `rows` holds."""
+    return [(fn, rows[a], rows[b], rows[out]) for fn, a, b, out in calls]
+
+
 class _Compiled:
     """Integer form of a netlist for bit-parallel simulation.
 
     Net i is the i-th name of `Netlist.nets()`, so gate k drives net
-    len(inputs) + k. A net's cone is computed on first use and kept, and
-    so are the block workspaces of the campaigns run on the netlist.
+    len(inputs) + k, and row index `ones` (the net count) is an all-ones
+    row. Each gate is compiled to calls on row indices (`_gate_calls`),
+    which a workspace binds to its rows. A net's cone is computed on
+    first use and kept, and so are the block workspaces of the campaigns
+    run on the netlist.
     """
 
     def __init__(self, netlist: "Netlist"):
         nets = netlist.nets()
         self.n_inputs = len(netlist.inputs)
         self.index = {net: i for i, net in enumerate(nets)}
-        self.ops = tuple(
-            (g.kind, self.index[g.output], tuple(self.index[n] for n in g.inputs))
+        self.ones = len(nets)
+        self.gate_calls = tuple(
+            _gate_calls(g.kind, self.index[g.output], [self.index[n] for n in g.inputs], self.ones)
             for g in netlist.gates
         )
+        self.calls = tuple(call for calls in self.gate_calls for call in calls)
         self.outputs = frozenset(self.index[n] for n in netlist.outputs)
         fanout = [[] for _ in nets]
-        for _, out, ins in self.ops:
-            for i in set(ins):
-                fanout[i].append(out)
+        for g in netlist.gates:
+            for n in set(g.inputs):
+                fanout[self.index[n]].append(self.index[g.output])
         self.fanout = tuple(tuple(f) for f in fanout)
         self._cones: dict = {}
         # Idle block workspaces. One campaign owns a workspace from
@@ -131,7 +167,8 @@ class _Compiled:
                 return ws
 
     def cone(self, net: int) -> tuple:
-        """(ops the net reaches in topological order, outputs it reaches)."""
+        """(calls of the gates the net reaches in topological order, the
+        nets those gates drive, the outputs the net reaches)."""
         cone = self._cones.get(net)
         if cone is None:
             reached = {net}
@@ -141,8 +178,9 @@ class _Compiled:
                     if out not in reached:
                         reached.add(out)
                         stack.append(out)
-            ops = tuple(self.ops[r - self.n_inputs] for r in sorted(reached - {net}))
-            cone = (ops, tuple(sorted(reached & self.outputs)))
+            driven = tuple(sorted(reached - {net}))
+            calls = tuple(call for r in driven for call in self.gate_calls[r - self.n_inputs])
+            cone = (calls, driven, tuple(sorted(reached & self.outputs)))
             self._cones[net] = cone
         return cone
 
@@ -152,14 +190,17 @@ class _Workspace:
 
     Sized for blocks of up to `n_words` words of 64 trials; a block of
     fewer words uses a prefix of each flat buffer, reshaped to contiguous
-    rows. Nothing is cleared between blocks or campaigns: a block writes
-    every entry it reads, except the bits of trials past its end in its
-    last word, which `_count_errors` masks off.
+    rows. `bind` makes the row views of one block width and binds the
+    netlist's golden calls to them; both are kept until the width
+    changes. Nothing is cleared between blocks or campaigns: a block
+    writes every entry it reads, except the bits of trials past its end
+    in its last word, which `_count_errors` masks off.
     """
 
     def __init__(self, compiled: _Compiled, n_words: int):
         self.n_words = n_words
         self.n_nets = len(compiled.index)
+        self.calls = compiled.calls
         self.lanes = -(-compiled.n_inputs // 64)
         self.groups = -(-compiled.n_inputs // 8)
         # Little-endian words, since _trial_planes reads their bytes.
@@ -172,21 +213,24 @@ class _Workspace:
         # One row per net; the input planes are written 8 rows at a time.
         self.planes = np.zeros(max(self.n_nets, self.groups * 8) * n_words, dtype=le64)
         self.faulty = np.zeros(self.n_nets * n_words, dtype=le64)
+        self.ones = np.full(n_words, np.iinfo(np.uint64).max, dtype=np.uint64)
         self.err = np.zeros(n_words, dtype=np.uint64)
         self.diff = np.zeros(n_words, dtype=np.uint64)
-        self._rows_words = 0
-        self._rows: tuple = ()
+        self.width = 0
 
-    def rows(self, n_words: int) -> tuple:
-        """(golden rows, faulty rows): one view of `n_words` words per net."""
-        if n_words != self._rows_words:
+    def bind(self, n_words: int) -> None:
+        """Row views of `n_words` words and the golden program on them.
+
+        `golden[i]` is the row of net i and `golden[ones]` the all-ones
+        row; `faulty_rows[i]` is net i's row in the cone pass.
+        """
+        if n_words != self.width:
             size = self.n_nets * n_words
-            self._rows = (
-                list(self.planes[:size].reshape(self.n_nets, n_words)),
-                list(self.faulty[:size].reshape(self.n_nets, n_words)),
-            )
-            self._rows_words = n_words
-        return self._rows
+            self.golden = list(self.planes[:size].reshape(self.n_nets, n_words))
+            self.golden.append(self.ones[:n_words])
+            self.faulty_rows = list(self.faulty[:size].reshape(self.n_nets, n_words))
+            self.program = _bind(self.calls, self.golden)
+            self.width = n_words
 
 
 @dataclass(frozen=True)
@@ -411,45 +455,74 @@ def _trial_planes(ws: "_Workspace", size: int) -> None:
     np.copyto(planes, x.view(np.uint8).reshape(groups, n_words * 8, 8).transpose(0, 2, 1))
 
 
-def _run_ops(ops, rows) -> None:
-    for kind, out, ins in ops:
-        fn, invert = _PLANE_OPS[kind]
-        dst = rows[out]
-        if fn is None:
-            np.copyto(dst, rows[ins[0]])
-        else:
-            fn(rows[ins[0]], rows[ins[1]], out=dst)
-            for i in ins[2:]:
-                fn(dst, rows[i], out=dst)
-        if invert:
-            np.invert(dst, out=dst)
+def _cone_program(compiled: _Compiled, node: int, ws: "_Workspace") -> list:
+    """Bound calls that flip `node`, re-run the gates it reaches on the
+    faulty rows, and OR each reached output's difference into `ws.err`.
+
+    The node reaches at least one output and is not one itself.
+    """
+    calls, driven, outputs = compiled.cone(node)
+    golden = ws.golden
+    err = ws.err[: ws.width]
+    diff = ws.diff[: ws.width]
+    rows = list(golden)
+    for net in (node,) + driven:
+        rows[net] = ws.faulty_rows[net]
+    program = [(np.bitwise_xor, golden[node], golden[compiled.ones], rows[node])]
+    program += _bind(calls, rows)
+    first, *rest = outputs
+    program.append((np.bitwise_xor, rows[first], golden[first], err))
+    for out in rest:
+        program.append((np.bitwise_xor, rows[out], golden[out], diff))
+        program.append((np.bitwise_or, err, diff, err))
+    return program
 
 
 def _count_errors(compiled: _Compiled, node: int, ws: "_Workspace", size: int) -> int:
     """Trials among the first `size` whose flip on `node` reaches an output.
 
-    The workspace rows hold the input planes; the golden pass fills in
+    The workspace rows hold the input planes; the golden program fills in
     the rest.
     """
     n_words = -(-size // 64)
-    golden, faulty_rows = ws.rows(n_words)
-    _run_ops(compiled.ops, golden)
-    cone_ops, cone_outputs = compiled.cone(node)
-    faulty = list(golden)
-    faulty[node] = faulty_rows[node]
-    for _, out, _ in cone_ops:
-        faulty[out] = faulty_rows[out]
-    np.invert(golden[node], out=faulty[node])
-    _run_ops(cone_ops, faulty)
+    ws.bind(n_words)
+    for fn, a, b, out in chain(ws.program, _cone_program(compiled, node, ws)):
+        fn(a, b, out)
     err = ws.err[:n_words]
-    diff = ws.diff[:n_words]
-    err.fill(0)
-    for out in cone_outputs:
-        np.bitwise_xor(faulty[out], golden[out], out=diff)
-        err |= diff
     if size % 64:
         err[-1] &= np.uint64((1 << (size % 64)) - 1)
     return int(np.bitwise_count(err).sum())
+
+
+def _simulated_errors(
+    compiled: _Compiled, node: int, trials: int, seed: int, vector_words: Optional[np.ndarray]
+) -> int:
+    """Error count of a campaign by simulation, block by block.
+
+    `vector_words` holds the workload's vectors as little-endian words,
+    one row per vector, or is None for uniform input vectors.
+    """
+    lanes = -(-compiled.n_inputs // 64)
+    errors = 0
+    ws = compiled.take_workspace(-(-min(trials, INJECTION_BLOCK_TRIALS) // 64))
+    try:
+        for first in range(0, trials, INJECTION_BLOCK_TRIALS):
+            size = min(INJECTION_BLOCK_TRIALS, trials - first)
+            if vector_words is None:
+                rng.word_block(seed, first * lanes, size * lanes, out=ws.words, scratch=ws.scratch)
+            else:
+                u = rng.unit_halfopen_floats(seed, first, size)
+                # u < 1, so every index is below len(vector_words) and
+                # "clip" never clips; unlike "raise", it writes `out`
+                # unbuffered.
+                picks = (u * len(vector_words)).astype(np.int64)
+                trial_words = ws.words[: size * lanes].reshape(size, lanes)
+                np.take(vector_words, picks, axis=0, out=trial_words, mode="clip")
+            _trial_planes(ws, size)
+            errors += _count_errors(compiled, node, ws, size)
+    finally:
+        compiled.workspaces.append(ws)
+    return errors
 
 
 def inject_campaign(
@@ -468,7 +541,10 @@ def inject_campaign(
     reads RNG counters [i*L, (i+1)*L), L = ceil(inputs/64), or counter i
     to pick a workload vector. Trials run 64 to a word in blocks of
     INJECTION_BLOCK_TRIALS, so memory is bounded and the block size does
-    not change the result.
+    not change the result. A flip on a primary output is an error in
+    every trial and one on a net with no path to an output never is:
+    such a campaign is decided from the structure after the argument and
+    workload checks, and draws no RNG words.
     """
     _require_node(netlist, node)
     if trials <= 0:
@@ -476,6 +552,7 @@ def inject_campaign(
     compiled = netlist.compiled
     n_in = len(netlist.inputs)
     lanes = (n_in + 63) // 64
+    vector_words = None
     if workload is not None:
         vectors = list(workload)
         if not vectors:
@@ -489,24 +566,14 @@ def inject_campaign(
         packed[:, : (n_in + 7) // 8] = np.packbits(matrix, axis=1, bitorder="little")
         vector_words = packed.view("<u8")
     node_index = compiled.index[node]
-    errors = 0
-    ws = compiled.take_workspace(-(-min(trials, INJECTION_BLOCK_TRIALS) // 64))
-    try:
-        for first in range(0, trials, INJECTION_BLOCK_TRIALS):
-            size = min(INJECTION_BLOCK_TRIALS, trials - first)
-            if workload is None:
-                rng.word_block(seed, first * lanes, size * lanes, out=ws.words, scratch=ws.scratch)
-            else:
-                u = rng.unit_halfopen_floats(seed, first, size)
-                # u < 1, so every index is below len(vectors) and "clip"
-                # never clips; unlike "raise", it writes `out` unbuffered.
-                picks = (u * len(vectors)).astype(np.int64)
-                trial_words = ws.words[: size * lanes].reshape(size, lanes)
-                np.take(vector_words, picks, axis=0, out=trial_words, mode="clip")
-            _trial_planes(ws, size)
-            errors += _count_errors(compiled, node_index, ws, size)
-    finally:
-        compiled.workspaces.append(ws)
+    if node_index in compiled.outputs:
+        # The flip changes an output itself: an error in every trial.
+        errors = trials
+    elif not compiled.cone(node_index)[2]:
+        # No path to an output: never an error.
+        errors = 0
+    else:
+        errors = _simulated_errors(compiled, node_index, trials, seed, vector_words)
     derating = errors / trials
     _, half = wilson_interval(errors, trials, Z_95)
     return InjectionResult(trials, errors, derating, half)

@@ -62,8 +62,8 @@ def finish(name: str, limit_s: float, started: float) -> None:
 
 def two_component_and_model(horizon=10_000.0, points=512):
     tree = AndGate((BasicEvent("pu1"), BasicEvent("pu2")))
-    children = tuple(HierarchyNode(c, "Component", 2) for c in ("pu1", "pu2"))
-    root = HierarchyNode("soc", "System", 1, children)
+    children = tuple(HierarchyNode(c, "Component") for c in ("pu1", "pu2"))
+    root = HierarchyNode("soc", "System", children)
     return SystemModel("closed_form", horizon, points, root, tree)
 
 
@@ -270,8 +270,8 @@ _EVENTS = tuple(BasicEvent(c) for c in WEAR_OUT)
 )
 def test_c9_exact_system_mttf(tree):
     started = time.perf_counter()
-    children = tuple(HierarchyNode(c, "Component", 2) for c in WEAR_OUT)
-    model = SystemModel("wear_out", 10_000.0, 64, HierarchyNode("soc", "System", 1, children), tree)
+    children = tuple(HierarchyNode(c, "Component") for c in WEAR_OUT)
+    model = SystemModel("wear_out", 10_000.0, 64, HierarchyNode("soc", "System", children), tree)
     exact = system_reliability_curves(model, WEAR_OUT).mttf_sys
     combined = {c: Product(modes) for c, modes in WEAR_OUT.items()}
 

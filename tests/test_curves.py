@@ -26,8 +26,8 @@ from reliatree.successtree import AndGate, BasicEvent, KofNGate, OrGate, basic_e
 
 
 def make_model(tree, horizon=10_000.0, points=128, component_ids=("pu1", "pu2")):
-    children = tuple(HierarchyNode(cid, "Component", 2) for cid in component_ids)
-    root = HierarchyNode("soc", "System", 1, children)
+    children = tuple(HierarchyNode(cid, "Component") for cid in component_ids)
+    root = HierarchyNode("soc", "System", children)
     return SystemModel("closed_form", horizon, points, root, tree)
 
 

@@ -44,9 +44,9 @@ class TestLoad:
         write_inputs(tmp_path)
         model = load(tmp_path, minimal_doc())
         assert len(model.nodes()) == 2
-        assert model.root.kind == "System" and model.root.level == 1
+        assert model.root.kind == "System"
         (child,) = model.root.children
-        assert child.kind == "Component" and child.level == 2
+        assert child.kind == "Component" and child.children == ()
         assert os.path.isabs(child.payload.power_trace)
 
     def test_two_unit_shape(self, tmp_path):
@@ -72,7 +72,9 @@ class TestLoad:
         )
         model = load(tmp_path, doc)
         sub = model.root.children[0]
-        assert sub.level == 2 and sub.children[0].level == 3
+        assert sub.kind == "Subsystem"
+        (leaf,) = sub.children
+        assert leaf.kind == "Component" and leaf.id == "c1" and leaf.children == ()
 
     def test_unknown_tree_event_named(self, tmp_path):
         write_inputs(tmp_path)

@@ -213,7 +213,8 @@ class TestPipeline:
         with open(path, "w") as fp:
             json.dump(doc, fp)
         model = load_system_file(path)
-        assert model.components()["c1"].level == 3
+        island_a = model.root.children[0]
+        assert island_a.kind == "Subsystem" and island_a.children[0] is model.components()["c1"]
         result = run_pipeline(model, PipelineOptions(seed=5, injection_trials=300))
         assert set(result.report["components"]) == {"c1", "c2", "c3"}
         # 2-of-3 by inclusion-exclusion: r1r2 + r1r3 + r2r3 - 2 r1r2r3.
@@ -866,6 +867,28 @@ class TestExitCodes:
         code, out, err = run_cli(["analyze", "--system", str(system), "--out", str(tmp_path / "o"), "--seed", "1"], capsys)
         assert code == 1 and out == ""
         assert "grid_points must be at most" in err
+
+    def test_grid_too_large_for_memory_exits_one_before_any_campaign(self, tmp_path, capsys, monkeypatch):
+        # 10**12 points fit np.intp but would take 8 TB; the allocation is
+        # stubbed to fail as it would, so the test does not attempt it.
+        shutil.copytree(SAMPLE_DIR, tmp_path / "s")
+        system = tmp_path / "s" / "system.json"
+        with open(system) as fp:
+            doc = json.load(fp)
+        doc["grid_points"] = 10**12
+        system.write_text(json.dumps(doc))
+
+        def no_memory(start, stop, num):
+            assert num == 10**12
+            raise MemoryError
+
+        campaigns = []
+        monkeypatch.setattr(np, "linspace", no_memory)
+        monkeypatch.setattr(pipeline, "inject_campaign", lambda *args, **kwargs: campaigns.append(args))
+        code, out, err = run_cli(["analyze", "--system", str(system), "--out", str(tmp_path / "o"), "--seed", "1"], capsys)
+        assert code == 1 and out == ""
+        assert "grid_points" in err and str(10**12) in err
+        assert campaigns == []
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
     @pytest.mark.parametrize("bad", ["system.json", "tree.json", "probs.json"])

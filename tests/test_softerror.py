@@ -367,6 +367,43 @@ class TestBitParallelCampaign:
         assert peak < 16 * 2**20
 
 
+class TestStructuralCampaigns:
+    """Campaigns whose count the netlist's structure decides draw no RNG words."""
+
+    # Outputs (an input, one that drives a gate, the last gate) and a net
+    # with no path to an output.
+    NODES = ("d", "n4", "y", "dead")
+
+    @pytest.mark.parametrize("use_workload", [False, True], ids=["rng", "workload"])
+    @pytest.mark.parametrize("trials", TRIAL_COUNTS)
+    def test_decided_without_rng_words(self, trials, use_workload, monkeypatch):
+        net = parse_netlist(ALL_KINDS)
+        workload = random_workload(len(net.inputs), 5, trials) if use_workload else None
+        want = {node: reference_errors(net, node, trials, 9, workload) for node in self.NODES}
+        assert want == {"d": trials, "n4": trials, "y": trials, "dead": 0}
+
+        def no_words(*args, **kwargs):
+            raise AssertionError("RNG words drawn")
+
+        monkeypatch.setattr(rng, "word_block", no_words)
+        for node in self.NODES:
+            assert inject_campaign(net, node, trials, 9, workload).errors == want[node], node
+        # The patch does stop a campaign that simulates.
+        with pytest.raises(AssertionError, match="RNG words drawn"):
+            inject_campaign(net, "n1", trials, 9, workload)
+
+    @pytest.mark.parametrize(
+        "workload,needle",
+        [([], "empty"), ([(0, 1, 2, 1)], "binary"), ([(0, 1, 1)], "width 4"), ([(0, 1, 1, 0, 1)], "width 4")],
+        ids=["empty", "non-binary", "narrow", "wide"],
+    )
+    @pytest.mark.parametrize("node", ["y", "dead"])
+    def test_bad_workload_rejected_on_decided_nets(self, node, workload, needle):
+        net = parse_netlist(ALL_KINDS)
+        with pytest.raises(ValueError, match=needle):
+            inject_campaign(net, node, 10, seed=0, workload=workload)
+
+
 class TestWorkspaceReuse:
     """Campaigns on one netlist share its pooled block workspaces."""
 
