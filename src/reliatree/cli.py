@@ -101,8 +101,10 @@ def _cmd_analyze(args) -> int:
         seed=args.seed, injection_trials=args.injection_trials, mc_trials=args.mc_trials
     )
     result = run_pipeline(model, options)
-    write_outputs(result, args.out)
-    sys.stdout.write(report_to_json(result.report))
+    # Serialized once: report.json and stdout get the same text.
+    report_text = report_to_json(result.report)
+    write_outputs(result, args.out, report_text)
+    sys.stdout.write(report_text)
     return 0
 
 

@@ -73,12 +73,13 @@ def _tree_curve(tree: Gate, grid: np.ndarray, funcs: Mapping[str, ReliabilityFun
     return np.minimum.accumulate(np.clip(values, 0.0, 1.0))
 
 
-def system_reliability_curves(model, component_modes: Mapping[str, tuple]) -> SystemCurves:
+def system_reliability_curves(model, component_modes: Mapping[str, tuple], grid=None) -> SystemCurves:
     """Exact system curves on the model grid plus MTTF and dominance ratio.
 
     component_modes maps component id to (r_perm, r_trans), as for
     monte_carlo_system; a component survives both as independent
-    competing risks, Product((r_perm, r_trans)).
+    competing risks, Product((r_perm, r_trans)). grid is model.grid()
+    already allocated by the caller; it is allocated here when omitted.
 
     The MTTF integrates the exact system survival by integrate_survival;
     the sum of the component survivals bounds it, because a coherent
@@ -91,7 +92,8 @@ def system_reliability_curves(model, component_modes: Mapping[str, tuple]) -> Sy
     for event in events:
         if event not in component_modes:
             raise InputError(f"no reliability functions for component {event!r}")
-    grid = model.grid()
+    if grid is None:
+        grid = model.grid()
     combined = {cid: Product(modes) for cid, modes in component_modes.items()}
     perm_only = {cid: r_perm for cid, (r_perm, _) in component_modes.items()}
     trans_only = {cid: r_trans for cid, (_, r_trans) in component_modes.items()}

@@ -157,6 +157,13 @@ def _analyze_component(node, options: PipelineOptions) -> ComponentAnalysis:
     )
 
 
+def _grid_too_large(model: SystemModel) -> InputError:
+    return InputError(
+        f"grid_points {model.grid_points} is too large: the time grid and its curves "
+        "do not fit in memory"
+    )
+
+
 def run_pipeline(model: SystemModel, options: PipelineOptions) -> PipelineResult:
     """Full analysis of a validated model; nothing is written to disk."""
     if options.injection_trials <= 0:
@@ -166,30 +173,32 @@ def run_pipeline(model: SystemModel, options: PipelineOptions) -> PipelineResult
             raise InputError(f"mc_trials must be positive, got {options.mc_trials!r}")
         if options.seed is None:
             raise InputError("a master seed is required for the Monte Carlo check")
-    # Allocated before any leaf work, so a grid too large for memory fails
-    # at once as an input error.
+    # Allocated once, before any leaf work, so a grid too large for memory
+    # fails at once as an input error; the curves below reuse it.
     try:
         grid = model.grid()
     except MemoryError:
-        raise InputError(
-            f"grid_points {model.grid_points} is too large: the time grid does not fit in memory"
-        ) from None
+        raise _grid_too_large(model) from None
     analyses = {}
     for cid, node in model.components().items():
         analyses[cid] = _analyze_component(node, options)
 
     modes = {cid: (a.r_perm, a.r_trans) for cid, a in analyses.items()}
-    curves = system_reliability_curves(model, modes)
-
-    mc = None
-    if options.mc_trials is not None:
-        mc = monte_carlo_system(
-            model.success_tree,
-            modes,
-            options.mc_trials,
-            rng.derive_seed(options.seed, MC_SEED_LABEL),
-            grid,
-        )
+    # The curves hold several grid-sized arrays, so a grid that fits once
+    # may still not fit here.
+    try:
+        curves = system_reliability_curves(model, modes, grid)
+        mc = None
+        if options.mc_trials is not None:
+            mc = monte_carlo_system(
+                model.success_tree,
+                modes,
+                options.mc_trials,
+                rng.derive_seed(options.seed, MC_SEED_LABEL),
+                grid,
+            )
+    except MemoryError:
+        raise _grid_too_large(model) from None
 
     report = _build_report(model, options, analyses, curves, mc)
     return PipelineResult(analyses, curves, mc, report)
@@ -294,13 +303,19 @@ def report_to_json(report: dict) -> str:
     return json.dumps(_finitize(report), indent=2, sort_keys=True) + "\n"
 
 
-def write_outputs(result: PipelineResult, out_dir: str) -> dict:
-    """Atomically write report.json and curves.csv; returns their paths."""
+def write_outputs(result: PipelineResult, out_dir: str, report_text: Optional[str] = None) -> dict:
+    """Atomically write report.json and curves.csv; returns their paths.
+
+    report_text is report_to_json(result.report), for a caller that has
+    already serialized the report; it is serialized here when omitted.
+    """
     os.makedirs(out_dir, exist_ok=True)
     curve_buf = io.StringIO()
     write_curves_csv(result.curves, curve_buf)
+    if report_text is None:
+        report_text = report_to_json(result.report)
     payloads = {
-        REPORT_FILENAME: report_to_json(result.report),
+        REPORT_FILENAME: report_text,
         CURVES_FILENAME: curve_buf.getvalue(),
     }
     paths = {}

@@ -6,6 +6,13 @@ Shannon decomposition with memoization on the simplified residual tree
 (a reduced decision-diagram evaluation, so shared events are handled
 correctly); an exhaustive enumerator over all event states is kept as an
 independent oracle.
+
+Gates are frozen and cache their hash, so a memo lookup costs one hash
+read rather than a walk over the residual tree. Restricting an event
+returns every gate that does not change as the same object, so residual
+trees share their untouched subtrees: a memo hit on the same object ends
+at the identity check, and comparing two equal trees skips every child
+they share.
 """
 from __future__ import annotations
 
@@ -44,14 +51,24 @@ class BasicEvent:
     component_id: str
 
 
+def _init_gate(gate, kind: str, *key) -> None:
+    """Freeze a gate's children and cache its hash over kind, key and
+    children; the gate is frozen, so the hash cannot go stale."""
+    object.__setattr__(gate, "children", tuple(gate.children))
+    if not gate.children:
+        raise ValueError(f"{kind} gate needs at least one input")
+    object.__setattr__(gate, "_hash", hash((kind, *key, gate.children)))
+
+
 @dataclass(frozen=True)
 class AndGate:
     children: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        if not self.children:
-            raise ValueError("AND gate needs at least one input")
+        _init_gate(self, "AND")
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -59,9 +76,10 @@ class OrGate:
     children: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        if not self.children:
-            raise ValueError("OR gate needs at least one input")
+        _init_gate(self, "OR")
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -70,13 +88,14 @@ class KofNGate:
     children: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        if not self.children:
-            raise ValueError("K-of-N gate needs at least one input")
+        _init_gate(self, "K-of-N", self.k)
         if not 1 <= self.k <= len(self.children):
             raise ValueError(
                 f"K-of-N requires 1 <= k <= {len(self.children)}, got k={self.k}"
             )
+
+    def __hash__(self):
+        return self._hash
 
 
 Gate = Union[BasicEvent, AndGate, OrGate, KofNGate]
@@ -115,13 +134,21 @@ def evaluate_structure(tree: Gate, values: Mapping):
 
 
 def _restrict(tree: Gate, event: str, value: bool):
-    """Condition on one event and simplify; returns a Gate or a bool."""
+    """Condition on one event and simplify; returns a Gate or a bool.
+
+    A gate none of whose children changed is returned itself wherever the
+    simplified gate would equal it, so untouched subtrees are shared
+    between residual trees rather than rebuilt.
+    """
     if isinstance(tree, BasicEvent):
         return value if tree.component_id == event else tree
     kept = []
     n_true = 0
+    changed = False
     for child in tree.children:
         sub = _restrict(child, event, value)
+        if sub is not child:
+            changed = True
         if sub is True:
             n_true += 1
         elif sub is not False:
@@ -131,13 +158,17 @@ def _restrict(tree: Gate, event: str, value: bool):
             return False
         if not kept:
             return True
-        return kept[0] if len(kept) == 1 else AndGate(tuple(kept))
+        if len(kept) == 1:
+            return kept[0]
+        return AndGate(tuple(kept)) if changed else tree
     if isinstance(tree, OrGate):
         if n_true:
             return True
         if not kept:
             return False
-        return kept[0] if len(kept) == 1 else OrGate(tuple(kept))
+        if len(kept) == 1:
+            return kept[0]
+        return OrGate(tuple(kept)) if changed else tree
     k = tree.k - n_true
     if k <= 0:
         return True
@@ -147,7 +178,7 @@ def _restrict(tree: Gate, event: str, value: bool):
         return kept[0] if len(kept) == 1 else AndGate(tuple(kept))
     if k == 1:
         return OrGate(tuple(kept))
-    return KofNGate(k, tuple(kept))
+    return KofNGate(k, tuple(kept)) if changed else tree
 
 
 def _first_event(tree: Gate) -> str:

@@ -288,6 +288,25 @@ class TestAnalyzeCli:
             with open(os.path.join(dirs[0], name), "rb") as fa, open(os.path.join(dirs[1], name), "rb") as fb:
                 assert fa.read() == fb.read()
 
+    def test_analyze_serializes_the_report_once(self, sample_system_path, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting(real):
+            def report_to_json(report):
+                calls.append(report)
+                return real(report)
+
+            return report_to_json
+
+        monkeypatch.setattr(cli, "report_to_json", counting(cli.report_to_json))
+        monkeypatch.setattr(pipeline, "report_to_json", counting(pipeline.report_to_json))
+        out_dir = tmp_path / "o"
+        args = ["analyze", "--system", sample_system_path, "--out", str(out_dir), "--seed", "3"]
+        code, out, err = run_cli(args + ["--injection-trials", "100", "--mc-trials", "1000"], capsys)
+        assert code == 0, err
+        assert len(calls) == 1
+        assert out.encode("utf-8") == (out_dir / "report.json").read_bytes()
+
     def test_bytes_do_not_depend_on_simd_dispatch(self, sample_system_path, tmp_path):
         """The sample analysis gives the same report.json and curves.csv
         with every SIMD target that numpy dispatches to at run time
@@ -889,6 +908,48 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "grid_points" in err and str(10**12) in err
         assert campaigns == []
+
+    @pytest.mark.parametrize("where", ["curves", "monte-carlo"])
+    def test_curves_too_large_for_memory_exit_one(self, tmp_path, capsys, monkeypatch, where):
+        # A grid that fits once may not fit again with the curves' arrays.
+        # The grid is allocated once; the first grid-sized array of the exact
+        # curves (np.empty) or of the Monte Carlo (np.zeros) is stubbed to
+        # fail, and either failure must be an input error naming grid_points.
+        points = 4099
+        shutil.copytree(SAMPLE_DIR, tmp_path / "s")
+        system = tmp_path / "s" / "system.json"
+        with open(system) as fp:
+            doc = json.load(fp)
+        doc["grid_points"] = points
+        system.write_text(json.dumps(doc))
+
+        grids = []
+        real_linspace, real_empty, real_zeros = np.linspace, np.empty, np.zeros
+        failing = "empty" if where == "curves" else "zeros"
+
+        def linspace(start, stop, num, *args, **kwargs):
+            grids.append(num)
+            return real_linspace(start, stop, num, *args, **kwargs)
+
+        def allocator(name, real):
+            def alloc(shape, *args, **kwargs):
+                if name == failing and shape == points:
+                    raise MemoryError
+                return real(shape, *args, **kwargs)
+
+            return alloc
+
+        monkeypatch.setattr(np, "linspace", linspace)
+        monkeypatch.setattr(np, "empty", allocator("empty", real_empty))
+        monkeypatch.setattr(np, "zeros", allocator("zeros", real_zeros))
+        out_dir = tmp_path / "o"
+        args = ["analyze", "--system", str(system), "--out", str(out_dir), "--seed", "1"]
+        args += ["--injection-trials", "100", "--mc-trials", "1000"]
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert "grid_points" in err and str(points) in err
+        assert grids == [points]
+        assert not out_dir.exists()
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
     @pytest.mark.parametrize("bad", ["system.json", "tree.json", "probs.json"])

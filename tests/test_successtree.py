@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from reliatree.errors import InputError
 from reliatree.successtree import (
+    _restrict,
     AndGate,
     BasicEvent,
     KofNGate,
@@ -20,7 +21,7 @@ from reliatree.successtree import (
 
 from conftest import JSON_VALUES, seeded_cases
 
-A, B, C = BasicEvent("a"), BasicEvent("b"), BasicEvent("c")
+A, B, C, D = BasicEvent("a"), BasicEvent("b"), BasicEvent("c"), BasicEvent("d")
 SHARED = OrGate((AndGate((A, B)), AndGate((A, C))))
 
 
@@ -133,6 +134,98 @@ class TestProperties:
         all_of = tree_probability(KofNGate(3, (A, B, C)), probs)
         assert one_of == pytest.approx(tree_probability(OrGate((A, B, C)), probs))
         assert all_of == pytest.approx(tree_probability(AndGate((A, B, C)), probs))
+
+
+def kofn_pairs(n):
+    """KOFN(n - 2) over ORs of neighbouring pairs around a ring of n events:
+    the kofn-pairs shape of perfbench/gen_system.py."""
+    ids = [f"c{i:02d}" for i in range(n)]
+    pairs = tuple(OrGate((BasicEvent(ids[i]), BasicEvent(ids[(i + 1) % n]))) for i in range(n))
+    return KofNGate(n - 2, pairs)
+
+
+class TestResidualTrees:
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            AndGate((A, B)),
+            OrGate((A, B, C)),
+            KofNGate(2, (A, B, C)),
+            OrGate((AndGate((A, B)), KofNGate(2, (A, B, C)))),
+        ],
+        ids=["and", "or", "kofn", "nested"],
+    )
+    @pytest.mark.parametrize("value", [True, False])
+    def test_absent_event_returns_the_gate_itself(self, gate, value):
+        assert _restrict(gate, "z", value) is gate
+
+    def test_untouched_subtrees_are_shared(self):
+        tree = kofn_pairs(16)
+        residual = _restrict(tree, "c05", False)
+        assert isinstance(residual, KofNGate) and residual.k == 14
+        untouched = [c for c in tree.children if "c05" not in basic_events(c)]
+        assert len(untouched) == 14
+        for child in untouched:
+            assert any(child is r for r in residual.children)
+
+    @pytest.mark.parametrize(
+        "gate, event, value, expected",
+        [
+            (KofNGate(3, (A, B, C)), "z", True, AndGate((A, B, C))),
+            (KofNGate(1, (A, B, C)), "z", False, OrGate((A, B, C))),
+            (KofNGate(3, (A, B, C, D)), "d", False, AndGate((A, B, C))),
+            (KofNGate(2, (A, B, C, D)), "d", True, OrGate((A, B, C))),
+            (KofNGate(3, (A, B, C, D)), "d", True, KofNGate(2, (A, B, C))),
+        ],
+        ids=["k=n-absent", "k=1-absent", "k=n-left", "k=1-left", "kofn-left"],
+    )
+    def test_kofn_normal_forms(self, gate, event, value, expected):
+        # A K-of-N whose k equals its input count is an AND, one with k = 1
+        # an OR, whether or not the event occurs in it.
+        restricted = _restrict(gate, event, value)
+        assert type(restricted) is type(expected) and restricted == expected
+
+    def test_one_child_left_is_that_child(self):
+        inner = OrGate((B, C))
+        assert _restrict(AndGate((A, inner)), "a", True) is inner
+        assert _restrict(OrGate((A, inner)), "a", False) is inner
+        assert _restrict(KofNGate(1, (A, inner)), "a", False) is inner
+        assert _restrict(KofNGate(2, (A, inner)), "a", True) is inner
+        # A one-input gate is not kept either, even when nothing changed.
+        assert _restrict(AndGate((inner,)), "z", True) is inner
+        assert _restrict(OrGate((inner,)), "z", False) is inner
+        assert _restrict(KofNGate(1, (inner,)), "z", True) is inner
+
+    def test_equal_gates_have_equal_hashes(self):
+        obj = {"gate": "KOFN", "k": 2, "inputs": [{"event": "a"}, {"gate": "OR", "inputs": [{"event": "b"}, {"event": "c"}]}, {"gate": "AND", "inputs": [{"event": "a"}, {"event": "c"}]}]}
+        first, second = tree_from_dict(obj), tree_from_dict(obj)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert hash(kofn_pairs(16)) == hash(kofn_pairs(16))
+        assert {_restrict(first, "b", True): 1}[_restrict(second, "b", True)] == 1
+
+    def test_kinds_and_k_tell_gates_apart(self):
+        children = (A, B, C)
+        gates = [AndGate(children), OrGate(children), KofNGate(1, children), KofNGate(2, children), KofNGate(3, children)]
+        for i, one in enumerate(gates):
+            for other in gates[i + 1 :]:
+                assert one != other
+        # The hash covers the kind and k, so these never share a memo bucket.
+        assert len({hash(g) for g in gates}) == len(gates)
+
+    # Computed before the hashes were cached and residual subtrees shared:
+    # the branching order, the memo's equality and every multiply-add are
+    # unchanged, so the results must be too, to the last bit.
+    def test_kofn_pairs_value_is_unchanged(self):
+        rnd = random.Random(16)
+        probs = {f"c{i:02d}": rnd.random() for i in range(16)}
+        assert repr(tree_probability(kofn_pairs(16), probs)) == "0.16281884107479205"
+
+    def test_seeded_values_are_unchanged(self):
+        cases = list(seeded_cases(200))
+        expected = {5: "0.767119738781452", 15: "0.922252069694415", 181: "0.1376743585365134"}
+        for index, value in expected.items():
+            assert repr(tree_probability(*cases[index])) == value
 
 
 class TestValidation:
