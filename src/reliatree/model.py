@@ -296,7 +296,7 @@ def load_system(text: str, base_dir: str = ".") -> SystemModel:
 
     nodes: dict = {}
     root = _parse_node(doc["hierarchy"], 1, base_dir, nodes)
-    tree = tree_from_dict(doc["success_tree"])
+    tree = tree_from_dict(doc["success_tree"], "success_tree")
     for event in basic_events(tree):
         node = nodes.get(event)
         if node is None:

@@ -1,11 +1,13 @@
 """Coherent success trees over component basic events.
 
-The top event is "system operational"; gates are AND, OR, and K-of-N, and
-basic events may be shared between branches. Exact probabilities come from
-Shannon decomposition with memoization on the simplified residual tree
-(a reduced decision-diagram evaluation, so shared events are handled
-correctly); an exhaustive enumerator over all event states is kept as an
-independent oracle.
+The top event is "system operational". Every gate is a K-of-N gate, up
+when at least k of its n inputs are up: an AND (series) is n-of-n and an
+OR (parallel) is 1-of-n, so one threshold rule restricts and evaluates
+all three spellings. Basic events may be shared between branches. Exact
+probabilities come from Shannon decomposition with memoization on the
+simplified residual tree (a reduced decision-diagram evaluation, so shared
+events are handled correctly); an exhaustive enumerator over all event
+states is kept as an independent oracle.
 
 Gates are frozen and cache their hash, so a memo lookup costs one hash
 read rather than a walk over the residual tree. Restricting an event
@@ -51,54 +53,52 @@ class BasicEvent:
     component_id: str
 
 
-def _init_gate(gate, kind: str, *key) -> None:
-    """Freeze a gate's children and cache its hash over kind, key and
-    children; the gate is frozen, so the hash cannot go stale."""
-    object.__setattr__(gate, "children", tuple(gate.children))
-    if not gate.children:
-        raise ValueError(f"{kind} gate needs at least one input")
-    object.__setattr__(gate, "_hash", hash((kind, *key, gate.children)))
-
-
-@dataclass(frozen=True)
-class AndGate:
-    children: tuple
-
-    def __post_init__(self):
-        _init_gate(self, "AND")
-
-    def __hash__(self):
-        return self._hash
-
-
-@dataclass(frozen=True)
-class OrGate:
-    children: tuple
-
-    def __post_init__(self):
-        _init_gate(self, "OR")
-
-    def __hash__(self):
-        return self._hash
-
-
 @dataclass(frozen=True)
 class KofNGate:
+    """Up when at least k of its inputs are up.
+
+    The hash is taken once over the spelling, k and the inputs (the gate
+    is frozen, so it cannot go stale); equality also needs the same class,
+    so AND, OR and K-of-N gates over the same inputs stay apart.
+    """
+
     k: int
     children: tuple
 
+    kind = "K-of-N"
+
     def __post_init__(self):
-        _init_gate(self, "K-of-N", self.k)
+        object.__setattr__(self, "children", tuple(self.children))
+        if not self.children:
+            raise ValueError(f"{self.kind} gate needs at least one input")
         if not 1 <= self.k <= len(self.children):
-            raise ValueError(
-                f"K-of-N requires 1 <= k <= {len(self.children)}, got k={self.k}"
-            )
+            raise ValueError(f"K-of-N requires 1 <= k <= {len(self.children)}, got k={self.k}")
+        object.__setattr__(self, "_hash", hash((self.kind, self.k, self.children)))
 
     def __hash__(self):
         return self._hash
 
 
-Gate = Union[BasicEvent, AndGate, OrGate, KofNGate]
+class AndGate(KofNGate):
+    """Series: up when all n inputs are up (k = n)."""
+
+    kind = "AND"
+
+    def __init__(self, children):
+        children = tuple(children)
+        super().__init__(len(children), children)
+
+
+class OrGate(KofNGate):
+    """Parallel: up when any input is up (k = 1)."""
+
+    kind = "OR"
+
+    def __init__(self, children):
+        super().__init__(1, children)
+
+
+Gate = Union[BasicEvent, KofNGate]
 
 
 def basic_events(tree: Gate) -> list:
@@ -122,23 +122,28 @@ def basic_events(tree: Gate) -> list:
 def evaluate_structure(tree: Gate, values: Mapping):
     """Structure function, elementwise on scalars or numpy arrays: on
     up/down states the system state, on component failure times the system
-    failure time (AND: min, OR: max, K-of-N: k-th largest)."""
+    failure time (the k-th largest input: the smallest at k = n, the
+    largest at k = 1)."""
     if isinstance(tree, BasicEvent):
         return values[tree.component_id]
     parts = [evaluate_structure(c, values) for c in tree.children]
-    if isinstance(tree, AndGate):
+    n, k = len(parts), tree.k
+    if k == n:
         return np.minimum.reduce(parts)
-    if isinstance(tree, OrGate):
+    if k == 1:
         return np.maximum.reduce(parts)
-    return np.partition(np.stack(parts), len(parts) - tree.k, axis=0)[len(parts) - tree.k]
+    return np.partition(np.stack(parts), n - k, axis=0)[n - k]
 
 
 def _restrict(tree: Gate, event: str, value: bool):
     """Condition on one event and simplify; returns a Gate or a bool.
 
-    A gate none of whose children changed is returned itself wherever the
-    simplified gate would equal it, so untouched subtrees are shared
-    between residual trees rather than rebuilt.
+    With n_true inputs now certain, the gate needs k - n_true of the kept
+    ones: none makes it True, more than are kept makes it False, and a
+    lone kept input stands for the gate. Otherwise the result is an AND,
+    OR or K-of-N by that need, and a gate none of whose inputs changed is
+    returned itself when its spelling is the same, so untouched subtrees
+    are shared between residual trees rather than rebuilt.
     """
     if isinstance(tree, BasicEvent):
         return value if tree.component_id == event else tree
@@ -153,32 +158,18 @@ def _restrict(tree: Gate, event: str, value: bool):
             n_true += 1
         elif sub is not False:
             kept.append(sub)
-    if isinstance(tree, AndGate):
-        if n_true + len(kept) < len(tree.children):
-            return False
-        if not kept:
-            return True
-        if len(kept) == 1:
-            return kept[0]
-        return AndGate(tuple(kept)) if changed else tree
-    if isinstance(tree, OrGate):
-        if n_true:
-            return True
-        if not kept:
-            return False
-        if len(kept) == 1:
-            return kept[0]
-        return OrGate(tuple(kept)) if changed else tree
     k = tree.k - n_true
     if k <= 0:
         return True
-    if k > len(kept):
+    n = len(kept)
+    if k > n:
         return False
-    if k == len(kept):
-        return kept[0] if len(kept) == 1 else AndGate(tuple(kept))
-    if k == 1:
-        return OrGate(tuple(kept))
-    return KofNGate(k, tuple(kept)) if changed else tree
+    if n == 1:
+        return kept[0]
+    kind = AndGate if k == n else OrGate if k == 1 else KofNGate
+    if not changed and type(tree) is kind:
+        return tree
+    return KofNGate(k, kept) if kind is KofNGate else kind(kept)
 
 
 def _first_event(tree: Gate) -> str:
@@ -261,46 +252,54 @@ def brute_force_probability(tree: Gate, probs: Mapping[str, float]) -> float:
 _GATE_NAMES = {"AND": AndGate, "OR": OrGate, "KOFN": KofNGate}
 
 
-def tree_from_dict(obj) -> Gate:
+def tree_from_dict(obj, root: str = "") -> Gate:
     """Build a tree from the JSON gate/event object form.
 
-    Gates may nest at most MAX_TREE_DEPTH levels deep.
+    Gates may nest at most MAX_TREE_DEPTH levels deep. Any other error
+    names the bad node by its path, such as `inputs[1].inputs[0]`, after
+    `root`, the name of the tree's root node, when one is given.
     """
-    return _node_from_dict(obj, 0)
+    return _node_from_dict(obj, root, 0)
 
 
-def _node_from_dict(obj, gates_above: int) -> Gate:
+def _bad_node(path: str, message: str) -> InputError:
+    return InputError(f"{path or 'tree root'}: {message}")
+
+
+def _node_from_dict(obj, path: str, gates_above: int) -> Gate:
     if not isinstance(obj, dict):
-        raise InputError(f"tree node must be an object, got {type(obj).__name__}")
+        raise _bad_node(path, f"tree node must be an object, got {type(obj).__name__}")
     if "event" in obj:
         extra = set(obj) - {"event"}
         if extra:
-            raise InputError(f"unknown fields on basic event: {sorted(extra)}")
+            raise _bad_node(path, f"unknown fields on basic event: {sorted(extra)}")
         if not isinstance(obj["event"], str) or not obj["event"]:
-            raise InputError("basic event needs a nonempty component id")
+            raise _bad_node(path, "basic event needs a nonempty component id")
         return BasicEvent(obj["event"])
     if "gate" not in obj:
-        raise InputError("tree node needs either 'event' or 'gate'")
+        raise _bad_node(path, "tree node needs either 'event' or 'gate'")
     kind = obj["gate"]
     allowed = {"gate", "inputs", "k"} if kind == "KOFN" else {"gate", "inputs"}
     extra = set(obj) - allowed
     if extra:
-        raise InputError(f"unknown fields on {kind} gate: {sorted(extra)}")
+        raise _bad_node(path, f"unknown fields on {kind} gate: {sorted(extra)}")
     if not isinstance(kind, str) or kind not in _GATE_NAMES:
-        raise InputError(f"unknown gate kind {kind!r}")
+        raise _bad_node(path, f"unknown gate kind {kind!r}")
     if gates_above == MAX_TREE_DEPTH:
         raise InputError(TREE_TOO_DEEP)
     inputs = obj.get("inputs")
     if not isinstance(inputs, list) or not inputs:
-        raise InputError(f"{kind} gate needs a nonempty 'inputs' list")
-    children = tuple(_node_from_dict(c, gates_above + 1) for c in inputs)
-    try:
-        if kind == "KOFN":
-            k = obj.get("k")
-            if not isinstance(k, int) or isinstance(k, bool):
-                raise InputError("KOFN gate needs an integer 'k'")
-            return KofNGate(k, children)
+        raise _bad_node(path, f"{kind} gate needs a nonempty 'inputs' list")
+    prefix = f"{path}." if path else ""
+    children = tuple(
+        _node_from_dict(c, f"{prefix}inputs[{i}]", gates_above + 1) for i, c in enumerate(inputs)
+    )
+    if kind != "KOFN":
         return _GATE_NAMES[kind](children)
+    k = obj.get("k")
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise _bad_node(path, "KOFN gate needs an integer 'k'")
+    try:
+        return KofNGate(k, children)
     except ValueError as exc:
-        raise InputError(str(exc)) from None
-
+        raise _bad_node(path, str(exc)) from None

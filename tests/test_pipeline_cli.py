@@ -50,6 +50,32 @@ def write_deep_tree_model(tmp_path, depth):
     return path
 
 
+# One node for each error the tree reader reports, with its message.
+BAD_TREE_NODES = [
+    pytest.param(["pu1"], "tree node must be an object, got list", id="not-an-object"),
+    pytest.param({"name": "pu1"}, "tree node needs either 'event' or 'gate'", id="neither-event-nor-gate"),
+    pytest.param({"event": "pu1", "k": 1}, "unknown fields on basic event: ['k']", id="unknown-fields"),
+    pytest.param({"gate": "XOR", "inputs": [{"event": "pu1"}]}, "unknown gate kind 'XOR'", id="unknown-kind"),
+    pytest.param({"gate": "AND", "inputs": []}, "AND gate needs a nonempty 'inputs' list", id="empty-inputs"),
+    pytest.param(
+        {"gate": "KOFN", "k": 1.0, "inputs": [{"event": "pu1"}, {"event": "pu2"}]},
+        "KOFN gate needs an integer 'k'",
+        id="non-integer-k",
+    ),
+    pytest.param(
+        {"gate": "KOFN", "k": 3, "inputs": [{"event": "pu1"}, {"event": "pu2"}]},
+        "K-of-N requires 1 <= k <= 2, got k=3",
+        id="k-out-of-range",
+    ),
+    pytest.param({"event": ""}, "basic event needs a nonempty component id", id="empty-event-id"),
+]
+
+
+def tree_with_bad_node(bad):
+    """A tree over pu1 and pu2 whose node at inputs[1].inputs[1] is `bad`."""
+    return {"gate": "AND", "inputs": [{"event": "pu1"}, {"gate": "OR", "inputs": [{"event": "pu2"}, bad]}]}
+
+
 def run_cli(args, capsys):
     code = cli.main(args)
     out = capsys.readouterr()
@@ -684,6 +710,29 @@ class TestExitCodes:
         )
         assert code == 0
         assert json.loads(out)["system"]["monte_carlo"]["n_samples"] == 1000
+
+    @pytest.mark.parametrize("bad, message", BAD_TREE_NODES)
+    def test_tree_eval_names_the_bad_node(self, tmp_path, capsys, bad, message):
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(tree_with_bad_node(bad)))
+        probs = tmp_path / "probs.json"
+        probs.write_text(json.dumps({"pu1": 0.9, "pu2": 0.8}))
+        code, out, err = run_cli(["tree-eval", "--tree", str(tree), "--probs", str(probs)], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: inputs[1].inputs[1]: {message}\n"
+
+    @pytest.mark.parametrize("bad, message", BAD_TREE_NODES)
+    def test_analyze_names_the_bad_node(self, tmp_path, capsys, bad, message):
+        path = write_two_unit_model(tmp_path)
+        with open(path) as fp:
+            doc = json.load(fp)
+        doc["success_tree"] = tree_with_bad_node(bad)
+        with open(path, "w") as fp:
+            json.dump(doc, fp)
+        code, out, err = run_cli(["analyze", "--system", path, "--out", str(tmp_path / "o")], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: success_tree.inputs[1].inputs[1]: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_tree_eval_too_wide_is_input_error(self, tmp_path, capsys):
         events = [f"e{k}" for k in range(1200)]

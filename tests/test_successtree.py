@@ -132,8 +132,24 @@ class TestProperties:
         probs = {"a": 0.3, "b": 0.6, "c": 0.9}
         one_of = tree_probability(KofNGate(1, (A, B, C)), probs)
         all_of = tree_probability(KofNGate(3, (A, B, C)), probs)
-        assert one_of == pytest.approx(tree_probability(OrGate((A, B, C)), probs))
-        assert all_of == pytest.approx(tree_probability(AndGate((A, B, C)), probs))
+        assert one_of == tree_probability(OrGate((A, B, C)), probs)
+        assert all_of == tree_probability(AndGate((A, B, C)), probs)
+
+    def test_structure_is_the_kth_largest_input(self):
+        # On failure times with ties and never-failing events, every K-of-N
+        # gives the k-th largest input time, AND and OR are its k = n and
+        # k = 1 forms, and the equalities are exact.
+        rnd = random.Random(7)
+        names = "abcde"
+        times = {e: np.array([rnd.choice((0.0, 1.0, 2.5, np.inf)) for _ in range(256)]) for e in names}
+        events = tuple(BasicEvent(e) for e in names)
+        ranked = np.sort(np.stack([times[e] for e in names]), axis=0)
+        for k in range(1, len(names) + 1):
+            got = evaluate_structure(KofNGate(k, events), times)
+            np.testing.assert_array_equal(got, ranked[len(names) - k])
+        for kofn, spelled in ((KofNGate(5, events), AndGate(events)), (KofNGate(1, events), OrGate(events))):
+            got, want = evaluate_structure(kofn, times), evaluate_structure(spelled, times)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def kofn_pairs(n):
@@ -257,10 +273,18 @@ class TestJson:
         obj = {"gate": "KOFN", "k": 2, "inputs": [a, {"gate": "OR", "inputs": [b, c]}, {"gate": "AND", "inputs": [a, c]}]}
         assert tree_from_dict(obj) == KofNGate(2, (A, OrGate((B, C)), AndGate((A, C))))
 
-    def test_parses_gate_objects(self):
-        obj = {"gate": "KOFN", "k": 2, "inputs": [{"event": "x"}, {"event": "y"}, {"event": "z"}]}
+    @pytest.mark.parametrize(
+        "spelling, k, cls, expected_k",
+        [("AND", None, AndGate, 3), ("OR", None, OrGate, 1), ("KOFN", 2, KofNGate, 2)],
+    )
+    def test_parses_gate_objects(self, spelling, k, cls, expected_k):
+        # Each spelling builds its own class, a K-of-N gate with its k.
+        obj = {"gate": spelling, "inputs": [{"event": "x"}, {"event": "y"}, {"event": "z"}]}
+        if k is not None:
+            obj["k"] = k
         tree = tree_from_dict(obj)
-        assert isinstance(tree, KofNGate) and tree.k == 2
+        assert type(tree) is cls and isinstance(tree, KofNGate)
+        assert tree.k == expected_k
 
     @pytest.mark.parametrize(
         "obj",
@@ -278,8 +302,10 @@ class TestJson:
         ],
     )
     def test_rejects_malformed(self, obj):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^tree root: "):
             tree_from_dict(obj)
+        with pytest.raises(InputError, match="^success_tree: "):
+            tree_from_dict(obj, "success_tree")
 
 
 _TREE_LIKE = st.recursive(
