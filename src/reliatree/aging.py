@@ -48,7 +48,7 @@ class AgingParams:
 
 
 def black_mttf(temperature_k: float, params: AgingParams) -> float:
-    """Median electromigration lifetime in hours at a fixed temperature.
+    """Electromigration mean time to failure (MTTF) in hours at a fixed temperature.
 
     math.inf when it overflows a float: so cold (or so little current) that
     wear-out never happens, and the temperature adds 0 to the failure rate.

@@ -12,7 +12,7 @@ import io
 import json
 import sys
 
-from .errors import InputError, StageError, read_text
+from .errors import InputError, StageError, read_json, read_text
 from .model import load_system_file
 from .pipeline import (
     DEFAULT_INJECTION_TRIALS,
@@ -27,12 +27,7 @@ from .softerror import (
     parse_netlist,
     read_workload,
 )
-from .successtree import (
-    TREE_TOO_DEEP,
-    brute_force_probability,
-    tree_from_dict,
-    tree_probability,
-)
+from .successtree import brute_force_probability, tree_from_dict, tree_probability
 from .thermal import ThermalParams, read_power_trace, simulate_temperature, write_temperature_profile
 
 __all__ = ["main"]
@@ -157,26 +152,8 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_tree_eval(args) -> int:
-    # A ValueError from json.loads is a JSONDecodeError or an integer past
-    # the digit limit; the text is read first, since read_text raises an
-    # InputError, which is a ValueError too.
-    text = read_text(args.tree)
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise InputError(f"malformed tree file: {exc}") from None
-    except RecursionError:
-        raise InputError(TREE_TOO_DEEP) from None
-    tree = tree_from_dict(doc)
-    text = read_text(args.probs)
-    try:
-        probs = json.loads(text)
-    except ValueError as exc:
-        raise InputError(f"malformed probabilities file: {exc}") from None
-    except RecursionError:
-        raise InputError(
-            f"probabilities file {args.probs!r} cannot be decoded: its JSON is nested too deeply"
-        ) from None
+    tree = tree_from_dict(read_json(read_text(args.tree), f"tree file {args.tree!r}"))
+    probs = read_json(read_text(args.probs), f"probabilities file {args.probs!r}")
     if not isinstance(probs, dict):
         raise InputError("probabilities file must be a JSON object")
     if args.brute_force:

@@ -19,9 +19,9 @@ from typing import Optional
 import numpy as np
 
 from .aging import AgingParams
-from .errors import ModelError, read_text
+from .errors import ModelError, quoted, read_json, read_text
 from .softerror import SerParams
-from .successtree import TREE_TOO_DEEP, Gate, basic_events, tree_from_dict
+from .successtree import Gate, basic_events, tree_from_dict
 from .thermal import ThermalParams
 
 __all__ = [
@@ -52,9 +52,6 @@ _KINDS = ("System", "Subsystem", "Component")
 # The largest grid np.linspace can be asked for.
 _MAX_GRID_POINTS = int(np.iinfo(np.intp).max)
 _WS = re.compile(r"\s")
-# A JSON string (group 1 its body, group 2 set when it is a member name)
-# or a bracket.
-_JSON_TOKEN = re.compile(r'"((?:\\.|[^"\\])*)"(\s*:)?|[\[\]{}]')
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,7 @@ class SystemModel:
 
 def _ident(value, what: str) -> str:
     if not isinstance(value, str) or not value or _WS.search(value):
-        raise ModelError(f"{what} must be a nonempty token without whitespace, got {value!r}")
+        raise ModelError(f"{what} must be a nonempty token without whitespace, got {quoted(value)}")
     return value
 
 
@@ -119,7 +116,7 @@ def _require_fields(obj: dict, required, optional, what: str) -> None:
 
 def _float(v, what: str) -> float:
     if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ModelError(f"{what} must be a number, got {v!r}")
+        raise ModelError(f"{what} must be a number, got {quoted(v)}")
     try:
         return float(v)
     except OverflowError:
@@ -135,7 +132,7 @@ def _resolve_file(raw, base_dir: str, node_id: str, fieldname: str) -> str:
         raise ModelError(f"node {node_id!r}: field {fieldname!r} must be a file path")
     path = raw if os.path.isabs(raw) else os.path.join(base_dir, raw)
     if not os.path.isfile(path):
-        raise ModelError(f"node {node_id!r}: field {fieldname!r} references missing file {raw!r}")
+        raise ModelError(f"node {node_id!r}: field {fieldname!r} references missing file {quoted(raw)}")
     return path
 
 
@@ -189,7 +186,7 @@ def _parse_node(obj, level: int, base_dir: str, nodes: dict) -> HierarchyNode:
     nodes[node_id] = None  # claimed before the children are parsed
     kind = obj["kind"]
     if kind not in _KINDS:
-        raise ModelError(f"node {node_id!r}: unknown kind {kind!r}")
+        raise ModelError(f"node {node_id!r}: unknown kind {quoted(kind)}")
     if level == 1 and kind != "System":
         raise ModelError(f"root node {node_id!r} must have kind 'System', got {kind!r}")
     if level > 1 and kind == "System":
@@ -247,37 +244,10 @@ def _check_adapters(obj, nodes: dict) -> None:
             raise ModelError(f"component {cid!r} has no adapters entry; it needs {json.dumps(CANONICAL_CHAINS)}")
 
 
-def _deepest_nesting(text: str) -> tuple:
-    """Deepest bracket nesting of a JSON text, and the top-level member
-    where it is first reached."""
-    depth = deepest = 0
-    member = where = None
-    for m in _JSON_TOKEN.finditer(text):
-        token = m.group()
-        if m.group(2) and depth == 1:
-            member = m.group(1)
-        elif token in ("[", "{"):
-            depth += 1
-            if depth > deepest:
-                deepest, where = depth, member
-        elif token in ("]", "}"):
-            depth -= 1
-    return deepest, where
-
-
-def load_system(text: str, base_dir: str = ".") -> SystemModel:
-    """Parse and validate a system description document."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
-        raise ModelError(f"malformed system description: {exc}") from None
-    except RecursionError:
-        depth, member = _deepest_nesting(text)
-        where = "" if member is None else f" in member {member!r}"
-        cause = TREE_TOO_DEEP if member == "success_tree" else "too deep for the JSON decoder"
-        raise ModelError(
-            f"system description cannot be decoded: its JSON nests {depth} levels deep{where}: {cause}"
-        ) from None
+def load_system(text: str, base_dir: str = ".", what: str = "system description") -> SystemModel:
+    """Parse and validate a system description document; `what` names it
+    in the errors of reading its JSON."""
+    doc = read_json(text, what, ModelError)
     _require_fields(
         doc,
         ("name", "time_horizon_hours", "grid_points", "hierarchy", "adapters", "success_tree"),
@@ -290,7 +260,7 @@ def load_system(text: str, base_dir: str = ".") -> SystemModel:
         raise ModelError(f"time_horizon_hours must be positive and finite, got {horizon}")
     grid_points = doc["grid_points"]
     if not isinstance(grid_points, int) or isinstance(grid_points, bool) or grid_points < 2:
-        raise ModelError(f"grid_points must be an integer >= 2, got {grid_points!r}")
+        raise ModelError(f"grid_points must be an integer >= 2, got {quoted(grid_points)}")
     if grid_points > _MAX_GRID_POINTS:
         raise ModelError(f"grid_points must be at most {_MAX_GRID_POINTS}")
 
@@ -309,4 +279,6 @@ def load_system(text: str, base_dir: str = ".") -> SystemModel:
 
 
 def load_system_file(path: str) -> SystemModel:
-    return load_system(read_text(path), os.path.dirname(os.path.abspath(path)))
+    return load_system(
+        read_text(path), os.path.dirname(os.path.abspath(path)), f"system description {path!r}"
+    )

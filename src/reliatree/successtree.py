@@ -23,7 +23,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, quoted
 
 __all__ = [
     "BasicEvent",
@@ -36,16 +36,9 @@ __all__ = [
     "tree_probability",
     "brute_force_probability",
     "tree_from_dict",
-    "MAX_TREE_DEPTH",
 ]
 
 _BRUTE_FORCE_MAX_EVENTS = 20
-
-# Deepest gate nesting a tree document may have. Decoding, building and
-# evaluating a tree recurse once or twice per level, so this keeps every
-# accepted tree well inside Python's default recursion limit.
-MAX_TREE_DEPTH = 256
-TREE_TOO_DEEP = f"success tree is nested too deeply (the limit is {MAX_TREE_DEPTH} gate levels)"
 
 
 @dataclass(frozen=True)
@@ -185,9 +178,9 @@ def _check_probs(events, probs) -> None:
             raise InputError(f"no probability for basic event {event!r}")
         p = probs[event]
         if not isinstance(p, (int, float)) or isinstance(p, bool):
-            raise InputError(f"probability for {event!r} must be a number, got {p!r}")
+            raise InputError(f"probability for {event!r} must be a number, got {quoted(p)}")
         if not 0.0 <= p <= 1.0:
-            raise InputError(f"probability for {event!r} out of [0,1]: {p!r}")
+            raise InputError(f"probability for {event!r} out of [0,1]: {quoted(p)}")
 
 
 def tree_probability(tree: Gate, probs: Mapping[str, float]) -> float:
@@ -255,18 +248,18 @@ _GATE_NAMES = {"AND": AndGate, "OR": OrGate, "KOFN": KofNGate}
 def tree_from_dict(obj, root: str = "") -> Gate:
     """Build a tree from the JSON gate/event object form.
 
-    Gates may nest at most MAX_TREE_DEPTH levels deep. Any other error
-    names the bad node by its path, such as `inputs[1].inputs[0]`, after
-    `root`, the name of the tree's root node, when one is given.
+    An error names the bad node by its path, such as `inputs[1].inputs[0]`,
+    after `root`, the name of the tree's root node, when one is given. The
+    tree's depth is bounded where its JSON is read (MAX_JSON_DEPTH).
     """
-    return _node_from_dict(obj, root, 0)
+    return _node_from_dict(obj, root)
 
 
 def _bad_node(path: str, message: str) -> InputError:
     return InputError(f"{path or 'tree root'}: {message}")
 
 
-def _node_from_dict(obj, path: str, gates_above: int) -> Gate:
+def _node_from_dict(obj, path: str) -> Gate:
     if not isinstance(obj, dict):
         raise _bad_node(path, f"tree node must be an object, got {type(obj).__name__}")
     if "event" in obj:
@@ -279,20 +272,18 @@ def _node_from_dict(obj, path: str, gates_above: int) -> Gate:
     if "gate" not in obj:
         raise _bad_node(path, "tree node needs either 'event' or 'gate'")
     kind = obj["gate"]
+    if not isinstance(kind, str) or kind not in _GATE_NAMES:
+        raise _bad_node(path, f"unknown gate kind {quoted(kind)}")
     allowed = {"gate", "inputs", "k"} if kind == "KOFN" else {"gate", "inputs"}
     extra = set(obj) - allowed
     if extra:
         raise _bad_node(path, f"unknown fields on {kind} gate: {sorted(extra)}")
-    if not isinstance(kind, str) or kind not in _GATE_NAMES:
-        raise _bad_node(path, f"unknown gate kind {kind!r}")
-    if gates_above == MAX_TREE_DEPTH:
-        raise InputError(TREE_TOO_DEEP)
     inputs = obj.get("inputs")
     if not isinstance(inputs, list) or not inputs:
         raise _bad_node(path, f"{kind} gate needs a nonempty 'inputs' list")
     prefix = f"{path}." if path else ""
     children = tuple(
-        _node_from_dict(c, f"{prefix}inputs[{i}]", gates_above + 1) for i, c in enumerate(inputs)
+        _node_from_dict(c, f"{prefix}inputs[{i}]") for i, c in enumerate(inputs)
     )
     if kind != "KOFN":
         return _GATE_NAMES[kind](children)

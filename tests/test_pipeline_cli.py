@@ -11,10 +11,9 @@ import numpy as np
 
 from reliatree import cli, pipeline
 from reliatree.aging import black_mttf, weibull_from_mttf
-from reliatree.errors import InputError, ModelError, StageError
+from reliatree.errors import MAX_JSON_DEPTH, InputError, ModelError, StageError, read_json
 from reliatree.model import load_system_file
 from reliatree.reliability import reliability_at
-from reliatree.successtree import MAX_TREE_DEPTH
 from reliatree.pipeline import (
     PipelineOptions,
     injection_seed,
@@ -37,6 +36,50 @@ def deep_chain_text(depth, events):
         event = events[level % len(events)]
         text = '{"gate": "%s", "inputs": [{"event": "%s"}, %s]}' % (gate, event, text)
     return text
+
+
+# The most gates a success tree may nest: inside a system description, a
+# chain of them reaches JSON depth 2 * gates + 2.
+MAX_GATES = (MAX_JSON_DEPTH - 2) // 2
+
+
+def depth_error(what, path, depth, member):
+    return f"error: {what} {str(path)!r} nests {depth} levels deep in member {member!r}; the limit is {MAX_JSON_DEPTH}\n"
+
+
+def write_nested_input(tmp_path, which, depth):
+    """Write the files of a run whose `which` input ("system", "tree" or
+    "probs") nests exactly `depth` JSON levels; return the run's argv, the
+    depth error's start (the input and its path) and the top-level member
+    holding the depth.
+
+    The system description's hierarchy puts its components at level L,
+    JSON depth 2L + 2 (their `ser.fit_per_node`), so its depth is even; a
+    tree file of G gates nests 2G + 1 deep, so its depth is odd.
+    """
+    system = write_two_unit_model(tmp_path)
+    tree, probs = tmp_path / "tree.json", tmp_path / "probs.json"
+    tree.write_text('{"event": "a"}')
+    probs.write_text('{"a": 0.5}')
+    if which == "system":
+        assert depth % 2 == 0
+        with open(system) as fp:
+            doc = json.load(fp)
+        levels = range(2, (depth - 2) // 2)  # of the Subsystems
+        node = "".join('[{"id": "s%d", "kind": "Subsystem", "children": ' % k for k in levels)
+        node += json.dumps(doc["hierarchy"]["children"]) + "}]" * len(levels)
+        doc["hierarchy"]["children"] = "NODES"
+        with open(system, "w") as fp:
+            fp.write(json.dumps(doc).replace('"NODES"', node))
+        args = ["analyze", "--system", system, "--out", str(tmp_path / "o"), "--seed", "1"]
+        return args + ["--injection-trials", "100"], ("system description", system), "hierarchy"
+    args = ["tree-eval", "--tree", str(tree), "--probs", str(probs)]
+    if which == "tree":
+        assert depth % 2 == 1
+        tree.write_text(deep_chain_text((depth - 1) // 2, ("a",)))
+        return args, ("tree file", tree), "inputs"
+    probs.write_text('{"a": ' + "[" * (depth - 1) + "0.5" + "]" * (depth - 1) + "}")
+    return args, ("probabilities file", probs), "a"
 
 
 def write_deep_tree_model(tmp_path, depth):
@@ -665,21 +708,21 @@ class TestExitCodes:
         )
         assert code == 1 and "error:" in err
 
-    @pytest.mark.parametrize("depth", [MAX_TREE_DEPTH + 1, 900])
-    def test_tree_eval_too_deep_is_input_error(self, tmp_path, capsys, depth):
+    @pytest.mark.parametrize("gates", [MAX_GATES + 1, 900])
+    def test_tree_eval_too_deep_is_input_error(self, tmp_path, capsys, gates):
         tree = tmp_path / "tree.json"
-        tree.write_text(deep_chain_text(depth, ("a", "b", "c")))
+        tree.write_text(deep_chain_text(gates, ("a", "b", "c")))
         probs = tmp_path / "probs.json"
         probs.write_text(json.dumps({"a": 0.9, "b": 0.8, "c": 0.7}))
         code, _, err = run_cli(
             ["tree-eval", "--tree", str(tree), "--probs", str(probs)], capsys
         )
         assert code == 1
-        assert "nested too deeply" in err and str(MAX_TREE_DEPTH) in err
+        assert err == depth_error("tree file", tree, 2 * gates + 1, "inputs")
 
     def test_tree_eval_at_depth_limit(self, tmp_path, capsys):
         tree = tmp_path / "tree.json"
-        tree.write_text(deep_chain_text(MAX_TREE_DEPTH, ("a", "b", "c")))
+        tree.write_text(deep_chain_text(MAX_GATES, ("a", "b", "c")))
         probs = tmp_path / "probs.json"
         probs.write_text(json.dumps({"a": 0.9, "b": 0.8, "c": 0.7}))
         args = ["tree-eval", "--tree", str(tree), "--probs", str(probs)]
@@ -691,18 +734,18 @@ class TestExitCodes:
             json.loads(brute)["probability"], abs=1e-12
         )
 
-    @pytest.mark.parametrize("depth", [MAX_TREE_DEPTH + 1, 900])
-    def test_analyze_too_deep_is_input_error(self, tmp_path, capsys, depth):
-        path = write_deep_tree_model(tmp_path, depth)
+    @pytest.mark.parametrize("gates", [MAX_GATES + 1, 900])
+    def test_analyze_too_deep_is_input_error(self, tmp_path, capsys, gates):
+        path = write_deep_tree_model(tmp_path, gates)
         code, _, err = run_cli(
             ["analyze", "--system", path, "--out", str(tmp_path / "o")], capsys
         )
         assert code == 1
-        assert "nested too deeply" in err and str(MAX_TREE_DEPTH) in err
+        assert err == depth_error("system description", path, 2 * gates + 2, "success_tree")
         assert not (tmp_path / "o").exists()
 
     def test_analyze_at_depth_limit(self, tmp_path, capsys):
-        path = write_deep_tree_model(tmp_path, MAX_TREE_DEPTH)
+        path = write_deep_tree_model(tmp_path, MAX_GATES)
         code, out, _ = run_cli(
             ["analyze", "--system", path, "--out", str(tmp_path / "o"), "--seed", "3",
              "--mc-trials", "1000"],
@@ -903,7 +946,72 @@ class TestExitCodes:
         tree, probs = str(tmp_path / "tree.json"), str(tmp_path / "probs.json")
         code, out, err = run_cli(["tree-eval", "--tree", tree, "--probs", probs], capsys)
         assert code == 1 and out == ""
-        assert "probs.json" in err and "nested too deeply" in err
+        assert err == depth_error("probabilities file", probs, 5001, "a")
+
+    # Each input at the deepest nesting of its form that the reader
+    # accepts: a 256-level hierarchy analyzes, a 256-gate tree file
+    # evaluates, and a probability nested in 513 lists reaches the check
+    # that it is a number.
+    @pytest.mark.parametrize("which, depth", [("system", 514), ("tree", 513), ("probs", 514)])
+    def test_json_at_the_depth_limit_is_read(self, tmp_path, capsys, which, depth):
+        args, _, _ = write_nested_input(tmp_path, which, depth)
+        code, out, err = run_cli(args, capsys)
+        if which == "probs":
+            assert code == 1 and out == ""
+            assert err == "error: probability for 'a' must be a number, got " + "[" * 57 + "...\n"
+        else:
+            assert code == 0 and err == ""
+            assert json.loads(out)
+
+    # Past the limit by one or two levels, and far past it, where the JSON
+    # decoder itself would give up at a depth that depends on the Python
+    # version; 602 is a 300-level hierarchy, which the decoder reads.
+    @pytest.mark.parametrize(
+        "which, depth",
+        [("system", d) for d in (516, 602, 5000, 20000)]
+        + [("tree", d) for d in (515, 5001, 20001)]
+        + [("probs", d) for d in (515, 5000, 20000)],
+    )
+    def test_json_past_the_depth_limit_exits_one(self, tmp_path, capsys, which, depth):
+        args, (what, path), member = write_nested_input(tmp_path, which, depth)
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert err == depth_error(what, path, depth, member)
+        assert not (tmp_path / "o").exists()
+        # Rejected before decoding, so not while handling a RecursionError.
+        with open(path) as fp:
+            text = fp.read()
+        with pytest.raises(InputError) as excinfo:
+            read_json(text, what)
+        assert excinfo.value.__context__ is None
+
+    # A bad value an input error quotes is cut to a short repr, however
+    # large the value is.
+    @pytest.mark.parametrize("field", ["probability", "fit", "name"])
+    def test_a_huge_bad_value_is_quoted_briefly(self, tmp_path, capsys, field):
+        huge = list(range(100_000))
+        system = write_two_unit_model(tmp_path)
+        with open(system) as fp:
+            doc = json.load(fp)
+        if field == "probability":
+            (tmp_path / "tree.json").write_text('{"event": "a"}')
+            (tmp_path / "probs.json").write_text(json.dumps({"a": huge}))
+            args = ["tree-eval", "--tree", str(tmp_path / "tree.json"), "--probs", str(tmp_path / "probs.json")]
+            named = "probability for 'a' must be a number"
+        else:
+            if field == "fit":
+                doc["hierarchy"]["children"][0]["ser"]["fit_per_node"] = {"sum": huge}
+                named = "node 'pu1': field 'ser': FIT for 'sum' must be a number"
+            else:
+                doc["name"] = huge
+                named = "model name must be a nonempty token"
+            with open(system, "w") as fp:
+                json.dump(doc, fp)
+            args = ["analyze", "--system", system, "--out", str(tmp_path / "o")]
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert named in err and "[0, 1, 2, 3" in err
+        assert len(err.encode()) < 300
 
     # 10**400 is an integer that no float can hold.
     @pytest.mark.parametrize(
