@@ -23,9 +23,10 @@ import numpy as np
 from . import rng
 from .errors import InputError
 from .reliability import (
+    Exponential,
     Product,
     ReliabilityFunction,
-    draw_count,
+    Weibull,
     integrate_survival,
     reliability_at,
     sample_failure_times,
@@ -60,7 +61,6 @@ class SystemCurves:
 class McCurve:
     grid: tuple
     survival: tuple
-    stderr: tuple
     n_samples: int
 
 
@@ -135,15 +135,18 @@ def monte_carlo_system(
     seed: int,
     grid,
 ) -> McCurve:
-    """Empirical system survival with per-point binomial standard errors.
+    """Empirical system survival at each grid point.
 
-    component_modes maps component id to (r_perm, r_trans). Each sample
-    draws a failure time per component from Product((r_perm, r_trans)) by
-    inverse CDF and applies the structure function to them; sample i is a
-    pure function of (seed, i), so any batching yields identical results.
-    A sample has fallen at grid point t when its failure time is <= t;
-    each block is sorted once and searched for every grid point, so the
-    grid may be unsorted and may repeat points.
+    component_modes maps component id to (r_perm, r_trans), each an
+    Exponential or a Weibull. Sample i reads the counters [2C*i, 2C*(i+1)),
+    C the number of tree events: event j in sorted id order draws its
+    permanent failure time from lane 2j and its transient one from lane
+    2j + 1, both by inverse CDF, and fails at the earlier of the two. The
+    structure function of those times is the system failure time. Sample i
+    is a pure function of (seed, i), so any batching yields identical
+    results. A sample has fallen at grid point t when its failure time is
+    <= t; each block is sorted once and searched for every grid point, so
+    the grid may be unsorted and may repeat points.
     """
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples!r}")
@@ -152,44 +155,37 @@ def monte_carlo_system(
     for event in events:
         if event not in component_modes:
             raise InputError(f"no fault-mode functions for component {event!r}")
-
-    lanes = []  # (component, its survival, first lane, lane count)
-    total = 0
-    for cid in sorted(events):
-        rf = Product(component_modes[cid])
-        need = draw_count(rf)
-        lanes.append((cid, rf, total, need))
-        total += need
+        if not all(isinstance(rf, (Exponential, Weibull)) for rf in component_modes[event]):
+            raise ValueError(f"component {event!r}: fault modes must be Exponentials or Weibulls")
+    modes = [(cid, component_modes[cid]) for cid in sorted(events)]
+    width = 2 * len(modes)  # counters per sample
 
     # Allocated once per call and refilled every block: the uniforms in the
     # (sample, lane) order they are drawn in, the RNG words behind them,
     # and the same uniforms as one contiguous row per lane.
     block_size = min(MC_BLOCK_SAMPLES, n_samples)
-    drawn = np.empty(block_size * total)
-    words = np.empty(block_size * total, dtype=np.uint64)
-    rows = np.empty((total, block_size))
+    drawn = np.empty(block_size * width)
+    words = np.empty(block_size * width, dtype=np.uint64)
+    rows = np.empty((width, block_size))
     # fallen[j]: samples whose system failure time is <= grid[j].
     fallen = np.zeros(len(grid), dtype=np.int64)
     for first in range(0, n_samples, MC_BLOCK_SAMPLES):
         size = min(MC_BLOCK_SAMPLES, n_samples - first)
-        # counter = sample * total_lanes + lane, one open-interval uniform each
-        uniforms = rng.unit_open_floats(seed, first * total, size * total, out=drawn, scratch=words)
+        # counter = sample * width + lane, one open-interval uniform each
+        uniforms = rng.unit_open_floats(seed, first * width, size * width, out=drawn, scratch=words)
         block = rows[:, :size]
-        np.copyto(block, uniforms.reshape(size, total).T)
+        np.copyto(block, uniforms.reshape(size, width).T)
         comp_times = {
-            cid: sample_failure_times(rf, block[first_lane : first_lane + need])
-            for cid, rf, first_lane, need in lanes
+            cid: np.minimum(sample_failure_times(r_perm, perm_u), sample_failure_times(r_trans, trans_u))
+            for (cid, (r_perm, r_trans)), perm_u, trans_u in zip(modes, block[0::2], block[1::2])
         }
         t_sys = evaluate_structure(tree, comp_times)
         t_sys.sort()
         fallen += np.searchsorted(t_sys, grid, side="right")
 
-    survival = 1.0 - fallen / n_samples
-    stderr = np.sqrt(survival * (1.0 - survival) / n_samples)
     return McCurve(
         grid=tuple(float(t) for t in grid),
-        survival=tuple(float(v) for v in survival),
-        stderr=tuple(float(v) for v in stderr),
+        survival=tuple(float(v) for v in 1.0 - fallen / n_samples),
         n_samples=n_samples,
     )
 

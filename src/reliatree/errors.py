@@ -32,7 +32,7 @@ class StageError(RuntimeError):
     """A pipeline stage failed; names the component and stage."""
 
     def __init__(self, component_id: str, stage: str, cause: BaseException):
-        super().__init__(f"component {component_id!r}, stage {stage!r}: {cause}")
+        super().__init__(f"component {quoted(component_id)}, stage {stage!r}: {cause}")
 
 
 def read_text(path: str) -> str:

@@ -129,15 +129,15 @@ def _number(obj: dict, key: str, what: str) -> float:
 
 def _resolve_file(raw, base_dir: str, node_id: str, fieldname: str) -> str:
     if not isinstance(raw, str) or not raw:
-        raise ModelError(f"node {node_id!r}: field {fieldname!r} must be a file path")
+        raise ModelError(f"node {quoted(node_id)}: field {fieldname!r} must be a file path")
     path = raw if os.path.isabs(raw) else os.path.join(base_dir, raw)
     if not os.path.isfile(path):
-        raise ModelError(f"node {node_id!r}: field {fieldname!r} references missing file {quoted(raw)}")
+        raise ModelError(f"node {quoted(node_id)}: field {fieldname!r} references missing file {quoted(raw)}")
     return path
 
 
 def _parse_thermal(obj, node_id: str) -> ThermalParams:
-    what = f"node {node_id!r}: field 'thermal'"
+    what = f"node {quoted(node_id)}: field 'thermal'"
     _require_fields(obj, ("r_th", "c_th", "t_ambient"), ("t_initial",), what)
     r_th, c_th, t_amb = (_number(obj, key, what) for key in ("r_th", "c_th", "t_ambient"))
     t_init = _number(obj, "t_initial", what) if "t_initial" in obj else t_amb
@@ -148,7 +148,7 @@ def _parse_thermal(obj, node_id: str) -> ThermalParams:
 
 
 def _parse_aging(obj, node_id: str) -> AgingParams:
-    what = f"node {node_id!r}: field 'aging'"
+    what = f"node {quoted(node_id)}: field 'aging'"
     _require_fields(obj, ("a_const", "j_density", "n_exp", "ea_ev"), ("weibull_beta",), what)
     numbers = [_number(obj, key, what) for key in ("a_const", "j_density", "n_exp", "ea_ev")]
     beta = _number(obj, "weibull_beta", what) if "weibull_beta" in obj else DEFAULT_WEIBULL_BETA
@@ -159,12 +159,12 @@ def _parse_aging(obj, node_id: str) -> AgingParams:
 
 
 def _parse_ser(obj, node_id: str) -> SerParams:
-    what = f"node {node_id!r}: field 'ser'"
+    what = f"node {quoted(node_id)}: field 'ser'"
     _require_fields(obj, ("default_fit",), ("fit_per_node",), what)
     fit_map = obj.get("fit_per_node", {})
     if not isinstance(fit_map, dict):
         raise ModelError(f"{what}: 'fit_per_node' must be an object")
-    fits = {net: _float(fit, f"{what}: FIT for {net!r}") for net, fit in fit_map.items()}
+    fits = {net: _float(fit, f"{what}: FIT for {quoted(net)}") for net, fit in fit_map.items()}
     default_fit = _number(obj, "default_fit", what)
     try:
         return SerParams(fits, default_fit)
@@ -182,23 +182,23 @@ def _parse_node(obj, level: int, base_dir: str, nodes: dict) -> HierarchyNode:
     )
     node_id = _ident(obj["id"], "node id")
     if node_id in nodes:
-        raise ModelError(f"duplicate node id {node_id!r}")
+        raise ModelError(f"duplicate node id {quoted(node_id)}")
     nodes[node_id] = None  # claimed before the children are parsed
     kind = obj["kind"]
     if kind not in _KINDS:
-        raise ModelError(f"node {node_id!r}: unknown kind {quoted(kind)}")
+        raise ModelError(f"node {quoted(node_id)}: unknown kind {quoted(kind)}")
     if level == 1 and kind != "System":
-        raise ModelError(f"root node {node_id!r} must have kind 'System', got {kind!r}")
+        raise ModelError(f"root node {quoted(node_id)} must have kind 'System', got {quoted(kind)}")
     if level > 1 and kind == "System":
-        raise ModelError(f"node {node_id!r}: 'System' is only allowed at the root")
+        raise ModelError(f"node {quoted(node_id)}: 'System' is only allowed at the root")
 
     if kind == "Component":
         for banned in ("children",):
             if banned in obj:
-                raise ModelError(f"component {node_id!r} must be a leaf (no {banned!r})")
+                raise ModelError(f"component {quoted(node_id)} must be a leaf (no {banned!r})")
         for needed in ("thermal", "aging", "power_trace", "netlist", "ser"):
             if needed not in obj:
-                raise ModelError(f"component {node_id!r}: missing field {needed!r}")
+                raise ModelError(f"component {quoted(node_id)}: missing field {needed!r}")
         payload = ComponentPayload(
             thermal=_parse_thermal(obj["thermal"], node_id),
             aging=_parse_aging(obj["aging"], node_id),
@@ -211,13 +211,13 @@ def _parse_node(obj, level: int, base_dir: str, nodes: dict) -> HierarchyNode:
 
     for banned in ("thermal", "aging", "power_trace", "netlist", "ser"):
         if banned in obj:
-            raise ModelError(f"node {node_id!r}: field {banned!r} only belongs on components")
+            raise ModelError(f"node {quoted(node_id)}: field {banned!r} only belongs on components")
     raw_children = obj.get("children", [])
     if not isinstance(raw_children, list):
-        raise ModelError(f"node {node_id!r}: 'children' must be a list")
+        raise ModelError(f"node {quoted(node_id)}: 'children' must be a list")
     children = tuple(_parse_node(c, level + 1, base_dir, nodes) for c in raw_children)
     if kind == "Subsystem" and not children:
-        raise ModelError(f"subsystem {node_id!r} needs at least one child")
+        raise ModelError(f"subsystem {quoted(node_id)} needs at least one child")
     node = nodes[node_id] = HierarchyNode(node_id, kind, children)
     return node
 
@@ -231,8 +231,8 @@ def _check_adapters(obj, nodes: dict) -> None:
         node = nodes.get(cid)
         if node is None or node.kind != "Component":
             what = "no node" if node is None else f"a {node.kind}"
-            raise ModelError(f"adapters entry {cid!r} names {what}; entries are keyed by component id")
-        what = f"adapters for component {cid!r}"
+            raise ModelError(f"adapters entry {quoted(cid)} names {what}; entries are keyed by component id")
+        what = f"adapters for component {quoted(cid)}"
         _require_fields(entry, ("permanent", "transient"), ("combine",), what)
         for chain, names in entry.items():
             if names != CANONICAL_CHAINS[chain]:
@@ -241,7 +241,7 @@ def _check_adapters(obj, nodes: dict) -> None:
                 )
     for cid, node in nodes.items():
         if node.kind == "Component" and cid not in obj:
-            raise ModelError(f"component {cid!r} has no adapters entry; it needs {json.dumps(CANONICAL_CHAINS)}")
+            raise ModelError(f"component {quoted(cid)} has no adapters entry; it needs {json.dumps(CANONICAL_CHAINS)}")
 
 
 def load_system(text: str, base_dir: str = ".", what: str = "system description") -> SystemModel:
@@ -270,9 +270,9 @@ def load_system(text: str, base_dir: str = ".", what: str = "system description"
     for event in basic_events(tree):
         node = nodes.get(event)
         if node is None:
-            raise ModelError(f"success tree references unknown component {event!r}")
+            raise ModelError(f"success tree references unknown component {quoted(event)}")
         if node.kind != "Component":
-            raise ModelError(f"success tree event {event!r} must name a leaf component")
+            raise ModelError(f"success tree event {quoted(event)} must name a leaf component")
 
     _check_adapters(doc["adapters"], nodes)
     return SystemModel(name, horizon, grid_points, root, tree)

@@ -1,10 +1,13 @@
 """Survival-function forms: the measure every analysis passes upward.
 
 All times are hours. Three forms cover the engine: closed-form Exponential
-and Weibull, and Product for independent competing failure modes. Every
-form evaluates to a probability in [0, 1] with R(0) = 1. An MTTF without a
-closed form, of a Product here or of a whole system in curves.py, is the
-integral of the survival by integrate_survival.
+and Weibull, and Product for independent competing failure modes, whose
+factors are Exponentials and Weibulls: a component's permanent wear-out
+and its transient soft errors. Every form evaluates to a probability in
+[0, 1] with R(0) = 1. An MTTF without a closed form, of a Product here or
+of a whole system in curves.py, is the integral of the survival by
+integrate_survival. sample_failure_times draws by inverse CDF from one
+elementary form; a Product's time is the minimum of its factors' times.
 """
 from __future__ import annotations
 
@@ -23,7 +26,6 @@ __all__ = [
     "reliability_at",
     "integrate_survival",
     "mttf",
-    "draw_count",
     "sample_failure_times",
 ]
 
@@ -64,7 +66,8 @@ class Weibull:
 
 @dataclass(frozen=True)
 class Product:
-    """Independent competing risks: R(t) is the product of the factors."""
+    """Independent competing risks: R(t) is the product of the factors,
+    each an Exponential or a Weibull."""
 
     factors: tuple
 
@@ -74,8 +77,8 @@ class Product:
         if not factors:
             raise ValueError("product needs at least one factor")
         for f in factors:
-            if not isinstance(f, (Exponential, Weibull, Product)):
-                raise ValueError(f"not a reliability function: {f!r}")
+            if not isinstance(f, (Exponential, Weibull)):
+                raise ValueError(f"a product factor must be an Exponential or a Weibull, got {f!r}")
 
 
 ReliabilityFunction = Union[Exponential, Weibull, Product]
@@ -174,37 +177,14 @@ def mttf(rf: ReliabilityFunction) -> float:
     raise ValueError(f"not a reliability function: {rf!r}")
 
 
-def draw_count(rf: ReliabilityFunction) -> int:
-    """Number of uniform draws needed to sample one failure time."""
-    if isinstance(rf, Product):
-        return sum(draw_count(f) for f in rf.factors)
-    return 1
-
-
 def sample_failure_times(rf: ReliabilityFunction, uniforms: np.ndarray) -> np.ndarray:
-    """Inverse-CDF failure times from uniforms shaped (draw_count, n).
-
-    A Product consumes one row per elementary factor and returns the
-    minimum across factors, matching independent competing risks.
-    """
-    uniforms = np.atleast_2d(np.asarray(uniforms, dtype=float))
-    if uniforms.shape[0] != draw_count(rf):
-        raise ValueError(
-            f"need {draw_count(rf)} uniform rows, got {uniforms.shape[0]}"
-        )
+    """Inverse-CDF failure times of an Exponential or a Weibull, one per
+    uniform in (0, 1] of the 1-D array uniforms."""
     if isinstance(rf, Exponential):
         if rf.lam == 0.0:
             # Never fails; -log(1.0) / 0 would be NaN. The draw is still taken.
-            return np.full_like(uniforms[0], np.inf)
-        return -np.log(uniforms[0]) / rf.lam
+            return np.full_like(uniforms, np.inf)
+        return -np.log(uniforms) / rf.lam
     if isinstance(rf, Weibull):
-        return rf.eta * (-np.log(uniforms[0])) ** (1.0 / rf.beta)
-    if isinstance(rf, Product):
-        row = 0
-        draws = []
-        for f in rf.factors:
-            k = draw_count(f)
-            draws.append(sample_failure_times(f, uniforms[row : row + k]))
-            row += k
-        return np.minimum.reduce(draws)
-    raise ValueError(f"not a reliability function: {rf!r}")
+        return rf.eta * (-np.log(uniforms)) ** (1.0 / rf.beta)
+    raise ValueError(f"not an Exponential or a Weibull: {rf!r}")

@@ -36,7 +36,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import rng
-from .errors import InputError, NetlistParseError
+from .errors import InputError, NetlistParseError, quoted
 
 __all__ = [
     "Gate",
@@ -614,17 +614,17 @@ def transient_failure_rate(
     """Per-hour transient rate: sum of FIT * derating * 1e-9 over nets."""
     for net in ser.fit_per_node:
         if net not in netlist.compiled.index:
-            raise ValueError(f"FIT map names unknown net {net!r}")
+            raise ValueError(f"FIT map names unknown net {quoted(net)}")
     total_fit = 0.0
     for net in netlist.nets():
         fit = ser.fit_for(net)
         if fit == 0.0:
             continue
         if net not in deratings:
-            raise ValueError(f"no derating for net {net!r} with nonzero FIT")
+            raise ValueError(f"no derating for net {quoted(net)} with nonzero FIT")
         d = deratings[net]
         if not 0.0 <= d <= 1.0:
-            raise ValueError(f"derating for {net!r} out of [0,1]: {d!r}")
+            raise ValueError(f"derating for {quoted(net)} out of [0,1]: {d!r}")
         total_fit += fit * d
     return total_fit * PER_HOUR_PER_FIT
 
@@ -638,7 +638,7 @@ def read_workload(fp, n_inputs: int) -> list:
             continue
         if len(line) != n_inputs or any(c not in "01" for c in line):
             raise InputError(
-                f"workload line {lineno}: expected {n_inputs} binary digits, got {line!r}"
+                f"workload line {lineno}: expected {n_inputs} binary digits, got {quoted(line)}"
             )
         vectors.append(tuple(int(c) for c in line))
     if not vectors:

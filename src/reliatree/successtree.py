@@ -175,12 +175,12 @@ def _first_event(tree: Gate) -> str:
 def _check_probs(events, probs) -> None:
     for event in events:
         if event not in probs:
-            raise InputError(f"no probability for basic event {event!r}")
+            raise InputError(f"no probability for basic event {quoted(event)}")
         p = probs[event]
         if not isinstance(p, (int, float)) or isinstance(p, bool):
-            raise InputError(f"probability for {event!r} must be a number, got {quoted(p)}")
+            raise InputError(f"probability for {quoted(event)} must be a number, got {quoted(p)}")
         if not 0.0 <= p <= 1.0:
-            raise InputError(f"probability for {event!r} out of [0,1]: {quoted(p)}")
+            raise InputError(f"probability for {quoted(event)} out of [0,1]: {quoted(p)}")
 
 
 def tree_probability(tree: Gate, probs: Mapping[str, float]) -> float:
@@ -250,47 +250,67 @@ def tree_from_dict(obj, root: str = "") -> Gate:
 
     An error names the bad node by its path, such as `inputs[1].inputs[0]`,
     after `root`, the name of the tree's root node, when one is given. The
-    tree's depth is bounded where its JSON is read (MAX_JSON_DEPTH).
+    build keeps its own stack, so any depth builds; a gate's fields are
+    checked before its inputs and its k after them.
     """
-    return _node_from_dict(obj, root)
+    # Open gates, innermost last: (gate object, inputs built so far). The
+    # node at hand is the next input of each, which spells its path.
+    stack: list = []
+    try:
+        node = _open_node(obj, stack)
+        while stack:
+            gate, built = stack[-1]
+            if node is not None:
+                built.append(node)
+            if len(built) < len(gate["inputs"]):
+                node = _open_node(gate["inputs"][len(built)], stack)
+            else:
+                stack.pop()
+                node = _close_gate(gate, tuple(built))
+    except InputError as exc:
+        path = [root] if root else []
+        path += [f"inputs[{len(done)}]" for _, done in stack]
+        raise InputError(f"{'.'.join(path) or 'tree root'}: {exc}") from None
+    return node
 
 
-def _bad_node(path: str, message: str) -> InputError:
-    return InputError(f"{path or 'tree root'}: {message}")
-
-
-def _node_from_dict(obj, path: str) -> Gate:
+def _open_node(obj, stack: list):
+    """Check one node's own fields. Return a basic event, or push a gate
+    onto the stack for its inputs to be built and return None."""
     if not isinstance(obj, dict):
-        raise _bad_node(path, f"tree node must be an object, got {type(obj).__name__}")
+        raise InputError(f"tree node must be an object, got {type(obj).__name__}")
     if "event" in obj:
         extra = set(obj) - {"event"}
         if extra:
-            raise _bad_node(path, f"unknown fields on basic event: {sorted(extra)}")
+            raise InputError(f"unknown fields on basic event: {sorted(extra)}")
         if not isinstance(obj["event"], str) or not obj["event"]:
-            raise _bad_node(path, "basic event needs a nonempty component id")
+            raise InputError("basic event needs a nonempty component id")
         return BasicEvent(obj["event"])
     if "gate" not in obj:
-        raise _bad_node(path, "tree node needs either 'event' or 'gate'")
+        raise InputError("tree node needs either 'event' or 'gate'")
     kind = obj["gate"]
     if not isinstance(kind, str) or kind not in _GATE_NAMES:
-        raise _bad_node(path, f"unknown gate kind {quoted(kind)}")
+        raise InputError(f"unknown gate kind {quoted(kind)}")
     allowed = {"gate", "inputs", "k"} if kind == "KOFN" else {"gate", "inputs"}
     extra = set(obj) - allowed
     if extra:
-        raise _bad_node(path, f"unknown fields on {kind} gate: {sorted(extra)}")
+        raise InputError(f"unknown fields on {kind} gate: {sorted(extra)}")
     inputs = obj.get("inputs")
     if not isinstance(inputs, list) or not inputs:
-        raise _bad_node(path, f"{kind} gate needs a nonempty 'inputs' list")
-    prefix = f"{path}." if path else ""
-    children = tuple(
-        _node_from_dict(c, f"{prefix}inputs[{i}]") for i, c in enumerate(inputs)
-    )
+        raise InputError(f"{kind} gate needs a nonempty 'inputs' list")
+    stack.append((obj, []))
+    return None
+
+
+def _close_gate(obj, children: tuple) -> Gate:
+    """The gate of a checked gate object over its built inputs."""
+    kind = obj["gate"]
     if kind != "KOFN":
         return _GATE_NAMES[kind](children)
     k = obj.get("k")
     if not isinstance(k, int) or isinstance(k, bool):
-        raise _bad_node(path, "KOFN gate needs an integer 'k'")
+        raise InputError("KOFN gate needs an integer 'k'")
     try:
         return KofNGate(k, children)
     except ValueError as exc:
-        raise _bad_node(path, str(exc)) from None
+        raise InputError(str(exc)) from None

@@ -18,7 +18,6 @@ from reliatree.reliability import (
     Exponential,
     Product,
     Weibull,
-    draw_count,
     mttf,
     sample_failure_times,
 )
@@ -213,13 +212,22 @@ class TestMonteCarlo:
             bound = 4.0 * math.sqrt(p * (1.0 - p) / 200_000)
             assert abs(emp - p) <= bound + 1e-12
 
-    def test_stderr_definition(self):
-        grid = np.linspace(0.0, 1000.0, 8)
-        mc = monte_carlo_system(
-            BasicEvent("c"), {"c": (Exponential(1e-3), Exponential(0.0))}, 4000, 9, grid
-        )
-        for emp, se in zip(mc.survival, mc.stderr):
-            assert se == pytest.approx(math.sqrt(emp * (1 - emp) / 4000), abs=1e-15)
+    def test_pinned_counter_layout(self):
+        # Event j in sorted id order reads lane 2j (permanent) and lane 2j + 1
+        # (transient) of sample i's counters [6i, 6i + 6). The tree lists its
+        # events as c, a, b, and each component's two modes differ in form,
+        # so reordering the events or swapping a component's lanes moves
+        # these counts.
+        tree = KofNGate(2, (BasicEvent("c"), BasicEvent("a"), AndGate((BasicEvent("b"), BasicEvent("a")))))
+        modes = {
+            "a": (Weibull(3000.0, 2.0), Exponential(2e-4)),
+            "b": (Exponential(3e-4), Weibull(5000.0, 1.5)),
+            "c": (Weibull(4000.0, 3.0), Exponential(0.0)),
+        }
+        grid = [2500.0, 0.0, 1000.0, 2500.0, 6000.0, 500.0, 1e9, 1000.0, 4000.0]
+        fallen = [3660, 0, 1312, 3660, 4995, 587, 5000, 1312, 4817]
+        mc = monte_carlo_system(tree, modes, 5000, 11, grid)
+        assert list(mc.survival) == [1.0 - f / 5000 for f in fallen]
 
     def test_bad_sample_count_rejected(self):
         with pytest.raises(ValueError):
@@ -229,24 +237,29 @@ class TestMonteCarlo:
         with pytest.raises(InputError):
             monte_carlo_system(AND_TREE, {"pu1": (Exponential(1.0), Exponential(0.0))}, 10, 1, [0.0])
 
+    def test_product_mode_rejected_naming_component(self):
+        modes = {
+            "pu1": (Exponential(1.0), Exponential(0.0)),
+            "pu2": (Product((Weibull(1000.0, 2.0), Exponential(1e-4))), Exponential(0.0)),
+        }
+        with pytest.raises(ValueError, match="component 'pu2': fault modes must be Exponentials or Weibulls"):
+            monte_carlo_system(AND_TREE, modes, 10, 1, [0.0])
+
 
 def unblocked_failure_times(tree, component_modes, n_samples, seed):
-    """System failure times of every sample, all drawn at once."""
-    lanes = []
-    total = 0
-    for cid in sorted(basic_events(tree)):
-        r_perm, r_trans = component_modes[cid]
-        need = draw_count(r_perm) + draw_count(r_trans)
-        lanes.append((cid, r_perm, r_trans, total, need))
-        total += need
-    words = rng.word_block(seed, 0, n_samples * total).reshape(n_samples, total)
+    """System failure times of every sample, all drawn at once: sample i
+    reads the uniforms of counters [2C*i, 2C*(i+1)), event j in sorted id
+    order its permanent mode from lane 2j and its transient one from lane
+    2j + 1."""
+    events = sorted(basic_events(tree))
+    width = 2 * len(events)
+    words = rng.word_block(seed, 0, n_samples * width).reshape(n_samples, width)
     uniforms = 1.0 - (words >> np.uint64(11)) * (1.0 / (1 << 53))
     comp_times = {}
-    for cid, r_perm, r_trans, offset, need in lanes:
-        u = uniforms[:, offset : offset + need].T
-        k_perm = draw_count(r_perm)
-        t_perm = sample_failure_times(r_perm, u[:k_perm])
-        t_trans = sample_failure_times(r_trans, u[k_perm:])
+    for j, cid in enumerate(events):
+        r_perm, r_trans = component_modes[cid]
+        t_perm = sample_failure_times(r_perm, uniforms[:, 2 * j])
+        t_trans = sample_failure_times(r_trans, uniforms[:, 2 * j + 1])
         comp_times[cid] = np.minimum(t_perm, t_trans)
     return evaluate_structure(tree, comp_times)
 
@@ -257,9 +270,7 @@ def unblocked_monte_carlo(tree, component_modes, n_samples, seed, grid):
     grid = np.asarray(grid, dtype=float)
     t_sys = np.sort(unblocked_failure_times(tree, component_modes, n_samples, seed))
     fallen = np.searchsorted(t_sys, grid, side="right")
-    survival = 1.0 - fallen / n_samples
-    stderr = np.sqrt(survival * (1.0 - survival) / n_samples)
-    return [float(v) for v in survival], [float(v) for v in stderr]
+    return [float(v) for v in 1.0 - fallen / n_samples]
 
 
 _B = MC_BLOCK_SAMPLES
@@ -276,11 +287,11 @@ _BATCH_GRIDS = {
     "duplicates": np.array([2500.0, 0.0, 1500.0, 2500.0, 6000.0, 1500.0, 0.0, 1e9, 2500.0]),
 }
 _BATCH_MODES = {
-    # Product modes take several uniform lanes per draw.
-    "product": {
-        "a": (Product((Weibull(3000.0, 2.0), Exponential(1e-4))), Exponential(2e-4)),
-        "b": (Weibull(4000.0, 1.5), Product((Exponential(3e-4), Exponential(1e-4)))),
-        "c": (Exponential(5e-4), Exponential(1e-4)),
+    # Each component's two lanes feed modes of different forms.
+    "mixed_forms": {
+        "a": (Weibull(3000.0, 2.0), Exponential(2e-4)),
+        "b": (Exponential(3e-4), Weibull(4000.0, 1.5)),
+        "c": (Weibull(2500.0, 0.8), Exponential(1e-4)),
     },
     # Exponential(0) never fails, so some samples land past every grid point.
     "constant_one": {
@@ -308,21 +319,18 @@ class TestMonteCarloBlocking:
         grid = _BATCH_GRIDS[grid_name]
         modes = _BATCH_MODES[modes_name]
         mc = monte_carlo_system(_BATCH_TREE, modes, n_samples, 29, grid)
-        survival, stderr = unblocked_monte_carlo(_BATCH_TREE, modes, n_samples, 29, grid)
-        assert list(mc.survival) == survival
-        assert list(mc.stderr) == stderr
+        assert list(mc.survival) == unblocked_monte_carlo(_BATCH_TREE, modes, n_samples, 29, grid)
         assert list(mc.grid) == [float(t) for t in grid]
 
     @pytest.mark.parametrize("n_samples", [1, _B + 1, 3 * _B + 7])
     def test_ties_with_grid_points(self, n_samples):
         # Grid points placed exactly on sampled failure times: a sample has
         # fallen at t when its failure time is <= t.
-        modes = _BATCH_MODES["product"]
+        modes = _BATCH_MODES["mixed_forms"]
         t_sys = unblocked_failure_times(_BATCH_TREE, modes, n_samples, 29)
         grid = np.concatenate(([0.0], t_sys[:: max(1, n_samples // 7)], [t_sys.max()]))
         mc = monte_carlo_system(_BATCH_TREE, modes, n_samples, 29, grid)
-        survival, _ = unblocked_monte_carlo(_BATCH_TREE, modes, n_samples, 29, grid)
-        assert list(mc.survival) == survival
+        assert list(mc.survival) == unblocked_monte_carlo(_BATCH_TREE, modes, n_samples, 29, grid)
         assert mc.survival[-1] == 0.0
 
     def test_memory_bounded_by_block_not_samples(self):
@@ -330,7 +338,7 @@ class TestMonteCarloBlocking:
         modes = {
             "x": (Weibull(3000.0, 2.0), Exponential(1e-4)),
             "y": (Exponential(2e-4), Exponential(1e-4)),
-            "z": (Product((Weibull(5000.0, 2.0), Exponential(1e-4))), Exponential(3e-5)),
+            "z": (Weibull(5000.0, 2.0), Exponential(3e-5)),
         }
         grid = np.linspace(0.0, 10_000.0, 512)
         tracemalloc.start()

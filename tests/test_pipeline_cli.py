@@ -693,6 +693,39 @@ class TestExitCodes:
         assert err.startswith("usage:") and f"unrecognized arguments: {flag} 2" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("case", ["workload-line", "duplicate-id", "missing-probability"])
+    def test_long_values_are_quoted_short(self, tmp_path, capsys, case):
+        # Each value is 100,000 characters; the message names its field and
+        # quotes the value cut to about 60 characters.
+        long = "0" * 100_000
+        if case == "workload-line":
+            workload = tmp_path / "w.txt"
+            workload.write_text(long + "\n")
+            args = ["inject", "--netlist", os.path.join(SAMPLE_DIR, "netlists", "pu1.net"), "--node", "c1",
+                    "--trials", "10", "--seed", "1", "--workload", str(workload)]
+            field = "workload line 1"
+        elif case == "duplicate-id":
+            path = write_two_unit_model(tmp_path)
+            with open(path) as fp:
+                doc = json.load(fp)
+            for child in doc["hierarchy"]["children"]:
+                child["id"] = long
+            with open(path, "w") as fp:
+                json.dump(doc, fp)
+            args = ["analyze", "--system", path, "--out", str(tmp_path / "o")]
+            field = "duplicate node id"
+        else:
+            tree = tmp_path / "tree.json"
+            tree.write_text(json.dumps({"gate": "AND", "inputs": [{"event": long}, {"event": "b"}]}))
+            probs = tmp_path / "probs.json"
+            probs.write_text(json.dumps({"b": 0.5}))
+            args = ["tree-eval", "--tree", str(tree), "--probs", str(probs)]
+            field = "no probability for basic event"
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert field in err
+        assert len(err.encode()) < 300
+
     def test_missing_system_file(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["analyze", "--system", str(tmp_path / "nope.json"), "--out", str(tmp_path)],

@@ -10,7 +10,6 @@ from reliatree.reliability import (
     Exponential,
     Product,
     Weibull,
-    draw_count,
     mttf,
     reliability_at,
     integrate_survival,
@@ -64,6 +63,11 @@ class TestForms:
         with pytest.raises(ValueError):
             bad()
 
+    def test_nested_product_rejected(self):
+        inner = Product((Exponential(1e-4), Exponential(2e-4)))
+        with pytest.raises(ValueError, match="factor must be an Exponential or a Weibull"):
+            Product((inner, Weibull(1000.0, 2.0)))
+
 
 GRID = np.linspace(0.0, 50_000.0, 257)
 
@@ -74,7 +78,7 @@ FORMS = [
     Weibull(5000.0, 0.7),
     Exponential(0.0),
     Product((Exponential(1e-4), Weibull(2000.0, 1.5))),
-    Product((Product((Exponential(2e-4), Exponential(1e-4))), Exponential(0.0))),
+    Product((Exponential(2e-4), Exponential(1e-4), Exponential(0.0))),
 ]
 
 
@@ -119,21 +123,19 @@ class TestCombine:
     def test_domination(self):
         a = Exponential(2e-4)
         b = Product((Exponential(1e-4), Exponential(3e-4)))
-        combined = Product((a, b))
+        combined = Product((a,) + b.factors)
         for t in np.linspace(0.0, 2e4, 33):
             va = reliability_at(a, float(t))
             vb = reliability_at(b, float(t))
             assert reliability_at(combined, float(t)) <= min(va, vb) + 1e-12
 
-    def test_grouping_and_order_equivalence(self):
-        x, y, z = Exponential(1e-4), Exponential(2e-4), Exponential(3e-4)
-        left = Product((Product((x, y)), z))
-        right = Product((x, Product((y, z))))
-        swapped = Product((z, Product((y, x))))
+    def test_factor_order_equivalence(self):
+        x, y, z = Exponential(1e-4), Weibull(2000.0, 1.5), Exponential(3e-4)
+        forward = Product((x, y, z))
         for t in np.linspace(0.0, 3e4, 17):
-            v = reliability_at(left, float(t))
-            assert reliability_at(right, float(t)) == pytest.approx(v, abs=1e-15)
-            assert reliability_at(swapped, float(t)) == pytest.approx(v, abs=1e-15)
+            v = reliability_at(forward, float(t))
+            assert reliability_at(Product((z, y, x)), float(t)) == pytest.approx(v, abs=1e-15)
+            assert reliability_at(Product((y, x, z)), float(t)) == pytest.approx(v, abs=1e-15)
 
 
 class TestMttf:
@@ -238,7 +240,6 @@ class TestMttf:
         rf = Product((Weibull(1000.0, 2.0), Exponential(1e-4)))
         mttf(rf)
         reliability_at(rf, 15.0)
-        sample_failure_times(rf, np.array([[0.3], [0.6]]))
         ref = weakref.ref(rf)
         del rf
         gc.collect()
@@ -246,19 +247,14 @@ class TestMttf:
 
 
 class TestSampling:
-    def test_draw_counts(self):
-        assert draw_count(Exponential(1.0)) == 1
-        nested = Product((Exponential(1.0), Product((Weibull(1.0, 1.0), Exponential(0.0)))))
-        assert draw_count(nested) == 3
-
     def test_exponential_inversion(self):
         u = np.array([1.0, math.exp(-1.0), math.exp(-2.0)])
-        t = sample_failure_times(Exponential(1e-3), u[None, :])
+        t = sample_failure_times(Exponential(1e-3), u)
         assert np.allclose(t, [0.0, 1000.0, 2000.0])
 
     def test_weibull_inversion(self):
         u = np.array([math.exp(-1.0)])
-        t = sample_failure_times(Weibull(500.0, 2.0), u[None, :])
+        t = sample_failure_times(Weibull(500.0, 2.0), u)
         assert t[0] == pytest.approx(500.0)
 
     def test_zero_rate_never_fails(self):
@@ -266,20 +262,7 @@ class TestSampling:
         for t in (0.0, 1.0, 1e9):
             assert reliability_at(rf, t) == 1.0
         assert math.isinf(mttf(rf))
-        assert draw_count(rf) == 1
         # u = 1.0 would give -log(1.0) / 0 = NaN without the special case.
         u = np.array([1.0, 0.5, 2.0**-53])
-        t = sample_failure_times(rf, u[None, :])
-        assert np.all(np.isposinf(t))
-
-    def test_product_sampling_is_min_of_factors(self):
-        rf = Product((Exponential(1e-3), Exponential(2e-3)))
-        u = np.array([[0.5, 0.9], [0.9, 0.5]])
         t = sample_failure_times(rf, u)
-        t0 = min(-math.log(0.5) / 1e-3, -math.log(0.9) / 2e-3)
-        t1 = min(-math.log(0.9) / 1e-3, -math.log(0.5) / 2e-3)
-        assert np.allclose(t, [t0, t1])
-
-    def test_wrong_row_count_rejected(self):
-        with pytest.raises(ValueError):
-            sample_failure_times(Product((Exponential(1.0), Exponential(1.0))), np.ones((1, 4)))
+        assert np.all(np.isposinf(t))

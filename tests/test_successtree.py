@@ -308,6 +308,33 @@ class TestJson:
             tree_from_dict(obj, "success_tree")
 
 
+    def test_bad_child_reported_before_parent_k(self):
+        obj = {"gate": "KOFN", "k": 5, "inputs": [{"event": "x"}, {"gate": "AND", "inputs": []}]}
+        with pytest.raises(InputError) as exc:
+            tree_from_dict(obj, "success_tree")
+        assert str(exc.value) == "success_tree.inputs[1]: AND gate needs a nonempty 'inputs' list"
+
+    @pytest.mark.parametrize("depth", [500, 5000])
+    def test_deep_dicts_build(self, depth):
+        obj = {"event": "x"}
+        for level in range(depth):
+            obj = {"gate": "OR" if level % 2 else "AND", "inputs": [obj, {"event": f"e{level}"}]}
+        node, levels = tree_from_dict(obj), 0
+        while not isinstance(node, BasicEvent):
+            assert node.children[1] == BasicEvent(f"e{depth - 1 - levels}")
+            node, levels = node.children[0], levels + 1
+        assert (node, levels) == (BasicEvent("x"), depth)
+
+    def test_deep_bad_node_names_its_path(self):
+        obj = {"gate": "XOR", "inputs": [{"event": "x"}]}
+        for _ in range(3000):
+            obj = {"gate": "OR", "inputs": [{"event": "y"}, obj]}
+        with pytest.raises(InputError) as exc:
+            tree_from_dict(obj, "success_tree")
+        path = "success_tree" + ".inputs[1]" * 3000
+        assert str(exc.value) == f"{path}: unknown gate kind 'XOR'"
+
+
 _TREE_LIKE = st.recursive(
     st.fixed_dictionaries({"event": st.sampled_from(["a", "b", "", 7, None])}),
     lambda children: st.fixed_dictionaries(
