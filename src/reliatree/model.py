@@ -108,7 +108,7 @@ def _require_fields(obj: dict, required, optional, what: str) -> None:
         raise ModelError(f"{what} must be an object")
     unknown = set(obj) - set(required) - set(optional)
     if unknown:
-        raise ModelError(f"{what}: unknown fields {sorted(unknown)}")
+        raise ModelError(f"{what}: unknown fields {quoted(sorted(unknown))}")
     missing = [f for f in required if f not in obj]
     if missing:
         raise ModelError(f"{what}: missing fields {missing}")

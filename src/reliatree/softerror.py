@@ -3,9 +3,10 @@
 A netlist is parsed in topological order, simulated golden and with a
 single bit flipped on one net, and the fraction of input vectors whose
 flip reaches a primary output is the derating factor of that net.
-Campaigns are Monte Carlo with a counter-based RNG: trial i of a campaign
-reads counters [i*L, (i+1)*L), L = ceil(inputs/64), so results are
-bit-reproducible for a given seed and independent of batching.
+Campaigns are Monte Carlo with a counter-based RNG drawn plane-major:
+trial t sets input j to bit t%64 of counter (t//64)*n_inputs + j, so
+results are bit-reproducible for a given seed and independent of
+batching.
 
 Each netlist is compiled once into `(ufunc, a, b, out)` calls on row
 indices, one to three per gate (NOT is XOR with an all-ones row, BUF is
@@ -17,7 +18,10 @@ nothing and draw no RNG words. Every other campaign is parallel-pattern
 single-fault propagation: 64 trials per uint64 word, a golden pass over
 all gates, a faulty pass over the cone only, and a popcount of the
 output differences, streamed in blocks of INJECTION_BLOCK_TRIALS trials
-so memory does not grow with the trial count. The block buffers are
+so memory does not grow with the trial count. A block's input planes
+are its RNG words, one transposed copy away. A workload campaign
+simulates each workload vector once, 64 to a word, and adds up the
+error flags of the vectors its trials pick. The block buffers are
 pooled on the compiled netlist and reused by every later campaign on it.
 Both passes replay the compiled calls bound to a workspace's row views:
 the golden program is bound once per workspace and block width, the
@@ -78,14 +82,6 @@ _PLANE_OPS = {
     "NAND": (np.bitwise_and, True),
     "NOR": (np.bitwise_or, True),
 }
-
-# Masks of the three rounds of an 8x8 bit-matrix transpose on uint64
-# words whose byte r is row r (Hacker's Delight, section 7-3).
-_TRANSPOSE8 = tuple(
-    (np.uint64(shift), np.uint64(mask))
-    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
-)
-
 
 @dataclass(frozen=True)
 class Gate:
@@ -188,31 +184,27 @@ class _Compiled:
 class _Workspace:
     """Block buffers of one campaign at a time on one compiled netlist.
 
-    Sized for blocks of up to `n_words` words of 64 trials; a block of
-    fewer words uses a prefix of each flat buffer, reshaped to contiguous
-    rows. `bind` makes the row views of one block width and binds the
-    netlist's golden calls to them; both are kept until the width
-    changes. Nothing is cleared between blocks or campaigns: a block
-    writes every entry it reads, except the bits of trials past its end
-    in its last word, which `_count_errors` masks off.
+    Sized for blocks of up to `n_words` words of 64 trials (or workload
+    vectors); a block of fewer words uses a prefix of each flat buffer,
+    reshaped to contiguous rows. The first n_inputs rows of `planes` are
+    the input planes a block writes. `bind` makes the row views of one
+    block width and binds the netlist's golden calls to them; both are
+    kept until the width changes. Nothing is cleared between blocks or
+    campaigns: a block writes every entry it reads, except the bits past
+    its last trial or vector in its last word, which its count ignores.
     """
 
     def __init__(self, compiled: _Compiled, n_words: int):
         self.n_words = n_words
         self.n_nets = len(compiled.index)
         self.calls = compiled.calls
-        self.lanes = -(-compiled.n_inputs // 64)
-        self.groups = -(-compiled.n_inputs // 8)
-        # Little-endian words, since _trial_planes reads their bytes.
-        le64 = np.dtype("<u8")
-        # RNG words of the block's trials, (trials, lanes) row-major; the
-        # scratch takes word_block's shifts and _trial_planes's rounds.
-        self.words = np.zeros(n_words * 64 * self.lanes, dtype=le64)
-        self.scratch = np.zeros(n_words * 64 * self.lanes, dtype=le64)
-        self.blocks = np.zeros(self.groups * 8 * n_words, dtype=le64)
-        # One row per net; the input planes are written 8 rows at a time.
-        self.planes = np.zeros(max(self.n_nets, self.groups * 8) * n_words, dtype=le64)
-        self.faulty = np.zeros(self.n_nets * n_words, dtype=le64)
+        # RNG words of a uniform block, (words, inputs) row-major, and
+        # word_block's temporary.
+        self.words = np.zeros(compiled.n_inputs * n_words, dtype=np.uint64)
+        self.scratch = np.zeros(compiled.n_inputs * n_words, dtype=np.uint64)
+        # One row per net.
+        self.planes = np.zeros(self.n_nets * n_words, dtype=np.uint64)
+        self.faulty = np.zeros(self.n_nets * n_words, dtype=np.uint64)
         self.ones = np.full(n_words, np.iinfo(np.uint64).max, dtype=np.uint64)
         self.err = np.zeros(n_words, dtype=np.uint64)
         self.diff = np.zeros(n_words, dtype=np.uint64)
@@ -260,7 +252,7 @@ class SerParams:
             raise ValueError(f"default FIT must be finite and >= 0, got {self.default_fit!r}")
         for net, fit in self.fit_per_node.items():
             if fit < 0 or not math.isfinite(fit):
-                raise ValueError(f"FIT for {net!r} must be >= 0, got {fit!r}")
+                raise ValueError(f"FIT for {quoted(net)} must be >= 0, got {fit!r}")
 
     def fit_for(self, net: str) -> float:
         return self.fit_per_node.get(net, self.default_fit)
@@ -308,7 +300,7 @@ def parse_netlist(text: str) -> Netlist:
             name = tokens[1]
             if name in defined_at:
                 raise NetlistParseError(
-                    f"line {lineno}: net {name!r} already defined on line {defined_at[name]}"
+                    f"line {lineno}: net {quoted(name)} already defined on line {defined_at[name]}"
                 )
             defined_at[name] = lineno
             inputs.append(name)
@@ -318,24 +310,24 @@ def parse_netlist(text: str) -> Netlist:
             out, kind = tokens[1], tokens[2]
             ins = tuple(tokens[3:])
             if kind not in GATE_KINDS:
-                raise NetlistParseError(f"line {lineno}: unknown gate kind {kind!r}")
+                raise NetlistParseError(f"line {lineno}: unknown gate kind {quoted(kind)}")
             if kind in _UNARY and len(ins) != 1:
                 raise NetlistParseError(f"line {lineno}: {kind} takes exactly one input")
             if kind not in _UNARY and len(ins) < 2:
                 raise NetlistParseError(f"line {lineno}: {kind} needs at least two inputs")
             if out in defined_at:
                 raise NetlistParseError(
-                    f"line {lineno}: net {out!r} already defined on line {defined_at[out]}"
+                    f"line {lineno}: net {quoted(out)} already defined on line {defined_at[out]}"
                 )
             for src in ins:
                 if src not in defined_at:
                     later = [l for l in pending.get(src, []) if l > lineno]
                     if later:
                         raise NetlistParseError(
-                            f"line {lineno}: net {src!r} used before its definition "
+                            f"line {lineno}: net {quoted(src)} used before its definition "
                             f"on line {later[0]} (netlist must be in topological order)"
                         )
-                    raise NetlistParseError(f"line {lineno}: undeclared net {src!r}")
+                    raise NetlistParseError(f"line {lineno}: undeclared net {quoted(src)}")
             defined_at[out] = lineno
             gates.append(Gate(out, kind, ins))
         elif keyword == "OUTPUT":
@@ -343,12 +335,12 @@ def parse_netlist(text: str) -> Netlist:
                 raise NetlistParseError(f"line {lineno}: OUTPUT takes one net name")
             output_refs.append((tokens[1], lineno))
         else:
-            raise NetlistParseError(f"line {lineno}: unknown directive {keyword!r}")
+            raise NetlistParseError(f"line {lineno}: unknown directive {quoted(keyword)}")
 
     outputs = []
     for name, lineno in output_refs:
         if name not in defined_at:
-            raise NetlistParseError(f"line {lineno}: OUTPUT names undeclared net {name!r}")
+            raise NetlistParseError(f"line {lineno}: OUTPUT names undeclared net {quoted(name)}")
         outputs.append(name)
     if not inputs:
         raise NetlistParseError("netlist declares no primary inputs")
@@ -391,7 +383,7 @@ def evaluate(netlist: Netlist, assignment: Mapping[str, int]) -> dict:
     for name in netlist.inputs:
         bit = int(assignment[name])
         if bit not in (0, 1):
-            raise ValueError(f"input {name!r} must be 0 or 1, got {assignment[name]!r}")
+            raise ValueError(f"input {quoted(name)} must be 0 or 1, got {quoted(assignment[name])}")
         values[name] = bit
     _forward(netlist, values)
     return {name: values[name] for name in netlist.outputs}
@@ -417,42 +409,7 @@ def _fault_error_mask(netlist: Netlist, golden: dict, node: str):
 
 def _require_node(netlist: Netlist, node: str) -> None:
     if node not in netlist.compiled.index:
-        raise ValueError(f"unknown injection node {node!r}")
-
-
-def _trial_planes(ws: "_Workspace", size: int) -> None:
-    """Input words per trial -> bit planes of trials per input.
-
-    `ws.words` holds the words of trials 0..size-1 as (trials, lanes)
-    with input j at bit j%64 of lane j//64. Row j of `ws.planes` becomes
-    the plane of input j: trial t at bit t%64 of word t//64. Bits past
-    the last trial are whatever the words buffer held there. Each 8x8
-    block of (trials, inputs) bits is transposed inside one uint64.
-    """
-    n_words = -(-size // 64)
-    groups = ws.groups
-    # Byte g of row t holds inputs 8g..8g+7 of trial t. Gather the bytes
-    # of trials 8q..8q+7 of one group into word q of that group's row.
-    rows = ws.words[: n_words * 64 * ws.lanes].view(np.uint8).reshape(n_words * 64, ws.lanes * 8)
-    x = ws.blocks[: groups * n_words * 8].reshape(groups, n_words * 8)
-    np.copyto(
-        x.view(np.uint8).reshape(groups, n_words * 8, 8),
-        rows[:, :groups].reshape(n_words * 8, 8, groups).transpose(2, 0, 1),
-    )
-    t = ws.scratch[: x.size].reshape(x.shape)
-    for shift, mask in _TRANSPOSE8:
-        # x ^= t ^ (t << shift) with t = (x ^ (x >> shift)) & mask
-        np.right_shift(x, shift, out=t)
-        t ^= x
-        t &= mask
-        x ^= t
-        t <<= shift
-        x ^= t
-    # Now byte c of word q in group g holds trials 8q..8q+7 of input 8g+c.
-    # Rows n_inputs..8*groups-1 receive unused bits; the golden pass
-    # overwrites those that are nets.
-    planes = ws.planes[: groups * 8 * n_words].view(np.uint8).reshape(groups, 8, n_words * 8)
-    np.copyto(planes, x.view(np.uint8).reshape(groups, n_words * 8, 8).transpose(0, 2, 1))
+        raise ValueError(f"unknown injection node {quoted(node)}")
 
 
 def _cone_program(compiled: _Compiled, node: int, ws: "_Workspace") -> list:
@@ -478,50 +435,80 @@ def _cone_program(compiled: _Compiled, node: int, ws: "_Workspace") -> list:
     return program
 
 
-def _count_errors(compiled: _Compiled, node: int, ws: "_Workspace", size: int) -> int:
-    """Trials among the first `size` whose flip on `node` reaches an output.
+def _propagate(compiled: _Compiled, node: int, ws: "_Workspace", n_words: int) -> np.ndarray:
+    """Error words of a block of `n_words` words: bit k of word q is set
+    when the flip on `node` reaches an output in trial (or vector) 64q + k.
 
-    The workspace rows hold the input planes; the golden program fills in
-    the rest.
+    The first n_inputs rows of `ws.planes` hold the block's input planes;
+    the golden program fills in the rest.
     """
-    n_words = -(-size // 64)
     ws.bind(n_words)
     for fn, a, b, out in chain(ws.program, _cone_program(compiled, node, ws)):
         fn(a, b, out)
-    err = ws.err[:n_words]
-    if size % 64:
-        err[-1] &= np.uint64((1 << (size % 64)) - 1)
-    return int(np.bitwise_count(err).sum())
+    return ws.err[:n_words]
 
 
-def _simulated_errors(
-    compiled: _Compiled, node: int, trials: int, seed: int, vector_words: Optional[np.ndarray]
-) -> int:
-    """Error count of a campaign by simulation, block by block.
+def _uniform_errors(compiled: _Compiled, node: int, trials: int, seed: int) -> int:
+    """Error count of a campaign over uniform input vectors, block by block.
 
-    `vector_words` holds the workload's vectors as little-endian words,
-    one row per vector, or is None for uniform input vectors.
+    Word q of input plane j in the block that starts at trial `first` is
+    RNG counter (first//64 + q)*n_inputs + j: the block's words are drawn
+    as (words, inputs) row-major and copied transposed into the input rows.
     """
-    lanes = -(-compiled.n_inputs // 64)
+    n_in = compiled.n_inputs
     errors = 0
     ws = compiled.take_workspace(-(-min(trials, INJECTION_BLOCK_TRIALS) // 64))
     try:
         for first in range(0, trials, INJECTION_BLOCK_TRIALS):
             size = min(INJECTION_BLOCK_TRIALS, trials - first)
-            if vector_words is None:
-                rng.word_block(seed, first * lanes, size * lanes, out=ws.words, scratch=ws.scratch)
-            else:
-                u = rng.unit_halfopen_floats(seed, first, size)
-                # u < 1, so every index is below len(vector_words) and
-                # "clip" never clips; unlike "raise", it writes `out`
-                # unbuffered.
-                picks = (u * len(vector_words)).astype(np.int64)
-                trial_words = ws.words[: size * lanes].reshape(size, lanes)
-                np.take(vector_words, picks, axis=0, out=trial_words, mode="clip")
-            _trial_planes(ws, size)
-            errors += _count_errors(compiled, node, ws, size)
+            n_words = -(-size // 64)
+            words = rng.word_block(
+                seed, first // 64 * n_in, n_words * n_in, out=ws.words, scratch=ws.scratch
+            )
+            np.copyto(ws.planes[: n_in * n_words].reshape(n_in, n_words), words.reshape(n_words, n_in).T)
+            err = _propagate(compiled, node, ws, n_words)
+            if size % 64:
+                err[-1] &= np.uint64((1 << (size % 64)) - 1)
+            errors += int(np.bitwise_count(err).sum())
     finally:
         compiled.workspaces.append(ws)
+    return errors
+
+
+def _vector_flags(compiled: _Compiled, node: int, matrix: np.ndarray) -> np.ndarray:
+    """Per row of the binary (vectors, inputs) `matrix`: 1 when the flip on
+    `node` reaches an output under that input vector, else 0.
+
+    Vector v is bit v%8 of byte v//8 of its block's input rows, so the
+    flags read back the same way whatever the byte order of a word.
+    """
+    n_in = compiled.n_inputs
+    n_vectors = len(matrix)
+    flags = np.empty(n_vectors, dtype=np.uint8)
+    ws = compiled.take_workspace(-(-min(n_vectors, INJECTION_BLOCK_TRIALS) // 64))
+    try:
+        for first in range(0, n_vectors, INJECTION_BLOCK_TRIALS):
+            size = min(INJECTION_BLOCK_TRIALS, n_vectors - first)
+            n_words = -(-size // 64)
+            rows = ws.planes[: n_in * n_words].view(np.uint8).reshape(n_in, n_words * 8)
+            rows[:, : -(-size // 8)] = np.packbits(matrix[first : first + size].T, axis=1, bitorder="little")
+            err = _propagate(compiled, node, ws, n_words)
+            flags[first : first + size] = np.unpackbits(err.view(np.uint8), count=size, bitorder="little")
+    finally:
+        compiled.workspaces.append(ws)
+    return flags
+
+
+def _workload_errors(compiled: _Compiled, node: int, trials: int, seed: int, matrix: np.ndarray) -> int:
+    """Error count of a campaign whose trial i runs the workload vector
+    that counter i picks: the sum of the picked vectors' error flags."""
+    flags = _vector_flags(compiled, node, matrix)
+    errors = 0
+    for first in range(0, trials, INJECTION_BLOCK_TRIALS):
+        size = min(INJECTION_BLOCK_TRIALS, trials - first)
+        # u < 1, so every pick is below len(matrix).
+        picks = (rng.unit_halfopen_floats(seed, first, size) * len(matrix)).astype(np.int64)
+        errors += int(np.count_nonzero(flags[picks]))
     return errors
 
 
@@ -537,22 +524,23 @@ def inject_campaign(
     Each trial draws an input vector (uniform over all vectors, or
     uniformly from the explicit workload), flips the golden value on
     `node`, re-propagates only downstream gates, and counts an error when
-    any primary output differs. Trial i depends only on (seed, i): it
-    reads RNG counters [i*L, (i+1)*L), L = ceil(inputs/64), or counter i
-    to pick a workload vector. Trials run 64 to a word in blocks of
-    INJECTION_BLOCK_TRIALS, so memory is bounded and the block size does
-    not change the result. A flip on a primary output is an error in
-    every trial and one on a net with no path to an output never is:
-    such a campaign is decided from the structure after the argument and
-    workload checks, and draws no RNG words.
+    any primary output differs. Trial t depends only on (seed, t): it sets
+    input j to bit t%64 of RNG counter (t//64)*n_inputs + j, or reads
+    counter t to pick a workload vector. Trials run 64 to a word in blocks
+    of INJECTION_BLOCK_TRIALS, whole words each, so memory is bounded and
+    the block size does not change the result. A workload campaign
+    simulates each workload vector once and counts the picked vectors'
+    error flags. A flip on a primary output is an error in every trial and
+    one on a net with no path to an output never is: such a campaign is
+    decided from the structure after the argument and workload checks,
+    and draws no RNG words.
     """
     _require_node(netlist, node)
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials!r}")
     compiled = netlist.compiled
     n_in = len(netlist.inputs)
-    lanes = (n_in + 63) // 64
-    vector_words = None
+    matrix = None
     if workload is not None:
         vectors = list(workload)
         if not vectors:
@@ -562,9 +550,6 @@ def inject_campaign(
             raise ValueError(f"workload vectors must have width {n_in}")
         if matrix.max(initial=0) > 1:
             raise ValueError("workload vectors must be binary")
-        packed = np.zeros((len(vectors), lanes * 8), dtype=np.uint8)
-        packed[:, : (n_in + 7) // 8] = np.packbits(matrix, axis=1, bitorder="little")
-        vector_words = packed.view("<u8")
     node_index = compiled.index[node]
     if node_index in compiled.outputs:
         # The flip changes an output itself: an error in every trial.
@@ -572,8 +557,10 @@ def inject_campaign(
     elif not compiled.cone(node_index)[2]:
         # No path to an output: never an error.
         errors = 0
+    elif matrix is None:
+        errors = _uniform_errors(compiled, node_index, trials, seed)
     else:
-        errors = _simulated_errors(compiled, node_index, trials, seed, vector_words)
+        errors = _workload_errors(compiled, node_index, trials, seed, matrix)
     derating = errors / trials
     _, half = wilson_interval(errors, trials, Z_95)
     return InjectionResult(trials, errors, derating, half)

@@ -282,7 +282,7 @@ def _open_node(obj, stack: list):
     if "event" in obj:
         extra = set(obj) - {"event"}
         if extra:
-            raise InputError(f"unknown fields on basic event: {sorted(extra)}")
+            raise InputError(f"unknown fields on basic event: {quoted(sorted(extra))}")
         if not isinstance(obj["event"], str) or not obj["event"]:
             raise InputError("basic event needs a nonempty component id")
         return BasicEvent(obj["event"])
@@ -294,7 +294,7 @@ def _open_node(obj, stack: list):
     allowed = {"gate", "inputs", "k"} if kind == "KOFN" else {"gate", "inputs"}
     extra = set(obj) - allowed
     if extra:
-        raise InputError(f"unknown fields on {kind} gate: {sorted(extra)}")
+        raise InputError(f"unknown fields on {kind} gate: {quoted(sorted(extra))}")
     inputs = obj.get("inputs")
     if not isinstance(inputs, list) or not inputs:
         raise InputError(f"{kind} gate needs a nonempty 'inputs' list")

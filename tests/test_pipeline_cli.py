@@ -535,6 +535,21 @@ class TestOtherSubcommands:
         assert code == 0
         assert json.loads(out)["derating"] == 0.0  # fully masked by b=0
 
+    def test_inject_workload_output_bytes(self, tmp_path, capsys):
+        # tests/data/inject_workload_c1.json is this command's output when
+        # workload campaigns simulated every trial; counting the picked
+        # vectors' error flags must give the same bytes.
+        workload = tmp_path / "workload.txt"
+        workload.write_text("010\n111\n")
+        code, out, _ = run_cli(
+            ["inject", "--netlist", os.path.join(SAMPLE_DIR, "netlists", "pu1.net"), "--node", "c1",
+             "--trials", "1000", "--seed", "1", "--workload", str(workload)],
+            capsys,
+        )
+        assert code == 0
+        with open(os.path.join(os.path.dirname(__file__), "data", "inject_workload_c1.json"), "rb") as fp:
+            assert out.encode("utf-8") == fp.read()
+
     def test_inject_rejects_bad_workload_width(self, tmp_path, capsys):
         netlist = tmp_path / "and.net"
         netlist.write_text("INPUT a\nINPUT b\nGATE g1 AND a b\nOUTPUT g1\n")
@@ -693,17 +708,58 @@ class TestExitCodes:
         assert err.startswith("usage:") and f"unrecognized arguments: {flag} 2" in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("case", ["workload-line", "duplicate-id", "missing-probability"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "workload-line",
+            "duplicate-net",
+            "gate-kind",
+            "injection-node",
+            "duplicate-id",
+            "model-unknown-field",
+            "missing-probability",
+            "tree-unknown-field",
+        ],
+    )
     def test_long_values_are_quoted_short(self, tmp_path, capsys, case):
         # Each value is 100,000 characters; the message names its field and
         # quotes the value cut to about 60 characters.
         long = "0" * 100_000
+        pu1 = os.path.join(SAMPLE_DIR, "netlists", "pu1.net")
+        netlists = {
+            "duplicate-net": (f"INPUT {long}\nINPUT {long}\nGATE g NOT {long}\nOUTPUT g\n", "already defined"),
+            "gate-kind": (f"INPUT a\nGATE g {long} a a\nOUTPUT g\n", "unknown gate kind"),
+        }
         if case == "workload-line":
             workload = tmp_path / "w.txt"
             workload.write_text(long + "\n")
-            args = ["inject", "--netlist", os.path.join(SAMPLE_DIR, "netlists", "pu1.net"), "--node", "c1",
+            args = ["inject", "--netlist", pu1, "--node", "c1",
                     "--trials", "10", "--seed", "1", "--workload", str(workload)]
             field = "workload line 1"
+        elif case in netlists:
+            netlist = tmp_path / "long.net"
+            text, field = netlists[case]
+            netlist.write_text(text)
+            args = ["inject", "--netlist", str(netlist), "--node", "g", "--trials", "10", "--seed", "1"]
+        elif case == "injection-node":
+            args = ["inject", "--netlist", pu1, "--node", long, "--trials", "10", "--seed", "1"]
+            field = "unknown injection node"
+        elif case == "model-unknown-field":
+            path = write_two_unit_model(tmp_path)
+            with open(path) as fp:
+                doc = json.load(fp)
+            doc[long] = 1
+            with open(path, "w") as fp:
+                json.dump(doc, fp)
+            args = ["analyze", "--system", path, "--out", str(tmp_path / "o")]
+            field = "system description: unknown fields"
+        elif case == "tree-unknown-field":
+            tree = tmp_path / "tree.json"
+            tree.write_text(json.dumps({"gate": "AND", "inputs": [{"event": "a", long: 1}, {"event": "b"}]}))
+            probs = tmp_path / "probs.json"
+            probs.write_text(json.dumps({"a": 0.5, "b": 0.5}))
+            args = ["tree-eval", "--tree", str(tree), "--probs", str(probs)]
+            field = "inputs[0]: unknown fields on basic event"
         elif case == "duplicate-id":
             path = write_two_unit_model(tmp_path)
             with open(path) as fp:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reliatree import rng
+from reliatree import rng, softerror
 from reliatree.errors import InputError, NetlistParseError
 from reliatree.reliability import Exponential, reliability_at
 from reliatree.softerror import (
@@ -83,17 +83,17 @@ def ripple_adder(bits):
 def reference_errors(netlist, node, trials, seed, workload=None):
     """Per-trial campaign with one uint8 per trial per net: the reference.
 
-    Trial i reads RNG counters [i*L, (i+1)*L), L = ceil(inputs/64), input
-    j being bit j%64 of word j//64; with a workload, counter i picks the
-    vector.
+    Trial t sets input j to bit t%64 of RNG counter (t//64)*n_inputs + j;
+    with a workload, counter t picks the vector.
     """
     n_in = len(netlist.inputs)
     values = {}
     if workload is None:
-        lanes = (n_in + 63) // 64
-        words = rng.word_block(seed, 0, trials * lanes).reshape(trials, lanes)
+        t = np.arange(trials)
+        words = rng.word_block(seed, 0, (trials + 63) // 64 * n_in)
+        shifts = (t % 64).astype(np.uint64)
         for j, name in enumerate(netlist.inputs):
-            values[name] = ((words[:, j // 64] >> np.uint64(j % 64)) & np.uint64(1)).astype(np.uint8)
+            values[name] = ((words[t // 64 * n_in + j] >> shifts) & np.uint64(1)).astype(np.uint8)
     else:
         matrix = np.asarray(workload, dtype=np.uint8)
         u = rng.unit_halfopen_floats(seed, 0, trials)
@@ -302,9 +302,13 @@ class TestCampaign:
         whole = inject_campaign(full_adder, node, trials, seed)
 
         def partition_errors(start, count):
-            words = rng.word_block(seed, start, count)
+            # Trial t sets input j to bit t%64 of counter (t//64)*n_inputs + j.
+            n_in = len(full_adder.inputs)
             values = {
-                name: ((words >> np.uint64(j)) & np.uint64(1)).astype(np.uint8)
+                name: np.array(
+                    [(rng.word_at(seed, t // 64 * n_in + j) >> (t % 64)) & 1 for t in range(start, start + count)],
+                    dtype=np.uint8,
+                )
                 for j, name in enumerate(full_adder.inputs)
             }
             _forward(full_adder, values)
@@ -349,6 +353,34 @@ class TestBitParallelCampaign:
             got = inject_campaign(net, node, trials, 77, workload)
             assert got.errors == reference_errors(net, node, trials, 77, workload), node
 
+    @pytest.mark.parametrize("use_workload", [False, True], ids=["rng", "workload"])
+    @pytest.mark.parametrize("block", [64, 192])
+    def test_block_size_does_not_change_counts(self, block, use_workload, monkeypatch):
+        workload = random_workload(65, 7, 3) if use_workload else None
+        jobs = [(node, trials) for node in ("a0", "g7", "p20", "c16") for trials in (1, 65, 191, 193, 20_000)]
+        net = parse_netlist(ripple_adder(32))
+        want = [inject_campaign(net, node, trials, 5, workload).errors for node, trials in jobs]
+        monkeypatch.setattr(softerror, "INJECTION_BLOCK_TRIALS", block)
+        assert [inject_campaign(net, node, trials, 5, workload).errors for node, trials in jobs] == want
+
+    @pytest.mark.parametrize("case", ["one-vector", "duplicated", "past-one-block"])
+    def test_workload_flags_match_reference(self, case, monkeypatch):
+        # Each workload vector is simulated once; the campaign adds up the
+        # flags of the vectors its trials pick.
+        if case == "one-vector":
+            workload = random_workload(65, 1, 11)
+        elif case == "duplicated":
+            base = random_workload(65, 3, 12)
+            workload = [base[0], base[1], base[0], base[2], base[0], base[1]]
+        else:
+            monkeypatch.setattr(softerror, "INJECTION_BLOCK_TRIALS", 64)
+            workload = random_workload(65, 130, 13)
+        net = parse_netlist(ripple_adder(32))
+        for node in ("a0", "g7", "p20", "c16", "x31"):
+            for trials in (1, 100, 1000):
+                got = inject_campaign(net, node, trials, 21, workload)
+                assert got.errors == reference_errors(net, node, trials, 21, workload), (node, trials)
+
     def test_dead_net_and_output_input(self):
         net = parse_netlist(ALL_KINDS)
         assert exhaustive_derating(net, "dead") == 0.0
@@ -357,14 +389,16 @@ class TestBitParallelCampaign:
 
     def test_memory_bounded_by_block_not_trials(self):
         net = parse_netlist(ripple_adder(32))
-        inject_campaign(net, "c16", 1000, seed=1)
-        tracemalloc.start()
-        try:
-            inject_campaign(net, "c16", 1_000_000, seed=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        workload = random_workload(65, 9, 3)
+        for wl in (None, workload):
+            inject_campaign(net, "c16", 1000, seed=1, workload=wl)
+            tracemalloc.start()
+            try:
+                inject_campaign(net, "c16", 1_000_000, seed=1, workload=wl)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, wl is not None
 
 
 class TestStructuralCampaigns:
@@ -454,7 +488,7 @@ class TestWorkspaceReuse:
             assert all(errors == want[i] for i, errors in out)
 
     def test_second_campaign_allocates_no_block(self):
-        # A 20,000-trial campaign on the 32-bit adder needs about 1.9 MB of
+        # A 20,000-trial campaign on the 32-bit adder needs about 1.5 MB of
         # block arrays; the second one on the netlist reuses the first's.
         net = parse_netlist(ripple_adder(32))
         inject_campaign(net, "c16", 20_000, seed=1)
