@@ -34,10 +34,10 @@ from .curves import (
     system_reliability_curves,
     write_curves_csv,
 )
-from .errors import InputError, StageError, quoted, read_text
+from .errors import InputError, StageError, read_text
 from .model import SystemModel
 from .reliability import Exponential, Product, Weibull, mttf
-from .softerror import inject_campaign, parse_netlist, transient_failure_rate
+from .softerror import inject_campaign, injection_targets, parse_netlist, transient_failure_rate
 from .thermal import read_power_trace, steady_state_temperature
 
 __all__ = [
@@ -127,10 +127,7 @@ def _analyze_component(node, options: PipelineOptions) -> ComponentAnalysis:
         netlist = parse_netlist(read_text(payload.netlist))
 
     with _stage(cid, "fault-injection"):
-        for net in payload.ser.fit_per_node:
-            if net not in netlist.compiled.index:
-                raise InputError(f"FIT map names unknown net {quoted(net)}")
-        targets = [net for net in netlist.nets() if payload.ser.fit_for(net) > 0.0]
+        targets = injection_targets(netlist, payload.ser)
         if targets and options.seed is None:
             raise InputError("a master seed is required to run injection campaigns")
         injections = {

@@ -33,6 +33,7 @@ give the transient failure rate.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Mapping, Optional, Sequence
@@ -51,6 +52,7 @@ __all__ = [
     "evaluate",
     "inject_campaign",
     "exhaustive_derating",
+    "injection_targets",
     "transient_failure_rate",
     "wilson_interval",
     "read_workload",
@@ -273,69 +275,56 @@ def parse_netlist(text: str) -> Netlist:
     `#` starts a comment. Gates must appear after every net they read
     (topological order); violations are reported with line numbers.
     """
+    # (line number, tokens) of each line that is not blank or a comment
+    rows = [(lineno, tokens) for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (tokens := raw.split("#", 1)[0].split())]
     inputs: list = []
     gates: list = []
     output_refs: list = []
     defined_at: dict = {}
-    pending: dict = {}  # name -> lines that define it later
-
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            tokens = line.split()
-            name = tokens[1] if len(tokens) >= 2 else None
-            if tokens[0] in ("INPUT", "GATE") and name is not None:
-                pending.setdefault(name, []).append(lineno)
-
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for k, (lineno, tokens) in enumerate(rows):
+        keyword, *args = tokens
+        if keyword == "OUTPUT":
+            if len(args) != 1:
+                raise NetlistParseError(f"line {lineno}: OUTPUT takes one net name")
+            output_refs.append((args[0], lineno))
             continue
-        tokens = line.split()
-        keyword = tokens[0]
         if keyword == "INPUT":
-            if len(tokens) != 2:
+            if len(args) != 1:
                 raise NetlistParseError(f"line {lineno}: INPUT takes one net name")
-            name = tokens[1]
-            if name in defined_at:
-                raise NetlistParseError(
-                    f"line {lineno}: net {quoted(name)} already defined on line {defined_at[name]}"
-                )
-            defined_at[name] = lineno
-            inputs.append(name)
+            ins = ()
         elif keyword == "GATE":
-            if len(tokens) < 4:
+            if len(args) < 3:
                 raise NetlistParseError(f"line {lineno}: GATE needs output, kind, inputs")
-            out, kind = tokens[1], tokens[2]
-            ins = tuple(tokens[3:])
+            kind, ins = args[1], tuple(args[2:])
             if kind not in GATE_KINDS:
                 raise NetlistParseError(f"line {lineno}: unknown gate kind {quoted(kind)}")
             if kind in _UNARY and len(ins) != 1:
                 raise NetlistParseError(f"line {lineno}: {kind} takes exactly one input")
             if kind not in _UNARY and len(ins) < 2:
                 raise NetlistParseError(f"line {lineno}: {kind} needs at least two inputs")
-            if out in defined_at:
-                raise NetlistParseError(
-                    f"line {lineno}: net {quoted(out)} already defined on line {defined_at[out]}"
-                )
-            for src in ins:
-                if src not in defined_at:
-                    later = [l for l in pending.get(src, []) if l > lineno]
-                    if later:
-                        raise NetlistParseError(
-                            f"line {lineno}: net {quoted(src)} used before its definition "
-                            f"on line {later[0]} (netlist must be in topological order)"
-                        )
-                    raise NetlistParseError(f"line {lineno}: undeclared net {quoted(src)}")
-            defined_at[out] = lineno
-            gates.append(Gate(out, kind, ins))
-        elif keyword == "OUTPUT":
-            if len(tokens) != 2:
-                raise NetlistParseError(f"line {lineno}: OUTPUT takes one net name")
-            output_refs.append((tokens[1], lineno))
         else:
             raise NetlistParseError(f"line {lineno}: unknown directive {quoted(keyword)}")
+        name = args[0]
+        if name in defined_at:
+            raise NetlistParseError(
+                f"line {lineno}: net {quoted(name)} already defined on line {defined_at[name]}"
+            )
+        for src in ins:
+            if src not in defined_at:
+                # Later INPUT or GATE lines naming it, well formed or not.
+                later = [l for l, t in rows[k + 1 :] if t[0] in ("INPUT", "GATE") and t[1:2] == [src]]
+                if later:
+                    raise NetlistParseError(
+                        f"line {lineno}: net {quoted(src)} used before its definition "
+                        f"on line {later[0]} (netlist must be in topological order)"
+                    )
+                raise NetlistParseError(f"line {lineno}: undeclared net {quoted(src)}")
+        defined_at[name] = lineno
+        if keyword == "INPUT":
+            inputs.append(name)
+        else:
+            gates.append(Gate(name, kind, ins))
 
     outputs = []
     for name, lineno in output_refs:
@@ -517,18 +506,19 @@ def inject_campaign(
     node: str,
     trials: int,
     seed: int,
-    workload: Optional[Sequence[Sequence[int]]] = None,
+    workload: Optional[np.typing.ArrayLike] = None,
 ) -> InjectionResult:
     """Monte Carlo single-bit-flip campaign on one net.
 
     Each trial draws an input vector (uniform over all vectors, or
-    uniformly from the explicit workload), flips the golden value on
-    `node`, re-propagates only downstream gates, and counts an error when
-    any primary output differs. Trial t depends only on (seed, t): it sets
-    input j to bit t%64 of RNG counter (t//64)*n_inputs + j, or reads
-    counter t to pick a workload vector. Trials run 64 to a word in blocks
-    of INJECTION_BLOCK_TRIALS, whole words each, so memory is bounded and
-    the block size does not change the result. A workload campaign
+    uniformly from the rows of `workload`, a binary 2-D array-like of one
+    column per input), flips the golden value on `node`, re-propagates
+    only downstream gates, and counts an error when any primary output
+    differs. Trial t depends only on (seed, t): it sets input j to bit
+    t%64 of RNG counter (t//64)*n_inputs + j, or reads counter t to pick a
+    workload vector. Trials run 64 to a word in blocks of
+    INJECTION_BLOCK_TRIALS, whole words each, so memory is bounded and the
+    block size does not change the result. A workload campaign
     simulates each workload vector once and counts the picked vectors'
     error flags. A flip on a primary output is an error in every trial and
     one on a net with no path to an output never is: such a campaign is
@@ -539,17 +529,20 @@ def inject_campaign(
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials!r}")
     compiled = netlist.compiled
-    n_in = len(netlist.inputs)
+    n_in = compiled.n_inputs
     matrix = None
     if workload is not None:
-        vectors = list(workload)
-        if not vectors:
+        try:
+            matrix = np.asarray(workload)
+        except ValueError:
+            raise ValueError(f"workload vectors differ in length; each must have width {n_in}") from None
+        if matrix.size == 0:
             raise ValueError("explicit workload is empty")
-        matrix = np.asarray(vectors, dtype=np.uint8)
         if matrix.ndim != 2 or matrix.shape[1] != n_in:
-            raise ValueError(f"workload vectors must have width {n_in}")
-        if matrix.max(initial=0) > 1:
-            raise ValueError("workload vectors must be binary")
+            raise ValueError(f"workload must be a 2-D array with rows of width {n_in}, got shape {matrix.shape}")
+        if matrix.dtype.kind not in "biuf" or not ((matrix == 0) | (matrix == 1)).all():
+            raise ValueError("workload vectors must be binary: every entry 0 or 1")
+        matrix = matrix.astype(np.uint8, copy=False)
     node_index = compiled.index[node]
     if node_index in compiled.outputs:
         # The flip changes an output itself: an error in every trial.
@@ -595,39 +588,48 @@ def wilson_interval(errors: int, trials: int, z: float):
     return center, half
 
 
+def injection_targets(netlist: Netlist, ser: SerParams) -> list:
+    """The nets with nonzero FIT, in net order; InputError when the FIT
+    map names a net the netlist does not have."""
+    for net in ser.fit_per_node:
+        if net not in netlist.compiled.index:
+            raise InputError(f"FIT map names unknown net {quoted(net)}")
+    return [net for net in netlist.nets() if ser.fit_for(net) > 0.0]
+
+
 def transient_failure_rate(
     netlist: Netlist, ser: SerParams, deratings: Mapping[str, float]
 ) -> float:
-    """Per-hour transient rate: sum of FIT * derating * 1e-9 over nets."""
-    for net in ser.fit_per_node:
-        if net not in netlist.compiled.index:
-            raise ValueError(f"FIT map names unknown net {quoted(net)}")
+    """Per-hour transient rate: sum of FIT * derating * 1e-9 over nets;
+    InputError when the sum overflows a float."""
     total_fit = 0.0
-    for net in netlist.nets():
-        fit = ser.fit_for(net)
-        if fit == 0.0:
-            continue
+    for net in injection_targets(netlist, ser):
         if net not in deratings:
             raise ValueError(f"no derating for net {quoted(net)} with nonzero FIT")
         d = deratings[net]
         if not 0.0 <= d <= 1.0:
             raise ValueError(f"derating for {quoted(net)} out of [0,1]: {d!r}")
-        total_fit += fit * d
+        total_fit += ser.fit_for(net) * d
+    if not math.isfinite(total_fit):
+        raise InputError("FIT x derating summed over the nets overflows a float: the FIT values are too large")
     return total_fit * PER_HOUR_PER_FIT
 
 
-def read_workload(fp, n_inputs: int) -> list:
-    """Workload file: one binary vector per line, width = number of inputs."""
-    vectors = []
+def read_workload(fp, n_inputs: int) -> np.ndarray:
+    """Workload file: one binary vector per line, width = number of inputs,
+    blank lines and `#` comment lines skipped; the (vectors, inputs) uint8
+    0/1 matrix."""
+    lines = []
     for lineno, raw in enumerate(fp, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if len(line) != n_inputs or any(c not in "01" for c in line):
+        if len(line) != n_inputs or not re.fullmatch("[01]*", line):
             raise InputError(
                 f"workload line {lineno}: expected {n_inputs} binary digits, got {quoted(line)}"
             )
-        vectors.append(tuple(int(c) for c in line))
-    if not vectors:
+        lines.append(line)
+    if not lines:
         raise InputError("workload file contains no vectors")
-    return vectors
+    digits = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
+    return digits.reshape(len(lines), n_inputs) - np.uint8(ord("0"))

@@ -1029,6 +1029,19 @@ class TestExitCodes:
             pu1_mttf = json.loads(out)["components"]["pu1"]["combined_mttf_hours"]
             assert 0.0 < json.loads(out)["system"]["mttf_hours"] <= pu1_mttf
 
+    def test_transient_fit_overflow_exits_one(self, tmp_path, capsys):
+        # Every FIT is finite, but their sum weighted by the deratings is not.
+        shutil.copytree(SAMPLE_DIR, tmp_path / "s")
+        system = tmp_path / "s" / "system.json"
+        doc = json.loads(system.read_text())
+        doc["hierarchy"]["children"][0]["ser"]["default_fit"] = 1e308
+        system.write_text(json.dumps(doc))
+        args = ["analyze", "--system", str(system), "--out", str(tmp_path / "o"), "--seed", "1"]
+        code, out, err = run_cli(args + ["--injection-trials", "100"], capsys)
+        assert code == 1 and out == ""
+        assert "component 'pu1', stage 'transient-path'" in err and "FIT" in err
+        assert len(err.encode()) < 300 and not (tmp_path / "o").exists()
+
     def test_tree_eval_deep_probabilities_is_input_error(self, tmp_path, capsys):
         (tmp_path / "tree.json").write_text('{"event": "a"}')
         (tmp_path / "probs.json").write_text('{"a": ' + "[" * 5000 + "]" * 5000 + "}")

@@ -1,4 +1,5 @@
 import io
+import os
 import random
 import sys
 import threading
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reliatree import rng, softerror
-from reliatree.errors import InputError, NetlistParseError
+from reliatree.errors import InputError, NetlistParseError, read_text
 from reliatree.reliability import Exponential, reliability_at
 from reliatree.softerror import (
     GATE_KINDS,
@@ -29,7 +30,7 @@ from reliatree.softerror import (
     wilson_interval,
 )
 
-from conftest import AND2, FULL_ADDER, OR2
+from conftest import AND2, FULL_ADDER, OR2, SAMPLE_DIR
 
 PARITY4 = (
     "INPUT a\nINPUT b\nINPUT c\nINPUT d\n"
@@ -145,6 +146,12 @@ class TestParser:
             ("INPUT a\nGATE g1 NOT a\nOUTPUT nope\n", "undeclared net 'nope'"),
             ("INPUT a\nWIRE g1\nOUTPUT a\n", "unknown directive"),
             ("GATE g1 AND a b\nOUTPUT g1\n", "undeclared net"),
+            # Which error wins, and which later line a forward reference names.
+            ("INPUT a\nGATE a AND q r\nOUTPUT a\n", "line 2: net 'a' already defined on line 1"),
+            ("INPUT a\nGATE g1 AND a z\nINPUT z extra\nOUTPUT g1\n", "net 'z' used before its definition on line 3"),
+            ("INPUT a\nGATE g1 AND a z\nGATE z NOT a\nGATE z NOT a\nOUTPUT g1\n", "definition on line 3"),
+            ("INPUT a\nGATE g1 AND a z\n# INPUT z\nOUTPUT g1\n", "line 2: undeclared net 'z'"),
+            ("INPUT a\nGATE g1 AND a z\nGATE z\nOUTPUT g1\n", "definition on line 3"),
         ],
     )
     def test_rejections_carry_line_context(self, text, needle):
@@ -280,6 +287,29 @@ class TestCampaign:
     def test_empty_workload_rejected(self, full_adder):
         with pytest.raises(ValueError):
             inject_campaign(full_adder, "s1", 10, seed=0, workload=[])
+
+    @pytest.mark.parametrize(
+        "workload,needle",
+        [
+            ([(0, 0.5, 1)], "binary"),
+            ([("0", "1", "1")], "binary"),
+            ([(0, -1, 1)], "binary"),
+            ([(0, 1, 1), (0, 1)], "differ in length"),
+            (np.zeros((0, 3), dtype=np.uint8), "empty"),
+            (np.array([0, 1, 1]), r"width 3, got shape \(3,\)"),
+        ],
+        ids=["half", "strings", "negative", "ragged", "empty-array", "one-dimensional"],
+    )
+    def test_non_binary_workload_rejected(self, workload, needle):
+        net = parse_netlist(read_text(os.path.join(SAMPLE_DIR, "netlists", "pu1.net")))
+        with pytest.raises(ValueError, match=needle):
+            inject_campaign(net, "c1", 10, seed=0, workload=workload)
+
+    def test_binary_array_likes_count_alike(self, full_adder):
+        rows = [(0, 1, 1), (1, 1, 0), (1, 0, 1)]
+        want = inject_campaign(full_adder, "c1", 500, seed=4, workload=rows)
+        for workload in (np.array(rows, dtype=np.uint8), np.array(rows, dtype=bool), np.array(rows, dtype=float)):
+            assert inject_campaign(full_adder, "c1", 500, seed=4, workload=workload) == want
 
     def test_unknown_node_rejected(self, full_adder):
         with pytest.raises(ValueError):
@@ -551,6 +581,22 @@ def test_parse_netlist_raises_only_input_errors(text):
         inject_campaign(net, node, 3, seed=0)
 
 
+class TestReadWorkload:
+    def test_matrix_of_the_digits(self):
+        text = "# header\r\n010\r\n\r\n  111 \r\n# 2\n001\n"
+        vectors = read_workload(io.StringIO(text, newline=""), 3)
+        assert vectors.dtype == np.uint8 and vectors.shape == (3, 3)
+        assert vectors.tolist() == [[0, 1, 0], [1, 1, 1], [0, 0, 1]]
+
+    @pytest.mark.parametrize(
+        "text,lineno",
+        [("01\r\n# x\r\n\r\n012\r\n", 4), ("01\n\n101\n", 3), ("#\n1 0\n", 2), ("10\n1\u00b9\n", 2)],
+    )
+    def test_errors_name_the_line(self, text, lineno):
+        with pytest.raises(InputError, match=f"^workload line {lineno}: expected 2 binary digits"):
+            read_workload(io.StringIO(text, newline=""), 2)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     text=st.one_of(st.text(), st.text(alphabet="01 #\n\t")),
@@ -561,7 +607,7 @@ def test_read_workload_raises_only_input_errors(text, n_inputs):
         vectors = read_workload(io.StringIO(text), n_inputs)
     except InputError:
         return
-    assert vectors and all(len(v) == n_inputs for v in vectors)
+    assert len(vectors) > 0 and all(len(v) == n_inputs for v in vectors)
 
 
 class TestWilson:
@@ -606,6 +652,11 @@ class TestRates:
         net = parse_netlist(AND2)
         with pytest.raises(ValueError):
             transient_failure_rate(net, SerParams({"zz": 10.0}, 0.0), {"zz": 1.0})
+
+    def test_overflowing_fit_sum_is_input_error(self):
+        net = parse_netlist(AND2)
+        with pytest.raises(InputError, match="FIT"):
+            transient_failure_rate(net, SerParams({}, 1e308), {n: 1.0 for n in net.nets()})
 
     def test_negative_fit_rejected(self):
         with pytest.raises(ValueError):
