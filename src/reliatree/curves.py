@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from . import rng
-from .errors import InputError
+from .errors import InputError, quoted
 from .reliability import (
     Exponential,
     Product,
@@ -81,9 +81,8 @@ def system_reliability_curves(model, component_modes: Mapping[str, tuple], grid=
     competing risks, Product((r_perm, r_trans)). grid is model.grid()
     already allocated by the caller; it is allocated here when omitted.
 
-    The MTTF integrates the exact system survival by integrate_survival;
-    the sum of the component survivals bounds it, because a coherent
-    system is down once every component is. ratio(t) = r_sys_perm /
+    The MTTF integrates the exact system survival by integrate_survival,
+    whose panels come from that survival itself. ratio(t) = r_sys_perm /
     r_sys_trans; a value above 1 means transient faults are currently the
     more destructive type. The ratio is absent (None) where both curves
     have vanished below 1e-15.
@@ -91,7 +90,7 @@ def system_reliability_curves(model, component_modes: Mapping[str, tuple], grid=
     events = basic_events(model.success_tree)
     for event in events:
         if event not in component_modes:
-            raise InputError(f"no reliability functions for component {event!r}")
+            raise InputError(f"no reliability functions for component {quoted(event)}")
     if grid is None:
         grid = model.grid()
     combined = {cid: Product(modes) for cid, modes in component_modes.items()}
@@ -114,10 +113,7 @@ def system_reliability_curves(model, component_modes: Mapping[str, tuple], grid=
         probs = {cid: np.array([reliability_at(combined[cid], t) for t in times]) for cid in events}
         return _shannon(model.success_tree, probs)
 
-    def bound(t: float) -> float:
-        return sum(reliability_at(combined[cid], t) for cid in events)
-
-    mttf_sys = integrate_survival(survival, bound)
+    mttf_sys = integrate_survival(survival)
     return SystemCurves(
         grid=tuple(float(t) for t in grid),
         r_sys=tuple(float(v) for v in r_sys),
@@ -154,9 +150,9 @@ def monte_carlo_system(
     events = basic_events(tree)
     for event in events:
         if event not in component_modes:
-            raise InputError(f"no fault-mode functions for component {event!r}")
+            raise InputError(f"no fault-mode functions for component {quoted(event)}")
         if not all(isinstance(rf, (Exponential, Weibull)) for rf in component_modes[event]):
-            raise ValueError(f"component {event!r}: fault modes must be Exponentials or Weibulls")
+            raise ValueError(f"component {quoted(event)}: fault modes must be Exponentials or Weibulls")
     modes = [(cid, component_modes[cid]) for cid in sorted(events)]
     width = 2 * len(modes)  # counters per sample
 

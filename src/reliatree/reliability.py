@@ -2,11 +2,11 @@
 
 All times are hours. Three forms cover the engine: closed-form Exponential
 and Weibull, and Product for independent competing failure modes, whose
-factors are Exponentials and Weibulls: a component's permanent wear-out
-and its transient soft errors. Every form evaluates to a probability in
-[0, 1] with R(0) = 1. An MTTF without a closed form, of a Product here or
-of a whole system in curves.py, is the integral of the survival by
-integrate_survival. sample_failure_times draws by inverse CDF from one
+factors are Exponentials and Weibulls: a component's permanent wear-out and
+its transient soft errors. Every form evaluates to a probability in [0, 1]
+with R(0) = 1. An MTTF without a closed form, of a Product here or of a
+whole system in curves.py, is integrate_survival of the survival, on panels
+chosen from it alone. sample_failure_times draws by inverse CDF from one
 elementary form; a Product's time is the minimum of its factors' times.
 """
 from __future__ import annotations
@@ -29,8 +29,8 @@ __all__ = [
     "sample_failure_times",
 ]
 
-# MTTF quadrature: integrate until a bound on the survival drops below the
-# tail threshold, never past the horizon cap (truncation documented).
+# MTTF quadrature: integrate until the survival itself drops below the tail
+# threshold, never past the horizon cap (truncation documented).
 _TAIL_SURVIVAL = 1e-9
 _HORIZON_CAP_HOURS = 1e9
 _GAUSS_POINTS = 32
@@ -131,31 +131,39 @@ def _gauss_legendre(n: int) -> tuple:
 _GAUSS_NODES, _GAUSS_WEIGHTS = _gauss_legendre(_GAUSS_POINTS)
 
 
-def integrate_survival(survival, bound) -> float:
+def integrate_survival(survival) -> float:
     """The integral of a survival function over [0, inf) hours: its MTTF.
 
-    survival(times) gives R at each of a list of times, in one call;
-    bound(t) >= R(t) at one time. 32-point Gauss-Legendre runs on the
-    panels [0, h], [h, 2h], [2h, 4h], ... and stops at the end of the first
-    panel where bound < 1e-9, or at 1e9 hours. h is 1 hour, halved while
-    bound(h) < 1/2 so that a sub-hour lifetime spans several panels.
+    survival(times) gives R at each of a list of times, in one call.
+    32-point Gauss-Legendre runs on the panels [0, h], [h, 2h], [2h, 4h],
+    ... and stops at the end of the first panel where R < 1e-9, or at 1e9
+    hours. h is 1 hour, halved while R(h) < 1/2 so that a sub-hour lifetime
+    spans several panels. Three calls at most: the ladder 1, 2, 4, ..., 1e9
+    hours, the halvings 1/2, ..., 2^-1022 hours when R(1) < 1/2, the nodes.
     math.inf when R is still above 1 - 1e-12 at the end.
     """
+    ladder = [1.0]
+    while ladder[-1] < _HORIZON_CAP_HOURS:
+        ladder.append(min(2.0 * ladder[-1], _HORIZON_CAP_HOURS))
+    at = dict(zip(ladder, survival(ladder)))
     first = 1.0
-    while bound(first) < 0.5 and first > sys.float_info.min:
-        first *= 0.5
+    if at[first] < 0.5:
+        halvings = [0.5]
+        while halvings[-1] > sys.float_info.min:
+            halvings.append(0.5 * halvings[-1])
+        at.update(zip(halvings, survival(halvings)))
+        first = next((h for h in halvings if at[h] >= 0.5), halvings[-1])
     ends = [0.0, first]
-    while bound(ends[-1]) >= _TAIL_SURVIVAL and ends[-1] < _HORIZON_CAP_HOURS:
+    while at[ends[-1]] >= _TAIL_SURVIVAL and ends[-1] < _HORIZON_CAP_HOURS:
         ends.append(min(2.0 * ends[-1], _HORIZON_CAP_HOURS))
+    if at[ends[-1]] > 1.0 - 1e-12:
+        return math.inf
     times, weights = [], []
     for lo, hi in zip(ends, ends[1:]):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         times.extend(mid + half * x for x in _GAUSS_NODES)
         weights.extend(half * w for w in _GAUSS_WEIGHTS)
-    values = survival(times + [ends[-1]])
-    if values[-1] > 1.0 - 1e-12:
-        return math.inf
-    return math.fsum(w * v for w, v in zip(weights, values))
+    return math.fsum(w * v for w, v in zip(weights, survival(times)))
 
 
 def mttf(rf: ReliabilityFunction) -> float:
@@ -169,11 +177,7 @@ def mttf(rf: ReliabilityFunction) -> float:
     if isinstance(rf, Weibull):
         return rf.eta * math.gamma(1.0 + 1.0 / rf.beta)
     if isinstance(rf, Product):
-
-        def at(t: float) -> float:
-            return reliability_at(rf, t)
-
-        return integrate_survival(lambda times: [at(t) for t in times], at)
+        return integrate_survival(lambda times: [reliability_at(rf, t) for t in times])
     raise ValueError(f"not a reliability function: {rf!r}")
 
 

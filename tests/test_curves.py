@@ -78,6 +78,23 @@ class TestSystemCurves:
         curves = system_reliability_curves(model, {c: exp_pair(3e3, 1e3) for c in ("pu1", "pu2")})
         assert curves.mttf_sys == pytest.approx(1.0 / 8e3, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "pu1_modes",
+        [exp_pair(5e3, 0.0), (Weibull(1e-3, 2.0), Exponential(0.0))],
+        ids=["exponential", "weibull"],
+    )
+    def test_system_mttf_of_sub_hour_component_beside_one_that_never_fails(self, pu1_modes):
+        # pu2 keeps the sum of the component survivals near 1, so panels
+        # chosen from that sum would put pu1's whole drop into one hour.
+        model = make_model(AND_TREE, horizon=1.0, points=16)
+        curves = system_reliability_curves(model, {"pu1": pu1_modes, "pu2": exp_pair(0.0, 0.0)})
+        assert curves.mttf_sys == mttf(Product(pu1_modes))
+
+    def test_system_mttf_of_sub_hour_and_long_lived_components(self):
+        model = make_model(AND_TREE, horizon=1.0, points=16)
+        curves = system_reliability_curves(model, {"pu1": exp_pair(5e3, 0.0), "pu2": exp_pair(1e-5, 0.0)})
+        assert curves.mttf_sys == pytest.approx(1.0 / (5e3 + 1e-5), rel=1e-12)
+
     def test_constant_transient_keeps_ratio_equal_to_perm_curve(self):
         model = make_model(AND_TREE)
         curves = system_reliability_curves(model, {c: exp_pair(1e-4, 0.0) for c in ("pu1", "pu2")})
@@ -244,6 +261,29 @@ class TestMonteCarlo:
         }
         with pytest.raises(ValueError, match="component 'pu2': fault modes must be Exponentials or Weibulls"):
             monte_carlo_system(AND_TREE, modes, 10, 1, [0.0])
+
+
+LONG_ID = "x" * 100_000
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: system_reliability_curves(
+            make_model(BasicEvent(LONG_ID), component_ids=(LONG_ID,)), {"pu1": exp_pair(1e-4, 1e-4)}
+        ),
+        lambda: monte_carlo_system(BasicEvent(LONG_ID), {}, 10, 1, [0.0]),
+        lambda: monte_carlo_system(
+            BasicEvent(LONG_ID), {LONG_ID: (Product((Exponential(1.0),)), Exponential(0.0))}, 10, 1, [0.0]
+        ),
+    ],
+    ids=["no-reliability-functions", "no-fault-modes", "fault-mode-form"],
+)
+def test_long_component_id_is_cut_in_message(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert LONG_ID[:50] in str(info.value)
+    assert len(str(info.value).encode("utf-8")) < 300
 
 
 def unblocked_failure_times(tree, component_modes, n_samples, seed):

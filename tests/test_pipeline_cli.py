@@ -1008,8 +1008,10 @@ class TestExitCodes:
             ("aging", {"a_const": 1e-300, "j_density": 1e10, "n_exp": 2}, 1, "weibull_beta 2.0"),
             ("aging", {"weibull_beta": 0.005}, 1, "node 'pu1': field 'aging': aging weibull_beta 0.005"),
             ("thermal", {"r_th": 1e-200, "c_th": 1e-200}, 1, "node 'pu1': field 'thermal': thermal time"),
+            # pu1 lasts about 7 ms while pu2 lasts years: the system MTTF is pu1's.
+            ("ser", {"default_fit": 1e14}, 0, None),
         ],
-        ids=["huge-beta", "lifetime-underflow", "rate-overflow", "tiny-beta", "tau-underflow"],
+        ids=["huge-beta", "lifetime-underflow", "rate-overflow", "tiny-beta", "tau-underflow", "fit-1e14"],
     )
     def test_extreme_sample_parameters_exit_zero_or_one(self, tmp_path, capsys, field, edit, code, message):
         shutil.copytree(SAMPLE_DIR, tmp_path / "s")

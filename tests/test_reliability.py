@@ -224,16 +224,29 @@ class TestMttf:
             calls.append(list(times))
             return [math.exp(-1e-3 * t) for t in times]
 
-        def bound(t):
-            return math.exp(-1e-3 * t)
-
-        got = integrate_survival(survival, bound)
-        assert len(calls) == 1
-        # The last time is the end of the first doubling panel below 1e-9.
-        end = calls[0][-1]
-        assert end == 32768.0
-        assert bound(end) < 1e-9 <= bound(end / 2)
+        got = integrate_survival(survival)
+        ladder, nodes = calls
+        assert ladder == [2.0**k for k in range(30)] + [1e9]
+        # The last panel, [end/2, end], ends at the first doubling end below 1e-9.
+        end = 32768.0
+        assert end / 2 < max(nodes) < end
+        assert math.exp(-1e-3 * end) < 1e-9 <= math.exp(-1e-3 * end / 2)
         assert got == pytest.approx(1000.0, rel=1e-12)
+
+    def test_integrate_survival_of_sub_hour_lifetime_reads_three_times(self):
+        calls = []
+
+        def survival(times):
+            calls.append(list(times))
+            return [math.exp(-1e4 * t) for t in times]
+
+        got = integrate_survival(survival)
+        ladder, halvings, nodes = calls
+        assert ladder == [2.0**k for k in range(30)] + [1e9]
+        assert halvings == [2.0**-k for k in range(1, 1023)]
+        # h is the first halving with R(h) >= 1/2: 2^-14 hours, as R(2^-13) = exp(-1.22).
+        assert max(nodes[:32]) < 2.0**-14 < min(nodes[32:64])
+        assert got == pytest.approx(1e-4, rel=1e-12)
 
     def test_product_is_freed_after_use(self):
         # Evaluation must not keep a reference to the function (no global cache).
