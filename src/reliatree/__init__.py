@@ -19,7 +19,7 @@ from .curves import (
     system_reliability_curves,
     write_curves_csv,
 )
-from .errors import InputError, ModelError, NetlistParseError, StageError
+from .errors import InputError, StageError
 from .model import (
     ComponentPayload,
     HierarchyNode,

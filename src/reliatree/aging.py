@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import InputError
 from .reliability import Weibull
 from .thermal import TemperatureProfile
 
@@ -36,13 +37,13 @@ class AgingParams:
         for name in ("a_const", "j_density", "ea_ev", "weibull_beta"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"aging {name} must be positive, got {v!r}")
+                raise InputError(f"aging {name} must be positive, got {v!r}")
         if not (math.isfinite(self.n_exp) and self.n_exp >= 0):
-            raise ValueError(f"aging n_exp must be >= 0, got {self.n_exp!r}")
+            raise InputError(f"aging n_exp must be >= 0, got {self.n_exp!r}")
         try:
             math.gamma(1.0 + 1.0 / self.weibull_beta)  # weibull_from_mttf divides by it
         except OverflowError:
-            raise ValueError(
+            raise InputError(
                 f"aging weibull_beta {self.weibull_beta!r} is too small: Gamma(1 + 1/beta) overflows"
             ) from None
 

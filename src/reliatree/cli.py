@@ -104,12 +104,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_thermal(args) -> int:
-    try:
-        params = ThermalParams(
-            args.rth, args.cth, args.tamb, args.tinit if args.tinit is not None else args.tamb
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    params = ThermalParams(
+        args.rth, args.cth, args.tamb, args.tinit if args.tinit is not None else args.tamb
+    )
     trace = read_power_trace(io.StringIO(read_text(args.trace), newline=""))
     profile = simulate_temperature(trace, params)
     buf = io.StringIO()
@@ -131,10 +128,7 @@ def _cmd_inject(args) -> int:
         workload = None
         if args.workload is not None:
             workload = read_workload(io.StringIO(read_text(args.workload), newline=""), len(netlist.inputs))
-        try:
-            res = inject_campaign(netlist, args.node, args.trials, args.seed, workload)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        res = inject_campaign(netlist, args.node, args.trials, args.seed, workload)
         document.update(
             trials=res.trials,
             errors=res.errors,
@@ -143,10 +137,7 @@ def _cmd_inject(args) -> int:
             seed=args.seed,
         )
     if args.exhaustive:
-        try:
-            document["exhaustive_derating"] = exhaustive_derating(netlist, args.node)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        document["exhaustive_derating"] = exhaustive_derating(netlist, args.node)
     _emit(json.dumps(document, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -157,10 +148,7 @@ def _cmd_tree_eval(args) -> int:
     if not isinstance(probs, dict):
         raise InputError("probabilities file must be a JSON object")
     if args.brute_force:
-        try:
-            value = brute_force_probability(tree, probs)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        value = brute_force_probability(tree, probs)
         method = "brute-force"
     else:
         value = tree_probability(tree, probs)

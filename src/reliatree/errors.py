@@ -20,14 +20,6 @@ class InputError(ValueError):
     """Invalid user-supplied input: model documents, netlists, traces, flags."""
 
 
-class ModelError(InputError):
-    """System description failed structural validation."""
-
-
-class NetlistParseError(InputError):
-    """Netlist text rejected; message carries the offending line number(s)."""
-
-
 class StageError(RuntimeError):
     """A pipeline stage failed; names the component and stage."""
 
@@ -73,8 +65,8 @@ def _deepest_nesting(text: str) -> tuple:
     return deepest, where
 
 
-def read_json(text: str, what: str, error: type = InputError):
-    """Decode a JSON input document named `what`, raising `error` when it
+def read_json(text: str, what: str):
+    """Decode a JSON input document named `what`, raising InputError when it
     nests deeper than MAX_JSON_DEPTH (naming the depth and the top-level
     member that reaches it) or is malformed."""
     # The nesting can be no deeper than the number of opening brackets,
@@ -83,8 +75,8 @@ def read_json(text: str, what: str, error: type = InputError):
         depth, member = _deepest_nesting(text)
         if depth > MAX_JSON_DEPTH:
             where = "" if member is None else f" in member {quoted(member)}"
-            raise error(f"{what} nests {depth} levels deep{where}; the limit is {MAX_JSON_DEPTH}")
+            raise InputError(f"{what} nests {depth} levels deep{where}; the limit is {MAX_JSON_DEPTH}")
     try:
         return json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
-        raise error(f"malformed {what}: {exc}") from None
+        raise InputError(f"malformed {what}: {exc}") from None

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .aging import AgingParams
-from .errors import ModelError, quoted, read_json, read_text
+from .errors import InputError, quoted, read_json, read_text
 from .softerror import SerParams
 from .successtree import Gate, basic_events, tree_from_dict
 from .thermal import ThermalParams
@@ -99,28 +99,28 @@ class SystemModel:
 
 def _ident(value, what: str) -> str:
     if not isinstance(value, str) or not value or _WS.search(value):
-        raise ModelError(f"{what} must be a nonempty token without whitespace, got {quoted(value)}")
+        raise InputError(f"{what} must be a nonempty token without whitespace, got {quoted(value)}")
     return value
 
 
 def _require_fields(obj: dict, required, optional, what: str) -> None:
     if not isinstance(obj, dict):
-        raise ModelError(f"{what} must be an object")
+        raise InputError(f"{what} must be an object")
     unknown = set(obj) - set(required) - set(optional)
     if unknown:
-        raise ModelError(f"{what}: unknown fields {quoted(sorted(unknown))}")
+        raise InputError(f"{what}: unknown fields {quoted(sorted(unknown))}")
     missing = [f for f in required if f not in obj]
     if missing:
-        raise ModelError(f"{what}: missing fields {missing}")
+        raise InputError(f"{what}: missing fields {missing}")
 
 
 def _float(v, what: str) -> float:
     if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ModelError(f"{what} must be a number, got {quoted(v)}")
+        raise InputError(f"{what} must be a number, got {quoted(v)}")
     try:
         return float(v)
     except OverflowError:
-        raise ModelError(f"{what} is an integer too large for a float") from None
+        raise InputError(f"{what} is an integer too large for a float") from None
 
 
 def _number(obj: dict, key: str, what: str) -> float:
@@ -129,10 +129,10 @@ def _number(obj: dict, key: str, what: str) -> float:
 
 def _resolve_file(raw, base_dir: str, node_id: str, fieldname: str) -> str:
     if not isinstance(raw, str) or not raw:
-        raise ModelError(f"node {quoted(node_id)}: field {fieldname!r} must be a file path")
+        raise InputError(f"node {quoted(node_id)}: field {fieldname!r} must be a file path")
     path = raw if os.path.isabs(raw) else os.path.join(base_dir, raw)
     if not os.path.isfile(path):
-        raise ModelError(f"node {quoted(node_id)}: field {fieldname!r} references missing file {quoted(raw)}")
+        raise InputError(f"node {quoted(node_id)}: field {fieldname!r} references missing file {quoted(raw)}")
     return path
 
 
@@ -143,8 +143,8 @@ def _parse_thermal(obj, node_id: str) -> ThermalParams:
     t_init = _number(obj, "t_initial", what) if "t_initial" in obj else t_amb
     try:
         return ThermalParams(r_th, c_th, t_amb, t_init)
-    except ValueError as exc:
-        raise ModelError(f"{what}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{what}: {exc}") from None
 
 
 def _parse_aging(obj, node_id: str) -> AgingParams:
@@ -154,8 +154,8 @@ def _parse_aging(obj, node_id: str) -> AgingParams:
     beta = _number(obj, "weibull_beta", what) if "weibull_beta" in obj else DEFAULT_WEIBULL_BETA
     try:
         return AgingParams(*numbers, beta)
-    except ValueError as exc:
-        raise ModelError(f"{what}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{what}: {exc}") from None
 
 
 def _parse_ser(obj, node_id: str) -> SerParams:
@@ -163,13 +163,13 @@ def _parse_ser(obj, node_id: str) -> SerParams:
     _require_fields(obj, ("default_fit",), ("fit_per_node",), what)
     fit_map = obj.get("fit_per_node", {})
     if not isinstance(fit_map, dict):
-        raise ModelError(f"{what}: 'fit_per_node' must be an object")
+        raise InputError(f"{what}: 'fit_per_node' must be an object")
     fits = {net: _float(fit, f"{what}: FIT for {quoted(net)}") for net, fit in fit_map.items()}
     default_fit = _number(obj, "default_fit", what)
     try:
         return SerParams(fits, default_fit)
-    except ValueError as exc:
-        raise ModelError(f"{what}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{what}: {exc}") from None
 
 
 def _parse_node(obj, level: int, base_dir: str, nodes: dict) -> HierarchyNode:
@@ -182,23 +182,23 @@ def _parse_node(obj, level: int, base_dir: str, nodes: dict) -> HierarchyNode:
     )
     node_id = _ident(obj["id"], "node id")
     if node_id in nodes:
-        raise ModelError(f"duplicate node id {quoted(node_id)}")
+        raise InputError(f"duplicate node id {quoted(node_id)}")
     nodes[node_id] = None  # claimed before the children are parsed
     kind = obj["kind"]
     if kind not in _KINDS:
-        raise ModelError(f"node {quoted(node_id)}: unknown kind {quoted(kind)}")
+        raise InputError(f"node {quoted(node_id)}: unknown kind {quoted(kind)}")
     if level == 1 and kind != "System":
-        raise ModelError(f"root node {quoted(node_id)} must have kind 'System', got {quoted(kind)}")
+        raise InputError(f"root node {quoted(node_id)} must have kind 'System', got {quoted(kind)}")
     if level > 1 and kind == "System":
-        raise ModelError(f"node {quoted(node_id)}: 'System' is only allowed at the root")
+        raise InputError(f"node {quoted(node_id)}: 'System' is only allowed at the root")
 
     if kind == "Component":
         for banned in ("children",):
             if banned in obj:
-                raise ModelError(f"component {quoted(node_id)} must be a leaf (no {banned!r})")
+                raise InputError(f"component {quoted(node_id)} must be a leaf (no {banned!r})")
         for needed in ("thermal", "aging", "power_trace", "netlist", "ser"):
             if needed not in obj:
-                raise ModelError(f"component {quoted(node_id)}: missing field {needed!r}")
+                raise InputError(f"component {quoted(node_id)}: missing field {needed!r}")
         payload = ComponentPayload(
             thermal=_parse_thermal(obj["thermal"], node_id),
             aging=_parse_aging(obj["aging"], node_id),
@@ -211,13 +211,13 @@ def _parse_node(obj, level: int, base_dir: str, nodes: dict) -> HierarchyNode:
 
     for banned in ("thermal", "aging", "power_trace", "netlist", "ser"):
         if banned in obj:
-            raise ModelError(f"node {quoted(node_id)}: field {banned!r} only belongs on components")
+            raise InputError(f"node {quoted(node_id)}: field {banned!r} only belongs on components")
     raw_children = obj.get("children", [])
     if not isinstance(raw_children, list):
-        raise ModelError(f"node {quoted(node_id)}: 'children' must be a list")
+        raise InputError(f"node {quoted(node_id)}: 'children' must be a list")
     children = tuple(_parse_node(c, level + 1, base_dir, nodes) for c in raw_children)
     if kind == "Subsystem" and not children:
-        raise ModelError(f"subsystem {quoted(node_id)} needs at least one child")
+        raise InputError(f"subsystem {quoted(node_id)} needs at least one child")
     node = nodes[node_id] = HierarchyNode(node_id, kind, children)
     return node
 
@@ -226,28 +226,28 @@ def _check_adapters(obj, nodes: dict) -> None:
     """Check that `adapters` holds CANONICAL_CHAINS for every component and
     nothing else."""
     if not isinstance(obj, dict):
-        raise ModelError("'adapters' must be an object keyed by component id")
+        raise InputError("'adapters' must be an object keyed by component id")
     for cid, entry in obj.items():
         node = nodes.get(cid)
         if node is None or node.kind != "Component":
             what = "no node" if node is None else f"a {node.kind}"
-            raise ModelError(f"adapters entry {quoted(cid)} names {what}; entries are keyed by component id")
+            raise InputError(f"adapters entry {quoted(cid)} names {what}; entries are keyed by component id")
         what = f"adapters for component {quoted(cid)}"
         _require_fields(entry, ("permanent", "transient"), ("combine",), what)
         for chain, names in entry.items():
             if names != CANONICAL_CHAINS[chain]:
-                raise ModelError(
+                raise InputError(
                     f"{what}: chain {chain!r} must be {json.dumps(CANONICAL_CHAINS[chain])}; no other chain can run"
                 )
     for cid, node in nodes.items():
         if node.kind == "Component" and cid not in obj:
-            raise ModelError(f"component {quoted(cid)} has no adapters entry; it needs {json.dumps(CANONICAL_CHAINS)}")
+            raise InputError(f"component {quoted(cid)} has no adapters entry; it needs {json.dumps(CANONICAL_CHAINS)}")
 
 
 def load_system(text: str, base_dir: str = ".", what: str = "system description") -> SystemModel:
     """Parse and validate a system description document; `what` names it
     in the errors of reading its JSON."""
-    doc = read_json(text, what, ModelError)
+    doc = read_json(text, what)
     _require_fields(
         doc,
         ("name", "time_horizon_hours", "grid_points", "hierarchy", "adapters", "success_tree"),
@@ -257,12 +257,12 @@ def load_system(text: str, base_dir: str = ".", what: str = "system description"
     name = _ident(doc["name"], "model name")
     horizon = _number(doc, "time_horizon_hours", "system description")
     if not (math.isfinite(horizon) and horizon > 0):
-        raise ModelError(f"time_horizon_hours must be positive and finite, got {horizon}")
+        raise InputError(f"time_horizon_hours must be positive and finite, got {horizon}")
     grid_points = doc["grid_points"]
     if not isinstance(grid_points, int) or isinstance(grid_points, bool) or grid_points < 2:
-        raise ModelError(f"grid_points must be an integer >= 2, got {quoted(grid_points)}")
+        raise InputError(f"grid_points must be an integer >= 2, got {quoted(grid_points)}")
     if grid_points > _MAX_GRID_POINTS:
-        raise ModelError(f"grid_points must be at most {_MAX_GRID_POINTS}")
+        raise InputError(f"grid_points must be at most {_MAX_GRID_POINTS}")
 
     nodes: dict = {}
     root = _parse_node(doc["hierarchy"], 1, base_dir, nodes)
@@ -270,9 +270,9 @@ def load_system(text: str, base_dir: str = ".", what: str = "system description"
     for event in basic_events(tree):
         node = nodes.get(event)
         if node is None:
-            raise ModelError(f"success tree references unknown component {quoted(event)}")
+            raise InputError(f"success tree references unknown component {quoted(event)}")
         if node.kind != "Component":
-            raise ModelError(f"success tree event {quoted(event)} must name a leaf component")
+            raise InputError(f"success tree event {quoted(event)} must name a leaf component")
 
     _check_adapters(doc["adapters"], nodes)
     return SystemModel(name, horizon, grid_points, root, tree)

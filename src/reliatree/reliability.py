@@ -12,7 +12,6 @@ elementary form; a Product's time is the minimum of its factors' times.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -138,8 +137,9 @@ def integrate_survival(survival) -> float:
     32-point Gauss-Legendre runs on the panels [0, h], [h, 2h], [2h, 4h],
     ... and stops at the end of the first panel where R < 1e-9, or at 1e9
     hours. h is 1 hour, halved while R(h) < 1/2 so that a sub-hour lifetime
-    spans several panels. Three calls at most: the ladder 1, 2, 4, ..., 1e9
-    hours, the halvings 1/2, ..., 2^-1022 hours when R(1) < 1/2, the nodes.
+    spans several panels. Four calls at most: the ladder 1, 2, 4, ..., 1e9
+    hours; the halvings 2^-1, ..., 2^-64 hours when R(1) < 1/2, and 2^-65,
+    ..., 2^-1022 hours when R is below 1/2 at all of those; the nodes.
     math.inf when R is still above 1 - 1e-12 at the end.
     """
     ladder = [1.0]
@@ -148,11 +148,12 @@ def integrate_survival(survival) -> float:
     at = dict(zip(ladder, survival(ladder)))
     first = 1.0
     if at[first] < 0.5:
-        halvings = [0.5]
-        while halvings[-1] > sys.float_info.min:
-            halvings.append(0.5 * halvings[-1])
-        at.update(zip(halvings, survival(halvings)))
-        first = next((h for h in halvings if at[h] >= 0.5), halvings[-1])
+        halvings = [2.0**-k for k in range(1, 1023)]  # down to the smallest normal float
+        for part in (halvings[:64], halvings[64:]):
+            at.update(zip(part, survival(part)))
+            first = next((h for h in part if at[h] >= 0.5), part[-1])
+            if at[first] >= 0.5:
+                break
     ends = [0.0, first]
     while at[ends[-1]] >= _TAIL_SURVIVAL and ends[-1] < _HORIZON_CAP_HOURS:
         ends.append(min(2.0 * ends[-1], _HORIZON_CAP_HOURS))

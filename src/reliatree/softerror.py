@@ -41,7 +41,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import rng
-from .errors import InputError, NetlistParseError, quoted
+from .errors import InputError, quoted
 
 __all__ = [
     "Gate",
@@ -251,10 +251,10 @@ class SerParams:
 
     def __post_init__(self):
         if not (math.isfinite(self.default_fit) and self.default_fit >= 0):
-            raise ValueError(f"default FIT must be finite and >= 0, got {self.default_fit!r}")
+            raise InputError(f"default FIT must be finite and >= 0, got {self.default_fit!r}")
         for net, fit in self.fit_per_node.items():
             if fit < 0 or not math.isfinite(fit):
-                raise ValueError(f"FIT for {quoted(net)} must be >= 0, got {fit!r}")
+                raise InputError(f"FIT for {quoted(net)} must be >= 0, got {fit!r}")
 
     def fit_for(self, net: str) -> float:
         return self.fit_per_node.get(net, self.default_fit)
@@ -286,28 +286,28 @@ def parse_netlist(text: str) -> Netlist:
         keyword, *args = tokens
         if keyword == "OUTPUT":
             if len(args) != 1:
-                raise NetlistParseError(f"line {lineno}: OUTPUT takes one net name")
+                raise InputError(f"line {lineno}: OUTPUT takes one net name")
             output_refs.append((args[0], lineno))
             continue
         if keyword == "INPUT":
             if len(args) != 1:
-                raise NetlistParseError(f"line {lineno}: INPUT takes one net name")
+                raise InputError(f"line {lineno}: INPUT takes one net name")
             ins = ()
         elif keyword == "GATE":
             if len(args) < 3:
-                raise NetlistParseError(f"line {lineno}: GATE needs output, kind, inputs")
+                raise InputError(f"line {lineno}: GATE needs output, kind, inputs")
             kind, ins = args[1], tuple(args[2:])
             if kind not in GATE_KINDS:
-                raise NetlistParseError(f"line {lineno}: unknown gate kind {quoted(kind)}")
+                raise InputError(f"line {lineno}: unknown gate kind {quoted(kind)}")
             if kind in _UNARY and len(ins) != 1:
-                raise NetlistParseError(f"line {lineno}: {kind} takes exactly one input")
+                raise InputError(f"line {lineno}: {kind} takes exactly one input")
             if kind not in _UNARY and len(ins) < 2:
-                raise NetlistParseError(f"line {lineno}: {kind} needs at least two inputs")
+                raise InputError(f"line {lineno}: {kind} needs at least two inputs")
         else:
-            raise NetlistParseError(f"line {lineno}: unknown directive {quoted(keyword)}")
+            raise InputError(f"line {lineno}: unknown directive {quoted(keyword)}")
         name = args[0]
         if name in defined_at:
-            raise NetlistParseError(
+            raise InputError(
                 f"line {lineno}: net {quoted(name)} already defined on line {defined_at[name]}"
             )
         for src in ins:
@@ -315,11 +315,11 @@ def parse_netlist(text: str) -> Netlist:
                 # Later INPUT or GATE lines naming it, well formed or not.
                 later = [l for l, t in rows[k + 1 :] if t[0] in ("INPUT", "GATE") and t[1:2] == [src]]
                 if later:
-                    raise NetlistParseError(
+                    raise InputError(
                         f"line {lineno}: net {quoted(src)} used before its definition "
                         f"on line {later[0]} (netlist must be in topological order)"
                     )
-                raise NetlistParseError(f"line {lineno}: undeclared net {quoted(src)}")
+                raise InputError(f"line {lineno}: undeclared net {quoted(src)}")
         defined_at[name] = lineno
         if keyword == "INPUT":
             inputs.append(name)
@@ -329,12 +329,12 @@ def parse_netlist(text: str) -> Netlist:
     outputs = []
     for name, lineno in output_refs:
         if name not in defined_at:
-            raise NetlistParseError(f"line {lineno}: OUTPUT names undeclared net {quoted(name)}")
+            raise InputError(f"line {lineno}: OUTPUT names undeclared net {quoted(name)}")
         outputs.append(name)
     if not inputs:
-        raise NetlistParseError("netlist declares no primary inputs")
+        raise InputError("netlist declares no primary inputs")
     if not outputs:
-        raise NetlistParseError("netlist declares no primary outputs")
+        raise InputError("netlist declares no primary outputs")
     return Netlist(tuple(inputs), tuple(gates), tuple(outputs))
 
 
@@ -398,7 +398,7 @@ def _fault_error_mask(netlist: Netlist, golden: dict, node: str):
 
 def _require_node(netlist: Netlist, node: str) -> None:
     if node not in netlist.compiled.index:
-        raise ValueError(f"unknown injection node {quoted(node)}")
+        raise InputError(f"unknown injection node {quoted(node)}")
 
 
 def _cone_program(compiled: _Compiled, node: int, ws: "_Workspace") -> list:
@@ -527,7 +527,7 @@ def inject_campaign(
     """
     _require_node(netlist, node)
     if trials <= 0:
-        raise ValueError(f"trials must be positive, got {trials!r}")
+        raise InputError(f"trials must be positive, got {trials!r}")
     compiled = netlist.compiled
     n_in = compiled.n_inputs
     matrix = None
@@ -535,13 +535,13 @@ def inject_campaign(
         try:
             matrix = np.asarray(workload)
         except ValueError:
-            raise ValueError(f"workload vectors differ in length; each must have width {n_in}") from None
+            raise InputError(f"workload vectors differ in length; each must have width {n_in}") from None
         if matrix.size == 0:
-            raise ValueError("explicit workload is empty")
+            raise InputError("explicit workload is empty")
         if matrix.ndim != 2 or matrix.shape[1] != n_in:
-            raise ValueError(f"workload must be a 2-D array with rows of width {n_in}, got shape {matrix.shape}")
+            raise InputError(f"workload must be a 2-D array with rows of width {n_in}, got shape {matrix.shape}")
         if matrix.dtype.kind not in "biuf" or not ((matrix == 0) | (matrix == 1)).all():
-            raise ValueError("workload vectors must be binary: every entry 0 or 1")
+            raise InputError("workload vectors must be binary: every entry 0 or 1")
         matrix = matrix.astype(np.uint8, copy=False)
     node_index = compiled.index[node]
     if node_index in compiled.outputs:
@@ -564,7 +564,7 @@ def exhaustive_derating(netlist: Netlist, node: str) -> float:
     _require_node(netlist, node)
     n_in = len(netlist.inputs)
     if n_in > _EXHAUSTIVE_MAX_INPUTS:
-        raise ValueError(f"exhaustive enumeration limited to {_EXHAUSTIVE_MAX_INPUTS} inputs, got {n_in}")
+        raise InputError(f"exhaustive enumeration limited to {_EXHAUSTIVE_MAX_INPUTS} inputs, got {n_in}")
     count = 1 << n_in
     index = np.arange(count, dtype=np.uint32)
     values = {

@@ -63,9 +63,9 @@ class KofNGate:
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
         if not self.children:
-            raise ValueError(f"{self.kind} gate needs at least one input")
+            raise InputError(f"{self.kind} gate needs at least one input")
         if not 1 <= self.k <= len(self.children):
-            raise ValueError(f"K-of-N requires 1 <= k <= {len(self.children)}, got k={self.k}")
+            raise InputError(f"K-of-N requires 1 <= k <= {len(self.children)}, got k={self.k}")
         object.__setattr__(self, "_hash", hash((self.kind, self.k, self.children)))
 
     def __hash__(self):
@@ -231,7 +231,7 @@ def brute_force_probability(tree: Gate, probs: Mapping[str, float]) -> float:
     _check_probs(events, probs)
     n = len(events)
     if n > _BRUTE_FORCE_MAX_EVENTS:
-        raise ValueError(f"brute force limited to {_BRUTE_FORCE_MAX_EVENTS} events, got {n}")
+        raise InputError(f"brute force limited to {_BRUTE_FORCE_MAX_EVENTS} events, got {n}")
     index = np.arange(1 << n, dtype=np.uint32)
     bits = {e: ((index >> np.uint32(j)) & np.uint32(1)).astype(bool) for j, e in enumerate(events)}
     weight = np.ones(1 << n)
@@ -310,7 +310,4 @@ def _close_gate(obj, children: tuple) -> Gate:
     k = obj.get("k")
     if not isinstance(k, int) or isinstance(k, bool):
         raise InputError("KOFN gate needs an integer 'k'")
-    try:
-        return KofNGate(k, children)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return KofNGate(k, children)

@@ -35,9 +35,9 @@ class ThermalParams:
         for name in ("r_th", "c_th", "t_ambient", "t_initial"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"thermal {name} must be positive, got {v!r}")
+                raise InputError(f"thermal {name} must be positive, got {v!r}")
         if not self.tau_seconds > 0:
-            raise ValueError(
+            raise InputError(
                 f"thermal time constant r_th * c_th underflows to 0 (r_th={self.r_th!r}, c_th={self.c_th!r})"
             )
 
@@ -86,7 +86,11 @@ def steady_state_temperature(power_w: float, params: ThermalParams) -> float:
 
 
 def simulate_temperature(trace: PowerTrace, params: ThermalParams) -> TemperatureProfile:
-    """Integrate the RC node over the trace; sample k is the end of step k."""
+    """Integrate the RC node over the trace; sample k is the end of step k.
+    InputError when the hottest steady state T_amb + R_th * P overflows."""
+    peak = max(trace.samples)
+    if not math.isfinite(params.t_ambient + params.r_th * peak):
+        raise InputError(f"t_ambient + r_th * power overflows a float at power {peak!r} W, r_th {params.r_th!r} K/W")
     decay = math.exp(-trace.dt_seconds / params.tau_seconds)
     temp = params.t_initial
     out = []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reliatree.errors import InputError, ModelError
+from reliatree.errors import InputError
 from reliatree.model import CANONICAL_CHAINS, load_system, load_system_file
 
 from conftest import AND2, DEFAULT_CHAINS, JSON_VALUES, component_obj, write_power_csv, write_two_unit_model
@@ -79,7 +79,7 @@ class TestLoad:
     def test_unknown_tree_event_named(self, tmp_path):
         write_inputs(tmp_path)
         doc = minimal_doc(success_tree={"event": "PU3"})
-        with pytest.raises(ModelError) as err:
+        with pytest.raises(InputError) as err:
             load(tmp_path, doc)
         assert "PU3" in str(err.value)
 
@@ -95,7 +95,7 @@ class TestLoad:
                 ],
             }
         )
-        with pytest.raises(ModelError) as err:
+        with pytest.raises(InputError) as err:
             load(tmp_path, doc)
         assert "duplicate" in str(err.value) and "c1" in str(err.value)
 
@@ -103,25 +103,25 @@ class TestLoad:
         write_inputs(tmp_path)
         doc = minimal_doc()
         doc["hierarchy"]["children"][0]["netlist"] = "missing.net"
-        with pytest.raises(ModelError) as err:
+        with pytest.raises(InputError) as err:
             load(tmp_path, doc)
         msg = str(err.value)
         assert "c1" in msg and "netlist" in msg and "missing.net" in msg
 
     def test_unknown_top_level_field_rejected(self, tmp_path):
         write_inputs(tmp_path)
-        with pytest.raises(ModelError):
+        with pytest.raises(InputError):
             load(tmp_path, minimal_doc(comment="hi"))
 
     def test_unknown_node_field_rejected(self, tmp_path):
         write_inputs(tmp_path)
         doc = minimal_doc()
         doc["hierarchy"]["children"][0]["voltage"] = 1.2
-        with pytest.raises(ModelError):
+        with pytest.raises(InputError):
             load(tmp_path, doc)
 
     def test_malformed_json(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(InputError):
             load_system("{not json")
 
     def test_deep_hierarchy_names_its_json_depth(self, tmp_path):
@@ -134,7 +134,7 @@ class TestLoad:
             node = '{"id": "s%d", "kind": "Subsystem", "children": [%s]}' % (k, node)
         doc["hierarchy"]["children"] = "NODE"
         text = json.dumps(doc).replace('"NODE"', f"[{node}]")
-        with pytest.raises(ModelError) as err:
+        with pytest.raises(InputError) as err:
             load_system(text, base_dir=str(tmp_path))
         message = str(err.value)
         assert message == "system description nests 1046 levels deep in member 'hierarchy'; the limit is 514"
@@ -151,7 +151,7 @@ class TestLoad:
     )
     def test_bad_scalars_rejected(self, tmp_path, patch):
         write_inputs(tmp_path)
-        with pytest.raises((ModelError, Exception)):
+        with pytest.raises(InputError):
             load(tmp_path, minimal_doc(**patch))
 
     @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
@@ -163,7 +163,7 @@ class TestLoad:
             doc["hierarchy"]["children"][0]["ser"]["default_fit"] = value
         else:
             doc[field] = value
-        with pytest.raises(ModelError) as err:
+        with pytest.raises(InputError) as err:
             load(tmp_path, doc)
         assert field in str(err.value) or "FIT" in str(err.value)
 
@@ -171,7 +171,7 @@ class TestLoad:
         write_inputs(tmp_path)
         doc = minimal_doc()
         doc["hierarchy"]["children"][0]["children"] = []
-        with pytest.raises(ModelError):
+        with pytest.raises(InputError):
             load(tmp_path, doc)
 
     def test_system_below_root_rejected(self, tmp_path):
@@ -189,13 +189,13 @@ class TestLoad:
                 ],
             }
         )
-        with pytest.raises(ModelError):
+        with pytest.raises(InputError):
             load(tmp_path, doc)
 
     def test_root_must_be_system(self, tmp_path):
         write_inputs(tmp_path)
         doc = minimal_doc(hierarchy=component_obj("c1", "p.csv", "n.net"))
-        with pytest.raises(ModelError):
+        with pytest.raises(InputError):
             load(tmp_path, doc)
 
     def test_empty_subsystem_rejected(self, tmp_path):
@@ -210,7 +210,7 @@ class TestLoad:
                 ],
             }
         )
-        with pytest.raises(ModelError):
+        with pytest.raises(InputError):
             load(tmp_path, doc)
 
     def test_tree_event_must_be_component(self, tmp_path):
@@ -229,13 +229,13 @@ class TestLoad:
             },
             success_tree={"event": "sub"},
         )
-        with pytest.raises(ModelError):
+        with pytest.raises(InputError):
             load(tmp_path, doc)
 
     def test_adapters_for_unknown_node_rejected(self, tmp_path):
         write_inputs(tmp_path)
         doc = minimal_doc(adapters={"c1": DEFAULT_CHAINS, "ghost": []})
-        with pytest.raises(ModelError):
+        with pytest.raises(InputError):
             load(tmp_path, doc)
 
     def test_weibull_beta_default_applied(self, tmp_path):
@@ -342,7 +342,7 @@ class TestAdapters:
     )
     def test_other_chains_rejected_with_location(self, tmp_path, chain, entry):
         write_inputs(tmp_path)
-        with pytest.raises(ModelError) as err:
+        with pytest.raises(InputError) as err:
             load(tmp_path, minimal_doc(adapters={"c1": entry}))
         msg = str(err.value)
         assert "'c1'" in msg and repr(chain) in msg
@@ -350,7 +350,7 @@ class TestAdapters:
 
     def test_missing_component_entry_rejected(self, tmp_path):
         write_inputs(tmp_path)
-        with pytest.raises(ModelError) as err:
+        with pytest.raises(InputError) as err:
             load(tmp_path, minimal_doc(adapters={}))
         assert "'c1'" in str(err.value) and "FitToReliability" in str(err.value)
 
@@ -358,7 +358,7 @@ class TestAdapters:
         write_inputs(tmp_path)
         doc = minimal_doc()
         del doc["adapters"]
-        with pytest.raises(ModelError) as err:
+        with pytest.raises(InputError) as err:
             load(tmp_path, doc)
         assert "adapters" in str(err.value)
 
@@ -367,13 +367,13 @@ class TestAdapters:
         write_inputs(tmp_path)
         entry = chains()
         del entry[field]
-        with pytest.raises(ModelError) as err:
+        with pytest.raises(InputError) as err:
             load(tmp_path, minimal_doc(adapters={"c1": entry}))
         assert "'c1'" in str(err.value) and field in str(err.value)
 
     def test_unknown_chain_field_rejected(self, tmp_path):
         write_inputs(tmp_path)
-        with pytest.raises(ModelError) as err:
+        with pytest.raises(InputError) as err:
             load(tmp_path, minimal_doc(adapters={"c1": chains(upward=[])}))
         assert "'c1'" in str(err.value) and "upward" in str(err.value)
 
@@ -385,7 +385,7 @@ class TestAdapters:
     def test_entry_must_name_a_component(self, tmp_path, key, entry):
         write_inputs(tmp_path)
         doc = minimal_doc(hierarchy=SUBSYSTEM_HIERARCHY, adapters={"c1": DEFAULT_CHAINS, key: entry})
-        with pytest.raises(ModelError) as err:
+        with pytest.raises(InputError) as err:
             load(tmp_path, doc)
         assert repr(key) in str(err.value) and "keyed by component id" in str(err.value)
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from reliatree import cli, pipeline
 from reliatree.aging import black_mttf, weibull_from_mttf
-from reliatree.errors import MAX_JSON_DEPTH, InputError, ModelError, StageError, read_json
+from reliatree.errors import MAX_JSON_DEPTH, InputError, StageError, read_json
 from reliatree.model import load_system_file
 from reliatree.reliability import reliability_at
 from reliatree.pipeline import (
@@ -174,7 +174,7 @@ class TestPipeline:
         doc["adapters"]["pu1"] = {"permanent": [], "transient": []}
         with open(path, "w") as fp:
             json.dump(doc, fp)
-        with pytest.raises(ModelError) as err:
+        with pytest.raises(InputError) as err:
             load_system_file(path)
         assert "'pu1'" in str(err.value) and "'permanent'" in str(err.value)
 
@@ -1042,6 +1042,26 @@ class TestExitCodes:
         code, out, err = run_cli(args + ["--injection-trials", "100"], capsys)
         assert code == 1 and out == ""
         assert "component 'pu1', stage 'transient-path'" in err and "FIT" in err
+        assert len(err.encode()) < 300 and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "thermal"])
+    def test_steady_state_overflow_exits_one(self, tmp_path, capsys, command):
+        # One power sample of 1e308 W: t_ambient + r_th * P is inf (r_th 2.5 on pu1).
+        shutil.copytree(SAMPLE_DIR, tmp_path / "s")
+        trace = tmp_path / "s" / "traces" / "pu1_power.csv"
+        rows = trace.read_text().splitlines()
+        rows[2] = rows[2].split(",")[0] + ",1e308"
+        trace.write_text("\n".join(rows) + "\n")
+        if command == "analyze":
+            system = str(tmp_path / "s" / "system.json")
+            args = ["analyze", "--system", system, "--out", str(tmp_path / "o"), "--seed", "1"]
+            where = "component 'pu1', stage 'permanent-path'"
+        else:
+            args = ["thermal", "--trace", str(trace), "--rth", "1e10", "--cth", "1", "--tamb", "300"]
+            where = "error: t_ambient"
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert where in err and "overflows" in err and "1e+308 W" in err
         assert len(err.encode()) < 300 and not (tmp_path / "o").exists()
 
     def test_tree_eval_deep_probabilities_is_input_error(self, tmp_path, capsys):

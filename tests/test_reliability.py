@@ -243,10 +243,24 @@ class TestMttf:
         got = integrate_survival(survival)
         ladder, halvings, nodes = calls
         assert ladder == [2.0**k for k in range(30)] + [1e9]
-        assert halvings == [2.0**-k for k in range(1, 1023)]
+        assert halvings == [2.0**-k for k in range(1, 65)]
         # h is the first halving with R(h) >= 1/2: 2^-14 hours, as R(2^-13) = exp(-1.22).
         assert max(nodes[:32]) < 2.0**-14 < min(nodes[32:64])
         assert got == pytest.approx(1e-4, rel=1e-12)
+
+    def test_integrate_survival_reads_the_deep_halvings_only_when_needed(self):
+        # R < 1/2 at 2^-64 hours too, so the halvings down to 2^-1022 are read;
+        # h is 2^-84 hours, and seven doubling panels reach R < 1e-9.
+        calls = []
+
+        def survival(times):
+            calls.append(list(times))
+            return [math.exp(-1e25 * t) for t in times]
+
+        got = integrate_survival(survival)
+        assert [len(c) for c in calls] == [31, 64, 958, 224]
+        assert calls[2] == [2.0**-k for k in range(65, 1023)]
+        assert got == pytest.approx(1e-25, rel=1e-12)
 
     def test_product_is_freed_after_use(self):
         # Evaluation must not keep a reference to the function (no global cache).

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reliatree import rng, softerror
-from reliatree.errors import InputError, NetlistParseError, read_text
+from reliatree.errors import InputError, read_text
 from reliatree.reliability import Exponential, reliability_at
 from reliatree.softerror import (
     GATE_KINDS,
@@ -130,7 +130,7 @@ class TestParser:
 
     def test_forward_reference_reports_both_lines(self):
         text = "INPUT a\nGATE g2 AND a g1\nGATE g1 NOT a\nOUTPUT g2\n"
-        with pytest.raises(NetlistParseError) as err:
+        with pytest.raises(InputError) as err:
             parse_netlist(text)
         assert "line 2" in str(err.value) and "line 3" in str(err.value)
 
@@ -155,12 +155,12 @@ class TestParser:
         ],
     )
     def test_rejections_carry_line_context(self, text, needle):
-        with pytest.raises(NetlistParseError) as err:
+        with pytest.raises(InputError) as err:
             parse_netlist(text)
         assert needle in str(err.value)
 
     def test_line_numbers_in_messages(self):
-        with pytest.raises(NetlistParseError) as err:
+        with pytest.raises(InputError) as err:
             parse_netlist("INPUT a\n\nGATE g1 AND a q\nOUTPUT g1\n")
         assert "line 3" in str(err.value)
 
