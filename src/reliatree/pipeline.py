@@ -121,6 +121,8 @@ def _analyze_component(node, options: PipelineOptions) -> ComponentAnalysis:
             ) from None
     peak_temp = max(profile.samples)
     mean_power = sum(trace.samples) / len(trace.samples)
+    if not math.isfinite(mean_power):  # the sum overflows, not the mean
+        mean_power = sum(x / len(trace.samples) for x in trace.samples)
     steady_temp = steady_state_temperature(mean_power, payload.thermal)
 
     with _stage(cid, "netlist"):

@@ -10,22 +10,23 @@ batching.
 
 Each netlist is compiled once into `(ufunc, a, b, out)` calls on row
 indices, one to three per gate (NOT is XOR with an all-ones row, BUF is
-OR of a row with itself), with fan-out lists, and each net's fan-out
-cone is found once. Two kinds of net are decided by the structure alone:
-a flip on a primary output is an error in every trial, and a flip on a
-net with no path to an output never is, so their campaigns simulate
-nothing and draw no RNG words. Every other campaign is parallel-pattern
-single-fault propagation: 64 trials per uint64 word, a golden pass over
-all gates, a faulty pass over the cone only, and a popcount of the
-output differences, streamed in blocks of INJECTION_BLOCK_TRIALS trials
-so memory does not grow with the trial count. A block's input planes
-are its RNG words, one transposed copy away. A workload campaign
-simulates each workload vector once, 64 to a word, and adds up the
-error flags of the vectors its trials pick. The block buffers are
-pooled on the compiled netlist and reused by every later campaign on it.
-Both passes replay the compiled calls bound to a workspace's row views:
-the golden program is bound once per workspace and block width, the
-cone program once per block of a campaign.
+OR of a row with itself), with fan-out lists. Two kinds of net are
+decided by the structure alone: a flip on a primary output is an error
+in every trial, and a flip on a net with no path to an output never is,
+so their campaigns simulate nothing and draw no RNG words. Every other
+campaign is parallel-pattern single-fault propagation: 64 trials per
+uint64 word, a golden pass over all gates, a faulty pass over the
+flipped net's cone only, and a popcount of the output differences,
+in blocks of INJECTION_BLOCK_TRIALS trials so memory does not grow with
+the trial count. A block's input planes are its RNG words, one
+transposed copy away; a workload campaign instead simulates each
+workload vector once, 64 to a word, through the same block loop, and
+adds up the error flags of the vectors its trials pick. Both passes are
+calls on one row space (golden nets, an all-ones row, a faulty row per
+net, two output-difference rows), bound to the rows of one buffer of a
+workspace pooled on the compiled netlist: the golden program once per
+block width, the cone program, computed once per campaign and kept by
+nothing, once per block.
 A per-vector simulator over all input vectors is the exact
 oracle for small circuits. Raw per-net FIT rates weighted by derating
 give the transient failure rate.
@@ -120,11 +121,12 @@ class _Compiled:
     """Integer form of a netlist for bit-parallel simulation.
 
     Net i is the i-th name of `Netlist.nets()`, so gate k drives net
-    len(inputs) + k, and row index `ones` (the net count) is an all-ones
-    row. Each gate is compiled to calls on row indices (`_gate_calls`),
-    which a workspace binds to its rows. A net's cone is computed on
-    first use and kept, and so are the block workspaces of the campaigns
-    run on the netlist.
+    len(inputs) + k. In the row space of a campaign, rows 0 to n - 1 are
+    the golden nets, row `ones` = n is all ones, row n + 1 + i is net i's
+    faulty row, and rows 2n + 1 and 2n + 2 are the error and difference
+    rows. Each gate is compiled to calls on row indices (`_gate_calls`),
+    which a workspace binds to its rows. Nothing is kept per net; the
+    block workspaces of the campaigns run on the netlist are pooled.
     """
 
     def __init__(self, netlist: "Netlist"):
@@ -143,7 +145,6 @@ class _Compiled:
             for n in set(g.inputs):
                 fanout[self.index[n]].append(self.index[g.output])
         self.fanout = tuple(tuple(f) for f in fanout)
-        self._cones: dict = {}
         # Idle block workspaces. One campaign owns a workspace from
         # take_workspace until it appends it back, so campaigns running at
         # the same time never share one; list.pop and list.append are
@@ -165,65 +166,66 @@ class _Compiled:
                 return ws
 
     def cone(self, net: int) -> tuple:
-        """(calls of the gates the net reaches in topological order, the
-        nets those gates drive, the outputs the net reaches)."""
-        cone = self._cones.get(net)
-        if cone is None:
-            reached = {net}
-            stack = [net]
-            while stack:
-                for out in self.fanout[stack.pop()]:
-                    if out not in reached:
-                        reached.add(out)
-                        stack.append(out)
-            driven = tuple(sorted(reached - {net}))
-            calls = tuple(call for r in driven for call in self.gate_calls[r - self.n_inputs])
-            cone = (calls, driven, tuple(sorted(reached & self.outputs)))
-            self._cones[net] = cone
-        return cone
+        """(calls, outputs) of a flip on `net`.
+
+        The calls flip the net into its faulty row, re-run the gates it
+        reaches in topological order with every reached net read from its
+        faulty row, and OR each reached output's difference into the
+        error row. `outputs` are the outputs the net reaches.
+        """
+        reached = {net}
+        stack = [net]
+        while stack:
+            for out in self.fanout[stack.pop()]:
+                if out not in reached:
+                    reached.add(out)
+                    stack.append(out)
+        n = self.ones
+        faulty = {i: n + 1 + i for i in reached}
+        err, diff = 2 * n + 1, 2 * n + 2
+        calls = [(np.bitwise_xor, net, n, faulty[net])]
+        for r in sorted(reached - {net}):
+            for fn, a, b, out in self.gate_calls[r - self.n_inputs]:
+                calls.append((fn, faulty.get(a, a), faulty.get(b, b), faulty[out]))
+        outputs = sorted(reached & self.outputs)
+        for k, out in enumerate(outputs):
+            calls.append((np.bitwise_xor, faulty[out], out, diff if k else err))
+            if k:
+                calls.append((np.bitwise_or, err, diff, err))
+        return calls, outputs
 
 
 class _Workspace:
     """Block buffers of one campaign at a time on one compiled netlist.
 
     Sized for blocks of up to `n_words` words of 64 trials (or workload
-    vectors); a block of fewer words uses a prefix of each flat buffer,
-    reshaped to contiguous rows. The first n_inputs rows of `planes` are
-    the input planes a block writes. `bind` makes the row views of one
-    block width and binds the netlist's golden calls to them; both are
-    kept until the width changes. Nothing is cleared between blocks or
-    campaigns: a block writes every entry it reads, except the bits past
-    its last trial or vector in its last word, which its count ignores.
+    vectors). `buffer` holds the rows of the row space (see `_Compiled`);
+    a block of fewer words uses a prefix of it as contiguous rows, so its
+    input planes are its first n_inputs * width words. Nothing is cleared
+    between blocks or campaigns: a block writes every entry it reads,
+    except the bits past its last trial or vector in its last word, which
+    its count ignores.
     """
 
     def __init__(self, compiled: _Compiled, n_words: int):
         self.n_words = n_words
-        self.n_nets = len(compiled.index)
+        self.ones = compiled.ones
         self.calls = compiled.calls
         # RNG words of a uniform block, (words, inputs) row-major, and
         # word_block's temporary.
         self.words = np.zeros(compiled.n_inputs * n_words, dtype=np.uint64)
         self.scratch = np.zeros(compiled.n_inputs * n_words, dtype=np.uint64)
-        # One row per net.
-        self.planes = np.zeros(self.n_nets * n_words, dtype=np.uint64)
-        self.faulty = np.zeros(self.n_nets * n_words, dtype=np.uint64)
-        self.ones = np.full(n_words, np.iinfo(np.uint64).max, dtype=np.uint64)
-        self.err = np.zeros(n_words, dtype=np.uint64)
-        self.diff = np.zeros(n_words, dtype=np.uint64)
+        self.buffer = np.zeros((2 * self.ones + 3) * n_words, dtype=np.uint64)
         self.width = 0
 
     def bind(self, n_words: int) -> None:
-        """Row views of `n_words` words and the golden program on them.
-
-        `golden[i]` is the row of net i and `golden[ones]` the all-ones
-        row; `faulty_rows[i]` is net i's row in the cone pass.
-        """
+        """`rows`, the row views of `n_words` words, and the golden program
+        on them; the reshape moves the all-ones row, so it is refilled."""
         if n_words != self.width:
-            size = self.n_nets * n_words
-            self.golden = list(self.planes[:size].reshape(self.n_nets, n_words))
-            self.golden.append(self.ones[:n_words])
-            self.faulty_rows = list(self.faulty[:size].reshape(self.n_nets, n_words))
-            self.program = _bind(self.calls, self.golden)
+            n_rows = 2 * self.ones + 3
+            self.rows = list(self.buffer[: n_rows * n_words].reshape(n_rows, n_words))
+            self.rows[self.ones].fill(np.iinfo(np.uint64).max)
+            self.program = _bind(self.calls, self.rows)
             self.width = n_words
 
 
@@ -232,8 +234,7 @@ class Netlist:
     inputs: tuple
     gates: tuple
     outputs: tuple
-    # Integer ops, fan-out lists, cones and block workspaces, made in
-    # __post_init__.
+    # Integer ops, fan-out lists and pooled block workspaces, made in __post_init__.
     compiled: _Compiled = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -401,97 +402,76 @@ def _require_node(netlist: Netlist, node: str) -> None:
         raise InputError(f"unknown injection node {quoted(node)}")
 
 
-def _cone_program(compiled: _Compiled, node: int, ws: "_Workspace") -> list:
-    """Bound calls that flip `node`, re-run the gates it reaches on the
-    faulty rows, and OR each reached output's difference into `ws.err`.
-
-    The node reaches at least one output and is not one itself.
-    """
-    calls, driven, outputs = compiled.cone(node)
-    golden = ws.golden
-    err = ws.err[: ws.width]
-    diff = ws.diff[: ws.width]
-    rows = list(golden)
-    for net in (node,) + driven:
-        rows[net] = ws.faulty_rows[net]
-    program = [(np.bitwise_xor, golden[node], golden[compiled.ones], rows[node])]
-    program += _bind(calls, rows)
-    first, *rest = outputs
-    program.append((np.bitwise_xor, rows[first], golden[first], err))
-    for out in rest:
-        program.append((np.bitwise_xor, rows[out], golden[out], diff))
-        program.append((np.bitwise_or, err, diff, err))
-    return program
-
-
-def _propagate(compiled: _Compiled, node: int, ws: "_Workspace", n_words: int) -> np.ndarray:
-    """Error words of a block of `n_words` words: bit k of word q is set
-    when the flip on `node` reaches an output in trial (or vector) 64q + k.
-
-    The first n_inputs rows of `ws.planes` hold the block's input planes;
-    the golden program fills in the rest.
-    """
+def _propagate(ws: _Workspace, calls: list, n_words: int) -> np.ndarray:
+    """Error words of a block of `n_words` words whose input planes are
+    written: bit k of word q is set when the flip that the cone program
+    `calls` makes reaches an output in trial (or vector) 64q + k."""
     ws.bind(n_words)
-    for fn, a, b, out in chain(ws.program, _cone_program(compiled, node, ws)):
+    for fn, a, b, out in chain(ws.program, _bind(calls, ws.rows)):
         fn(a, b, out)
-    return ws.err[:n_words]
+    return ws.rows[-2]
 
 
-def _uniform_errors(compiled: _Compiled, node: int, trials: int, seed: int) -> int:
-    """Error count of a campaign over uniform input vectors, block by block.
+def _block_errors(compiled: _Compiled, calls: list, count: int, fill):
+    """(first, size, error words) of each block of up to
+    INJECTION_BLOCK_TRIALS trials (or vectors) of `count`, on a pooled
+    workspace; `fill(ws, first, size)` writes the block's input planes.
+    """
+    ws = compiled.take_workspace(-(-min(count, INJECTION_BLOCK_TRIALS) // 64))
+    try:
+        for first in range(0, count, INJECTION_BLOCK_TRIALS):
+            size = min(INJECTION_BLOCK_TRIALS, count - first)
+            fill(ws, first, size)
+            yield first, size, _propagate(ws, calls, -(-size // 64))
+    finally:
+        compiled.workspaces.append(ws)
+
+
+def _uniform_errors(compiled: _Compiled, calls: list, trials: int, seed: int) -> int:
+    """Error count of a campaign over uniform input vectors.
 
     Word q of input plane j in the block that starts at trial `first` is
     RNG counter (first//64 + q)*n_inputs + j: the block's words are drawn
     as (words, inputs) row-major and copied transposed into the input rows.
     """
     n_in = compiled.n_inputs
+
+    def fill(ws, first, size):
+        n_words = -(-size // 64)
+        words = rng.word_block(seed, first // 64 * n_in, n_words * n_in, out=ws.words, scratch=ws.scratch)
+        np.copyto(ws.buffer[: n_in * n_words].reshape(n_in, n_words), words.reshape(n_words, n_in).T)
+
     errors = 0
-    ws = compiled.take_workspace(-(-min(trials, INJECTION_BLOCK_TRIALS) // 64))
-    try:
-        for first in range(0, trials, INJECTION_BLOCK_TRIALS):
-            size = min(INJECTION_BLOCK_TRIALS, trials - first)
-            n_words = -(-size // 64)
-            words = rng.word_block(
-                seed, first // 64 * n_in, n_words * n_in, out=ws.words, scratch=ws.scratch
-            )
-            np.copyto(ws.planes[: n_in * n_words].reshape(n_in, n_words), words.reshape(n_words, n_in).T)
-            err = _propagate(compiled, node, ws, n_words)
-            if size % 64:
-                err[-1] &= np.uint64((1 << (size % 64)) - 1)
-            errors += int(np.bitwise_count(err).sum())
-    finally:
-        compiled.workspaces.append(ws)
+    for _, size, err in _block_errors(compiled, calls, trials, fill):
+        if size % 64:
+            err[-1] &= np.uint64((1 << (size % 64)) - 1)
+        errors += int(np.bitwise_count(err).sum())
     return errors
 
 
-def _vector_flags(compiled: _Compiled, node: int, matrix: np.ndarray) -> np.ndarray:
-    """Per row of the binary (vectors, inputs) `matrix`: 1 when the flip on
-    `node` reaches an output under that input vector, else 0.
+def _vector_flags(compiled: _Compiled, calls: list, matrix: np.ndarray) -> np.ndarray:
+    """Per row of the binary (vectors, inputs) `matrix`: 1 when the flip
+    that `calls` makes reaches an output under that input vector, else 0.
 
     Vector v is bit v%8 of byte v//8 of its block's input rows, so the
     flags read back the same way whatever the byte order of a word.
     """
     n_in = compiled.n_inputs
-    n_vectors = len(matrix)
-    flags = np.empty(n_vectors, dtype=np.uint8)
-    ws = compiled.take_workspace(-(-min(n_vectors, INJECTION_BLOCK_TRIALS) // 64))
-    try:
-        for first in range(0, n_vectors, INJECTION_BLOCK_TRIALS):
-            size = min(INJECTION_BLOCK_TRIALS, n_vectors - first)
-            n_words = -(-size // 64)
-            rows = ws.planes[: n_in * n_words].view(np.uint8).reshape(n_in, n_words * 8)
-            rows[:, : -(-size // 8)] = np.packbits(matrix[first : first + size].T, axis=1, bitorder="little")
-            err = _propagate(compiled, node, ws, n_words)
-            flags[first : first + size] = np.unpackbits(err.view(np.uint8), count=size, bitorder="little")
-    finally:
-        compiled.workspaces.append(ws)
+
+    def fill(ws, first, size):
+        rows = ws.buffer[: n_in * -(-size // 64)].view(np.uint8).reshape(n_in, -1)
+        rows[:, : -(-size // 8)] = np.packbits(matrix[first : first + size].T, axis=1, bitorder="little")
+
+    flags = np.empty(len(matrix), dtype=np.uint8)
+    for first, size, err in _block_errors(compiled, calls, len(matrix), fill):
+        flags[first : first + size] = np.unpackbits(err.view(np.uint8), count=size, bitorder="little")
     return flags
 
 
-def _workload_errors(compiled: _Compiled, node: int, trials: int, seed: int, matrix: np.ndarray) -> int:
+def _workload_errors(compiled: _Compiled, calls: list, trials: int, seed: int, matrix: np.ndarray) -> int:
     """Error count of a campaign whose trial i runs the workload vector
     that counter i picks: the sum of the picked vectors' error flags."""
-    flags = _vector_flags(compiled, node, matrix)
+    flags = _vector_flags(compiled, calls, matrix)
     errors = 0
     for first in range(0, trials, INJECTION_BLOCK_TRIALS):
         size = min(INJECTION_BLOCK_TRIALS, trials - first)
@@ -547,13 +527,15 @@ def inject_campaign(
     if node_index in compiled.outputs:
         # The flip changes an output itself: an error in every trial.
         errors = trials
-    elif not compiled.cone(node_index)[2]:
-        # No path to an output: never an error.
-        errors = 0
-    elif matrix is None:
-        errors = _uniform_errors(compiled, node_index, trials, seed)
     else:
-        errors = _workload_errors(compiled, node_index, trials, seed, matrix)
+        calls, outputs = compiled.cone(node_index)
+        if not outputs:
+            # No path to an output: never an error.
+            errors = 0
+        elif matrix is None:
+            errors = _uniform_errors(compiled, calls, trials, seed)
+        else:
+            errors = _workload_errors(compiled, calls, trials, seed, matrix)
     derating = errors / trials
     _, half = wilson_interval(errors, trials, Z_95)
     return InjectionResult(trials, errors, derating, half)

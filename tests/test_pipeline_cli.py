@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -356,6 +357,21 @@ class TestAnalyzeCli:
         for name in ("report.json", "curves.csv"):
             with open(os.path.join(dirs[0], name), "rb") as fa, open(os.path.join(dirs[1], name), "rb") as fb:
                 assert fa.read() == fb.read()
+
+    def test_sample_output_bytes(self, sample_system_path, tmp_path, capsys):
+        # No Monte Carlo, so the bytes do not depend on the host; a change
+        # to the output has to update these digests on purpose.
+        out_dir = tmp_path / "o"
+        args = ["analyze", "--system", sample_system_path, "--out", str(out_dir), "--seed", "1"]
+        code, _, err = run_cli(args, capsys)
+        assert code == 0, err
+        digests = {
+            name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in ("report.json", "curves.csv")
+        }
+        assert digests == {
+            "report.json": "902dc2156e9022dcbd6fe1cb829d05e4eb0ad48963fd964ab0f12d200acd50fb",
+            "curves.csv": "0760ddfa0f28b05a6bed27cc038916924314a2d14df03798f7dc297bdc4d3319",
+        }
 
     def test_analyze_serializes_the_report_once(self, sample_system_path, tmp_path, capsys, monkeypatch):
         calls = []
@@ -1063,6 +1079,25 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert where in err and "overflows" in err and "1e+308 W" in err
         assert len(err.encode()) < 300 and not (tmp_path / "o").exists()
+
+    def test_mean_power_of_huge_samples_is_finite(self, tmp_path, capsys):
+        # Two pu1 samples of 1e308 W: their sum overflows, but the mean and
+        # r_th * mean (r_th 1e-10) are finite.
+        shutil.copytree(SAMPLE_DIR, tmp_path / "s")
+        trace = tmp_path / "s" / "traces" / "pu1_power.csv"
+        rows = trace.read_text().splitlines()
+        for k in (1, 2):
+            rows[k] = rows[k].split(",")[0] + ",1e308"
+        trace.write_text("\n".join(rows) + "\n")
+        system = tmp_path / "s" / "system.json"
+        doc = json.loads(system.read_text())
+        doc["hierarchy"]["children"][0]["thermal"]["r_th"] = 1e-10
+        system.write_text(json.dumps(doc))
+        args = ["analyze", "--system", str(system), "--out", str(tmp_path / "o"), "--seed", "1"]
+        code, out, err = run_cli(args, capsys)
+        assert code == 0, err
+        temp = json.loads(out)["components"]["pu1"]["steady_state_temp_k"]
+        assert isinstance(temp, float) and math.isfinite(temp) and temp > 1e296
 
     def test_tree_eval_deep_probabilities_is_input_error(self, tmp_path, capsys):
         (tmp_path / "tree.json").write_text('{"event": "a"}')

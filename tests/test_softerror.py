@@ -417,6 +417,15 @@ class TestBitParallelCampaign:
         assert inject_campaign(net, "dead", 5000, seed=4).errors == 0
         assert inject_campaign(net, "d", 5000, seed=4).errors == 5000
 
+    def test_flip_counted_at_every_reached_output(self):
+        # The flip on n is masked at o1 when b = 0, but always reaches o2.
+        net = parse_netlist(
+            "INPUT a\nINPUT b\nGATE n BUF a\nGATE o1 AND n b\nGATE o2 XOR n b\nOUTPUT o1\nOUTPUT o2\n"
+        )
+        assert exhaustive_derating(net, "n") == 1.0
+        for wl in (None, [(0, 0), (1, 0), (0, 1)]):
+            assert inject_campaign(net, "n", 1000, seed=3, workload=wl).errors == 1000, wl
+
     def test_memory_bounded_by_block_not_trials(self):
         net = parse_netlist(ripple_adder(32))
         workload = random_workload(65, 9, 3)
@@ -529,6 +538,20 @@ class TestWorkspaceReuse:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 2**10
+
+    def test_campaigns_leave_no_per_net_state(self):
+        # A campaign on each of the 897 nets of a 128-bit adder: once they
+        # are done, nothing but the pooled workspace is held.
+        net = parse_netlist(ripple_adder(128))
+        inject_campaign(net, "c64", 64, seed=1)
+        tracemalloc.start()
+        try:
+            for node in net.nets():
+                inject_campaign(net, node, 64, seed=2)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 256 * 2**10
 
 
 @st.composite
