@@ -54,7 +54,6 @@ from .softerror import (
 )
 from .successtree import (
     AndGate,
-    BasicEvent,
     Gate,
     KofNGate,
     OrGate,

@@ -107,7 +107,7 @@ def system_reliability_curves(model, component_modes: Mapping[str, tuple], grid=
         elif q == 0.0:
             ratio.append(math.inf)
         else:
-            ratio.append(float(p / q))
+            ratio.append(float(p) / float(q))  # Python floats: inf without a warning
 
     def survival(times: list) -> np.ndarray:
         probs = {cid: np.array([reliability_at(combined[cid], t) for t in times]) for cid in events}

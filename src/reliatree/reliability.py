@@ -184,12 +184,14 @@ def mttf(rf: ReliabilityFunction) -> float:
 
 def sample_failure_times(rf: ReliabilityFunction, uniforms: np.ndarray) -> np.ndarray:
     """Inverse-CDF failure times of an Exponential or a Weibull, one per
-    uniform in (0, 1] of the 1-D array uniforms."""
-    if isinstance(rf, Exponential):
-        if rf.lam == 0.0:
-            # Never fails; -log(1.0) / 0 would be NaN. The draw is still taken.
-            return np.full_like(uniforms, np.inf)
-        return -np.log(uniforms) / rf.lam
-    if isinstance(rf, Weibull):
-        return rf.eta * (-np.log(uniforms)) ** (1.0 / rf.beta)
+    uniform in (0, 1] of the 1-D array uniforms. A time past the largest
+    float is +inf."""
+    with np.errstate(over="ignore"):
+        if isinstance(rf, Exponential):
+            if rf.lam == 0.0:
+                # Never fails; -log(1.0) / 0 would be NaN. The draw is still taken.
+                return np.full_like(uniforms, np.inf)
+            return -np.log(uniforms) / rf.lam
+        if isinstance(rf, Weibull):
+            return rf.eta * (-np.log(uniforms)) ** (1.0 / rf.beta)
     raise ValueError(f"not an Exponential or a Weibull: {rf!r}")

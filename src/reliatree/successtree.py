@@ -1,9 +1,10 @@
 """Coherent success trees over component basic events.
 
-The top event is "system operational". Every gate is a K-of-N gate, up
-when at least k of its n inputs are up: an AND (series) is n-of-n and an
-OR (parallel) is 1-of-n, so one threshold rule restricts and evaluates
-all three spellings. Basic events may be shared between branches. Exact
+The top event is "system operational". A tree is a basic event, spelled
+as its component id (a str), or a K-of-N gate over trees, up when at
+least k of its n inputs are up: an AND (series) is n-of-n and an OR
+(parallel) is 1-of-n, so one threshold rule restricts and evaluates all
+three spellings. Basic events may be shared between branches. Exact
 probabilities come from Shannon decomposition with memoization on the
 simplified residual tree (a reduced decision-diagram evaluation, so shared
 events are handled correctly); an exhaustive enumerator over all event
@@ -11,10 +12,10 @@ states is kept as an independent oracle.
 
 Gates are frozen and cache their hash, so a memo lookup costs one hash
 read rather than a walk over the residual tree. Restricting an event
-returns every gate that does not change as the same object, so residual
-trees share their untouched subtrees: a memo hit on the same object ends
-at the identity check, and comparing two equal trees skips every child
-they share.
+returns every gate that does not change as the same object and builds
+every gate that does as a K-of-N, so residual trees share their
+untouched subtrees: a memo hit on the same object ends at the identity
+check, and comparing two equal trees skips every child they share.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ import numpy as np
 from .errors import InputError, quoted
 
 __all__ = [
-    "BasicEvent",
     "AndGate",
     "OrGate",
     "KofNGate",
@@ -39,11 +39,6 @@ __all__ = [
 ]
 
 _BRUTE_FORCE_MAX_EVENTS = 20
-
-
-@dataclass(frozen=True)
-class BasicEvent:
-    component_id: str
 
 
 @dataclass(frozen=True)
@@ -61,7 +56,7 @@ class KofNGate:
     kind = "K-of-N"
 
     def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
+        object.__setattr__(self, "children", _inputs(self.children))
         if not self.children:
             raise InputError(f"{self.kind} gate needs at least one input")
         if not 1 <= self.k <= len(self.children):
@@ -78,7 +73,7 @@ class AndGate(KofNGate):
     kind = "AND"
 
     def __init__(self, children):
-        children = tuple(children)
+        children = _inputs(children)
         super().__init__(len(children), children)
 
 
@@ -91,25 +86,28 @@ class OrGate(KofNGate):
         super().__init__(1, children)
 
 
-Gate = Union[BasicEvent, KofNGate]
+def _inputs(children) -> tuple:
+    if isinstance(children, str):  # one event, not a sequence of one-letter events
+        raise InputError(f"gate inputs must be a sequence of trees, got the string {quoted(children)}")
+    return tuple(children)
+
+
+Gate = Union[str, KofNGate]
 
 
 def basic_events(tree: Gate) -> list:
     """Distinct event ids in depth-first first-appearance order."""
-    order: list = []
-    seen = set()
+    order: dict = {}  # keeps the order of first insertion
 
     def walk(node):
-        if isinstance(node, BasicEvent):
-            if node.component_id not in seen:
-                seen.add(node.component_id)
-                order.append(node.component_id)
+        if isinstance(node, str):
+            order[node] = None
         else:
             for child in node.children:
                 walk(child)
 
     walk(tree)
-    return order
+    return list(order)
 
 
 def evaluate_structure(tree: Gate, values: Mapping):
@@ -117,8 +115,8 @@ def evaluate_structure(tree: Gate, values: Mapping):
     up/down states the system state, on component failure times the system
     failure time (the k-th largest input: the smallest at k = n, the
     largest at k = 1)."""
-    if isinstance(tree, BasicEvent):
-        return values[tree.component_id]
+    if isinstance(tree, str):
+        return values[tree]
     parts = [evaluate_structure(c, values) for c in tree.children]
     n, k = len(parts), tree.k
     if k == n:
@@ -133,13 +131,13 @@ def _restrict(tree: Gate, event: str, value: bool):
 
     With n_true inputs now certain, the gate needs k - n_true of the kept
     ones: none makes it True, more than are kept makes it False, and a
-    lone kept input stands for the gate. Otherwise the result is an AND,
-    OR or K-of-N by that need, and a gate none of whose inputs changed is
-    returned itself when its spelling is the same, so untouched subtrees
-    are shared between residual trees rather than rebuilt.
+    lone kept input stands for the gate. Otherwise a gate none of whose
+    inputs changed is returned itself, so untouched subtrees are shared
+    between residual trees rather than rebuilt, and a changed one is the
+    K-of-N of that need over the kept inputs, whatever its spelling was.
     """
-    if isinstance(tree, BasicEvent):
-        return value if tree.component_id == event else tree
+    if isinstance(tree, str):
+        return value if tree == event else tree
     kept = []
     n_true = 0
     changed = False
@@ -159,17 +157,13 @@ def _restrict(tree: Gate, event: str, value: bool):
         return False
     if n == 1:
         return kept[0]
-    kind = AndGate if k == n else OrGate if k == 1 else KofNGate
-    if not changed and type(tree) is kind:
-        return tree
-    return KofNGate(k, kept) if kind is KofNGate else kind(kept)
+    return KofNGate(k, kept) if changed else tree
 
 
 def _first_event(tree: Gate) -> str:
-    node = tree
-    while not isinstance(node, BasicEvent):
-        node = node.children[0]
-    return node.component_id
+    while not isinstance(tree, str):
+        tree = tree.children[0]
+    return tree
 
 
 def _check_probs(events, probs) -> None:
@@ -285,7 +279,7 @@ def _open_node(obj, stack: list):
             raise InputError(f"unknown fields on basic event: {quoted(sorted(extra))}")
         if not isinstance(obj["event"], str) or not obj["event"]:
             raise InputError("basic event needs a nonempty component id")
-        return BasicEvent(obj["event"])
+        return obj["event"]
     if "gate" not in obj:
         raise InputError("tree node needs either 'event' or 'gate'")
     kind = obj["gate"]

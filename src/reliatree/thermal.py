@@ -117,10 +117,15 @@ def read_power_trace(fp) -> PowerTrace:
         if len(row) != 2:
             raise InputError(f"power trace line {lineno}: expected 2 fields")
         try:
-            times.append(float(row[0]))
-            powers.append(float(row[1]))
+            t, p = float(row[0]), float(row[1])
         except ValueError as exc:
             raise InputError(f"power trace line {lineno}: {exc}") from None
+        if not math.isfinite(t):
+            raise InputError(f"power trace line {lineno}: time must be finite, got {t!r}")
+        if not (math.isfinite(p) and p >= 0):
+            raise InputError(f"power trace line {lineno}: power must be finite and nonnegative, got {p!r}")
+        times.append(t)
+        powers.append(p)
     if times[0] != 0.0:
         raise InputError("power trace must start at time 0")
     dt = times[1] - times[0]
@@ -129,10 +134,7 @@ def read_power_trace(fp) -> PowerTrace:
     for k, t in enumerate(times):
         if abs(t - k * dt) > 1e-6 * dt:
             raise InputError(f"power trace time grid not uniform at row {k + 2}")
-    try:
-        return PowerTrace(dt, tuple(powers))
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return PowerTrace(dt, tuple(powers))
 
 
 def write_temperature_profile(profile: TemperatureProfile, fp) -> None:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from reliatree.softerror import parse_netlist
-from reliatree.successtree import AndGate, BasicEvent, KofNGate, OrGate, basic_events
+from reliatree.successtree import AndGate, KofNGate, OrGate, basic_events
 
 SAMPLE_DIR = os.path.join(os.path.dirname(__file__), "..", "sample", "dual_core")
 
@@ -39,7 +39,7 @@ JSON_VALUES = st.recursive(
 
 def random_tree(rnd, events, depth):
     if depth == 0 or rnd.random() < 0.3:
-        return BasicEvent(rnd.choice(events))
+        return rnd.choice(events)
     n = rnd.randint(2, 4)
     children = tuple(random_tree(rnd, events, depth - 1) for _ in range(n))
     kind = rnd.choice(("AND", "OR", "KOFN"))

@@ -41,7 +41,6 @@ from reliatree.softerror import (
 )
 from reliatree.successtree import (
     AndGate,
-    BasicEvent,
     KofNGate,
     OrGate,
     brute_force_probability,
@@ -60,7 +59,7 @@ def finish(name: str, limit_s: float, started: float) -> None:
 
 
 def two_component_and_model(horizon=10_000.0, points=512):
-    tree = AndGate((BasicEvent("pu1"), BasicEvent("pu2")))
+    tree = AndGate(("pu1", "pu2"))
     children = tuple(HierarchyNode(c, "Component") for c in ("pu1", "pu2"))
     root = HierarchyNode("soc", "System", children)
     return SystemModel("closed_form", horizon, points, root, tree)
@@ -90,7 +89,7 @@ def test_c2_success_tree_exactness():
         assert abs(exact - brute) <= 1e-12
         checked += 1
     assert checked == 200
-    a, b, c = BasicEvent("a"), BasicEvent("b"), BasicEvent("c")
+    a, b, c = "a", "b", "c"
     shared = OrGate((AndGate((a, b)), AndGate((a, c))))
     probs = {"a": 0.5, "b": 0.5, "c": 0.5}
     assert tree_probability(shared, probs) == pytest.approx(0.375, abs=1e-12)
@@ -121,12 +120,12 @@ def _pooled_mc_coverage(tree, modes, horizon, n_samples):
 
 def test_c3_monte_carlo_statistical_agreement():
     started = time.perf_counter()
-    and_tree = AndGate((BasicEvent("pu1"), BasicEvent("pu2")))
+    and_tree = AndGate(("pu1", "pu2"))
     and_modes = {c: (Exponential(1e-4), Exponential(4e-4)) for c in ("pu1", "pu2")}
     coverage_a = _pooled_mc_coverage(and_tree, and_modes, 3000.0, 100_000)
     assert coverage_a >= 0.95, f"AND-of-exponentials coverage {coverage_a:.4f}"
 
-    mixed_tree = AndGate((BasicEvent("c1"), OrGate((BasicEvent("c2"), BasicEvent("c3")))))
+    mixed_tree = AndGate(("c1", OrGate(("c2", "c3"))))
     mixed_modes = {
         "c1": (Weibull(3000.0, 2.0), Exponential(2e-4)),
         "c2": (Weibull(4000.0, 1.5), Exponential(1e-4)),
@@ -259,7 +258,7 @@ WEAR_OUT = {
     "pu2": (Weibull(4500.0, 2.0), Exponential(5e-5)),
     "pu3": (Weibull(6000.0, 2.0), Exponential(0.0)),
 }
-_EVENTS = tuple(BasicEvent(c) for c in WEAR_OUT)
+_EVENTS = tuple(WEAR_OUT)
 
 
 @pytest.mark.parametrize(

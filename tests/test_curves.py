@@ -21,7 +21,7 @@ from reliatree.reliability import (
     mttf,
     sample_failure_times,
 )
-from reliatree.successtree import AndGate, BasicEvent, KofNGate, OrGate, basic_events, evaluate_structure
+from reliatree.successtree import AndGate, KofNGate, OrGate, basic_events, evaluate_structure
 
 
 def make_model(tree, horizon=10_000.0, points=128, component_ids=("pu1", "pu2")):
@@ -34,7 +34,7 @@ def exp_pair(lam_perm, lam_trans):
     return Exponential(lam_perm), Exponential(lam_trans)
 
 
-AND_TREE = AndGate((BasicEvent("pu1"), BasicEvent("pu2")))
+AND_TREE = AndGate(("pu1", "pu2"))
 
 
 class TestSystemCurves:
@@ -112,7 +112,7 @@ class TestSystemCurves:
             assert r <= min(p, q) + 1e-12
 
     def test_curves_non_increasing(self):
-        model = make_model(OrGate((BasicEvent("pu1"), BasicEvent("pu2"))))
+        model = make_model(OrGate(("pu1", "pu2")))
         funcs = {
             "pu1": (Weibull(4000.0, 2.0), Exponential(1e-4)),
             "pu2": exp_pair(2e-4, 5e-5),
@@ -129,7 +129,7 @@ class TestSystemCurves:
             system_reliability_curves(model, {"pu1": exp_pair(1e-4, 1e-4)})
 
     def test_one_modes_map_feeds_exact_curves_and_monte_carlo(self):
-        model = make_model(OrGate((BasicEvent("pu1"), BasicEvent("pu2"))), points=32)
+        model = make_model(OrGate(("pu1", "pu2")), points=32)
         modes = {"pu1": (Weibull(4000.0, 2.0), Exponential(1e-4)), "pu2": exp_pair(2e-4, 5e-5)}
         curves = system_reliability_curves(model, modes)
         mc = monte_carlo_system(model.success_tree, modes, 100_000, 5, model.grid())
@@ -149,7 +149,7 @@ class TestSystemCurves:
 
     def test_too_wide_tree_is_input_error(self):
         ids = tuple(f"e{k}" for k in range(1200))
-        model = make_model(AndGate(tuple(BasicEvent(c) for c in ids)), points=4, component_ids=ids)
+        model = make_model(AndGate(ids), points=4, component_ids=ids)
         with pytest.raises(InputError, match="over 1200 basic events is too wide"):
             system_reliability_curves(model, {c: exp_pair(1e-6, 1e-6) for c in ids})
 
@@ -157,7 +157,7 @@ class TestSystemCurves:
 class TestMonteCarlo:
     def test_single_component_matches_exponential(self):
         grid = np.linspace(0.0, 5000.0, 64)
-        tree = BasicEvent("c")
+        tree = "c"
         mc = monte_carlo_system(tree, {"c": (Exponential(1e-3), Exponential(0.0))}, 100_000, 7, grid)
         for t, emp in zip(mc.grid, mc.survival):
             p = math.exp(-1e-3 * t)
@@ -176,7 +176,7 @@ class TestMonteCarlo:
     def test_single_sample_is_step_function(self):
         grid = np.linspace(0.0, 20_000.0, 40)
         mc = monte_carlo_system(
-            BasicEvent("c"), {"c": (Exponential(1e-3), Exponential(1e-3))}, 1, 3, grid
+            "c", {"c": (Exponential(1e-3), Exponential(1e-3))}, 1, 3, grid
         )
         assert set(mc.survival) <= {0.0, 1.0}
         for a, b in zip(mc.survival, mc.survival[1:]):
@@ -185,14 +185,14 @@ class TestMonteCarlo:
     def test_same_seed_identical(self):
         grid = np.linspace(0.0, 1000.0, 16)
         modes = {"c": (Exponential(1e-3), Exponential(2e-3))}
-        a = monte_carlo_system(BasicEvent("c"), modes, 5000, 21, grid)
-        b = monte_carlo_system(BasicEvent("c"), modes, 5000, 21, grid)
+        a = monte_carlo_system("c", modes, 5000, 21, grid)
+        b = monte_carlo_system("c", modes, 5000, 21, grid)
         assert a == b
 
     def test_min_of_modes_equals_combined_rate(self):
         grid = np.linspace(0.0, 2000.0, 32)
         modes = {"c": (Exponential(1e-4), Exponential(4e-4))}
-        mc = monte_carlo_system(BasicEvent("c"), modes, 100_000, 5, grid)
+        mc = monte_carlo_system("c", modes, 100_000, 5, grid)
         for t, emp in zip(mc.grid, mc.survival):
             p = math.exp(-5e-4 * t)
             bound = 3.0 * math.sqrt(p * (1.0 - p) / 100_000)
@@ -203,9 +203,9 @@ class TestMonteCarlo:
         tree = KofNGate(
             2,
             (
-                BasicEvent("x"),
-                OrGate((BasicEvent("x"), BasicEvent("y"))),
-                BasicEvent("z"),
+                "x",
+                OrGate(("x", "y")),
+                "z",
             ),
         )
         grid = np.linspace(0.0, 4000.0, 48)
@@ -235,7 +235,7 @@ class TestMonteCarlo:
         # events as c, a, b, and each component's two modes differ in form,
         # so reordering the events or swapping a component's lanes moves
         # these counts.
-        tree = KofNGate(2, (BasicEvent("c"), BasicEvent("a"), AndGate((BasicEvent("b"), BasicEvent("a")))))
+        tree = KofNGate(2, ("c", "a", AndGate(("b", "a"))))
         modes = {
             "a": (Weibull(3000.0, 2.0), Exponential(2e-4)),
             "b": (Exponential(3e-4), Weibull(5000.0, 1.5)),
@@ -248,7 +248,7 @@ class TestMonteCarlo:
 
     def test_bad_sample_count_rejected(self):
         with pytest.raises(ValueError):
-            monte_carlo_system(BasicEvent("c"), {"c": (Exponential(1.0), Exponential(0.0))}, 0, 1, [0.0])
+            monte_carlo_system("c", {"c": (Exponential(1.0), Exponential(0.0))}, 0, 1, [0.0])
 
     def test_missing_component_rejected(self):
         with pytest.raises(InputError):
@@ -270,11 +270,11 @@ LONG_ID = "x" * 100_000
     "call",
     [
         lambda: system_reliability_curves(
-            make_model(BasicEvent(LONG_ID), component_ids=(LONG_ID,)), {"pu1": exp_pair(1e-4, 1e-4)}
+            make_model(LONG_ID, component_ids=(LONG_ID,)), {"pu1": exp_pair(1e-4, 1e-4)}
         ),
-        lambda: monte_carlo_system(BasicEvent(LONG_ID), {}, 10, 1, [0.0]),
+        lambda: monte_carlo_system(LONG_ID, {}, 10, 1, [0.0]),
         lambda: monte_carlo_system(
-            BasicEvent(LONG_ID), {LONG_ID: (Product((Exponential(1.0),)), Exponential(0.0))}, 10, 1, [0.0]
+            LONG_ID, {LONG_ID: (Product((Exponential(1.0),)), Exponential(0.0))}, 10, 1, [0.0]
         ),
     ],
     ids=["no-reliability-functions", "no-fault-modes", "fault-mode-form"],
@@ -316,8 +316,8 @@ def unblocked_monte_carlo(tree, component_modes, n_samples, seed, grid):
 _B = MC_BLOCK_SAMPLES
 _BATCH_TREE = OrGate(
     (
-        AndGate((BasicEvent("a"), BasicEvent("b"))),
-        KofNGate(2, (BasicEvent("a"), BasicEvent("c"), BasicEvent("b"))),
+        AndGate(("a", "b")),
+        KofNGate(2, ("a", "c", "b")),
     )
 )
 _SORTED_GRID = np.linspace(0.0, 6000.0, 33)
@@ -374,7 +374,7 @@ class TestMonteCarloBlocking:
         assert mc.survival[-1] == 0.0
 
     def test_memory_bounded_by_block_not_samples(self):
-        tree = OrGate((AndGate((BasicEvent("x"), BasicEvent("y"))), BasicEvent("z")))
+        tree = OrGate((AndGate(("x", "y")), "z"))
         modes = {
             "x": (Weibull(3000.0, 2.0), Exponential(1e-4)),
             "y": (Exponential(2e-4), Exponential(1e-4)),

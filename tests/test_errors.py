@@ -7,7 +7,7 @@ from reliatree.aging import AgingParams
 from reliatree.errors import InputError
 from reliatree.reliability import Weibull
 from reliatree.softerror import SerParams, exhaustive_derating, inject_campaign, parse_netlist
-from reliatree.successtree import AndGate, BasicEvent, KofNGate, OrGate, brute_force_probability
+from reliatree.successtree import AndGate, KofNGate, OrGate, brute_force_probability
 from reliatree.thermal import TemperatureProfile, ThermalParams
 
 from conftest import AND2
@@ -15,7 +15,7 @@ from conftest import AND2
 # An OR of 25 inputs, one more than exhaustive enumeration takes.
 NETS = [f"i{k}" for k in range(25)]
 WIDE = "".join(f"INPUT {n}\n" for n in NETS) + f"GATE o OR {' '.join(NETS)}\nOUTPUT o\n"
-EVENTS = [BasicEvent(f"e{k}") for k in range(21)]
+EVENTS = [f"e{k}" for k in range(21)]
 AGING = dict(a_const=1e6, j_density=1.0, n_exp=2.0, ea_ev=0.7, weibull_beta=2.0)
 
 CASES = {
@@ -39,7 +39,7 @@ CASES = {
     "workload-binary": (lambda: inject_campaign(parse_netlist(AND2), "a", 10, 1, [(0, 2)]), "binary"),
     "exhaustive-size": (lambda: exhaustive_derating(parse_netlist(WIDE), "i0"), "limited to 24 inputs, got 25"),
     "brute-force-size": (
-        lambda: brute_force_probability(AndGate(EVENTS), {e.component_id: 0.5 for e in EVENTS}),
+        lambda: brute_force_probability(AndGate(EVENTS), dict.fromkeys(EVENTS, 0.5)),
         "brute force limited to 20 events, got 21",
     ),
 }

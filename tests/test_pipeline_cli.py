@@ -1047,6 +1047,30 @@ class TestExitCodes:
             pu1_mttf = json.loads(out)["components"]["pu1"]["combined_mttf_hours"]
             assert 0.0 < json.loads(out)["system"]["mttf_hours"] <= pu1_mttf
 
+    @pytest.mark.parametrize(
+        "default_fit, extra, check",
+        [
+            # r_sys_trans is subnormal at the second grid point, so
+            # r_sys_perm / r_sys_trans is past the largest float.
+            (2.5e9, [], lambda doc, rows: (rows[2][0], rows[2][4]) == ("39.13894324853229", "inf")),
+            # lambda_trans is subnormal, so -log(u) / lambda_trans is past
+            # the largest float: pu1 never fails by a soft error in time.
+            (1e-300, ["--mc-trials", "20000"], lambda doc, rows: doc["system"]["monte_carlo"]["n_samples"] == 20000),
+        ],
+        ids=["ratio-overflow", "failure-time-overflow"],
+    )
+    def test_extreme_fit_prints_no_warning(self, tmp_path, capsys, default_fit, extra, check):
+        shutil.copytree(SAMPLE_DIR, tmp_path / "s")
+        system = tmp_path / "s" / "system.json"
+        doc = json.loads(system.read_text())
+        doc["hierarchy"]["children"][0]["ser"] = {"default_fit": default_fit}
+        system.write_text(json.dumps(doc))
+        args = ["analyze", "--system", str(system), "--out", str(tmp_path / "o"), "--seed", "1"]
+        code, out, err = run_cli(args + ["--injection-trials", "100"] + extra, capsys)
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in (tmp_path / "o" / "curves.csv").read_text().splitlines()]
+        assert check(json.loads(out), rows)
+
     def test_transient_fit_overflow_exits_one(self, tmp_path, capsys):
         # Every FIT is finite, but their sum weighted by the deratings is not.
         shutil.copytree(SAMPLE_DIR, tmp_path / "s")

@@ -9,7 +9,6 @@ from reliatree.errors import InputError
 from reliatree.successtree import (
     _restrict,
     AndGate,
-    BasicEvent,
     KofNGate,
     OrGate,
     basic_events,
@@ -21,7 +20,7 @@ from reliatree.successtree import (
 
 from conftest import JSON_VALUES, seeded_cases
 
-A, B, C, D = BasicEvent("a"), BasicEvent("b"), BasicEvent("c"), BasicEvent("d")
+A, B, C, D = "a", "b", "c", "d"
 SHARED = OrGate((AndGate((A, B)), AndGate((A, C))))
 
 
@@ -60,15 +59,15 @@ class TestAgainstBruteForce:
             assert abs(exact - brute) <= 1e-12
 
     def test_brute_force_limit(self):
-        events = tuple(BasicEvent(f"e{k}") for k in range(21))
+        events = tuple(f"e{k}" for k in range(21))
         with pytest.raises(ValueError):
             brute_force_probability(OrGate(events), {f"e{k}": 0.5 for k in range(21)})
 
 
 def replace_event(tree, event, replacement):
     """Independent structural rewrite used as the absorption oracle."""
-    if isinstance(tree, BasicEvent):
-        return replacement if tree.component_id == event else tree
+    if isinstance(tree, str):
+        return replacement if tree == event else tree
     children = tuple(replace_event(c, event, replacement) for c in tree.children)
     if isinstance(tree, AndGate):
         return AndGate(children)
@@ -90,7 +89,7 @@ class TestProperties:
         for tree, probs in seeded_cases(40, seed=9):
             events = basic_events(tree)
             event = events[len(events) // 2]
-            const = BasicEvent("__const__")
+            const = "__const__"
             rewritten = replace_event(tree, event, const)
             for value in (0.0, 1.0):
                 direct = tree_probability(tree, {**probs, event: value})
@@ -142,7 +141,7 @@ class TestProperties:
         rnd = random.Random(7)
         names = "abcde"
         times = {e: np.array([rnd.choice((0.0, 1.0, 2.5, np.inf)) for _ in range(256)]) for e in names}
-        events = tuple(BasicEvent(e) for e in names)
+        events = tuple(names)
         ranked = np.sort(np.stack([times[e] for e in names]), axis=0)
         for k in range(1, len(names) + 1):
             got = evaluate_structure(KofNGate(k, events), times)
@@ -156,7 +155,7 @@ def kofn_pairs(n):
     """KOFN(n - 2) over ORs of neighbouring pairs around a ring of n events:
     the kofn-pairs shape of perfbench/gen_system.py."""
     ids = [f"c{i:02d}" for i in range(n)]
-    pairs = tuple(OrGate((BasicEvent(ids[i]), BasicEvent(ids[(i + 1) % n]))) for i in range(n))
+    pairs = tuple(OrGate((ids[i], ids[(i + 1) % n])) for i in range(n))
     return KofNGate(n - 2, pairs)
 
 
@@ -187,19 +186,19 @@ class TestResidualTrees:
     @pytest.mark.parametrize(
         "gate, event, value, expected",
         [
-            (KofNGate(3, (A, B, C)), "z", True, AndGate((A, B, C))),
-            (KofNGate(1, (A, B, C)), "z", False, OrGate((A, B, C))),
-            (KofNGate(3, (A, B, C, D)), "d", False, AndGate((A, B, C))),
-            (KofNGate(2, (A, B, C, D)), "d", True, OrGate((A, B, C))),
+            (AndGate((A, B, C, D)), "d", True, KofNGate(3, (A, B, C))),
+            (OrGate((A, B, C, D)), "d", False, KofNGate(1, (A, B, C))),
+            (KofNGate(3, (A, B, C, D)), "d", False, KofNGate(3, (A, B, C))),
+            (KofNGate(2, (A, B, C, D)), "d", True, KofNGate(1, (A, B, C))),
             (KofNGate(3, (A, B, C, D)), "d", True, KofNGate(2, (A, B, C))),
         ],
-        ids=["k=n-absent", "k=1-absent", "k=n-left", "k=1-left", "kofn-left"],
+        ids=["and-left", "or-left", "k=n-left", "k=1-left", "kofn-left"],
     )
     def test_kofn_normal_forms(self, gate, event, value, expected):
-        # A K-of-N whose k equals its input count is an AND, one with k = 1
-        # an OR, whether or not the event occurs in it.
+        # Every gate conditioning changes is the K-of-N of the inputs it
+        # keeps and the k they still need, whatever its spelling was.
         restricted = _restrict(gate, event, value)
-        assert type(restricted) is type(expected) and restricted == expected
+        assert type(restricted) is KofNGate and restricted == expected
 
     def test_one_child_left_is_that_child(self):
         inner = OrGate((B, C))
@@ -246,7 +245,7 @@ class TestResidualTrees:
 
 class TestValidation:
     def test_too_wide_tree_is_input_error(self):
-        events = tuple(BasicEvent(f"e{k}") for k in range(1200))
+        events = tuple(f"e{k}" for k in range(1200))
         with pytest.raises(InputError, match="over 1200 basic events is too wide"):
             tree_probability(AndGate(events), {f"e{k}": 0.999 for k in range(1200)})
 
@@ -257,6 +256,12 @@ class TestValidation:
     def test_out_of_range_probability(self):
         with pytest.raises(InputError):
             tree_probability(A, {"a": 1.5})
+
+    @pytest.mark.parametrize("make", [AndGate, OrGate, lambda children: KofNGate(1, children)], ids=["and", "or", "kofn"])
+    def test_string_children_is_input_error(self, make):
+        # A string is one event: "pu1" must not become the events p, u and 1.
+        with pytest.raises(InputError, match="got the string 'pu1'"):
+            make("pu1")
 
     def test_gate_arity(self):
         with pytest.raises(ValueError):
@@ -320,10 +325,10 @@ class TestJson:
         for level in range(depth):
             obj = {"gate": "OR" if level % 2 else "AND", "inputs": [obj, {"event": f"e{level}"}]}
         node, levels = tree_from_dict(obj), 0
-        while not isinstance(node, BasicEvent):
-            assert node.children[1] == BasicEvent(f"e{depth - 1 - levels}")
+        while not isinstance(node, str):
+            assert node.children[1] == f"e{depth - 1 - levels}"
             node, levels = node.children[0], levels + 1
-        assert (node, levels) == (BasicEvent("x"), depth)
+        assert (node, levels) == ("x", depth)
 
     def test_deep_bad_node_names_its_path(self):
         obj = {"gate": "XOR", "inputs": [{"event": "x"}]}

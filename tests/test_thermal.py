@@ -150,6 +150,21 @@ class TestCsv:
         with pytest.raises(InputError):
             read_power_trace(io.StringIO(text))
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,nan", "power trace line 3: power must be finite and nonnegative, got nan"),
+            ("1,-0.5", "power trace line 3: power must be finite and nonnegative, got -0.5"),
+            ("1,inf", "power trace line 3: power must be finite and nonnegative, got inf"),
+            ("nan,1", "power trace line 3: time must be finite, got nan"),
+        ],
+        ids=["nan-power", "negative-power", "inf-power", "nan-time"],
+    )
+    def test_bad_sample_names_its_line(self, row, message):
+        with pytest.raises(InputError) as exc:
+            read_power_trace(io.StringIO(f"time_s,power_w\n0,1\n{row}\n2,1\n"))
+        assert str(exc.value) == message
+
     def test_profile_export_shape(self):
         profile = simulate_temperature(PowerTrace(1.0, (5.0, 5.0)), PARAMS)
         buf = io.StringIO()
