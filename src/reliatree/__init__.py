@@ -19,7 +19,7 @@ from .curves import (
     system_reliability_curves,
     write_curves_csv,
 )
-from .errors import InputError, StageError
+from .errors import InputError
 from .model import (
     ComponentPayload,
     HierarchyNode,

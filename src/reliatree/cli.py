@@ -2,8 +2,9 @@
 
 Subcommands expose the full pipeline (`analyze`) and each leaf stage
 standalone (`thermal`, `inject`, `tree-eval`). Every stochastic stage
-requires an explicit seed; there is no silent time-based seeding. Exit
-codes: 0 success, 1 input or validation error, 2 runtime analysis error.
+requires an explicit seed; there is no silent time-based seeding. The
+exit code follows the exception's type: 0 success, 1 an InputError or an
+OSError (input that is rejected or cannot be read), 2 anything else.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import io
 import json
 import sys
 
-from .errors import InputError, StageError, read_json, read_text
+from .errors import InputError, read_json, read_text
 from .model import load_system_file
 from .pipeline import (
     DEFAULT_INJECTION_TRIALS,
@@ -176,16 +177,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc.__cause__, InputError) else 2
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,6 +3,7 @@ files: text that is not UTF-8 and JSON that is malformed or nested past
 MAX_JSON_DEPTH are input errors."""
 import json
 import re
+from contextlib import contextmanager
 
 # Deepest bracket nesting any JSON input may have: a success tree of 256
 # gates inside a system description, or a hierarchy of 256 levels. The
@@ -20,11 +21,20 @@ class InputError(ValueError):
     """Invalid user-supplied input: model documents, netlists, traces, flags."""
 
 
-class StageError(RuntimeError):
-    """A pipeline stage failed; names the component and stage."""
-
-    def __init__(self, component_id: str, stage: str, cause: BaseException):
-        super().__init__(f"component {quoted(component_id)}, stage {stage!r}: {cause}")
+@contextmanager
+def located(where: str):
+    """Name `where` in an error raised inside: an InputError stays one, an
+    OSError (a file that cannot be read, which names the file) passes
+    through, and any other exception is a RuntimeError, a failure of the
+    program."""
+    try:
+        yield
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
+    except OSError:
+        raise
+    except Exception as exc:
+        raise RuntimeError(f"{where}: {exc}") from exc
 
 
 def read_text(path: str) -> str:

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .aging import AgingParams
-from .errors import InputError, quoted, read_json, read_text
+from .errors import InputError, located, quoted, read_json, read_text
 from .softerror import SerParams
 from .successtree import Gate, basic_events, tree_from_dict
 from .thermal import ThermalParams
@@ -141,10 +141,8 @@ def _parse_thermal(obj, node_id: str) -> ThermalParams:
     _require_fields(obj, ("r_th", "c_th", "t_ambient"), ("t_initial",), what)
     r_th, c_th, t_amb = (_number(obj, key, what) for key in ("r_th", "c_th", "t_ambient"))
     t_init = _number(obj, "t_initial", what) if "t_initial" in obj else t_amb
-    try:
+    with located(what):
         return ThermalParams(r_th, c_th, t_amb, t_init)
-    except InputError as exc:
-        raise InputError(f"{what}: {exc}") from None
 
 
 def _parse_aging(obj, node_id: str) -> AgingParams:
@@ -152,10 +150,8 @@ def _parse_aging(obj, node_id: str) -> AgingParams:
     _require_fields(obj, ("a_const", "j_density", "n_exp", "ea_ev"), ("weibull_beta",), what)
     numbers = [_number(obj, key, what) for key in ("a_const", "j_density", "n_exp", "ea_ev")]
     beta = _number(obj, "weibull_beta", what) if "weibull_beta" in obj else DEFAULT_WEIBULL_BETA
-    try:
+    with located(what):
         return AgingParams(*numbers, beta)
-    except InputError as exc:
-        raise InputError(f"{what}: {exc}") from None
 
 
 def _parse_ser(obj, node_id: str) -> SerParams:
@@ -166,10 +162,8 @@ def _parse_ser(obj, node_id: str) -> SerParams:
         raise InputError(f"{what}: 'fit_per_node' must be an object")
     fits = {net: _float(fit, f"{what}: FIT for {quoted(net)}") for net, fit in fit_map.items()}
     default_fit = _number(obj, "default_fit", what)
-    try:
+    with located(what):
         return SerParams(fits, default_fit)
-    except InputError as exc:
-        raise InputError(f"{what}: {exc}") from None
 
 
 def _parse_node(obj, level: int, base_dir: str, nodes: dict) -> HierarchyNode:

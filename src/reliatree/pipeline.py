@@ -1,10 +1,11 @@
 """End-to-end analysis: leaf analyses per component, competing-risks
 combination, and system-level curves.
 
-Each component runs the chain its `adapters` entry declares
-(model.CANONICAL_CHAINS): power trace -> temperature profile -> wear-out
-rate -> Weibull survival, FIT -> exponential survival, and the product of
-the two survivals.
+Each component runs one fixed chain, which its `adapters` entry only
+restates (model.CANONICAL_CHAINS): power trace -> temperature profile ->
+wear-out rate -> Weibull survival, FIT -> exponential survival, and the
+product of the two survivals. An error in one of its stages names the
+component and the stage, and rejected input stays an InputError.
 
 Every stochastic stage derives its own sub-seed from the master seed and a
 stable label, so reruns are byte-identical and each stage can be
@@ -17,7 +18,6 @@ import io
 import json
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,7 +34,7 @@ from .curves import (
     system_reliability_curves,
     write_curves_csv,
 )
-from .errors import InputError, StageError, read_text
+from .errors import InputError, located, quoted, read_text
 from .model import SystemModel
 from .reliability import Exponential, Product, Weibull, mttf
 from .softerror import inject_campaign, injection_targets, parse_netlist, transient_failure_rate
@@ -92,22 +92,15 @@ def injection_seed(master_seed: int, component_id: str, net: str) -> int:
     return rng.derive_seed(master_seed, f"inject/{component_id}/{net}")
 
 
-@contextmanager
-def _stage(cid: str, name: str):
-    try:
-        yield
-    except Exception as exc:
-        raise StageError(cid, name, exc) from exc
-
-
 def _analyze_component(node, options: PipelineOptions) -> ComponentAnalysis:
     cid = node.id
     payload = node.payload
+    stage = f"component {quoted(cid)}, stage"
 
-    with _stage(cid, "power-trace"):
+    with located(f"{stage} 'power-trace'"):
         trace = read_power_trace(io.StringIO(read_text(payload.power_trace), newline=""))
 
-    with _stage(cid, "permanent-path"):
+    with located(f"{stage} 'permanent-path'"):
         profile = thermal.simulate_temperature(trace, payload.thermal)
         lambda_eff = aging.failure_rate_from_profile(profile, payload.aging)
         if not lambda_eff > 0:
@@ -125,10 +118,10 @@ def _analyze_component(node, options: PipelineOptions) -> ComponentAnalysis:
         mean_power = sum(x / len(trace.samples) for x in trace.samples)
     steady_temp = steady_state_temperature(mean_power, payload.thermal)
 
-    with _stage(cid, "netlist"):
+    with located(f"{stage} 'netlist'"):
         netlist = parse_netlist(read_text(payload.netlist))
 
-    with _stage(cid, "fault-injection"):
+    with located(f"{stage} 'fault-injection'"):
         targets = injection_targets(netlist, payload.ser)
         if targets and options.seed is None:
             raise InputError("a master seed is required to run injection campaigns")
@@ -139,7 +132,7 @@ def _analyze_component(node, options: PipelineOptions) -> ComponentAnalysis:
             for net in targets
         }
 
-    with _stage(cid, "transient-path"):
+    with located(f"{stage} 'transient-path'"):
         deratings = {net: res.derating for net, res in injections.items()}
         lambda_trans = transient_failure_rate(netlist, payload.ser, deratings)
         r_trans = Exponential(lambda_trans)

@@ -85,10 +85,11 @@ ReliabilityFunction = Union[Exponential, Weibull, Product]
 
 def reliability_at(rf: ReliabilityFunction, t: float) -> float:
     """Evaluate the survival probability at t hours (t >= 0)."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time must be nonnegative, got {t!r}")
     if isinstance(rf, Exponential):
-        r = math.exp(-rf.lam * t)
+        # lam = 0 never fails, even at t = inf, where 0 * inf would be NaN.
+        r = 1.0 if rf.lam == 0.0 else math.exp(-rf.lam * t)
     elif isinstance(rf, Weibull):
         try:
             r = math.exp(-((t / rf.eta) ** rf.beta))
@@ -100,7 +101,7 @@ def reliability_at(rf: ReliabilityFunction, t: float) -> float:
             r *= reliability_at(f, t)
     else:
         raise ValueError(f"not a reliability function: {rf!r}")
-    return min(1.0, max(0.0, r))
+    return r
 
 
 def _gauss_legendre(n: int) -> tuple:

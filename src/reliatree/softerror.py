@@ -3,10 +3,10 @@
 A netlist is parsed in topological order, simulated golden and with a
 single bit flipped on one net, and the fraction of input vectors whose
 flip reaches a primary output is the derating factor of that net.
-Campaigns are Monte Carlo with a counter-based RNG drawn plane-major:
-trial t sets input j to bit t%64 of counter (t//64)*n_inputs + j, so
-results are bit-reproducible for a given seed and independent of
-batching.
+Campaigns are Monte Carlo with a counter-based RNG drawn word-major:
+trial t sets input j to bit t%64 of counter (t//64)*n_inputs + j, so the
+inputs of one 64-trial word are adjacent counters, results are
+bit-reproducible for a given seed and independent of batching.
 
 Each netlist is compiled once into `(ufunc, a, b, out)` calls on row
 indices, one to three per gate (NOT is XOR with an all-ones row, BUF is

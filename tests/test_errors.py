@@ -4,7 +4,7 @@ ValueError, so the CLI tells the two apart (exit 1 against exit 2)."""
 import pytest
 
 from reliatree.aging import AgingParams
-from reliatree.errors import InputError
+from reliatree.errors import InputError, located
 from reliatree.reliability import Weibull
 from reliatree.softerror import SerParams, exhaustive_derating, inject_campaign, parse_netlist
 from reliatree.successtree import AndGate, KofNGate, OrGate, brute_force_probability
@@ -62,3 +62,26 @@ def test_computed_value_check_raises_plain_value_error(build):
     with pytest.raises(ValueError) as err:
         build()
     assert not isinstance(err.value, InputError)
+
+
+@pytest.mark.parametrize(
+    "raised, kind, message",
+    [
+        (InputError("bad value"), InputError, "where: bad value"),
+        (PermissionError(13, "Permission denied", "a.net"), PermissionError, "[Errno 13] Permission denied: 'a.net'"),
+        (ZeroDivisionError("division by zero"), RuntimeError, "where: division by zero"),
+    ],
+    ids=["input", "unreadable-file", "program"],
+)
+def test_located_keeps_the_kind_of_error(raised, kind, message):
+    # Rejected input stays an InputError and an unreadable file an OSError;
+    # anything else is a failure of the program, a RuntimeError.
+    with pytest.raises(Exception) as err:
+        with located("where"):
+            raise raised
+    assert type(err.value) is kind and str(err.value) == message
+
+
+def test_no_second_exception_type_for_stages():
+    with pytest.raises(ImportError):
+        from reliatree import StageError  # noqa: F401

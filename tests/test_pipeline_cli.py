@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ import numpy as np
 
 from reliatree import cli, pipeline
 from reliatree.aging import black_mttf, weibull_from_mttf
-from reliatree.errors import MAX_JSON_DEPTH, InputError, StageError, read_json
+from reliatree.errors import MAX_JSON_DEPTH, InputError, read_json
 from reliatree.model import load_system_file
 from reliatree.reliability import reliability_at
 from reliatree.pipeline import (
@@ -142,9 +143,9 @@ class TestPipeline:
     def test_seed_required_when_campaigns_needed(self, tmp_path):
         path = write_two_unit_model(tmp_path, default_fit=100.0)
         model = load_system_file(path)
-        with pytest.raises(StageError) as err:
+        with pytest.raises(InputError) as err:
             run_pipeline(model, PipelineOptions(seed=None))
-        assert isinstance(err.value.__cause__, InputError)
+        assert str(err.value).startswith("component 'pu1', stage 'fault-injection': a master seed")
 
     def test_report_structure(self, tmp_path):
         path = write_two_unit_model(tmp_path, default_fit=100.0)
@@ -221,7 +222,7 @@ class TestPipeline:
         monkeypatch.setattr(pipeline, "inject_campaign", no_campaigns)
         with pytest.raises(InputError) as err:
             run_pipeline(model, options)
-        assert not isinstance(err.value, StageError)
+        assert "component" not in str(err.value)
 
     def test_stage_error_names_component_and_stage(self, tmp_path):
         path = write_two_unit_model(tmp_path, default_fit=10.0)
@@ -229,10 +230,21 @@ class TestPipeline:
         with open(netlist_path, "w") as fp:
             fp.write("NONSENSE LINE\n")
         model = load_system_file(path)
-        with pytest.raises(StageError) as err:
+        with pytest.raises(InputError) as err:
             run_pipeline(model, PipelineOptions(seed=1))
-        msg = str(err.value)
-        assert "pu1" in msg and "netlist" in msg
+        assert str(err.value).startswith("component 'pu1', stage 'netlist': line 1: ")
+
+    def test_bad_netlist_directive_raises_input_error(self, tmp_path):
+        # Every rejected input, a netlist inside a stage too, is an InputError.
+        shutil.copytree(SAMPLE_DIR, tmp_path / "s")
+        netlist = tmp_path / "s" / "netlists" / "pu2.net"
+        rows = netlist.read_text().splitlines()
+        rows[4] = rows[4].replace("GATE", "GAT3", 1)
+        netlist.write_text("\n".join(rows) + "\n")
+        model = load_system_file(str(tmp_path / "s" / "system.json"))
+        with pytest.raises(InputError) as err:
+            run_pipeline(model, PipelineOptions(seed=1, injection_trials=100))
+        assert str(err.value) == "component 'pu2', stage 'netlist': line 5: unknown directive 'GAT3'"
 
     def test_unbounded_marker_in_json(self):
         text = report_to_json({"x": math.inf, "nested": [{"y": 1.0}, math.inf]})
@@ -1358,11 +1370,43 @@ class TestExitCodes:
         path = write_two_unit_model(tmp_path)
 
         def boom(model, options):
-            raise StageError("pu1", "combine", RuntimeError("numerical failure"))
+            raise RuntimeError("numerical failure")
 
         monkeypatch.setattr(cli, "run_pipeline", boom)
         code, _, err = run_cli(
             ["analyze", "--system", path, "--out", str(tmp_path / "o"), "--seed", "1"],
             capsys,
         )
-        assert code == 2 and "pu1" in err
+        assert code == 2 and err == "error: numerical failure\n"
+
+    def test_unreadable_component_file_exits_one(self, tmp_path, capsys, monkeypatch):
+        # As an unreadable --system file does: the OSError names the file.
+        path = write_two_unit_model(tmp_path, default_fit=10.0)
+        read_text = pipeline.read_text
+
+        def unreadable(name):
+            if name.endswith(".net"):
+                raise PermissionError(errno.EACCES, "Permission denied", name)
+            return read_text(name)
+
+        monkeypatch.setattr(pipeline, "read_text", unreadable)
+        code, out, err = run_cli(
+            ["analyze", "--system", path, "--out", str(tmp_path / "o"), "--seed", "1"],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert "Permission denied" in err and "pu1.net" in err
+
+    def test_failure_inside_a_stage_exits_two_naming_it(self, tmp_path, capsys, monkeypatch):
+        path = write_two_unit_model(tmp_path)
+
+        def divide(profile, params):
+            return 1 / 0
+
+        monkeypatch.setattr(pipeline.aging, "failure_rate_from_profile", divide)
+        code, out, err = run_cli(
+            ["analyze", "--system", path, "--out", str(tmp_path / "o"), "--seed", "1"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == "error: component 'pu1', stage 'permanent-path': division by zero\n"

@@ -31,7 +31,8 @@ class TestForms:
         assert reliability_at(Exponential(1e-3), 1000.0) == pytest.approx(math.exp(-1.0))
 
     def test_exponential_zero_rate_never_fails(self):
-        for t in (0.0, 1.0, 1e9):
+        # At t = inf too, as mttf gives inf: 0 * inf is not a hazard of NaN.
+        for t in (0.0, 1.0, 1e9, math.inf):
             assert reliability_at(Exponential(0.0), t) == 1.0
 
     def test_weibull_overflow_rounds_to_zero(self):
@@ -42,6 +43,13 @@ class TestForms:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             reliability_at(Exponential(1.0), -0.1)
+
+    @pytest.mark.parametrize(
+        "rf", [Exponential(1.0), Exponential(0.0), Weibull(10.0, 2.0), Product((Exponential(1.0),))]
+    )
+    def test_nan_time_rejected(self, rf):
+        with pytest.raises(ValueError, match="time must be nonnegative"):
+            reliability_at(rf, math.nan)
 
     @pytest.mark.parametrize(
         "bad",
