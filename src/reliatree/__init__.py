@@ -51,6 +51,7 @@ from .softerror import (
     parse_netlist,
     transient_failure_rate,
     wilson_interval,
+    workload_campaign,
 )
 from .successtree import (
     AndGate,

@@ -27,6 +27,7 @@ from .softerror import (
     inject_campaign,
     parse_netlist,
     read_workload,
+    workload_campaign,
 )
 from .successtree import brute_force_probability, tree_from_dict, tree_probability
 from .thermal import ThermalParams, read_power_trace, simulate_temperature, write_temperature_profile
@@ -68,9 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inject", help="single-net fault injection on a netlist")
     p.add_argument("--netlist", required=True)
     p.add_argument("--node", required=True, help="net to flip")
-    p.add_argument("--trials", type=int, help="Monte Carlo trials")
+    p.add_argument("--trials", type=int, help="Monte Carlo trials over uniform input vectors")
     p.add_argument("--seed", type=int, help="campaign seed")
-    p.add_argument("--workload", help="explicit workload file (one binary vector per line)")
+    p.add_argument("--workload", help="workload file, one binary vector per line: counted exactly, no --trials/--seed")
     p.add_argument("--exhaustive", action="store_true", help="also/only compute the exact derating")
     p.add_argument("--out", help="write the result JSON here instead of stdout")
 
@@ -117,25 +118,27 @@ def _cmd_thermal(args) -> int:
 
 
 def _cmd_inject(args) -> int:
+    if args.workload is not None and (args.trials is not None or args.seed is not None):
+        raise InputError("--workload counts each of its vectors once: give it without --trials and --seed")
+    if args.workload is None and not args.exhaustive and (args.trials is None or args.seed is None):
+        raise InputError("--trials and --seed are required unless --workload or --exhaustive is given")
     netlist = parse_netlist(read_text(args.netlist))
     document: dict = {"node": args.node}
-    if not args.exhaustive and (args.trials is None or args.seed is None):
-        raise InputError("--trials and --seed are required unless --exhaustive is given")
-    if args.workload is not None and args.trials is None:
-        raise InputError("--workload needs --trials: it sets the inputs of a sampled campaign")
-    if args.trials is not None:
+    res = None
+    if args.workload is not None:
+        workload = read_workload(io.StringIO(read_text(args.workload), newline=""), len(netlist.inputs))
+        res = workload_campaign(netlist, args.node, workload)
+    elif args.trials is not None:
         if args.seed is None:
             raise InputError("--seed is required to run a campaign")
-        workload = None
-        if args.workload is not None:
-            workload = read_workload(io.StringIO(read_text(args.workload), newline=""), len(netlist.inputs))
-        res = inject_campaign(netlist, args.node, args.trials, args.seed, workload)
+        res = inject_campaign(netlist, args.node, args.trials, args.seed)
+        document["seed"] = args.seed
+    if res is not None:
         document.update(
             trials=res.trials,
             errors=res.errors,
             derating=res.derating,
             ci95_half_width=res.ci95_half_width,
-            seed=args.seed,
         )
     if args.exhaustive:
         document["exhaustive_derating"] = exhaustive_derating(netlist, args.node)

@@ -90,11 +90,6 @@ def unit_open_floats(
     return u
 
 
-def unit_halfopen_floats(seed: int, start: int, count: int) -> np.ndarray:
-    """Uniform floats in [0, 1), one per counter. Safe for index scaling."""
-    return (word_block(seed, start, count) >> np.uint64(11)) * _U53
-
-
 def derive_seed(seed: int, label: str) -> int:
     """A stable sub-seed for a named stage, e.g. one injection campaign."""
     h = 0xCBF29CE484222325

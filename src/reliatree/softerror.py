@@ -3,10 +3,12 @@
 A netlist is parsed in topological order, simulated golden and with a
 single bit flipped on one net, and the fraction of input vectors whose
 flip reaches a primary output is the derating factor of that net.
-Campaigns are Monte Carlo with a counter-based RNG drawn word-major:
-trial t sets input j to bit t%64 of counter (t//64)*n_inputs + j, so the
-inputs of one 64-trial word are adjacent counters, results are
-bit-reproducible for a given seed and independent of batching.
+Uniform campaigns are Monte Carlo with a counter-based RNG drawn
+word-major: trial t sets input j to bit t%64 of counter
+(t//64)*n_inputs + j, so the inputs of one 64-trial word are adjacent
+counters, results are bit-reproducible for a given seed and independent
+of batching. A workload campaign samples nothing: it counts exactly the
+rows of an explicit workload whose flip is visible.
 
 Each netlist is compiled once into `(ufunc, a, b, out)` calls on row
 indices, one to three per gate (NOT is XOR with an all-ones row, BUF is
@@ -14,19 +16,18 @@ OR of a row with itself), with fan-out lists. Two kinds of net are
 decided by the structure alone: a flip on a primary output is an error
 in every trial, and a flip on a net with no path to an output never is,
 so their campaigns simulate nothing and draw no RNG words. Every other
-campaign is parallel-pattern single-fault propagation: 64 trials per
-uint64 word, a golden pass over all gates, a faulty pass over the
-flipped net's cone only, and a popcount of the output differences,
-in blocks of INJECTION_BLOCK_TRIALS trials so memory does not grow with
-the trial count. A block's input planes are its RNG words, one
-transposed copy away; a workload campaign instead simulates each
-workload vector once, 64 to a word, through the same block loop, and
-adds up the error flags of the vectors its trials pick. Both passes are
-calls on one row space (golden nets, an all-ones row, a faulty row per
-net, two output-difference rows), bound to the rows of one buffer of a
-workspace pooled on the compiled netlist: the golden program once per
-block width, the cone program, computed once per campaign and kept by
-nothing, once per block.
+campaign is parallel-pattern single-fault propagation: 64 trials (or
+workload rows) per uint64 word, a golden pass over all gates, a faulty
+pass over the flipped net's cone only, and a popcount of the output
+differences, in blocks of INJECTION_BLOCK_TRIALS trials so memory does
+not grow with the trial count. Both kinds run one block loop, filling a
+block's input planes with its RNG words, one transposed copy away, or
+with its workload rows, packed 8 to a byte. Both passes are calls on one
+row space (golden nets, an all-ones row, a faulty row per net, two
+output-difference rows), bound to the rows of one buffer of a workspace
+pooled on the compiled netlist: the golden program once per block width,
+the cone program, computed once per campaign and kept by nothing, once
+per block.
 A per-vector simulator over all input vectors is the exact
 oracle for small circuits. Raw per-net FIT rates weighted by derating
 give the transient failure rate.
@@ -37,7 +38,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -52,6 +53,7 @@ __all__ = [
     "parse_netlist",
     "evaluate",
     "inject_campaign",
+    "workload_campaign",
     "exhaustive_derating",
     "injection_targets",
     "transient_failure_rate",
@@ -215,7 +217,8 @@ class _Workspace:
         # word_block's temporary.
         self.words = np.zeros(compiled.n_inputs * n_words, dtype=np.uint64)
         self.scratch = np.zeros(compiled.n_inputs * n_words, dtype=np.uint64)
-        self.buffer = np.zeros((2 * self.ones + 3) * n_words, dtype=np.uint64)
+        # Little-endian, so that a row's bytes are in word-bit order on any machine.
+        self.buffer = np.zeros((2 * self.ones + 3) * n_words, dtype="<u8")
         self.width = 0
 
     def bind(self, n_words: int) -> None:
@@ -402,143 +405,108 @@ def _require_node(netlist: Netlist, node: str) -> None:
         raise InputError(f"unknown injection node {quoted(node)}")
 
 
-def _propagate(ws: _Workspace, calls: list, n_words: int) -> np.ndarray:
-    """Error words of a block of `n_words` words whose input planes are
-    written: bit k of word q is set when the flip that the cone program
-    `calls` makes reaches an output in trial (or vector) 64q + k."""
-    ws.bind(n_words)
-    for fn, a, b, out in chain(ws.program, _bind(calls, ws.rows)):
-        fn(a, b, out)
-    return ws.rows[-2]
+def _count_errors(compiled: _Compiled, node: str, count: int, fill) -> int:
+    """Error count of a flip on `node` over `count` trials (or workload
+    vectors), in blocks of up to INJECTION_BLOCK_TRIALS on a pooled
+    workspace; `fill(ws, first, size)` writes the block's input planes,
+    bit k of word q of plane j holding input j of trial first + 64q + k.
 
-
-def _block_errors(compiled: _Compiled, calls: list, count: int, fill):
-    """(first, size, error words) of each block of up to
-    INJECTION_BLOCK_TRIALS trials (or vectors) of `count`, on a pooled
-    workspace; `fill(ws, first, size)` writes the block's input planes.
+    A flip on a primary output is an error in every trial and one on a
+    net with no path to an output never is: those counts come from the
+    structure, with no fill. Otherwise each block runs the golden program
+    and the flip's cone program, masks the bits past its last trial in
+    the error row's last word, and adds the popcount.
     """
+    net = compiled.index[node]
+    if net in compiled.outputs:
+        return count
+    calls, outputs = compiled.cone(net)
+    if not outputs:
+        return 0
     ws = compiled.take_workspace(-(-min(count, INJECTION_BLOCK_TRIALS) // 64))
+    errors = 0
     try:
         for first in range(0, count, INJECTION_BLOCK_TRIALS):
             size = min(INJECTION_BLOCK_TRIALS, count - first)
             fill(ws, first, size)
-            yield first, size, _propagate(ws, calls, -(-size // 64))
+            ws.bind(-(-size // 64))
+            for fn, a, b, out in chain(ws.program, _bind(calls, ws.rows)):
+                fn(a, b, out)
+            err = ws.rows[-2]
+            if size % 64:
+                err[-1] &= np.uint64((1 << (size % 64)) - 1)
+            errors += int(np.bitwise_count(err).sum())
     finally:
         compiled.workspaces.append(ws)
-
-
-def _uniform_errors(compiled: _Compiled, calls: list, trials: int, seed: int) -> int:
-    """Error count of a campaign over uniform input vectors.
-
-    Word q of input plane j in the block that starts at trial `first` is
-    RNG counter (first//64 + q)*n_inputs + j: the block's words are drawn
-    as (words, inputs) row-major and copied transposed into the input rows.
-    """
-    n_in = compiled.n_inputs
-
-    def fill(ws, first, size):
-        n_words = -(-size // 64)
-        words = rng.word_block(seed, first // 64 * n_in, n_words * n_in, out=ws.words, scratch=ws.scratch)
-        np.copyto(ws.buffer[: n_in * n_words].reshape(n_in, n_words), words.reshape(n_words, n_in).T)
-
-    errors = 0
-    for _, size, err in _block_errors(compiled, calls, trials, fill):
-        if size % 64:
-            err[-1] &= np.uint64((1 << (size % 64)) - 1)
-        errors += int(np.bitwise_count(err).sum())
     return errors
 
 
-def _vector_flags(compiled: _Compiled, calls: list, matrix: np.ndarray) -> np.ndarray:
-    """Per row of the binary (vectors, inputs) `matrix`: 1 when the flip
-    that `calls` makes reaches an output under that input vector, else 0.
+def inject_campaign(netlist: Netlist, node: str, trials: int, seed: int) -> InjectionResult:
+    """Monte Carlo single-bit-flip campaign on one net over uniform input vectors.
 
-    Vector v is bit v%8 of byte v//8 of its block's input rows, so the
-    flags read back the same way whatever the byte order of a word.
-    """
-    n_in = compiled.n_inputs
-
-    def fill(ws, first, size):
-        rows = ws.buffer[: n_in * -(-size // 64)].view(np.uint8).reshape(n_in, -1)
-        rows[:, : -(-size // 8)] = np.packbits(matrix[first : first + size].T, axis=1, bitorder="little")
-
-    flags = np.empty(len(matrix), dtype=np.uint8)
-    for first, size, err in _block_errors(compiled, calls, len(matrix), fill):
-        flags[first : first + size] = np.unpackbits(err.view(np.uint8), count=size, bitorder="little")
-    return flags
-
-
-def _workload_errors(compiled: _Compiled, calls: list, trials: int, seed: int, matrix: np.ndarray) -> int:
-    """Error count of a campaign whose trial i runs the workload vector
-    that counter i picks: the sum of the picked vectors' error flags."""
-    flags = _vector_flags(compiled, calls, matrix)
-    errors = 0
-    for first in range(0, trials, INJECTION_BLOCK_TRIALS):
-        size = min(INJECTION_BLOCK_TRIALS, trials - first)
-        # u < 1, so every pick is below len(matrix).
-        picks = (rng.unit_halfopen_floats(seed, first, size) * len(matrix)).astype(np.int64)
-        errors += int(np.count_nonzero(flags[picks]))
-    return errors
-
-
-def inject_campaign(
-    netlist: Netlist,
-    node: str,
-    trials: int,
-    seed: int,
-    workload: Optional[np.typing.ArrayLike] = None,
-) -> InjectionResult:
-    """Monte Carlo single-bit-flip campaign on one net.
-
-    Each trial draws an input vector (uniform over all vectors, or
-    uniformly from the rows of `workload`, a binary 2-D array-like of one
-    column per input), flips the golden value on `node`, re-propagates
-    only downstream gates, and counts an error when any primary output
-    differs. Trial t depends only on (seed, t): it sets input j to bit
-    t%64 of RNG counter (t//64)*n_inputs + j, or reads counter t to pick a
-    workload vector. Trials run 64 to a word in blocks of
-    INJECTION_BLOCK_TRIALS, whole words each, so memory is bounded and the
-    block size does not change the result. A workload campaign
-    simulates each workload vector once and counts the picked vectors'
-    error flags. A flip on a primary output is an error in every trial and
-    one on a net with no path to an output never is: such a campaign is
-    decided from the structure after the argument and workload checks,
-    and draws no RNG words.
+    Each trial draws an input vector, flips the golden value on `node`,
+    re-propagates only downstream gates, and counts an error when any
+    primary output differs. Trial t depends only on (seed, t): it sets
+    input j to bit t%64 of RNG counter (t//64)*n_inputs + j. Trials run
+    64 to a word in blocks of INJECTION_BLOCK_TRIALS, whole words each, so
+    memory is bounded and the block size does not change the result. A
+    campaign that the structure decides (see `_count_errors`) is decided
+    after the argument checks and draws no RNG words.
     """
     _require_node(netlist, node)
     if trials <= 0:
         raise InputError(f"trials must be positive, got {trials!r}")
-    compiled = netlist.compiled
-    n_in = compiled.n_inputs
-    matrix = None
-    if workload is not None:
-        try:
-            matrix = np.asarray(workload)
-        except ValueError:
-            raise InputError(f"workload vectors differ in length; each must have width {n_in}") from None
-        if matrix.size == 0:
-            raise InputError("explicit workload is empty")
-        if matrix.ndim != 2 or matrix.shape[1] != n_in:
-            raise InputError(f"workload must be a 2-D array with rows of width {n_in}, got shape {matrix.shape}")
-        if matrix.dtype.kind not in "biuf" or not ((matrix == 0) | (matrix == 1)).all():
-            raise InputError("workload vectors must be binary: every entry 0 or 1")
-        matrix = matrix.astype(np.uint8, copy=False)
-    node_index = compiled.index[node]
-    if node_index in compiled.outputs:
-        # The flip changes an output itself: an error in every trial.
-        errors = trials
-    else:
-        calls, outputs = compiled.cone(node_index)
-        if not outputs:
-            # No path to an output: never an error.
-            errors = 0
-        elif matrix is None:
-            errors = _uniform_errors(compiled, calls, trials, seed)
-        else:
-            errors = _workload_errors(compiled, calls, trials, seed, matrix)
-    derating = errors / trials
+    n_in = netlist.compiled.n_inputs
+
+    def fill(ws, first, size):
+        # Word q of input plane j is RNG counter (first//64 + q)*n_inputs + j:
+        # the block's words are drawn (words, inputs) row-major and copied
+        # transposed into the input rows.
+        n_words = -(-size // 64)
+        words = rng.word_block(seed, first // 64 * n_in, n_words * n_in, out=ws.words, scratch=ws.scratch)
+        np.copyto(ws.buffer[: n_in * n_words].reshape(n_in, n_words), words.reshape(n_words, n_in).T)
+
+    errors = _count_errors(netlist.compiled, node, trials, fill)
     _, half = wilson_interval(errors, trials, Z_95)
-    return InjectionResult(trials, errors, derating, half)
+    return InjectionResult(trials, errors, errors / trials, half)
+
+
+def workload_campaign(netlist: Netlist, node: str, workload: np.typing.ArrayLike) -> InjectionResult:
+    """Exact single-bit-flip count on one net over the rows of `workload`.
+
+    `workload` is a binary 2-D array-like with one column per input; each
+    row is one input vector, simulated once, 64 to a word. The result
+    counts the rows whose flip reaches an output: `trials` is the number
+    of rows and `ci95_half_width` is 0.0, since nothing is sampled and no
+    RNG word is drawn. The checks and structural decisions are those of
+    `inject_campaign`.
+    """
+    _require_node(netlist, node)
+    n_in = netlist.compiled.n_inputs
+    try:
+        matrix = np.asarray(workload)
+    except ValueError:
+        raise InputError(f"workload vectors differ in length; each must have width {n_in}") from None
+    if matrix.size == 0:
+        raise InputError("explicit workload is empty")
+    if matrix.ndim != 2 or matrix.shape[1] != n_in:
+        raise InputError(f"workload must be a 2-D array with rows of width {n_in}, got shape {matrix.shape}")
+    # One uint8 conversion, the workload itself when it is uint8 already.
+    # A converted copy that differs from the input held 0.5, -1, 256, NaN
+    # or inf, whose cast is no error of its own.
+    with np.errstate(invalid="ignore"):
+        binary = matrix.astype(np.uint8, copy=False) if matrix.dtype.kind in "biuf" else None
+        if binary is None or binary.max() > 1 or not (binary is matrix or np.array_equal(binary, matrix)):
+            raise InputError("workload vectors must be binary: every entry 0 or 1")
+
+    def fill(ws, first, size):
+        # Vector first + v is bit v%8 of byte v//8 of the block's input
+        # rows, which the little-endian buffer makes bit v%64 of word v//64.
+        rows = ws.buffer[: n_in * -(-size // 64)].view(np.uint8).reshape(n_in, -1)
+        rows[:, : -(-size // 8)] = np.packbits(binary[first : first + size].T, axis=1, bitorder="little")
+
+    errors = _count_errors(netlist.compiled, node, len(binary), fill)
+    return InjectionResult(len(binary), errors, errors / len(binary), 0.0)
 
 
 def exhaustive_derating(netlist: Netlist, node: str) -> float:

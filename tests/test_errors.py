@@ -6,7 +6,7 @@ import pytest
 from reliatree.aging import AgingParams
 from reliatree.errors import InputError, located
 from reliatree.reliability import Weibull
-from reliatree.softerror import SerParams, exhaustive_derating, inject_campaign, parse_netlist
+from reliatree.softerror import SerParams, exhaustive_derating, inject_campaign, parse_netlist, workload_campaign
 from reliatree.successtree import AndGate, KofNGate, OrGate, brute_force_probability
 from reliatree.thermal import TemperatureProfile, ThermalParams
 
@@ -33,10 +33,11 @@ CASES = {
     "inject-node": (lambda: inject_campaign(parse_netlist(AND2), "nosuch", 10, 1), "unknown injection node"),
     "exhaustive-node": (lambda: exhaustive_derating(parse_netlist(AND2), "nosuch"), "unknown injection node"),
     "trials": (lambda: inject_campaign(parse_netlist(AND2), "a", 0, 1), "trials must be positive"),
-    "workload-ragged": (lambda: inject_campaign(parse_netlist(AND2), "a", 10, 1, [(0, 1), (1,)]), "differ in length"),
-    "workload-empty": (lambda: inject_campaign(parse_netlist(AND2), "a", 10, 1, []), "workload is empty"),
-    "workload-shape": (lambda: inject_campaign(parse_netlist(AND2), "a", 10, 1, [0, 1]), "2-D array"),
-    "workload-binary": (lambda: inject_campaign(parse_netlist(AND2), "a", 10, 1, [(0, 2)]), "binary"),
+    "workload-node": (lambda: workload_campaign(parse_netlist(AND2), "nosuch", [(0, 1)]), "unknown injection node"),
+    "workload-ragged": (lambda: workload_campaign(parse_netlist(AND2), "a", [(0, 1), (1,)]), "differ in length"),
+    "workload-empty": (lambda: workload_campaign(parse_netlist(AND2), "a", []), "workload is empty"),
+    "workload-shape": (lambda: workload_campaign(parse_netlist(AND2), "a", [0, 1]), "2-D array"),
+    "workload-binary": (lambda: workload_campaign(parse_netlist(AND2), "a", [(0, 2)]), "binary"),
     "exhaustive-size": (lambda: exhaustive_derating(parse_netlist(WIDE), "i0"), "limited to 24 inputs, got 25"),
     "brute-force-size": (
         lambda: brute_force_probability(AndGate(EVENTS), dict.fromkeys(EVENTS, 0.5)),

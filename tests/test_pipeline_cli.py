@@ -543,40 +543,41 @@ class TestOtherSubcommands:
         netlist = tmp_path / "and.net"
         netlist.write_text("INPUT a\nINPUT b\nGATE g1 AND a b\nOUTPUT g1\n")
         workload = tmp_path / "w.txt"
-        workload.write_text("# b held at 0\n00\n10\n")
+        workload.write_text("# b held at 0 but once\n00\n10\n01\n10\n")
         code, out, _ = run_cli(
-            [
-                "inject",
-                "--netlist",
-                str(netlist),
-                "--node",
-                "a",
-                "--trials",
-                "250",
-                "--seed",
-                "8",
-                "--workload",
-                str(workload),
-            ],
+            ["inject", "--netlist", str(netlist), "--node", "a", "--workload", str(workload)],
             capsys,
         )
         assert code == 0
-        assert json.loads(out)["derating"] == 0.0  # fully masked by b=0
+        # The flip on a is visible in the one row with b = 1.
+        assert json.loads(out) == {"node": "a", "trials": 4, "errors": 1, "derating": 0.25, "ci95_half_width": 0.0}
 
     def test_inject_workload_output_bytes(self, tmp_path, capsys):
-        # tests/data/inject_workload_c1.json is this command's output when
-        # workload campaigns simulated every trial; counting the picked
-        # vectors' error flags must give the same bytes.
+        # tests/data/inject_workload_c1.json is this command's output: the
+        # flip on c1 = a AND b is visible under both 010 and 111, counted
+        # once each, with no seed.
         workload = tmp_path / "workload.txt"
         workload.write_text("010\n111\n")
         code, out, _ = run_cli(
             ["inject", "--netlist", os.path.join(SAMPLE_DIR, "netlists", "pu1.net"), "--node", "c1",
-             "--trials", "1000", "--seed", "1", "--workload", str(workload)],
+             "--workload", str(workload)],
             capsys,
         )
         assert code == 0
         with open(os.path.join(os.path.dirname(__file__), "data", "inject_workload_c1.json"), "rb") as fp:
             assert out.encode("utf-8") == fp.read()
+
+    def test_inject_workload_of_every_vector_equals_exhaustive(self, tmp_path, capsys):
+        workload = tmp_path / "workload.txt"
+        workload.write_text("".join(f"{v:03b}\n" for v in range(8)))
+        code, out, _ = run_cli(
+            ["inject", "--netlist", os.path.join(SAMPLE_DIR, "netlists", "pu1.net"), "--node", "c1",
+             "--workload", str(workload), "--exhaustive"],
+            capsys,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["trials"] == 8 and doc["derating"] == doc["exhaustive_derating"]
 
     def test_inject_rejects_bad_workload_width(self, tmp_path, capsys):
         netlist = tmp_path / "and.net"
@@ -590,37 +591,25 @@ class TestOtherSubcommands:
                 str(netlist),
                 "--node",
                 "a",
-                "--trials",
-                "10",
-                "--seed",
-                "1",
                 "--workload",
                 str(workload),
             ],
             capsys,
         )
-        assert code == 1 and "workload" in err
+        assert code == 1 and "workload line 1: expected 2 binary digits" in err
 
-    def test_inject_workload_needs_trials(self, tmp_path, capsys):
-        # A workload without a campaign must not be dropped in favour of the
-        # exhaustive result.
-        netlist = tmp_path / "and.net"
-        netlist.write_text("INPUT a\nINPUT b\nGATE g1 AND a b\nOUTPUT g1\n")
+    @pytest.mark.parametrize("flags", [["--trials", "10"], ["--seed", "1"], ["--trials", "10", "--seed", "1"]])
+    def test_inject_workload_takes_no_trials_or_seed(self, tmp_path, capsys, flags):
+        # A workload campaign counts every vector once; a trial count or a
+        # seed would be ignored, so either is rejected before any file is read.
         code, out, err = run_cli(
-            [
-                "inject",
-                "--netlist",
-                str(netlist),
-                "--node",
-                "a",
-                "--exhaustive",
-                "--workload",
-                str(tmp_path / "missing.txt"),
-            ],
+            ["inject", "--netlist", str(tmp_path / "missing.net"), "--node", "a",
+             "--workload", str(tmp_path / "missing.txt")] + flags,
             capsys,
         )
         assert code == 1 and out == ""
-        assert "--workload" in err and "--trials" in err
+        assert "--workload" in err and "--trials" in err and "--seed" in err
+        assert len(err.encode("utf-8")) < 300 and "Traceback" not in err
 
     def test_thermal_time_constant_underflow_exits_one(self, tmp_path, capsys):
         trace = tmp_path / "p.csv"
@@ -761,8 +750,7 @@ class TestExitCodes:
         if case == "workload-line":
             workload = tmp_path / "w.txt"
             workload.write_text(long + "\n")
-            args = ["inject", "--netlist", pu1, "--node", "c1",
-                    "--trials", "10", "--seed", "1", "--workload", str(workload)]
+            args = ["inject", "--netlist", pu1, "--node", "c1", "--workload", str(workload)]
             field = "workload line 1"
         elif case in netlists:
             netlist = tmp_path / "long.net"
@@ -1349,8 +1337,7 @@ class TestExitCodes:
         args = {
             "": ["analyze", "--system", system, "--out", str(tmp_path / "o")],
             "thermal": ["thermal", "--trace", f["pu1.csv"], "--rth", "1", "--cth", "1", "--tamb", "300"],
-            "inject": ["inject", "--netlist", f["pu1.net"], "--node", "sum", "--trials", "10",
-                       "--seed", "1", "--workload", f["w.txt"]],
+            "inject": ["inject", "--netlist", f["pu1.net"], "--node", "sum", "--workload", f["w.txt"]],
             "tree-eval": ["tree-eval", "--tree", f["tree.json"], "--probs", f["probs.json"]],
         }[command]
         code, out, err = run_cli(args, capsys)

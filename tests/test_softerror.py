@@ -1,6 +1,5 @@
 import io
 import os
-import random
 import sys
 import threading
 import tracemalloc
@@ -28,6 +27,7 @@ from reliatree.softerror import (
     read_workload,
     transient_failure_rate,
     wilson_interval,
+    workload_campaign,
 )
 
 from conftest import AND2, FULL_ADDER, OR2, SAMPLE_DIR
@@ -81,33 +81,53 @@ def ripple_adder(bits):
     return "\n".join(lines) + "\n"
 
 
-def reference_errors(netlist, node, trials, seed, workload=None):
-    """Per-trial campaign with one uint8 per trial per net: the reference.
-
-    Trial t sets input j to bit t%64 of RNG counter (t//64)*n_inputs + j;
-    with a workload, counter t picks the vector.
-    """
+def reference_errors(netlist, node, trials, seed):
+    """Per-trial uniform campaign with one uint8 per trial per net: the
+    reference. Trial t sets input j to bit t%64 of RNG counter
+    (t//64)*n_inputs + j."""
     n_in = len(netlist.inputs)
-    values = {}
-    if workload is None:
-        t = np.arange(trials)
-        words = rng.word_block(seed, 0, (trials + 63) // 64 * n_in)
-        shifts = (t % 64).astype(np.uint64)
-        for j, name in enumerate(netlist.inputs):
-            values[name] = ((words[t // 64 * n_in + j] >> shifts) & np.uint64(1)).astype(np.uint8)
-    else:
-        matrix = np.asarray(workload, dtype=np.uint8)
-        u = rng.unit_halfopen_floats(seed, 0, trials)
-        idx = (u * len(workload)).astype(np.int64)
-        for j, name in enumerate(netlist.inputs):
-            values[name] = matrix[idx, j]
+    t = np.arange(trials)
+    words = rng.word_block(seed, 0, (trials + 63) // 64 * n_in)
+    shifts = (t % 64).astype(np.uint64)
+    values = {
+        name: ((words[t // 64 * n_in + j] >> shifts) & np.uint64(1)).astype(np.uint8)
+        for j, name in enumerate(netlist.inputs)
+    }
+    _forward(netlist, values)
+    return int(_fault_error_mask(netlist, values, node).sum())
+
+
+def workload_reference(netlist, node, workload):
+    """Per-row workload count with one uint8 per row per net: the number
+    of rows whose flip on `node` reaches an output."""
+    matrix = np.asarray(workload, dtype=np.uint8)
+    values = {name: matrix[:, j] for j, name in enumerate(netlist.inputs)}
     _forward(netlist, values)
     return int(_fault_error_mask(netlist, values, node).sum())
 
 
 def random_workload(n_inputs, n_vectors, seed):
-    rnd = random.Random(seed)
-    return [tuple(rnd.randint(0, 1) for _ in range(n_inputs)) for _ in range(n_vectors)]
+    return np.random.default_rng(seed).integers(0, 2, size=(n_vectors, n_inputs), dtype=np.uint8)
+
+
+def all_vectors(n_inputs):
+    """The 2^n_inputs input vectors as rows, one column per input."""
+    index = np.arange(1 << n_inputs)
+    return ((index[:, None] >> np.arange(n_inputs)) & 1).astype(np.uint8)
+
+
+def no_words(*args, **kwargs):
+    """Stand-in for rng.word_block in campaigns that must draw no words."""
+    raise AssertionError("RNG words drawn")
+
+
+def campaign_and_reference(net, node, trials, seed, use_workload):
+    """(campaign errors, reference errors) of a uniform campaign of
+    `trials` trials, or of a workload campaign over `trials` random rows."""
+    if use_workload:
+        workload = random_workload(len(net.inputs), trials, seed)
+        return workload_campaign(net, node, workload).errors, workload_reference(net, node, workload)
+    return inject_campaign(net, node, trials, seed).errors, reference_errors(net, node, trials, seed)
 
 
 class TestParser:
@@ -247,8 +267,8 @@ class TestCampaign:
 
     def test_and_gate_masking_with_fixed_workload(self):
         net = parse_netlist(AND2)
-        res = inject_campaign(net, "a", 400, seed=3, workload=[(0, 0), (1, 0)])
-        assert res.derating == 0.0
+        res = workload_campaign(net, "a", [(0, 0), (1, 0)])
+        assert res == InjectionResult(2, 0, 0.0, 0.0)
 
     def test_same_seed_bit_identical(self, full_adder):
         a = inject_campaign(full_adder, "c1", 2000, seed=99)
@@ -278,15 +298,15 @@ class TestCampaign:
         golden = evaluate(full_adder, bits)
         assert evaluate(full_adder, bits) == golden
 
-    def test_explicit_workload_sampling(self):
+    def test_explicit_workload_count(self):
         net = parse_netlist(AND2)
-        # b is always 1, so a flip on a is always visible.
-        res = inject_campaign(net, "a", 300, seed=11, workload=[(0, 1), (1, 1)])
-        assert res.derating == 1.0
+        # b is 1 in two rows of three, so a flip on a is visible in those two.
+        res = workload_campaign(net, "a", [(0, 1), (1, 0), (1, 1)])
+        assert res == InjectionResult(3, 2, 2 / 3, 0.0)
 
     def test_empty_workload_rejected(self, full_adder):
         with pytest.raises(ValueError):
-            inject_campaign(full_adder, "s1", 10, seed=0, workload=[])
+            workload_campaign(full_adder, "s1", [])
 
     @pytest.mark.parametrize(
         "workload,needle",
@@ -294,22 +314,29 @@ class TestCampaign:
             ([(0, 0.5, 1)], "binary"),
             ([("0", "1", "1")], "binary"),
             ([(0, -1, 1)], "binary"),
+            ([(0, 256, 1)], "binary"),
+            ([(0, float("nan"), 1)], "binary"),
+            ([(0, float("inf"), 1)], "binary"),
+            (np.array([(1, 0, 1), (0, 2, 1)], dtype=np.uint8), "binary"),
             ([(0, 1, 1), (0, 1)], "differ in length"),
             (np.zeros((0, 3), dtype=np.uint8), "empty"),
             (np.array([0, 1, 1]), r"width 3, got shape \(3,\)"),
         ],
-        ids=["half", "strings", "negative", "ragged", "empty-array", "one-dimensional"],
+        ids=["half", "strings", "negative", "256", "nan", "inf", "uint8-two", "ragged", "empty-array",
+             "one-dimensional"],
     )
     def test_non_binary_workload_rejected(self, workload, needle):
+        # The RuntimeWarning of casting NaN or inf would fail the test too.
         net = parse_netlist(read_text(os.path.join(SAMPLE_DIR, "netlists", "pu1.net")))
         with pytest.raises(ValueError, match=needle):
-            inject_campaign(net, "c1", 10, seed=0, workload=workload)
+            workload_campaign(net, "c1", workload)
 
     def test_binary_array_likes_count_alike(self, full_adder):
         rows = [(0, 1, 1), (1, 1, 0), (1, 0, 1)]
-        want = inject_campaign(full_adder, "c1", 500, seed=4, workload=rows)
-        for workload in (np.array(rows, dtype=np.uint8), np.array(rows, dtype=bool), np.array(rows, dtype=float)):
-            assert inject_campaign(full_adder, "c1", 500, seed=4, workload=workload) == want
+        want = workload_campaign(full_adder, "c1", rows)
+        assert want.errors == workload_reference(full_adder, "c1", rows)
+        for dtype in (np.uint8, np.int64, bool, float):
+            assert workload_campaign(full_adder, "c1", np.array(rows, dtype=dtype)) == want
 
     def test_unknown_node_rejected(self, full_adder):
         with pytest.raises(ValueError):
@@ -368,48 +395,49 @@ class TestBitParallelCampaign:
     @pytest.mark.parametrize("name", sorted(SMALL_NETLISTS))
     def test_every_net_matches_reference(self, name, trials, use_workload):
         net = parse_netlist(SMALL_NETLISTS[name])
-        workload = random_workload(len(net.inputs), 5, trials) if use_workload else None
         for node in net.nets():
-            got = inject_campaign(net, node, trials, 1000 + trials, workload)
-            assert got.errors == reference_errors(net, node, trials, 1000 + trials, workload), node
+            got, want = campaign_and_reference(net, node, trials, 1000 + trials, use_workload)
+            assert got == want, node
 
     @pytest.mark.parametrize("use_workload", [False, True], ids=["rng", "workload"])
     @pytest.mark.parametrize("trials", TRIAL_COUNTS)
     def test_two_lane_adder_matches_reference(self, trials, use_workload):
         net = parse_netlist(ripple_adder(32))
         assert len(net.inputs) == 65
-        workload = random_workload(65, 7, trials) if use_workload else None
         for node in ("a0", "b31", "c0", "g7", "p20", "c16", "s31", "c32"):
-            got = inject_campaign(net, node, trials, 77, workload)
-            assert got.errors == reference_errors(net, node, trials, 77, workload), node
+            got, want = campaign_and_reference(net, node, trials, 77, use_workload)
+            assert got == want, node
 
     @pytest.mark.parametrize("use_workload", [False, True], ids=["rng", "workload"])
     @pytest.mark.parametrize("block", [64, 192])
     def test_block_size_does_not_change_counts(self, block, use_workload, monkeypatch):
-        workload = random_workload(65, 7, 3) if use_workload else None
         jobs = [(node, trials) for node in ("a0", "g7", "p20", "c16") for trials in (1, 65, 191, 193, 20_000)]
         net = parse_netlist(ripple_adder(32))
-        want = [inject_campaign(net, node, trials, 5, workload).errors for node, trials in jobs]
+        if use_workload:
+            workloads = {trials: random_workload(65, trials, 3) for _, trials in jobs}
+            run = lambda node, trials: workload_campaign(net, node, workloads[trials]).errors
+        else:
+            run = lambda node, trials: inject_campaign(net, node, trials, 5).errors
+        want = [run(node, trials) for node, trials in jobs]
         monkeypatch.setattr(softerror, "INJECTION_BLOCK_TRIALS", block)
-        assert [inject_campaign(net, node, trials, 5, workload).errors for node, trials in jobs] == want
+        assert [run(node, trials) for node, trials in jobs] == want
 
     @pytest.mark.parametrize("case", ["one-vector", "duplicated", "past-one-block"])
-    def test_workload_flags_match_reference(self, case, monkeypatch):
-        # Each workload vector is simulated once; the campaign adds up the
-        # flags of the vectors its trials pick.
+    def test_workload_rows_match_reference(self, case, monkeypatch):
+        # Each row is simulated once and counted once, repeated rows included.
         if case == "one-vector":
             workload = random_workload(65, 1, 11)
         elif case == "duplicated":
             base = random_workload(65, 3, 12)
-            workload = [base[0], base[1], base[0], base[2], base[0], base[1]]
+            workload = base[[0, 1, 0, 2, 0, 1]]
         else:
             monkeypatch.setattr(softerror, "INJECTION_BLOCK_TRIALS", 64)
             workload = random_workload(65, 130, 13)
         net = parse_netlist(ripple_adder(32))
         for node in ("a0", "g7", "p20", "c16", "x31"):
-            for trials in (1, 100, 1000):
-                got = inject_campaign(net, node, trials, 21, workload)
-                assert got.errors == reference_errors(net, node, trials, 21, workload), (node, trials)
+            got = workload_campaign(net, node, workload)
+            want = workload_reference(net, node, workload)
+            assert got == InjectionResult(len(workload), want, want / len(workload), 0.0), node
 
     def test_dead_net_and_output_input(self):
         net = parse_netlist(ALL_KINDS)
@@ -423,21 +451,33 @@ class TestBitParallelCampaign:
             "INPUT a\nINPUT b\nGATE n BUF a\nGATE o1 AND n b\nGATE o2 XOR n b\nOUTPUT o1\nOUTPUT o2\n"
         )
         assert exhaustive_derating(net, "n") == 1.0
-        for wl in (None, [(0, 0), (1, 0), (0, 1)]):
-            assert inject_campaign(net, "n", 1000, seed=3, workload=wl).errors == 1000, wl
+        assert inject_campaign(net, "n", 1000, seed=3).errors == 1000
+        assert workload_campaign(net, "n", [(0, 0), (1, 0), (0, 1)]).errors == 3
 
     def test_memory_bounded_by_block_not_trials(self):
         net = parse_netlist(ripple_adder(32))
-        workload = random_workload(65, 9, 3)
-        for wl in (None, workload):
-            inject_campaign(net, "c16", 1000, seed=1, workload=wl)
-            tracemalloc.start()
-            try:
-                inject_campaign(net, "c16", 1_000_000, seed=1, workload=wl)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 16 * 2**20, wl is not None
+        inject_campaign(net, "c16", 1000, seed=1)
+        tracemalloc.start()
+        try:
+            inject_campaign(net, "c16", 1_000_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_workload_memory_bounded_by_block_not_rows(self):
+        # A 65 MB uint8 workload is checked and read in place: one packed
+        # block of input planes at a time, no matrix-sized temporary.
+        net = parse_netlist(ripple_adder(32))
+        workload = random_workload(65, 1_000_000, 4)
+        workload_campaign(net, "c16", workload[:B])
+        tracemalloc.start()
+        try:
+            workload_campaign(net, "c16", workload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestStructuralCampaigns:
@@ -451,19 +491,20 @@ class TestStructuralCampaigns:
     @pytest.mark.parametrize("trials", TRIAL_COUNTS)
     def test_decided_without_rng_words(self, trials, use_workload, monkeypatch):
         net = parse_netlist(ALL_KINDS)
-        workload = random_workload(len(net.inputs), 5, trials) if use_workload else None
-        want = {node: reference_errors(net, node, trials, 9, workload) for node in self.NODES}
+        if use_workload:
+            workload = random_workload(len(net.inputs), trials, trials)
+            want = {node: workload_reference(net, node, workload) for node in self.NODES}
+            run = lambda node: workload_campaign(net, node, workload).errors
+        else:
+            want = {node: reference_errors(net, node, trials, 9) for node in self.NODES}
+            run = lambda node: inject_campaign(net, node, trials, 9).errors
         assert want == {"d": trials, "n4": trials, "y": trials, "dead": 0}
-
-        def no_words(*args, **kwargs):
-            raise AssertionError("RNG words drawn")
-
         monkeypatch.setattr(rng, "word_block", no_words)
         for node in self.NODES:
-            assert inject_campaign(net, node, trials, 9, workload).errors == want[node], node
-        # The patch does stop a campaign that simulates.
+            assert run(node) == want[node], node
+        # The patch does stop a uniform campaign that simulates.
         with pytest.raises(AssertionError, match="RNG words drawn"):
-            inject_campaign(net, "n1", trials, 9, workload)
+            inject_campaign(net, "n1", trials, 9)
 
     @pytest.mark.parametrize(
         "workload,needle",
@@ -474,7 +515,27 @@ class TestStructuralCampaigns:
     def test_bad_workload_rejected_on_decided_nets(self, node, workload, needle):
         net = parse_netlist(ALL_KINDS)
         with pytest.raises(ValueError, match=needle):
-            inject_campaign(net, node, 10, seed=0, workload=workload)
+            workload_campaign(net, node, workload)
+
+
+class TestWorkloadCampaigns:
+    """A workload campaign is an exact count over its rows."""
+
+    @pytest.mark.parametrize("name", ["pu1", "pu2"])
+    def test_all_vectors_equal_exhaustive_on_sample_netlists(self, name):
+        net = parse_netlist(read_text(os.path.join(SAMPLE_DIR, "netlists", f"{name}.net")))
+        workload = all_vectors(len(net.inputs))
+        for node in net.nets():
+            res = workload_campaign(net, node, workload)
+            assert res.trials == len(workload) and res.ci95_half_width == 0.0
+            assert res.derating == exhaustive_derating(net, node), node
+
+    def test_simulated_nets_draw_no_rng_words(self, monkeypatch):
+        net = parse_netlist(ripple_adder(32))
+        workload = random_workload(65, 200, 6)
+        monkeypatch.setattr(rng, "word_block", no_words)
+        for node in net.nets():
+            assert workload_campaign(net, node, workload).errors == workload_reference(net, node, workload), node
 
 
 class TestWorkspaceReuse:
@@ -490,10 +551,9 @@ class TestWorkspaceReuse:
     def test_stale_buffers_do_not_change_counts(self, use_workload):
         net = parse_netlist(ripple_adder(32))
         assert len(net.inputs) == 65
-        workload = random_workload(65, 9, 5) if use_workload else None
         for k, (trials, node) in enumerate(zip(self.STALE_ORDER, self.NODES)):
-            got = inject_campaign(net, node, trials, 300 + k, workload)
-            assert got.errors == reference_errors(net, node, trials, 300 + k, workload), (trials, node)
+            got, want = campaign_and_reference(net, node, trials, 300 + k, use_workload)
+            assert got == want, (trials, node)
 
     def test_concurrent_campaigns_on_one_netlist(self):
         net = parse_netlist(ripple_adder(32))
@@ -575,14 +635,22 @@ def random_netlists(draw):
     net=random_netlists(),
     trials=st.integers(1, 300),
     seed=st.integers(0, 2**64 - 1),
-    n_vectors=st.integers(1, 6),
+    n_vectors=st.integers(1, 300),
 )
 def test_random_netlists_match_reference(net, trials, seed, n_vectors):
     workload = random_workload(len(net.inputs), n_vectors, seed)
     for node in net.nets():
-        for wl in (None, workload):
-            got = inject_campaign(net, node, trials, seed, wl)
-            assert got.errors == reference_errors(net, node, trials, seed, wl), node
+        assert inject_campaign(net, node, trials, seed).errors == reference_errors(net, node, trials, seed), node
+        got = workload_campaign(net, node, workload)
+        assert got.errors == workload_reference(net, node, workload), node
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(net=random_netlists())
+def test_random_netlists_all_vectors_equal_exhaustive(net):
+    workload = all_vectors(len(net.inputs))
+    for node in net.nets():
+        assert workload_campaign(net, node, workload).derating == exhaustive_derating(net, node), node
 
 
 _NETLIST_WORDS = st.sampled_from(
