@@ -6,11 +6,11 @@ probabilities at every grid time. The Monte Carlo route draws failure
 times per component and mode by inverse CDF and applies the structure
 function (successtree.evaluate_structure) to them, which gives the system
 failure time and so its alive/failed state at every time.
-It streams the samples in fixed blocks of MC_BLOCK_SAMPLES through buffers
-allocated once per call, sorts each block's system failure times and keeps
-only a running count of fallen samples per grid point, so its memory is
-bounded by the block size and the grid, its time is linear in the sample
-count, and the result does not depend on the block size.
+It streams the samples in fixed blocks of MC_BLOCK_SAMPLES through two
+buffers allocated once per call, sorts each block's system failure times
+and keeps only a running count of fallen samples per grid point, so its
+memory is bounded by the block size and the grid, its time is linear in
+the sample count, and the result does not depend on the block size.
 """
 from __future__ import annotations
 
@@ -157,18 +157,18 @@ def monte_carlo_system(
     width = 2 * len(modes)  # counters per sample
 
     # Allocated once per call and refilled every block: the uniforms in the
-    # (sample, lane) order they are drawn in, the RNG words behind them,
-    # and the same uniforms as one contiguous row per lane.
+    # (sample, lane) order they are drawn in, and the same uniforms as one
+    # contiguous row per lane, whose memory first holds their RNG words.
     block_size = min(MC_BLOCK_SAMPLES, n_samples)
     drawn = np.empty(block_size * width)
-    words = np.empty(block_size * width, dtype=np.uint64)
     rows = np.empty((width, block_size))
     # fallen[j]: samples whose system failure time is <= grid[j].
     fallen = np.zeros(len(grid), dtype=np.int64)
     for first in range(0, n_samples, MC_BLOCK_SAMPLES):
         size = min(MC_BLOCK_SAMPLES, n_samples - first)
         # counter = sample * width + lane, one open-interval uniform each
-        uniforms = rng.unit_open_floats(seed, first * width, size * width, out=drawn, scratch=words)
+        scratch = rows.view(np.uint64).ravel()
+        uniforms = rng.unit_open_floats(seed, first * width, size * width, out=drawn, scratch=scratch)
         block = rows[:, :size]
         np.copyto(block, uniforms.reshape(size, width).T)
         comp_times = {

@@ -10,27 +10,27 @@ counters, results are bit-reproducible for a given seed and independent
 of batching. A workload campaign samples nothing: it counts exactly the
 rows of an explicit workload whose flip is visible.
 
-Each netlist is compiled once into `(ufunc, a, b, out)` calls on row
-indices, one to three per gate (NOT is XOR with an all-ones row, BUF is
-OR of a row with itself), with fan-out lists. Two kinds of net are
-decided by the structure alone: a flip on a primary output is an error
-in every trial, and a flip on a net with no path to an output never is,
-so their campaigns simulate nothing and draw no RNG words. Every other
-campaign is parallel-pattern single-fault propagation: 64 trials (or
-workload rows) per uint64 word, a golden pass over all gates, a faulty
-pass over the flipped net's cone only, and a popcount of the output
-differences, in blocks of INJECTION_BLOCK_TRIALS trials so memory does
-not grow with the trial count. Both kinds run one block loop, filling a
-block's input planes with its RNG words, one transposed copy away, or
-with its workload rows, packed 8 to a byte. Both passes are calls on one
-row space (golden nets, an all-ones row, a faulty row per net, two
-output-difference rows), bound to the rows of one buffer of a workspace
-pooled on the compiled netlist: the golden program once per block width,
-the cone program, computed once per campaign and kept by nothing, once
-per block.
-A per-vector simulator over all input vectors is the exact
-oracle for small circuits. Raw per-net FIT rates weighted by derating
-give the transient failure rate.
+Each netlist is compiled once into one flat program of `(ufunc, a, b,
+out)` calls on row indices, one to three per gate (NOT is XOR with an
+all-ones constant, BUF is OR of a row with itself), with fan-out lists.
+Two kinds of net are decided by the structure alone: a flip on a primary
+output is an error in every trial, and a flip on a net with no path to
+an output never is, so their campaigns simulate nothing and draw no RNG
+words. Every other campaign is parallel-pattern single-fault
+propagation, 64 trials (or workload rows) per uint64 word, in blocks of
+INJECTION_BLOCK_TRIALS trials so memory does not grow with the trial
+count: a golden pass over the program, a faulty pass over the calls
+that write the nets the flip reaches, and a popcount of the output
+differences. A block's input planes are its RNG words, one transposed
+copy away, or its workload rows, packed 8 to a byte. Both passes are
+calls on one row space (a golden and a faulty row per net, an error and
+a difference row, then the all-ones constant) bound to the views of one
+buffer, the only array of a workspace pooled on the compiled netlist.
+Every entry a block reads was written by that block, so a uniform block
+draws its RNG words into rows it writes later. A per-vector simulator
+over all input vectors, in blocks, is the exact oracle for small
+circuits. Raw per-net FIT rates weighted by derating give the transient
+failure rate.
 """
 from __future__ import annotations
 
@@ -79,7 +79,7 @@ _EXHAUSTIVE_MAX_INPUTS = 24
 INJECTION_BLOCK_TRIALS = 65536
 
 # Bit-plane ufunc of each multi-input gate kind, and whether the result
-# is inverted (by XOR with an all-ones row).
+# is inverted (by XOR with _ONES, the all-ones operand that NOT XORs with).
 _PLANE_OPS = {
     "AND": (np.bitwise_and, False),
     "OR": (np.bitwise_or, False),
@@ -87,6 +87,7 @@ _PLANE_OPS = {
     "NAND": (np.bitwise_and, True),
     "NOR": (np.bitwise_or, True),
 }
+_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 @dataclass(frozen=True)
 class Gate:
@@ -99,8 +100,8 @@ def _gate_calls(kind: str, out: int, ins: Sequence[int], ones: int) -> tuple:
     """One gate as `(ufunc, a, b, out)` calls on row indices.
 
     A multi-input gate folds its inputs pairwise into its output row and
-    inverts by XOR with the all-ones row `ones`; NOT is `a ^ ones` and
-    BUF is `a | a`.
+    inverts by XOR with the all-ones constant at index `ones`; NOT is
+    `a ^ ones` and BUF is `a | a`.
     """
     if kind == "NOT":
         return ((np.bitwise_xor, ins[0], ones, out),)
@@ -124,23 +125,24 @@ class _Compiled:
 
     Net i is the i-th name of `Netlist.nets()`, so gate k drives net
     len(inputs) + k. In the row space of a campaign, rows 0 to n - 1 are
-    the golden nets, row `ones` = n is all ones, row n + 1 + i is net i's
-    faulty row, and rows 2n + 1 and 2n + 2 are the error and difference
-    rows. Each gate is compiled to calls on row indices (`_gate_calls`),
-    which a workspace binds to its rows. Nothing is kept per net; the
-    block workspaces of the campaigns run on the netlist are pooled.
+    the golden nets, row n + i is net i's faulty row, rows `err` = 2n and
+    2n + 1 are the error and difference rows, and index `ones` = 2n + 2
+    is the all-ones constant. The gates are compiled in topological order
+    to one program `calls` on row indices (`_gate_calls`), which a
+    workspace binds. Nothing is kept per net; the block workspaces of the
+    campaigns run on the netlist are pooled.
     """
 
     def __init__(self, netlist: "Netlist"):
         nets = netlist.nets()
         self.n_inputs = len(netlist.inputs)
         self.index = {net: i for i, net in enumerate(nets)}
-        self.ones = len(nets)
-        self.gate_calls = tuple(
+        self.err = 2 * len(nets)
+        self.ones = self.err + 2
+        self.calls = tuple(chain.from_iterable(
             _gate_calls(g.kind, self.index[g.output], [self.index[n] for n in g.inputs], self.ones)
             for g in netlist.gates
-        )
-        self.calls = tuple(call for calls in self.gate_calls for call in calls)
+        ))
         self.outputs = frozenset(self.index[n] for n in netlist.outputs)
         fanout = [[] for _ in nets]
         for g in netlist.gates:
@@ -170,10 +172,11 @@ class _Compiled:
     def cone(self, net: int) -> tuple:
         """(calls, outputs) of a flip on `net`.
 
-        The calls flip the net into its faulty row, re-run the gates it
-        reaches in topological order with every reached net read from its
-        faulty row, and OR each reached output's difference into the
-        error row. `outputs` are the outputs the net reaches.
+        The calls flip the net into its faulty row, re-run the calls of
+        `calls` that write the other nets it reaches, in topological order
+        with every reached net read from its faulty row, and OR each
+        reached output's difference into the error row. `outputs` are the
+        outputs the net reaches.
         """
         reached = {net}
         stack = [net]
@@ -182,13 +185,11 @@ class _Compiled:
                 if out not in reached:
                     reached.add(out)
                     stack.append(out)
-        n = self.ones
-        faulty = {i: n + 1 + i for i in reached}
-        err, diff = 2 * n + 1, 2 * n + 2
-        calls = [(np.bitwise_xor, net, n, faulty[net])]
-        for r in sorted(reached - {net}):
-            for fn, a, b, out in self.gate_calls[r - self.n_inputs]:
-                calls.append((fn, faulty.get(a, a), faulty.get(b, b), faulty[out]))
+        faulty = {i: len(self.index) + i for i in reached}
+        err, diff = self.err, self.err + 1
+        calls = [(np.bitwise_xor, net, self.ones, faulty[net])]
+        calls += [(fn, faulty.get(a, a), faulty.get(b, b), faulty[out])
+                  for fn, a, b, out in self.calls if out != net and out in reached]
         outputs = sorted(reached & self.outputs)
         for k, out in enumerate(outputs):
             calls.append((np.bitwise_xor, faulty[out], out, diff if k else err))
@@ -198,36 +199,31 @@ class _Compiled:
 
 
 class _Workspace:
-    """Block buffers of one campaign at a time on one compiled netlist.
+    """The row buffer of one campaign at a time on one compiled netlist.
 
     Sized for blocks of up to `n_words` words of 64 trials (or workload
-    vectors). `buffer` holds the rows of the row space (see `_Compiled`);
-    a block of fewer words uses a prefix of it as contiguous rows, so its
-    input planes are its first n_inputs * width words. Nothing is cleared
-    between blocks or campaigns: a block writes every entry it reads,
-    except the bits past its last trial or vector in its last word, which
-    its count ignores.
+    vectors). `buffer`, its only array, holds the 2n + 2 rows of the row
+    space (see `_Compiled`); a block of fewer words uses a prefix of it as
+    contiguous rows, so its input planes are its first n_inputs * width
+    words. Nothing is cleared between blocks or campaigns: a block writes
+    every entry it reads, except the bits past its last trial or vector in
+    its last word, which its count ignores, so it may use rows it writes
+    later as temporaries, as a uniform fill does.
     """
 
     def __init__(self, compiled: _Compiled, n_words: int):
         self.n_words = n_words
         self.ones = compiled.ones
         self.calls = compiled.calls
-        # RNG words of a uniform block, (words, inputs) row-major, and
-        # word_block's temporary.
-        self.words = np.zeros(compiled.n_inputs * n_words, dtype=np.uint64)
-        self.scratch = np.zeros(compiled.n_inputs * n_words, dtype=np.uint64)
         # Little-endian, so that a row's bytes are in word-bit order on any machine.
-        self.buffer = np.zeros((2 * self.ones + 3) * n_words, dtype="<u8")
+        self.buffer = np.zeros(self.ones * n_words, dtype="<u8")
         self.width = 0
 
     def bind(self, n_words: int) -> None:
-        """`rows`, the row views of `n_words` words, and the golden program
-        on them; the reshape moves the all-ones row, so it is refilled."""
+        """`rows`, the row views of `n_words` words and then the all-ones
+        constant, and the golden program on them."""
         if n_words != self.width:
-            n_rows = 2 * self.ones + 3
-            self.rows = list(self.buffer[: n_rows * n_words].reshape(n_rows, n_words))
-            self.rows[self.ones].fill(np.iinfo(np.uint64).max)
+            self.rows = [*self.buffer[: self.ones * n_words].reshape(self.ones, n_words), _ONES]
             self.program = _bind(self.calls, self.rows)
             self.width = n_words
 
@@ -432,7 +428,7 @@ def _count_errors(compiled: _Compiled, node: str, count: int, fill) -> int:
             ws.bind(-(-size // 64))
             for fn, a, b, out in chain(ws.program, _bind(calls, ws.rows)):
                 fn(a, b, out)
-            err = ws.rows[-2]
+            err = ws.rows[compiled.err]
             if size % 64:
                 err[-1] &= np.uint64((1 << (size % 64)) - 1)
             errors += int(np.bitwise_count(err).sum())
@@ -456,15 +452,18 @@ def inject_campaign(netlist: Netlist, node: str, trials: int, seed: int) -> Inje
     _require_node(netlist, node)
     if trials <= 0:
         raise InputError(f"trials must be positive, got {trials!r}")
-    n_in = netlist.compiled.n_inputs
+    n_in, n_nets = netlist.compiled.n_inputs, len(netlist.compiled.index)
 
     def fill(ws, first, size):
         # Word q of input plane j is RNG counter (first//64 + q)*n_inputs + j:
-        # the block's words are drawn (words, inputs) row-major and copied
+        # the block's words are drawn (words, inputs) row-major into its
+        # faulty rows, with its input rows as temporary, and copied
         # transposed into the input rows.
         n_words = -(-size // 64)
-        words = rng.word_block(seed, first // 64 * n_in, n_words * n_in, out=ws.words, scratch=ws.scratch)
-        np.copyto(ws.buffer[: n_in * n_words].reshape(n_in, n_words), words.reshape(n_words, n_in).T)
+        planes = ws.buffer[: n_in * n_words]
+        faulty = ws.buffer[n_nets * n_words :]
+        words = rng.word_block(seed, first // 64 * n_in, planes.size, out=faulty, scratch=planes)
+        np.copyto(planes.reshape(n_in, n_words), words.reshape(n_words, n_in).T)
 
     errors = _count_errors(netlist.compiled, node, trials, fill)
     _, half = wilson_interval(errors, trials, Z_95)
@@ -510,20 +509,20 @@ def workload_campaign(netlist: Netlist, node: str, workload: np.typing.ArrayLike
 
 
 def exhaustive_derating(netlist: Netlist, node: str) -> float:
-    """Exact visible-flip fraction over all 2^n input vectors (n <= 24)."""
+    """Exact visible-flip fraction over all 2^n input vectors (n <= 24),
+    enumerated in blocks of INJECTION_BLOCK_TRIALS vectors."""
     _require_node(netlist, node)
     n_in = len(netlist.inputs)
     if n_in > _EXHAUSTIVE_MAX_INPUTS:
         raise InputError(f"exhaustive enumeration limited to {_EXHAUSTIVE_MAX_INPUTS} inputs, got {n_in}")
     count = 1 << n_in
-    index = np.arange(count, dtype=np.uint32)
-    values = {
-        name: ((index >> np.uint32(j)) & np.uint32(1)).astype(np.uint8)
-        for j, name in enumerate(netlist.inputs)
-    }
-    _forward(netlist, values)
-    err = _fault_error_mask(netlist, values, node)
-    return float(int(err.sum()) / count)
+    errors = 0
+    for first in range(0, count, INJECTION_BLOCK_TRIALS):
+        index = np.arange(first, min(first + INJECTION_BLOCK_TRIALS, count), dtype=np.uint32)
+        values = {name: (index >> j & 1).astype(np.uint8) for j, name in enumerate(netlist.inputs)}
+        _forward(netlist, values)
+        errors += int(_fault_error_mask(netlist, values, node).sum())
+    return errors / count
 
 
 def wilson_interval(errors: int, trials: int, z: float):

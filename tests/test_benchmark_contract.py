@@ -5,8 +5,9 @@ every output with the oracles in perfbench/oracles.py (which import
 reliatree's classes and oracles) and times the layers by wrapping the
 module attributes listed in perfbench/spans.py. A change that renames or
 reroutes one of these makes a benchmark run fail or read 0, so one small
-traced analysis per tree shape goes through those same modules here.
-Nothing under perfbench/ is changed.
+traced analysis per tree shape goes through those same modules here. The
+output bytes of two workloads, built by perfbench/run.py's make_inputs,
+are pinned. Nothing under perfbench/ is changed.
 """
 import json
 import os
@@ -18,6 +19,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 
 import gen_system
 import oracles
+import run as bench_run
 import spans
 
 from reliatree import cli
@@ -84,3 +86,32 @@ def test_traced_analysis_passes_every_oracle(tmp_path, capsys, shape, components
     # The series bound is checked only on a tree the document spells AND.
     assert ("reference MTTF respects the series bound" in names) == (shape == "and")
     assert [(name, detail) for name, ok, detail in log.results if not ok] == []
+
+
+# sha256 of report.json and curves.csv at seed 101. Neither workload runs a
+# Monte Carlo, so the bytes do not depend on the host's SIMD; a change to
+# the output has to update these digests on purpose.
+WORKLOAD_DIGESTS = {
+    "tree_kofn16": (
+        "227074be3d484d1746c649b3dd2f3882a726f49d343ae1de4e756d45429cbd03",
+        "7dbd6b1558ca59d3de82ca27b1b5c28fe4e13eec5f84bf9ec7f568fc9a25386f",
+    ),
+    "inject_adder32": (
+        "6ead3c7ffa54f8e6df193d0087c14676db402c0a658080d856a7f92f720daadd",
+        "955d3966fc5c4a588df6bc009c25108ba71cf2a264b445071a3e072b02cfa67c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_DIGESTS))
+def test_workload_output_bytes(tmp_path, capsys, name):
+    workload = bench_run.WORKLOADS[name]
+    (tmp_path / "in").mkdir()
+    system_path = bench_run.make_inputs(workload, 101, str(tmp_path / "in"))
+    out_dir = tmp_path / "out"
+    argv = ["analyze", "--system", system_path, "--out", str(out_dir), "--seed", "101"]
+    code = cli.main(argv + ["--injection-trials", str(workload.injection_trials)])
+    _, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    digests = tuple(bench_run.sha256((out_dir / f).read_bytes()) for f in ("report.json", "curves.csv"))
+    assert digests == WORKLOAD_DIGESTS[name]

@@ -259,6 +259,29 @@ class TestExhaustive:
         with pytest.raises(ValueError):
             exhaustive_derating(full_adder, "nope")
 
+    def test_counts_summed_over_blocks(self):
+        # 2^20 vectors, 16 blocks: a flip on i0 or g0 is visible only when
+        # every later input is 1, a flip on g_k when i_{k+2}..i19 all are.
+        lines = [f"INPUT i{k}" for k in range(20)] + ["GATE g0 AND i0 i1"]
+        lines += [f"GATE g{k} AND g{k - 1} i{k + 1}" for k in range(1, 19)] + ["OUTPUT g18"]
+        net = parse_netlist("\n".join(lines) + "\n")
+        assert exhaustive_derating(net, "i0") == 2.0**-19
+        assert [exhaustive_derating(net, f"g{k}") for k in range(19)] == [2.0 ** (k - 18) for k in range(19)]
+
+    def test_memory_bounded_by_block_not_vectors(self):
+        # 20 inputs and 100 XOR gates: one uint8 per vector per net over all
+        # 2^20 vectors would peak at about 170 MB.
+        lines = [f"INPUT i{k}" for k in range(20)] + ["GATE x0 XOR i0 i1"]
+        lines += [f"GATE x{k} XOR x{k - 1} i{(k + 1) % 20}" for k in range(1, 100)] + ["OUTPUT x99"]
+        net = parse_netlist("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            assert exhaustive_derating(net, "x50") == 1.0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
 
 class TestCampaign:
     def test_output_node_always_errors(self, full_adder):
@@ -455,6 +478,11 @@ class TestBitParallelCampaign:
         assert workload_campaign(net, "n", [(0, 0), (1, 0), (0, 1)]).errors == 3
 
     def test_memory_bounded_by_block_not_trials(self):
+        # The warm-up's workspace is too narrow, so the campaign allocates
+        # one row buffer of 2 * 225 + 2 rows of B / 64 words (3.53 MiB) and
+        # nothing else block-sized: it draws a block's RNG words into the
+        # buffer's faulty rows, with its input rows as temporary, not into
+        # arrays of their own (0.51 MiB each).
         net = parse_netlist(ripple_adder(32))
         inject_campaign(net, "c16", 1000, seed=1)
         tracemalloc.start()
@@ -463,7 +491,7 @@ class TestBitParallelCampaign:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 3.75 * 2**20
 
     def test_workload_memory_bounded_by_block_not_rows(self):
         # A 65 MB uint8 workload is checked and read in place: one packed
@@ -598,6 +626,19 @@ class TestWorkspaceReuse:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 2**10
+
+    def test_first_workload_campaign_allocates_one_row_buffer(self):
+        # One row buffer of 2 * 225 + 2 rows of B / 64 words (3.53 MiB) and
+        # one block's packed input planes (0.51 MiB); no RNG word arrays.
+        net = parse_netlist(ripple_adder(32))
+        workload = random_workload(65, B, 4)
+        tracemalloc.start()
+        try:
+            workload_campaign(net, "c16", workload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.15 * 2**20
 
     def test_campaigns_leave_no_per_net_state(self):
         # A campaign on each of the 897 nets of a 128-bit adder: once they
