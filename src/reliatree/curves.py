@@ -1,16 +1,19 @@
 """System-level numerics: reliability curves, MTTF, dominance ratio, and a
 Monte Carlo cross-check of the whole combination chain.
 
-The exact route evaluates the success tree on per-component survival
-probabilities at every grid time. The Monte Carlo route draws failure
-times per component and mode by inverse CDF and applies the structure
-function (successtree.evaluate_structure) to them, which gives the system
-failure time and so its alive/failed state at every time.
-It streams the samples in fixed blocks of MC_BLOCK_SAMPLES through two
-buffers allocated once per call, sorts each block's system failure times
-and keeps only a running count of fallen samples per grid point, so its
-memory is bounded by the block size and the grid, its time is linear in
-the sample count, and the result does not depend on the block size.
+The exact route reads both fault modes of every tree event once per grid
+time and evaluates the tree by successtree.tree_probability, the one tree
+evaluator, on the permanent, the transient and the combined (their product)
+survivals; the system MTTF's survival passes it one column per event.
+The Monte Carlo route draws failure times per component and mode by
+inverse CDF and applies the structure function
+(successtree.evaluate_structure) to them, which gives the system failure
+time and so its alive/failed state at every time. It streams the samples
+in fixed blocks of MC_BLOCK_SAMPLES through two buffers allocated once
+per call, sorts each block's system failure times and keeps only a
+running count of fallen samples per grid point, so its memory is bounded
+by the block size and the grid, its time is linear in the sample count,
+and the result does not depend on the block size.
 """
 from __future__ import annotations
 
@@ -22,16 +25,8 @@ import numpy as np
 
 from . import rng
 from .errors import InputError, quoted
-from .reliability import (
-    Exponential,
-    Product,
-    ReliabilityFunction,
-    Weibull,
-    integrate_survival,
-    reliability_at,
-    sample_failure_times,
-)
-from .successtree import Gate, _shannon, basic_events, evaluate_structure, tree_probability
+from .reliability import Exponential, Weibull, integrate_survival, reliability_at, sample_failure_times
+from .successtree import Gate, basic_events, evaluate_structure, tree_probability
 
 __all__ = [
     "SystemCurves",
@@ -64,22 +59,15 @@ class McCurve:
     n_samples: int
 
 
-def _tree_curve(tree: Gate, grid: np.ndarray, funcs: Mapping[str, ReliabilityFunction]) -> np.ndarray:
-    values = np.empty(len(grid))
-    for i, t in enumerate(grid):
-        probs = {cid: reliability_at(rf, float(t)) for cid, rf in funcs.items()}
-        values[i] = tree_probability(tree, probs)
-    # Guard the non-increasing invariant against last-bit rounding.
-    return np.minimum.accumulate(np.clip(values, 0.0, 1.0))
-
-
 def system_reliability_curves(model, component_modes: Mapping[str, tuple], grid=None) -> SystemCurves:
     """Exact system curves on the model grid plus MTTF and dominance ratio.
 
     component_modes maps component id to (r_perm, r_trans), as for
     monte_carlo_system; a component survives both as independent
-    competing risks, Product((r_perm, r_trans)). grid is model.grid()
-    already allocated by the caller; it is allocated here when omitted.
+    competing risks. grid is model.grid() already allocated by the caller;
+    it is allocated here when omitted. At each time both modes of every
+    tree event are read once, for all three curves: the event's survival
+    of both is the product p * q of the two reads.
 
     The MTTF integrates the exact system survival by integrate_survival,
     whose panels come from that survival itself. ratio(t) = r_sys_perm /
@@ -87,18 +75,26 @@ def system_reliability_curves(model, component_modes: Mapping[str, tuple], grid=
     more destructive type. The ratio is absent (None) where both curves
     have vanished below 1e-15.
     """
-    events = basic_events(model.success_tree)
+    tree = model.success_tree
+    events = basic_events(tree)
     for event in events:
         if event not in component_modes:
             raise InputError(f"no reliability functions for component {quoted(event)}")
     if grid is None:
         grid = model.grid()
-    combined = {cid: Product(modes) for cid, modes in component_modes.items()}
-    perm_only = {cid: r_perm for cid, (r_perm, _) in component_modes.items()}
-    trans_only = {cid: r_trans for cid, (_, r_trans) in component_modes.items()}
-    r_sys = _tree_curve(model.success_tree, grid, combined)
-    r_perm = _tree_curve(model.success_tree, grid, perm_only)
-    r_trans = _tree_curve(model.success_tree, grid, trans_only)
+
+    def modes_at(t: float) -> list:
+        """[perm, trans]: each fault mode of every tree event at t, read once."""
+        return [{cid: reliability_at(component_modes[cid][k], t) for cid in events} for k in (0, 1)]
+
+    r_sys, r_perm, r_trans = (np.empty(len(grid)) for _ in range(3))
+    for i, t in enumerate(grid):
+        perm, trans = modes_at(float(t))
+        r_perm[i] = tree_probability(tree, perm)
+        r_trans[i] = tree_probability(tree, trans)
+        r_sys[i] = tree_probability(tree, {cid: perm[cid] * trans[cid] for cid in events})
+    # Guard the non-increasing invariant against last-bit rounding.
+    r_sys, r_perm, r_trans = (np.minimum.accumulate(np.clip(v, 0.0, 1.0)) for v in (r_sys, r_perm, r_trans))
 
     ratio = []
     for p, q in zip(r_perm, r_trans):
@@ -110,8 +106,11 @@ def system_reliability_curves(model, component_modes: Mapping[str, tuple], grid=
             ratio.append(float(p) / float(q))  # Python floats: inf without a warning
 
     def survival(times: list) -> np.ndarray:
-        probs = {cid: np.array([reliability_at(combined[cid], t) for t in times]) for cid in events}
-        return _shannon(model.success_tree, probs)
+        columns = {}
+        for cid in events:  # one column at a time: only its reads are held at once
+            perm, trans = component_modes[cid]
+            columns[cid] = np.array([reliability_at(perm, t) * reliability_at(trans, t) for t in times])
+        return tree_probability(tree, columns)
 
     mttf_sys = integrate_survival(survival)
     return SystemCurves(

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Mapping, Sequence
@@ -143,6 +144,8 @@ class _Compiled:
             _gate_calls(g.kind, self.index[g.output], [self.index[n] for n in g.inputs], self.ones)
             for g in netlist.gates
         ))
+        # The net each call writes: non-decreasing, as gates are in net order.
+        self.call_outputs = tuple(out for _, _, _, out in self.calls)
         self.outputs = frozenset(self.index[n] for n in netlist.outputs)
         fanout = [[] for _ in nets]
         for g in netlist.gates:
@@ -187,9 +190,16 @@ class _Compiled:
                     stack.append(out)
         faulty = {i: len(self.index) + i for i in reached}
         err, diff = self.err, self.err + 1
+        # Only the calls from the first that writes the smallest other
+        # reached net to the last that writes the largest can be in the
+        # cone. Every net the flip reaches comes after the flipped net, so
+        # the span leaves out the flipped net's own gate.
+        others = reached - {net}
+        lo = bisect_left(self.call_outputs, min(others, default=0))
+        hi = bisect_right(self.call_outputs, max(others, default=-1))
         calls = [(np.bitwise_xor, net, self.ones, faulty[net])]
         calls += [(fn, faulty.get(a, a), faulty.get(b, b), faulty[out])
-                  for fn, a, b, out in self.calls if out != net and out in reached]
+                  for fn, a, b, out in self.calls[lo:hi] if out in reached]
         outputs = sorted(reached & self.outputs)
         for k, out in enumerate(outputs):
             calls.append((np.bitwise_xor, faulty[out], out, diff if k else err))

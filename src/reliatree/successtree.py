@@ -160,41 +160,42 @@ def _restrict(tree: Gate, event: str, value: bool):
     return KofNGate(k, kept) if changed else tree
 
 
-def _first_event(tree: Gate) -> str:
-    while not isinstance(tree, str):
-        tree = tree.children[0]
-    return tree
-
-
-def _check_probs(events, probs) -> None:
+def _check_probs(events, probs, columns: bool = False) -> None:
+    length = None
     for event in events:
         if event not in probs:
             raise InputError(f"no probability for basic event {quoted(event)}")
         p = probs[event]
-        if not isinstance(p, (int, float)) or isinstance(p, bool):
+        if columns and isinstance(p, np.ndarray):
+            if p.ndim != 1 or p.dtype != np.float64:
+                raise InputError(f"probabilities for {quoted(event)} must be a number or a 1-D float64 "
+                                 f"column, got a {p.dtype} array of shape {p.shape}")
+            length = len(p) if length is None else length
+            if len(p) != length:
+                raise InputError(f"probability column for {quoted(event)} has {len(p)} entries, not {length}")
+            bad = ~((p >= 0.0) & (p <= 1.0))  # NaN included
+            p = float(p[bad.argmax()]) if bad.any() else 0.0
+        elif not isinstance(p, (int, float)) or isinstance(p, bool):
             raise InputError(f"probability for {quoted(event)} must be a number, got {quoted(p)}")
         if not 0.0 <= p <= 1.0:
             raise InputError(f"probability for {quoted(event)} out of [0,1]: {quoted(p)}")
 
 
-def tree_probability(tree: Gate, probs: Mapping[str, float]) -> float:
+def tree_probability(tree: Gate, probs: Mapping):
     """Exact success probability under independent basic events.
 
     Shannon decomposition on the first event in depth-first order; the
     memo key is the simplified residual structure, so repeated (shared)
-    events are conditioned once per path and never double-counted.
+    events are conditioned once per path and never double-counted. Each
+    event's probability is a number or a 1-D float64 column, all columns of
+    one length; every step is elementwise, so each entry of a column result
+    has the bits of the scalar call on that entry's probabilities.
     """
-    _check_probs(basic_events(tree), probs)
-    return _shannon(tree, probs)
-
-
-def _shannon(tree: Gate, probs: Mapping):
-    """tree_probability without the checks. The probabilities may also be
-    numpy arrays of one shape: every step is elementwise, so each element
-    equals the scalar result on that element's probabilities."""
+    events = basic_events(tree)
+    _check_probs(events, probs, columns=True)
     memo: dict = {}
 
-    def prob(node) -> float:
+    def prob(node):
         if node is True:
             return 1.0
         if node is False:
@@ -202,19 +203,19 @@ def _shannon(tree: Gate, probs: Mapping):
         cached = memo.get(node)
         if cached is not None:
             return cached
-        event = _first_event(node)
+        event = node
+        while not isinstance(event, str):  # the first event in depth-first order
+            event = event.children[0]
         p = probs[event]
-        value = p * prob(_restrict(node, event, True)) + (1.0 - p) * prob(
-            _restrict(node, event, False)
-        )
-        memo[node] = value
+        hi, lo = prob(_restrict(node, event, True)), prob(_restrict(node, event, False))
+        memo[node] = value = p * hi + (1.0 - p) * lo
         return value
 
     try:
         return prob(tree)
     except RecursionError:
         raise InputError(
-            f"success tree over {len(basic_events(tree))} basic events is too wide to "
+            f"success tree over {len(events)} basic events is too wide to "
             "evaluate (exact evaluation recurses once per event, past Python's recursion limit)"
         ) from None
 

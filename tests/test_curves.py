@@ -1,5 +1,6 @@
 import io
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -19,9 +20,10 @@ from reliatree.reliability import (
     Product,
     Weibull,
     mttf,
+    reliability_at,
     sample_failure_times,
 )
-from reliatree.successtree import AndGate, KofNGate, OrGate, basic_events, evaluate_structure
+from reliatree.successtree import AndGate, KofNGate, OrGate, basic_events, evaluate_structure, tree_probability
 
 
 def make_model(tree, horizon=10_000.0, points=128, component_ids=("pu1", "pu2")):
@@ -152,6 +154,58 @@ class TestSystemCurves:
         model = make_model(AndGate(ids), points=4, component_ids=ids)
         with pytest.raises(InputError, match="over 1200 basic events is too wide"):
             system_reliability_curves(model, {c: exp_pair(1e-6, 1e-6) for c in ids})
+
+
+class TestSharedReads:
+    """Each fault mode of a tree event is read once per time, for all curves."""
+
+    def test_product_of_reads_has_the_bits_of_the_product_form(self):
+        rnd = random.Random(26)
+        pairs = [(Weibull(1e-3, 2.0), Exponential(0.0)), (Weibull(5000.0, 0.5), Exponential(0.0))]
+        pairs += [
+            (Weibull(rnd.uniform(10.0, 1e5), rnd.uniform(0.3, 5.0)), Exponential(rnd.choice([0.0, rnd.uniform(1e-7, 1e-2)])))
+            for _ in range(200)
+        ]
+        for perm, trans in pairs:
+            # At 1e300, (t / eta) ** beta overflows for the first pair and most others.
+            for t in [0.0, 1e-9, 1.0, rnd.uniform(0.0, 1e5), 1e300, math.inf]:
+                p, q = reliability_at(perm, t), reliability_at(trans, t)
+                assert repr(p * q) == repr(reliability_at(Product((perm, trans)), t))
+        assert reliability_at(Weibull(1e-3, 2.0), 1e300) == 0.0  # the overflow branch was taken
+
+    def test_reads_two_modes_of_each_event_per_grid_point(self, monkeypatch):
+        # "spare" is a component outside the tree: it is never read. The
+        # single-read rule makes 2 x events x points reads; reading each
+        # component's combined, permanent and transient survivals made
+        # 3 x components x points.
+        points, in_mttf, reads, mttf_times = 32, [False], {False: 0, True: 0}, []
+        real_at, real_integrate = curves.reliability_at, curves.integrate_survival
+
+        def counting_at(rf, t):
+            reads[in_mttf[0]] += 1
+            return real_at(rf, t)
+
+        def integrate(survival):
+            in_mttf[0] = True
+            return real_integrate(lambda times: mttf_times.append(len(times)) or survival(times))
+
+        monkeypatch.setattr(curves, "reliability_at", counting_at)
+        monkeypatch.setattr(curves, "integrate_survival", integrate)
+        model = make_model(AND_TREE, points=points, component_ids=("pu1", "pu2", "spare"))
+        modes = {"pu1": (Weibull(4000.0, 2.0), Exponential(1e-4)), "pu2": exp_pair(2e-4, 5e-5), "spare": exp_pair(1.0, 1.0)}
+        system_reliability_curves(model, modes)
+        assert reads[False] == 2 * 2 * points
+        assert reads[True] == 2 * 2 * sum(mttf_times) > 0
+
+    def test_curves_equal_the_scalar_tree_over_the_product_form(self):
+        tree = KofNGate(2, ("x", OrGate(("x", "y")), "z"))
+        modes = {"x": (Weibull(3000.0, 2.0), Exponential(2e-4)), "y": exp_pair(3e-4, 0.0), "z": (Weibull(5e3, 0.7), Exponential(1e-4))}
+        model = make_model(tree, points=64, component_ids=("x", "y", "z"))
+        got = system_reliability_curves(model, modes)
+        for t, r, p, q in zip(got.grid, got.r_sys, got.r_sys_perm, got.r_sys_trans):
+            assert r == tree_probability(tree, {c: reliability_at(Product(m), t) for c, m in modes.items()})
+            assert p == tree_probability(tree, {c: reliability_at(m[0], t) for c, m in modes.items()})
+            assert q == tree_probability(tree, {c: reliability_at(m[1], t) for c, m in modes.items()})
 
 
 class TestMonteCarlo:

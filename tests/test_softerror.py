@@ -694,6 +694,50 @@ def test_random_netlists_all_vectors_equal_exhaustive(net):
         assert workload_campaign(net, node, workload).derating == exhaustive_derating(net, node), node
 
 
+def full_scan_cone(netlist, node):
+    """(calls, outputs) of a flip on `node`, the reached nets found by a
+    pass over every gate and the calls by a scan of the whole program: the
+    reference for `_Compiled.cone`, which scans only the reached span."""
+    compiled = netlist.compiled
+    net = compiled.index[node]
+    reached = {net}
+    for g in netlist.gates:
+        if any(compiled.index[n] in reached for n in g.inputs):
+            reached.add(compiled.index[g.output])
+    faulty = {i: len(compiled.index) + i for i in reached}
+    err, diff = compiled.err, compiled.err + 1
+    calls = [(np.bitwise_xor, net, compiled.ones, faulty[net])]
+    calls += [(fn, faulty.get(a, a), faulty.get(b, b), faulty[out])
+              for fn, a, b, out in compiled.calls if out != net and out in reached]
+    outputs = sorted(reached & compiled.outputs)
+    for k, out in enumerate(outputs):
+        calls.append((np.bitwise_xor, faulty[out], out, diff if k else err))
+        if k:
+            calls.append((np.bitwise_or, err, diff, err))
+    return calls, outputs
+
+
+def assert_cones_equal_full_scan(netlist):
+    for node in netlist.nets():
+        assert netlist.compiled.cone(netlist.compiled.index[node]) == full_scan_cone(netlist, node), node
+
+
+# Independent ANDs: every cone is one gate, far from both ends of the program.
+INDEPENDENT_ANDS = "".join(f"INPUT a{k}\nINPUT b{k}\nGATE g{k} AND a{k} b{k}\nOUTPUT g{k}\n" for k in range(40))
+CONE_NETLISTS = dict(SMALL_NETLISTS, adder32=ripple_adder(32), independent_ands=INDEPENDENT_ANDS)
+
+
+@pytest.mark.parametrize("name", sorted(CONE_NETLISTS))
+def test_cone_scan_equals_full_scan(name):
+    assert_cones_equal_full_scan(parse_netlist(CONE_NETLISTS[name]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(net=random_netlists())
+def test_random_netlists_cone_scan_equals_full_scan(net):
+    assert_cones_equal_full_scan(net)
+
+
 _NETLIST_WORDS = st.sampled_from(
     ["INPUT", "GATE", "OUTPUT", "#", "a", "b", "g1", "g2"] + list(GATE_KINDS)
 )

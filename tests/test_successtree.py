@@ -272,6 +272,64 @@ class TestValidation:
             KofNGate(0, (A, B, C))
 
 
+class TestColumns:
+    """tree_probability on one 1-D float64 column per event."""
+
+    @staticmethod
+    def columns(tree, rnd, length=7):
+        # Entries 0 and 1 included, so some branches vanish or are certain.
+        pool = [0.0, 1.0, 0.5]
+        return {e: np.array([rnd.choice(pool) if rnd.random() < 0.3 else rnd.random() for _ in range(length)])
+                for e in basic_events(tree)}
+
+    def test_every_entry_has_its_scalar_bits(self):
+        rnd = random.Random(26)
+        for tree, _ in seeded_cases(200):
+            cols = self.columns(tree, rnd)
+            got = tree_probability(tree, cols)
+            assert got.shape == (7,)
+            for j, value in enumerate(got):
+                want = tree_probability(tree, {e: float(col[j]) for e, col in cols.items()})
+                assert repr(float(value)) == repr(want)
+
+    def test_numbers_and_columns_mix(self):
+        rnd = random.Random(27)
+        for tree, probs in seeded_cases(50):
+            cols = self.columns(tree, rnd)
+            mixed = {e: (probs[e] if k % 2 else cols[e]) for k, e in enumerate(cols)}
+            got = np.broadcast_to(tree_probability(tree, mixed), (7,))
+            for j, value in enumerate(got):
+                want = tree_probability(tree, {e: float(np.broadcast_to(v, (7,))[j]) for e, v in mixed.items()})
+                assert repr(float(value)) == repr(want)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.array([0.5, np.nan, 0.5]), "probability for 'b' out of [0,1]: nan"),
+            (np.array([0.5, 0.5, 1.5]), "probability for 'b' out of [0,1]: 1.5"),
+            (np.array([-0.0, -1e-300, 0.5]), "probability for 'b' out of [0,1]: -1e-300"),
+            (np.full((3, 1), 0.5), "probabilities for 'b' must be a number or a 1-D float64 column, got a float64 array of shape (3, 1)"),
+            (np.array(0.5), "probabilities for 'b' must be a number or a 1-D float64 column, got a float64 array of shape ()"),
+            (np.array([1, 1, 1]), "probabilities for 'b' must be a number or a 1-D float64 column, got a int64 array of shape (3,)"),
+            (np.full(4, 0.5), "probability column for 'b' has 4 entries, not 3"),
+        ],
+        ids=["nan", "above-one", "below-zero", "2-d", "0-d", "integer", "length"],
+    )
+    def test_bad_column_names_its_event(self, bad, message):
+        with pytest.raises(InputError) as info:
+            tree_probability(AndGate((A, B)), {"a": np.full(3, 0.5), "b": bad})
+        assert str(info.value) == message
+
+    def test_brute_force_takes_numbers_only(self):
+        with pytest.raises(InputError, match="probability for 'a' must be a number, got array"):
+            brute_force_probability(AndGate((A, B)), {"a": np.full(3, 0.5), "b": 0.5})
+
+    def test_too_wide_tree_of_columns_is_input_error(self):
+        events = tuple(f"e{k}" for k in range(1200))
+        with pytest.raises(InputError, match="over 1200 basic events is too wide"):
+            tree_probability(AndGate(events), {e: np.full(2, 0.999) for e in events})
+
+
 class TestJson:
     def test_parses_nested_gates(self):
         a, b, c = ({"event": e} for e in "abc")
