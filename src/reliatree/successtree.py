@@ -3,7 +3,7 @@
 The top event is "system operational". A tree is a basic event, spelled
 as its component id (a str), or a K-of-N gate over trees, up when at
 least k of its n inputs are up: an AND (series) is n-of-n and an OR
-(parallel) is 1-of-n, so one threshold rule restricts and evaluates all
+(parallel) is 1-of-n, so one threshold rule conditions and evaluates all
 three spellings. Basic events may be shared between branches. Exact
 probabilities come from Shannon decomposition with memoization on the
 simplified residual tree (a reduced decision-diagram evaluation, so shared
@@ -11,15 +11,20 @@ events are handled correctly); an exhaustive enumerator over all event
 states is kept as an independent oracle.
 
 Gates are frozen and cache their hash, so a memo lookup costs one hash
-read rather than a walk over the residual tree. Restricting an event
-returns every gate that does not change as the same object and builds
-every gate that does as a K-of-N, so residual trees share their
-untouched subtrees: a memo hit on the same object ends at the identity
-check, and comparing two equal trees skips every child they share.
+read rather than a walk over the residual tree, and the set of events
+below them, worked out on first use. One walk per Shannon node builds
+both residual trees of the branching event. It enters only the gates
+whose set holds the event and puts every other subtree, as the same
+object, into both residuals, so residual trees share their untouched
+subtrees: a memo hit on the same object ends at the identity check, and
+comparing two equal trees skips every child they share. The memo belongs
+to one call and holds no reference cycle, so the residual trees and
+columns it keeps are freed when the call returns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Union
 
 import numpy as np
@@ -46,8 +51,10 @@ class KofNGate:
     """Up when at least k of its inputs are up.
 
     The hash is taken once over the spelling, k and the inputs (the gate
-    is frozen, so it cannot go stale); equality also needs the same class,
-    so AND, OR and K-of-N gates over the same inputs stay apart.
+    is frozen, so it cannot go stale), and the set of events below the gate
+    once on first use; neither is a field, so neither enters equality or
+    repr. Equality also needs the same class, so AND, OR and K-of-N gates
+    over the same inputs stay apart.
     """
 
     k: int
@@ -57,6 +64,9 @@ class KofNGate:
 
     def __post_init__(self):
         object.__setattr__(self, "children", _inputs(self.children))
+        self._seal()
+
+    def _seal(self):
         if not self.children:
             raise InputError(f"{self.kind} gate needs at least one input")
         if not 1 <= self.k <= len(self.children):
@@ -65,6 +75,12 @@ class KofNGate:
 
     def __hash__(self):
         return self._hash
+
+    @cached_property
+    def _events(self) -> frozenset:
+        # Worked out on first use rather than at construction, where a
+        # chain of n gates would build sets of n^2/2 events in all.
+        return frozenset().union(*({c} if isinstance(c, str) else c._events for c in self.children))
 
 
 class AndGate(KofNGate):
@@ -98,16 +114,18 @@ Gate = Union[str, KofNGate]
 def basic_events(tree: Gate) -> list:
     """Distinct event ids in depth-first first-appearance order."""
     order: dict = {}  # keeps the order of first insertion
-
-    def walk(node):
-        if isinstance(node, str):
-            order[node] = None
-        else:
-            for child in node.children:
-                walk(child)
-
-    walk(tree)
+    _collect(tree, order)
     return list(order)
+
+
+def _collect(node: Gate, order: dict) -> None:
+    # A module function, not a closure: a closure that calls itself is a
+    # reference cycle, which would keep `order` until the collector runs.
+    if isinstance(node, str):
+        order[node] = None
+    else:
+        for child in node.children:
+            _collect(child, order)
 
 
 def evaluate_structure(tree: Gate, values: Mapping):
@@ -126,30 +144,45 @@ def evaluate_structure(tree: Gate, values: Mapping):
     return np.partition(np.stack(parts), n - k, axis=0)[n - k]
 
 
-def _restrict(tree: Gate, event: str, value: bool):
-    """Condition on one event and simplify; returns a Gate or a bool.
+def _cofactors(gate: KofNGate, event: str):
+    """Condition a gate on one event, up and then down, in one walk;
+    returns the two residual trees, each a Gate or a bool.
 
-    With n_true inputs now certain, the gate needs k - n_true of the kept
-    ones: none makes it True, more than are kept makes it False, and a
-    lone kept input stands for the gate. Otherwise a gate none of whose
-    inputs changed is returned itself, so untouched subtrees are shared
-    between residual trees rather than rebuilt, and a changed one is the
-    K-of-N of that need over the kept inputs, whatever its spelling was.
+    The walk enters only the inputs whose event set holds the event; every
+    other input is kept, as the same object, in both residuals. With n_up
+    inputs now certain, a residual needs k - n_up of the kept ones: none
+    makes it True, more than are kept makes it False, and a lone kept input
+    stands for the gate. Otherwise a gate without the event is returned
+    itself, and one with it becomes the K-of-N of that need over its kept
+    inputs, whatever its spelling was.
     """
-    if isinstance(tree, str):
-        return value if tree == event else tree
-    kept = []
-    n_true = 0
-    changed = False
-    for child in tree.children:
-        sub = _restrict(child, event, value)
-        if sub is not child:
-            changed = True
-        if sub is True:
-            n_true += 1
-        elif sub is not False:
-            kept.append(sub)
-    k = tree.k - n_true
+    k_hi = k_lo = gate.k
+    hi, lo = [], []
+    held = False
+    for child in gate.children:
+        if isinstance(child, str):
+            if child == event:
+                held = True
+                k_hi -= 1  # certain in the up residual, gone from the down one
+                continue
+        elif event in child._events:
+            held = True
+            sub_hi, sub_lo = _cofactors(child, event)
+            if sub_hi is True:
+                k_hi -= 1
+            elif sub_hi is not False:
+                hi.append(sub_hi)
+            if sub_lo is True:
+                k_lo -= 1
+            elif sub_lo is not False:
+                lo.append(sub_lo)
+            continue
+        hi.append(child)
+        lo.append(child)
+    return _residual(gate, k_hi, hi, held), _residual(gate, k_lo, lo, held)
+
+
+def _residual(gate: KofNGate, k: int, kept: list, held: bool):
     if k <= 0:
         return True
     n = len(kept)
@@ -157,7 +190,15 @@ def _restrict(tree: Gate, event: str, value: bool):
         return False
     if n == 1:
         return kept[0]
-    return KofNGate(k, kept) if changed else tree
+    if not held:
+        return gate
+    # The K-of-N of the need over the kept inputs, with the checks and hash
+    # of KofNGate(k, kept) but without the round trip through __init__.
+    residual = object.__new__(KofNGate)
+    object.__setattr__(residual, "k", k)
+    object.__setattr__(residual, "children", tuple(kept))
+    residual._seal()
+    return residual
 
 
 def _check_probs(events, probs, columns: bool = False) -> None:
@@ -193,31 +234,33 @@ def tree_probability(tree: Gate, probs: Mapping):
     """
     events = basic_events(tree)
     _check_probs(events, probs, columns=True)
-    memo: dict = {}
-
-    def prob(node):
-        if node is True:
-            return 1.0
-        if node is False:
-            return 0.0
-        cached = memo.get(node)
-        if cached is not None:
-            return cached
-        event = node
-        while not isinstance(event, str):  # the first event in depth-first order
-            event = event.children[0]
-        p = probs[event]
-        hi, lo = prob(_restrict(node, event, True)), prob(_restrict(node, event, False))
-        memo[node] = value = p * hi + (1.0 - p) * lo
-        return value
-
     try:
-        return prob(tree)
+        return _prob(tree, probs, {})
     except RecursionError:
         raise InputError(
             f"success tree over {len(events)} basic events is too wide to "
             "evaluate (exact evaluation recurses once per event, past Python's recursion limit)"
         ) from None
+
+
+def _prob(node, probs: Mapping, memo: dict):
+    # A module function, not a closure: a closure that calls itself is a
+    # reference cycle, which would keep the memo, and every residual tree
+    # and column in it, until the collector runs.
+    if node is True:
+        return 1.0
+    if node is False:
+        return 0.0
+    cached = memo.get(node)
+    if cached is not None:
+        return cached
+    event = node
+    while not isinstance(event, str):  # the first event in depth-first order
+        event = event.children[0]
+    hi, lo = (True, False) if node is event else _cofactors(node, event)
+    p = probs[event]
+    memo[node] = value = p * _prob(hi, probs, memo) + (1.0 - p) * _prob(lo, probs, memo)
+    return value
 
 
 def brute_force_probability(tree: Gate, probs: Mapping[str, float]) -> float:

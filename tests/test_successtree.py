@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import random
 
 import numpy as np
@@ -5,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reliatree import successtree
 from reliatree.errors import InputError
 from reliatree.successtree import (
-    _restrict,
+    _cofactors,
     AndGate,
     KofNGate,
     OrGate,
@@ -159,6 +162,13 @@ def kofn_pairs(n):
     return KofNGate(n - 2, pairs)
 
 
+def restrict(gate, event, value):
+    """The residual of `gate` with `event` up (value True) or down (False):
+    one of the two trees that one _cofactors walk builds."""
+    hi, lo = _cofactors(gate, event)
+    return hi if value else lo
+
+
 class TestResidualTrees:
     @pytest.mark.parametrize(
         "gate",
@@ -172,16 +182,18 @@ class TestResidualTrees:
     )
     @pytest.mark.parametrize("value", [True, False])
     def test_absent_event_returns_the_gate_itself(self, gate, value):
-        assert _restrict(gate, "z", value) is gate
+        assert restrict(gate, "z", value) is gate
 
     def test_untouched_subtrees_are_shared(self):
         tree = kofn_pairs(16)
-        residual = _restrict(tree, "c05", False)
+        up, residual = _cofactors(tree, "c05")
         assert isinstance(residual, KofNGate) and residual.k == 14
+        assert isinstance(up, KofNGate) and up.k == 12  # both pairs with c05 are up
         untouched = [c for c in tree.children if "c05" not in basic_events(c)]
         assert len(untouched) == 14
         for child in untouched:
             assert any(child is r for r in residual.children)
+            assert any(child is r for r in up.children)
 
     @pytest.mark.parametrize(
         "gate, event, value, expected",
@@ -197,19 +209,44 @@ class TestResidualTrees:
     def test_kofn_normal_forms(self, gate, event, value, expected):
         # Every gate conditioning changes is the K-of-N of the inputs it
         # keeps and the k they still need, whatever its spelling was.
-        restricted = _restrict(gate, event, value)
+        restricted = restrict(gate, event, value)
         assert type(restricted) is KofNGate and restricted == expected
+        assert hash(restricted) == hash(expected)
 
     def test_one_child_left_is_that_child(self):
         inner = OrGate((B, C))
-        assert _restrict(AndGate((A, inner)), "a", True) is inner
-        assert _restrict(OrGate((A, inner)), "a", False) is inner
-        assert _restrict(KofNGate(1, (A, inner)), "a", False) is inner
-        assert _restrict(KofNGate(2, (A, inner)), "a", True) is inner
+        assert restrict(AndGate((A, inner)), "a", True) is inner
+        assert restrict(OrGate((A, inner)), "a", False) is inner
+        assert restrict(KofNGate(1, (A, inner)), "a", False) is inner
+        assert restrict(KofNGate(2, (A, inner)), "a", True) is inner
         # A one-input gate is not kept either, even when nothing changed.
-        assert _restrict(AndGate((inner,)), "z", True) is inner
-        assert _restrict(OrGate((inner,)), "z", False) is inner
-        assert _restrict(KofNGate(1, (inner,)), "z", True) is inner
+        assert restrict(AndGate((inner,)), "z", True) is inner
+        assert restrict(OrGate((inner,)), "z", False) is inner
+        assert restrict(KofNGate(1, (inner,)), "z", True) is inner
+
+    def test_certain_inputs_decide_the_gate(self):
+        assert _cofactors(AndGate((A, B)), "a") == (B, False)
+        assert _cofactors(OrGate((A, B)), "a") == (True, B)
+        assert _cofactors(OrGate((A, AndGate((A, B)))), "a") == (True, False)
+        assert _cofactors(KofNGate(2, (A, OrGate((A, B)), C)), "a") == (True, KofNGate(2, (B, C)))
+
+    def test_walk_enters_only_gates_that_hold_the_event(self, monkeypatch):
+        # Each Shannon node of the ring enters its own residual and only the
+        # OR pairs that hold the branching event; the pairs without it go
+        # into both residuals unvisited.
+        entered = []
+        walk = successtree._cofactors
+
+        def counting(gate, event):
+            entered.append((gate, event))
+            return walk(gate, event)
+
+        monkeypatch.setattr(successtree, "_cofactors", counting)
+        rnd = random.Random(16)
+        tree_probability(kofn_pairs(16), {f"c{i:02d}": rnd.random() for i in range(16)})
+        assert all(event in basic_events(gate) for gate, event in entered)
+        pairs = sum(1 for gate, _ in entered if isinstance(gate, OrGate))
+        assert (len(entered) - pairs, pairs) == (140, 140)
 
     def test_equal_gates_have_equal_hashes(self):
         obj = {"gate": "KOFN", "k": 2, "inputs": [{"event": "a"}, {"gate": "OR", "inputs": [{"event": "b"}, {"event": "c"}]}, {"gate": "AND", "inputs": [{"event": "a"}, {"event": "c"}]}]}
@@ -217,7 +254,10 @@ class TestResidualTrees:
         assert first is not second
         assert first == second and hash(first) == hash(second)
         assert hash(kofn_pairs(16)) == hash(kofn_pairs(16))
-        assert {_restrict(first, "b", True): 1}[_restrict(second, "b", True)] == 1
+        # The cached event set is outside equality and repr.
+        assert first._events == frozenset("abc") and "_events" not in repr(first)
+        assert first == second and repr(first) == repr(second)
+        assert {restrict(first, "b", True): 1}[restrict(second, "b", True)] == 1
 
     def test_kinds_and_k_tell_gates_apart(self):
         children = (A, B, C)
@@ -241,6 +281,64 @@ class TestResidualTrees:
         expected = {5: "0.767119738781452", 15: "0.922252069694415", 181: "0.1376743585365134"}
         for index, value in expected.items():
             assert repr(tree_probability(*cases[index])) == value
+
+    # Computed before the two restrictions per Shannon node became one
+    # walk: three seeded maps, then the sha256 of the 64-entry column.
+    @pytest.mark.parametrize(
+        "n, values, column",
+        [
+            (8, ("0.5037608267845757", "0.6951114404151076", "0.5202785725318879"), "886cdc84aec71749"),
+            (24, ("0.1255501977992073", "0.20274984645265876", "0.02574237407564113"), "fc60c7860d6cb810"),
+            (32, ("0.020381744546228882", "0.02402063852420415", "0.03326873742442715"), "b31890647d4af631"),
+        ],
+    )
+    def test_wider_rings_are_unchanged(self, n, values, column):
+        tree, ids = kofn_pairs(n), [f"c{i:02d}" for i in range(n)]
+        for seed, value in enumerate(values, start=1):
+            rnd = random.Random(100 * n + seed)
+            probs = {e: rnd.random() for e in ids}
+            got = tree_probability(tree, probs)
+            assert repr(got) == value
+            if n <= 20:
+                assert abs(got - brute_force_probability(tree, probs)) <= 1e-12
+        rnd = random.Random(100 * n)
+        got = tree_probability(tree, {e: np.array([rnd.random() for _ in range(64)]) for e in ids})
+        assert got.shape == (64,)
+        assert hashlib.sha256(got.tobytes()).hexdigest()[:16] == column
+
+
+def live_gates() -> int:
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, KofNGate))
+
+
+class TestMemoLifetime:
+    """A call frees its memo, and every residual tree in it, on return:
+    nothing it builds is left in a reference cycle for the collector."""
+
+    def test_tree_probability_leaves_no_gates_behind(self):
+        tree = kofn_pairs(16)
+        columns = {f"c{i:02d}": np.linspace(0.5, 0.99, 544) ** (i + 1) for i in range(16)}
+        gc.collect()
+        gc.disable()
+        try:
+            before = live_gates()
+            assert tree_probability(tree, columns).shape == (544,)
+            after = live_gates()
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert (after, unreachable) == (before, 0)
+
+    def test_basic_events_leaves_no_cycle(self):
+        tree = kofn_pairs(16)
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(basic_events(tree)) == 16
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
 
 
 class TestValidation:
