@@ -9,11 +9,12 @@ The Monte Carlo route draws failure times per component and mode by
 inverse CDF and applies the structure function
 (successtree.evaluate_structure) to them, which gives the system failure
 time and so its alive/failed state at every time. It streams the samples
-in fixed blocks of MC_BLOCK_SAMPLES through two buffers allocated once
-per call, sorts each block's system failure times and keeps only a
-running count of fallen samples per grid point, so its memory is bounded
-by the block size and the grid, its time is linear in the sample count,
-and the result does not depend on the block size.
+in fixed blocks of MC_BLOCK_SAMPLES, drawn in place into two buffers
+allocated once per call (a row per lane of uniforms and of their words),
+sorts each block's system failure times and keeps only a running count
+of fallen samples per grid point, so its memory is bounded by the block
+size and the grid, its time is linear in the sample count, and the
+result does not depend on the block size.
 """
 from __future__ import annotations
 
@@ -155,21 +156,17 @@ def monte_carlo_system(
     modes = [(cid, component_modes[cid]) for cid in sorted(events)]
     width = 2 * len(modes)  # counters per sample
 
-    # Allocated once per call and refilled every block: the uniforms in the
-    # (sample, lane) order they are drawn in, and the same uniforms as one
-    # contiguous row per lane, whose memory first holds their RNG words.
+    # Allocated once per call and refilled every block: a row per lane of uniforms and of their RNG words.
     block_size = min(MC_BLOCK_SAMPLES, n_samples)
-    drawn = np.empty(block_size * width)
     rows = np.empty((width, block_size))
+    words = np.empty((width, block_size), dtype=np.uint64)
     # fallen[j]: samples whose system failure time is <= grid[j].
     fallen = np.zeros(len(grid), dtype=np.int64)
     for first in range(0, n_samples, MC_BLOCK_SAMPLES):
         size = min(MC_BLOCK_SAMPLES, n_samples - first)
-        # counter = sample * width + lane, one open-interval uniform each
-        scratch = rows.view(np.uint64).ravel()
-        uniforms = rng.unit_open_floats(seed, first * width, size * width, out=drawn, scratch=scratch)
+        # counter = sample * width + lane: entry (sample, lane) of the transpose
         block = rows[:, :size]
-        np.copyto(block, uniforms.reshape(size, width).T)
+        rng.unit_open_floats(seed, first * width, size * width, out=block.T, scratch=words[:, :size].T)
         comp_times = {
             cid: np.minimum(sample_failure_times(r_perm, perm_u), sample_failure_times(r_trans, trans_u))
             for (cid, (r_perm, r_trans)), perm_u, trans_u in zip(modes, block[0::2], block[1::2])

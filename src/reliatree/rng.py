@@ -5,6 +5,14 @@ so campaigns and Monte Carlo runs are reproducible bit for bit and trial
 ranges can be generated in any batching without changing the results.
 The word function is the splitmix64 output function applied to a
 golden-ratio counter stride, evaluated either scalar or vectorized.
+
+A block of counters [start, start + count) goes into an array in C index
+order, whatever its strides: a 1-D array takes the block in its first
+`count` entries, a 2-D one in all of its entries. So the transpose of a
+block of rows takes counter start + q*n_rows + j in word q of row j, and
+a caller's rows are filled in place. A scratch array is taken the same
+way, in the shape of the block, and is fastest in the same memory order.
+An omitted array is a fresh 1-D one.
 """
 from __future__ import annotations
 
@@ -33,6 +41,15 @@ def word_at(seed: int, counter: int) -> int:
     return mix64((seed + (counter + 1) * _GOLDEN) & _MASK)
 
 
+def _entries(a: Optional[np.ndarray], count: int, dtype, shape=None) -> np.ndarray:
+    """The entries of `a` that a block of `count` counters takes (see the
+    module docstring), in `shape` when given."""
+    a = np.empty(count, dtype=dtype) if a is None else a[:count] if a.ndim == 1 else a
+    if a.size != count:
+        raise ValueError(f"an array of {a.size} entries cannot take a block of {count} counters")
+    return a if shape is None else a.reshape(shape)
+
+
 def word_block(
     seed: int,
     start: int,
@@ -40,24 +57,19 @@ def word_block(
     out: Optional[np.ndarray] = None,
     scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Words for counters [start, start+count), identical to word_at calls.
-
-    The words go into the first `count` entries of `out` and `scratch`
-    holds a temporary (both uint64, at least `count` long, fresh arrays
-    when omitted); the returned array is that prefix of `out`.
-    """
-    # In place on one array (uint64 arithmetic wraps like the & _MASK of
-    # word_at). Counter start+1+i enters as seed + (start+1+i)*_GOLDEN,
-    # filled by doubling: words [k, 2k) are words [0, k) plus k*_GOLDEN.
-    z = np.empty(count, dtype=np.uint64) if out is None else out[:count]
-    shifted = np.empty(count, dtype=np.uint64) if scratch is None else scratch[:count]
-    if count:
-        z[0] = (seed + (start + 1) * _GOLDEN) & _MASK
-    filled = 1
-    while filled < count:
-        n = min(filled, count - filled)
-        np.add(z[:n], np.uint64((filled * _GOLDEN) & _MASK), out=z[filled : filled + n])
-        filled += n
+    """Words for counters [start, start+count), identical to word_at calls,
+    into `out` with `scratch` as the temporary (both uint64, laid out as
+    the module docstring says); returns the filled view of `out`."""
+    z = _entries(out, count, np.uint64)
+    shifted = _entries(scratch, count, np.uint64, z.shape)
+    # Entry (r, c) is counter start + r*n_cols + c: seed + (start + 1)*_GOLDEN
+    # plus a row and a column offset (uint64 wraps like word_at's & _MASK).
+    grid = z if z.ndim == 2 else z[np.newaxis]
+    rows, cols = (np.arange(n, dtype=np.uint64) for n in grid.shape)
+    rows *= np.uint64((len(cols) * _GOLDEN) & _MASK)
+    rows += np.uint64((seed + (start + 1) * _GOLDEN) & _MASK)
+    cols *= np.uint64(_GOLDEN)
+    np.add.outer(rows, cols, out=grid)
     for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
         np.right_shift(z, np.uint64(shift), out=shifted)
         z ^= shifted
@@ -74,16 +86,13 @@ def unit_open_floats(
     out: Optional[np.ndarray] = None,
     scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Uniform floats in (0, 1], one per counter. Safe as inverse-CDF input.
-
-    The floats go into the first `count` entries of `out` (float64, at
-    least `count` long) and the words into `scratch` (uint64, at least
-    `count` long); either is a fresh array when omitted.
-    `out` doubles as word_block's temporary. The returned array is that
-    prefix of `out`.
-    """
-    u = np.empty(count) if out is None else out[:count]
-    words = word_block(seed, start, count, out=scratch, scratch=u.view(np.uint64))
+    """Uniform floats in (0, 1], one per counter, safe as inverse-CDF input,
+    into `out` (float64) with their words in `scratch` (uint64), both laid
+    out as the module docstring says; `out` doubles as word_block's
+    temporary. Returns the filled view of `out`."""
+    u = _entries(out, count, np.float64)
+    words = _entries(scratch, count, np.uint64, u.shape)
+    word_block(seed, start, count, out=words, scratch=u.view(np.uint64))
     words >>= np.uint64(11)
     np.multiply(words, _U53, out=u)
     np.subtract(1.0, u, out=u)

@@ -21,16 +21,16 @@ propagation, 64 trials (or workload rows) per uint64 word, in blocks of
 INJECTION_BLOCK_TRIALS trials so memory does not grow with the trial
 count: a golden pass over the program, a faulty pass over the calls
 that write the nets the flip reaches, and a popcount of the output
-differences. A block's input planes are its RNG words, one transposed
-copy away, or its workload rows, packed 8 to a byte. Both passes are
+differences. A block's input planes are its RNG words, drawn into them
+in place, or its workload rows, packed 8 to a byte. Both passes are
 calls on one row space (a golden and a faulty row per net, an error and
 a difference row, then the all-ones constant) bound to the views of one
 buffer, the only array of a workspace pooled on the compiled netlist.
 Every entry a block reads was written by that block, so a uniform block
-draws its RNG words into rows it writes later. A per-vector simulator
-over all input vectors, in blocks, is the exact oracle for small
-circuits. Raw per-net FIT rates weighted by derating give the transient
-failure rate.
+draws its RNG words with rows it writes later as the temporary. A
+per-vector simulator over all input vectors, in blocks, is the exact
+oracle for small circuits. Raw per-net FIT rates weighted by derating
+give the transient failure rate.
 """
 from __future__ import annotations
 
@@ -465,15 +465,12 @@ def inject_campaign(netlist: Netlist, node: str, trials: int, seed: int) -> Inje
     n_in, n_nets = netlist.compiled.n_inputs, len(netlist.compiled.index)
 
     def fill(ws, first, size):
-        # Word q of input plane j is RNG counter (first//64 + q)*n_inputs + j:
-        # the block's words are drawn (words, inputs) row-major into its
-        # faulty rows, with its input rows as temporary, and copied
-        # transposed into the input rows.
+        # Word q of input plane j is RNG counter (first//64 + q)*n_inputs + j,
+        # entry (q, j) of the input rows' transpose; their faulty rows are the temporary.
         n_words = -(-size // 64)
-        planes = ws.buffer[: n_in * n_words]
-        faulty = ws.buffer[n_nets * n_words :]
-        words = rng.word_block(seed, first // 64 * n_in, planes.size, out=faulty, scratch=planes)
-        np.copyto(planes.reshape(n_in, n_words), words.reshape(n_words, n_in).T)
+        rows = ws.buffer[: ws.ones * n_words].reshape(ws.ones, n_words)
+        inputs, faulty = rows[:n_in], rows[n_nets : n_nets + n_in]
+        rng.word_block(seed, first // 64 * n_in, inputs.size, out=inputs.T, scratch=faulty.T)
 
     errors = _count_errors(netlist.compiled, node, trials, fill)
     _, half = wilson_interval(errors, trials, Z_95)

@@ -114,18 +114,14 @@ Gate = Union[str, KofNGate]
 def basic_events(tree: Gate) -> list:
     """Distinct event ids in depth-first first-appearance order."""
     order: dict = {}  # keeps the order of first insertion
-    _collect(tree, order)
+    stack = [tree]  # explicit, so that no depth of tree meets the recursion limit
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            order[node] = None
+        else:
+            stack += node.children[::-1]
     return list(order)
-
-
-def _collect(node: Gate, order: dict) -> None:
-    # A module function, not a closure: a closure that calls itself is a
-    # reference cycle, which would keep `order` until the collector runs.
-    if isinstance(node, str):
-        order[node] = None
-    else:
-        for child in node.children:
-            _collect(child, order)
 
 
 def evaluate_structure(tree: Gate, values: Mapping):
@@ -238,8 +234,8 @@ def tree_probability(tree: Gate, probs: Mapping):
         return _prob(tree, probs, {})
     except RecursionError:
         raise InputError(
-            f"success tree over {len(events)} basic events is too wide to "
-            "evaluate (exact evaluation recurses once per event, past Python's recursion limit)"
+            f"success tree over {len(events)} basic events is too wide or too deep to evaluate (exact "
+            "evaluation recurses once per event and per gate level, past Python's recursion limit)"
         ) from None
 
 

@@ -7,10 +7,12 @@ module attributes listed in perfbench/spans.py. A change that renames or
 reroutes one of these makes a benchmark run fail or read 0, so one small
 traced analysis per tree shape goes through those same modules here. The
 output bytes of two workloads, built by perfbench/run.py's make_inputs,
-are pinned. Nothing under perfbench/ is changed.
+are pinned, and the output bytes must not follow PYTHONHASHSEED, which
+the benchmark fixes for each run. Nothing under perfbench/ is changed.
 """
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -115,3 +117,32 @@ def test_workload_output_bytes(tmp_path, capsys, name):
     assert (code, err) == (0, "")
     digests = tuple(bench_run.sha256((out_dir / f).read_bytes()) for f in ("report.json", "curves.csv"))
     assert digests == WORKLOAD_DIGESTS[name]
+
+
+@pytest.mark.parametrize("system", ["sample", "kofn_pairs6"])
+def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path, system):
+    """Two interpreters under PYTHONHASHSEED 0 and 4242 write the same
+    report.json and curves.csv. The benchmark pins the hash seed of every
+    run, so it would not see output that follows string hashes (the order
+    of a set of event ids, say)."""
+    if system == "sample":
+        system_path = os.path.join(os.path.dirname(__file__), "..", "sample", "dual_core", "system.json")
+    else:
+        system_path = gen_system.generate(
+            str(tmp_path / "in"), components=6, adder_bits=2, grid_points=64,
+            trace_len=TRACE_LEN, shape="kofn-pairs", seed=5,
+        )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for hash_seed in ("0", "4242"):
+        out_dir = tmp_path / f"out_{hash_seed}"
+        done = subprocess.run(
+            [sys.executable, "-m", "reliatree.cli", "analyze", "--system", system_path, "--out", str(out_dir),
+             "--seed", "3", "--mc-trials", str(MC_TRIALS)],
+            env=dict(os.environ, PYTHONPATH=pythonpath, PYTHONHASHSEED=hash_seed),
+            capture_output=True, text=True, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append([(out_dir / name).read_bytes() for name in ("report.json", "curves.csv")])
+    assert outputs[0] == outputs[1]

@@ -74,3 +74,57 @@ def test_unit_open_floats_into_reused_buffers_match_scalar(start, count):
     assert rng.unit_open_floats(77, start, count).tolist() == expected
     assert count == 0 or np.shares_memory(u, out)
     assert np.array_equal(out[count:], tail)
+
+
+class TestLayout:
+    """A block goes into its target in C index order, whatever the strides.
+    That a 1-D target keeps the entries past the block is checked above."""
+
+    # (buffer shape, the target's view of a buffer, scratch shape): the
+    # transpose of a 65 x 313 plane block with scratch in its layout, a
+    # partial last block of a wider lane buffer with scratch in its layout,
+    # and a 1 x 1 view with 1-D scratch.
+    TARGETS = {
+        "planes": ((65, 313), lambda a: a.T, (65, 313)),
+        "partial": ((6, 100), lambda a: a[:, :37].T, (6, 100)),
+        "cell": ((3, 3), lambda a: a[1:2, 1:2], None),
+    }
+
+    def fill(self, name, fill, dtype):
+        """Fill the target; its buffer, the filled view and a mask of the
+        buffer's entries outside the target."""
+        shape, view, scratch_shape = self.TARGETS[name]
+        buffer = np.full(shape, 7, dtype)
+        out = view(buffer)
+        scratch = np.zeros(1, np.uint64) if scratch_shape is None else view(np.zeros(scratch_shape, np.uint64))
+        block = fill(31, 500, out.size, out=out, scratch=scratch)
+        assert np.shares_memory(block, buffer) and block.shape == out.shape
+        outside = np.ones(shape, bool)
+        view(outside)[...] = False
+        return buffer, block, outside
+
+    @pytest.mark.parametrize("name", TARGETS)
+    def test_word_block_writes_each_entry_its_counter(self, name):
+        buffer, block, outside = self.fill(name, rng.word_block, np.uint64)
+        n_rows, n_cols = block.shape
+        for r in range(n_rows):
+            assert [int(w) for w in block[r]] == [rng.word_at(31, 500 + r * n_cols + c) for c in range(n_cols)]
+        assert (buffer[outside] == 7).all()
+
+    @pytest.mark.parametrize("name", TARGETS)
+    def test_unit_open_floats_write_each_entry_its_counter(self, name):
+        buffer, u, outside = self.fill(name, rng.unit_open_floats, np.float64)
+        n_rows, n_cols = u.shape
+        for r in range(n_rows):
+            words = [rng.word_at(31, 500 + r * n_cols + c) for c in range(n_cols)]
+            assert u[r].tolist() == [1.0 - (w >> 11) * 2**-53 for w in words]
+        assert (buffer[outside] == 7).all()
+
+    def test_scratch_in_another_layout_gives_the_same_words(self):
+        planes = np.zeros((65, 313), np.uint64)
+        rng.word_block(31, 500, planes.size, out=planes.T, scratch=np.zeros(planes.size + 9, np.uint64))
+        assert np.array_equal(planes.T.ravel(), rng.word_block(31, 500, planes.size))
+
+    def test_2d_out_of_another_size_is_refused(self):
+        with pytest.raises(ValueError, match="an array of 6 entries cannot take a block of 5 counters"):
+            rng.word_block(31, 0, 5, out=np.zeros((2, 3), np.uint64))

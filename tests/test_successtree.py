@@ -347,6 +347,16 @@ class TestValidation:
         with pytest.raises(InputError, match="over 1200 basic events is too wide"):
             tree_probability(AndGate(events), {f"e{k}": 0.999 for k in range(1200)})
 
+    def test_too_deep_tree_is_input_error(self):
+        # A 2,000-level chain of alternating ANDs and ORs, each over one
+        # new event and the chain below it.
+        tree = "e0"
+        for k in range(1, 2001):
+            tree = (AndGate if k % 2 else OrGate)((f"e{k}", tree))
+        assert basic_events(tree) == [f"e{k}" for k in range(2000, -1, -1)]
+        with pytest.raises(InputError, match="over 2001 basic events is too wide or too deep"):
+            tree_probability(tree, {f"e{k}": 0.9 for k in range(2001)})
+
     def test_missing_probability(self):
         with pytest.raises(InputError):
             tree_probability(AndGate((A, B)), {"a": 0.5})
