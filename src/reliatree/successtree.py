@@ -129,56 +129,67 @@ def evaluate_structure(tree: Gate, values: Mapping):
     up/down states the system state, on component failure times the system
     failure time (the k-th largest input: the smallest at k = n, the
     largest at k = 1)."""
-    if isinstance(tree, str):
-        return values[tree]
-    parts = [evaluate_structure(c, values) for c in tree.children]
-    n, k = len(parts), tree.k
-    if k == n:
-        return np.minimum.reduce(parts)
-    if k == 1:
-        return np.maximum.reduce(parts)
-    return np.partition(np.stack(parts), n - k, axis=0)[n - k]
+    # A fold over an explicit stack, so that no depth of tree meets the
+    # recursion limit: a gate is pushed once to open it and once to fold the
+    # values of its inputs, which are then the last n on `done`.
+    done = []
+    stack = [(tree, False)]
+    while stack:
+        node, inputs_done = stack.pop()
+        if isinstance(node, str):
+            done.append(values[node])
+        elif not inputs_done:
+            stack.append((node, True))
+            stack += ((c, False) for c in reversed(node.children))
+        else:
+            n, k = len(node.children), node.k
+            parts = done[-n:]
+            del done[-n:]
+            if k == n:
+                done.append(np.minimum.reduce(parts))
+            elif k == 1:
+                done.append(np.maximum.reduce(parts))
+            else:
+                done.append(np.partition(np.stack(parts), n - k, axis=0)[n - k])
+    return done[0]
 
 
 def _cofactors(gate: KofNGate, event: str):
-    """Condition a gate on one event, up and then down, in one walk;
-    returns the two residual trees, each a Gate or a bool.
+    """Condition a gate on an event it holds, up and then down, in one
+    walk; returns the two residual trees, each a Gate or a bool.
 
-    The walk enters only the inputs whose event set holds the event; every
-    other input is kept, as the same object, in both residuals. With n_up
-    inputs now certain, a residual needs k - n_up of the kept ones: none
-    makes it True, more than are kept makes it False, and a lone kept input
-    stands for the gate. Otherwise a gate without the event is returned
-    itself, and one with it becomes the K-of-N of that need over its kept
-    inputs, whatever its spelling was.
+    `_prob` calls it on a residual with that residual's first depth-first
+    event, and the walk enters only the inputs whose event set holds the
+    event; every other input is kept, as the same object, in both residuals.
+    The tree is coherent, so the up side never turns an input False and the
+    down side never turns one True: an input certain up counts towards k,
+    and the down residual needs all k of what it keeps.
     """
-    k_hi = k_lo = gate.k
+    k_hi = gate.k
     hi, lo = [], []
-    held = False
     for child in gate.children:
         if isinstance(child, str):
             if child == event:
-                held = True
                 k_hi -= 1  # certain in the up residual, gone from the down one
                 continue
         elif event in child._events:
-            held = True
             sub_hi, sub_lo = _cofactors(child, event)
             if sub_hi is True:
                 k_hi -= 1
-            elif sub_hi is not False:
+            else:
                 hi.append(sub_hi)
-            if sub_lo is True:
-                k_lo -= 1
-            elif sub_lo is not False:
+            if sub_lo is not False:
                 lo.append(sub_lo)
             continue
         hi.append(child)
         lo.append(child)
-    return _residual(gate, k_hi, hi, held), _residual(gate, k_lo, lo, held)
+    return _residual(k_hi, hi), _residual(gate.k, lo)
 
 
-def _residual(gate: KofNGate, k: int, kept: list, held: bool):
+def _residual(k: int, kept: list):
+    """The K-of-N of the need k over the kept inputs: True when nothing is
+    needed, False when more is needed than is kept, and a lone kept input
+    stands for the gate."""
     if k <= 0:
         return True
     n = len(kept)
@@ -186,10 +197,7 @@ def _residual(gate: KofNGate, k: int, kept: list, held: bool):
         return False
     if n == 1:
         return kept[0]
-    if not held:
-        return gate
-    # The K-of-N of the need over the kept inputs, with the checks and hash
-    # of KofNGate(k, kept) but without the round trip through __init__.
+    # The checks and hash of KofNGate(k, kept) without the trip through __init__.
     residual = object.__new__(KofNGate)
     object.__setattr__(residual, "k", k)
     object.__setattr__(residual, "children", tuple(kept))

@@ -60,6 +60,16 @@ def seeded_cases(n_cases, seed=2024, max_events=12, max_depth=5):
         yield tree, probs
 
 
+def and_or_chain(levels):
+    """Alternating ANDs and ORs, each over one new event and the chain
+    below it: level k (from 1) is an AND when k is odd, over e{k} and the
+    chain of levels below, whose bottom is the event e0."""
+    tree = "e0"
+    for k in range(1, levels + 1):
+        tree = (AndGate if k % 2 else OrGate)((f"e{k}", tree))
+    return tree
+
+
 @pytest.fixture
 def full_adder():
     return parse_netlist(FULL_ADDER)

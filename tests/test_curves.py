@@ -25,6 +25,8 @@ from reliatree.reliability import (
 )
 from reliatree.successtree import AndGate, KofNGate, OrGate, basic_events, evaluate_structure, tree_probability
 
+from conftest import and_or_chain
+
 
 def make_model(tree, horizon=10_000.0, points=128, component_ids=("pu1", "pu2")):
     children = tuple(HierarchyNode(cid, "Component") for cid in component_ids)
@@ -299,6 +301,15 @@ class TestMonteCarlo:
         fallen = [3660, 0, 1312, 3660, 4995, 587, 5000, 1312, 4817]
         mc = monte_carlo_system(tree, modes, 5000, 11, grid)
         assert list(mc.survival) == [1.0 - f / 5000 for f in fallen]
+
+    def test_deep_tree_samples(self):
+        # The 2,000-level chain is past the recursion limit for a walk that
+        # recurses once per level; its structure function does not.
+        modes = {f"e{k}": (Exponential(1e-3), Exponential(1e-4)) for k in range(2001)}
+        grid = [0.0, 10.0, 100.0, 1000.0, 10_000.0]
+        survival = monte_carlo_system(and_or_chain(2000), modes, 1000, 1, grid).survival
+        assert all(0.0 <= s <= 1.0 for s in survival)
+        assert all(b <= a for a, b in zip(survival, survival[1:]))
 
     def test_bad_sample_count_rejected(self):
         with pytest.raises(ValueError):

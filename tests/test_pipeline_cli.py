@@ -13,6 +13,7 @@ import numpy as np
 
 from reliatree import cli, pipeline
 from reliatree.aging import black_mttf, weibull_from_mttf
+from reliatree.curves import SystemCurves
 from reliatree.errors import MAX_JSON_DEPTH, InputError, read_json
 from reliatree.model import load_system_file
 from reliatree.reliability import reliability_at
@@ -320,6 +321,60 @@ class TestPipeline:
         with open(paths["curves.csv"]) as fp:
             header = fp.readline().strip()
         assert header == "t_hours,r_sys,r_sys_perm,r_sys_trans,ratio"
+
+
+RATIO_ABOVE = "transient faults dominate (ratio > 1)"
+RATIO_BELOW = "permanent faults dominate (ratio < 1)"
+
+
+def dominance(ratio):
+    """The report's dominance summary of a ratio curve on the grid 0, 1, 2, ..."""
+    n = len(ratio)
+    ones = (1.0,) * n
+    curves = SystemCurves(tuple(float(t) for t in range(n)), ones, ones, ones, tuple(ratio), 1.0)
+    return pipeline._dominance_summary(curves)
+
+
+class TestDominanceSummary:
+    """The rules in force today: a ratio departs from 1 when it is more
+    than 1e-12 away, and the scan stops at the first absent ratio."""
+
+    @pytest.mark.parametrize(
+        "ratio, departure, crossing, regime",
+        [
+            ((1.0, 1.0 + 5e-13, 1.0 - 5e-13, 1.0), None, None, "balanced"),
+            ((1.0, 1.0, 1.5, 2.0), 2.0, None, RATIO_ABOVE),
+            ((1.0, 0.5, 1.0, 0.25), 1.0, None, RATIO_BELOW),
+            # The crossing is the first grid point past the sign change, and
+            # a ratio of 1 between the two sides does not count as either.
+            ((1.0, 1.2, 1.0, 0.8, 1.3, 0.7), 1.0, 3.0, RATIO_ABOVE),
+            ((1.0, 0.9, 1.1), 1.0, 2.0, RATIO_BELOW),
+            ((1.0, math.inf, 0.5), 1.0, 2.0, RATIO_ABOVE),
+            ((1.0, 2.0, None, 0.5), 1.0, None, RATIO_ABOVE),
+            ((None, 2.0, 0.5), None, None, "balanced"),
+        ],
+        ids=["balanced", "above", "below", "crossing", "crossing-up", "inf", "absent", "absent-first"],
+    )
+    def test_rules(self, ratio, departure, crossing, regime):
+        assert dominance(ratio) == {
+            "first_departure_time_hours": departure,
+            "ratio_crossing_time_hours": crossing,
+            "initial_regime": regime,
+        }
+
+    def test_sample_crossing_is_read_off_its_curves(self, sample_system_path, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        args = ["analyze", "--system", sample_system_path, "--out", str(out_dir), "--seed", "1"]
+        code, out, err = run_cli(args, capsys)
+        assert code == 0, err
+        summary = json.loads(out)["system"]["dominance"]
+        rows = [line.split(",") for line in (out_dir / "curves.csv").read_text().splitlines()[1:]]
+        departed = [(float(t), float(r) > 1.0) for t, *_, r in rows if abs(float(r) - 1.0) > 1e-12]
+        first_above = departed[0][1]
+        crossing = next(t for t, above in departed if above != first_above)
+        assert summary["first_departure_time_hours"] == departed[0][0]
+        assert summary["initial_regime"] == (RATIO_ABOVE if first_above else RATIO_BELOW)
+        assert summary["ratio_crossing_time_hours"] == crossing
 
 
 class TestAnalyzeCli:

@@ -21,7 +21,7 @@ from reliatree.successtree import (
     tree_probability,
 )
 
-from conftest import JSON_VALUES, seeded_cases
+from conftest import JSON_VALUES, and_or_chain, seeded_cases
 
 A, B, C, D = "a", "b", "c", "d"
 SHARED = OrGate((AndGate((A, B)), AndGate((A, C))))
@@ -153,6 +153,18 @@ class TestProperties:
             got, want = evaluate_structure(kofn, times), evaluate_structure(spelled, times)
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
+    def test_deep_structure_is_the_fold_of_its_levels(self):
+        # evaluate_structure keeps its own stack, so the 2,000-level chain
+        # evaluates, to the bit, as the fold of AND = min and OR = max from
+        # its bottom up.
+        rnd = np.random.default_rng(2000)
+        times = {f"e{k}": rnd.random(64) for k in range(2001)}
+        want = times["e0"]
+        for k in range(1, 2001):
+            want = (np.minimum if k % 2 else np.maximum)(times[f"e{k}"], want)
+        got = evaluate_structure(and_or_chain(2000), times)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 def kofn_pairs(n):
     """KOFN(n - 2) over ORs of neighbouring pairs around a ring of n events:
@@ -160,6 +172,23 @@ def kofn_pairs(n):
     ids = [f"c{i:02d}" for i in range(n)]
     pairs = tuple(OrGate((ids[i], ids[(i + 1) % n])) for i in range(n))
     return KofNGate(n - 2, pairs)
+
+
+def record_walks(monkeypatch, tree, probs) -> list:
+    """(gate, event, up residual, down residual) of every _cofactors call
+    that tree_probability makes, each nested call before its caller."""
+    calls = []
+    walk = successtree._cofactors
+
+    def recording(gate, event):
+        hi, lo = walk(gate, event)
+        calls.append((gate, event, hi, lo))
+        return hi, lo
+
+    with monkeypatch.context() as patch:
+        patch.setattr(successtree, "_cofactors", recording)
+        tree_probability(tree, probs)
+    return calls
 
 
 def restrict(gate, event, value):
@@ -170,20 +199,6 @@ def restrict(gate, event, value):
 
 
 class TestResidualTrees:
-    @pytest.mark.parametrize(
-        "gate",
-        [
-            AndGate((A, B)),
-            OrGate((A, B, C)),
-            KofNGate(2, (A, B, C)),
-            OrGate((AndGate((A, B)), KofNGate(2, (A, B, C)))),
-        ],
-        ids=["and", "or", "kofn", "nested"],
-    )
-    @pytest.mark.parametrize("value", [True, False])
-    def test_absent_event_returns_the_gate_itself(self, gate, value):
-        assert restrict(gate, "z", value) is gate
-
     def test_untouched_subtrees_are_shared(self):
         tree = kofn_pairs(16)
         up, residual = _cofactors(tree, "c05")
@@ -219,10 +234,10 @@ class TestResidualTrees:
         assert restrict(OrGate((A, inner)), "a", False) is inner
         assert restrict(KofNGate(1, (A, inner)), "a", False) is inner
         assert restrict(KofNGate(2, (A, inner)), "a", True) is inner
-        # A one-input gate is not kept either, even when nothing changed.
-        assert restrict(AndGate((inner,)), "z", True) is inner
-        assert restrict(OrGate((inner,)), "z", False) is inner
-        assert restrict(KofNGate(1, (inner,)), "z", True) is inner
+        # A one-input gate is not kept either, when its input's residual is one input.
+        assert restrict(AndGate((AndGate((A, inner)),)), "a", True) is inner
+        assert restrict(OrGate((OrGate((A, inner)),)), "a", False) is inner
+        assert restrict(KofNGate(1, (KofNGate(2, (A, inner)),)), "a", True) is inner
 
     def test_certain_inputs_decide_the_gate(self):
         assert _cofactors(AndGate((A, B)), "a") == (B, False)
@@ -231,22 +246,24 @@ class TestResidualTrees:
         assert _cofactors(KofNGate(2, (A, OrGate((A, B)), C)), "a") == (True, KofNGate(2, (B, C)))
 
     def test_walk_enters_only_gates_that_hold_the_event(self, monkeypatch):
+        # _cofactors relies on these: it is only called on a gate that holds
+        # the event, and in a coherent tree the up side never turns an input
+        # False nor the down side one True.
+        rnd = random.Random(16)
+        calls = record_walks(monkeypatch, kofn_pairs(16), {f"c{i:02d}": rnd.random() for i in range(16)})
+        seeded = [call for case in seeded_cases(200) for call in record_walks(monkeypatch, *case)]
+        for gate, event, hi, lo in calls + seeded:
+            assert event in basic_events(gate)
+            assert hi is not False and lo is not True
         # Each Shannon node of the ring enters its own residual and only the
         # OR pairs that hold the branching event; the pairs without it go
         # into both residuals unvisited.
-        entered = []
-        walk = successtree._cofactors
-
-        def counting(gate, event):
-            entered.append((gate, event))
-            return walk(gate, event)
-
-        monkeypatch.setattr(successtree, "_cofactors", counting)
-        rnd = random.Random(16)
-        tree_probability(kofn_pairs(16), {f"c{i:02d}": rnd.random() for i in range(16)})
-        assert all(event in basic_events(gate) for gate, event in entered)
-        pairs = sum(1 for gate, _ in entered if isinstance(gate, OrGate))
-        assert (len(entered) - pairs, pairs) == (140, 140)
+        pairs = sum(1 for gate, *_ in calls if isinstance(gate, OrGate))
+        assert (len(calls) - pairs, pairs) == (140, 140)
+        # Recorded before the walk dropped the branches a coherent tree
+        # cannot reach: every call's gate, event and residuals, in call order.
+        digest = hashlib.sha256("".join(repr(call) for call in calls).encode()).hexdigest()
+        assert digest == "41af9b8fa74a4591197a35cc83273a37e0b11d44eb153781e3958204be0066fb"
 
     def test_equal_gates_have_equal_hashes(self):
         obj = {"gate": "KOFN", "k": 2, "inputs": [{"event": "a"}, {"gate": "OR", "inputs": [{"event": "b"}, {"event": "c"}]}, {"gate": "AND", "inputs": [{"event": "a"}, {"event": "c"}]}]}
@@ -348,11 +365,7 @@ class TestValidation:
             tree_probability(AndGate(events), {f"e{k}": 0.999 for k in range(1200)})
 
     def test_too_deep_tree_is_input_error(self):
-        # A 2,000-level chain of alternating ANDs and ORs, each over one
-        # new event and the chain below it.
-        tree = "e0"
-        for k in range(1, 2001):
-            tree = (AndGate if k % 2 else OrGate)((f"e{k}", tree))
+        tree = and_or_chain(2000)
         assert basic_events(tree) == [f"e{k}" for k in range(2000, -1, -1)]
         with pytest.raises(InputError, match="over 2001 basic events is too wide or too deep"):
             tree_probability(tree, {f"e{k}": 0.9 for k in range(2001)})
