@@ -4,7 +4,9 @@ Monte Carlo cross-check of the whole combination chain.
 The exact route reads both fault modes of every tree event once per grid
 time and evaluates the tree by successtree.tree_probability, the one tree
 evaluator, on the permanent, the transient and the combined (their product)
-survivals; the system MTTF's survival passes it one column per event.
+survivals. The system MTTF's survival reads each fault mode of an event on
+the quadrature's whole column of times in one reliability_at call,
+multiplies the two columns, and passes the tree one column per event.
 The Monte Carlo route draws failure times per component and mode by
 inverse CDF and applies the structure function
 (successtree.evaluate_structure) to them, which gives the system failure
@@ -106,11 +108,11 @@ def system_reliability_curves(model, component_modes: Mapping[str, tuple], grid=
         else:
             ratio.append(float(p) / float(q))  # Python floats: inf without a warning
 
-    def survival(times: list) -> np.ndarray:
+    def survival(times: np.ndarray) -> np.ndarray:
         columns = {}
-        for cid in events:  # one column at a time: only its reads are held at once
+        for cid in events:
             perm, trans = component_modes[cid]
-            columns[cid] = np.array([reliability_at(perm, t) * reliability_at(trans, t) for t in times])
+            columns[cid] = reliability_at(perm, times) * reliability_at(trans, times)
         return tree_probability(tree, columns)
 
     mttf_sys = integrate_survival(survival)

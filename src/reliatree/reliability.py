@@ -4,14 +4,18 @@ All times are hours. Three forms cover the engine: closed-form Exponential
 and Weibull, and Product for independent competing failure modes, whose
 factors are Exponentials and Weibulls: a component's permanent wear-out and
 its transient soft errors. Every form evaluates to a probability in [0, 1]
-with R(0) = 1. An MTTF without a closed form, of a Product here or of a
-whole system in curves.py, is integrate_survival of the survival, on panels
-chosen from it alone. sample_failure_times draws by inverse CDF from one
-elementary form; a Product's time is the minimum of its factors' times.
+with R(0) = 1. reliability_at, the one evaluator, reads a form at a number
+or at a column of times, each entry in the scalar math of the number call.
+An MTTF without a closed form, of a Product here or of a whole system in
+curves.py, is integrate_survival of the survival, on panels chosen from it
+alone and read a column per call; a panel whose halves disagree with it is
+split. sample_failure_times draws by inverse CDF from one elementary form;
+a Product's time is the minimum of its factors' times.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -33,6 +37,9 @@ __all__ = [
 _TAIL_SURVIVAL = 1e-9
 _HORIZON_CAP_HOURS = 1e9
 _GAUSS_POINTS = 32
+# A panel keeps its own value when its two halves agree with it to this
+# fraction of the integral up to its end.
+_SPLIT_TOLERANCE = 1e-13
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -83,25 +90,26 @@ class Product:
 ReliabilityFunction = Union[Exponential, Weibull, Product]
 
 
-def reliability_at(rf: ReliabilityFunction, t: float) -> float:
-    """Evaluate the survival probability at t hours (t >= 0)."""
-    if not t >= 0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
-    if isinstance(rf, Exponential):
-        # lam = 0 never fails, even at t = inf, where 0 * inf would be NaN.
-        r = 1.0 if rf.lam == 0.0 else math.exp(-rf.lam * t)
-    elif isinstance(rf, Weibull):
-        try:
-            r = math.exp(-((t / rf.eta) ** rf.beta))
-        except OverflowError:  # (t/eta)^beta past the largest float: R rounds to 0
-            r = 0.0
-    elif isinstance(rf, Product):
-        r = 1.0
-        for f in rf.factors:
-            r *= reliability_at(f, t)
-    else:
-        raise ValueError(f"not a reliability function: {rf!r}")
-    return r
+def reliability_at(rf: ReliabilityFunction, t):
+    """Survival at t hours (t >= 0), a number or a 1-D float64 column: one entry per time."""
+    factors, values = (rf.factors if isinstance(rf, Product) else (rf,)), []
+    for x in t.tolist() if isinstance(t, np.ndarray) else (t,):
+        if not x >= 0:
+            raise ValueError(f"time must be nonnegative, got {x!r}")
+        r = 1.0  # a Product folds its factors in order
+        for f in factors:
+            if isinstance(f, Exponential):
+                # lam = 0 never fails, even at t = inf, where 0 * inf would be NaN.
+                r *= 1.0 if f.lam == 0.0 else math.exp(-f.lam * x)
+            elif isinstance(f, Weibull):
+                try:
+                    r *= math.exp(-((x / f.eta) ** f.beta))
+                except OverflowError:  # (t/eta)^beta past the largest float: R rounds to 0
+                    r = 0.0
+            else:
+                raise ValueError(f"not a reliability function: {rf!r}")
+        values.append(r)
+    return np.array(values) if isinstance(t, np.ndarray) else r
 
 
 def _gauss_legendre(n: int) -> tuple:
@@ -128,30 +136,53 @@ def _gauss_legendre(n: int) -> tuple:
     return tuple(nodes), tuple(weights)
 
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = _gauss_legendre(_GAUSS_POINTS)
+_GAUSS_NODES, _GAUSS_WEIGHTS = (np.array(v) for v in _gauss_legendre(_GAUSS_POINTS))
+
+
+def _halves(lo: float, hi: float) -> tuple:
+    mid = 0.5 * (lo + hi)
+    return (lo, mid), (mid, hi)
+
+
+def _read_panels(survival, panels: list) -> list:
+    """The 32 terms w * R(t) of the rule on each (lo, hi) of panels, from
+    one survival call. Elementwise float64 sums and products, so every node
+    and term has the bits of the same arithmetic on Python floats."""
+    lo, hi = np.array(panels).T[:, :, None]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    values = np.asarray(survival((mid + half * _GAUSS_NODES).ravel()), dtype=float)
+    return (half * _GAUSS_WEIGHTS * values.reshape(len(panels), _GAUSS_POINTS)).tolist()
 
 
 def integrate_survival(survival) -> float:
     """The integral of a survival function over [0, inf) hours: its MTTF.
 
-    survival(times) gives R at each of a list of times, in one call.
-    32-point Gauss-Legendre runs on the panels [0, h], [h, 2h], [2h, 4h],
-    ... and stops at the end of the first panel where R < 1e-9, or at 1e9
-    hours. h is 1 hour, halved while R(h) < 1/2 so that a sub-hour lifetime
-    spans several panels. Four calls at most: the ladder 1, 2, 4, ..., 1e9
-    hours; the halvings 2^-1, ..., 2^-64 hours when R(1) < 1/2, and 2^-65,
-    ..., 2^-1022 hours when R is below 1/2 at all of those; the nodes.
+    survival(times) gives R at each entry of a 1-D float64 column of times,
+    in one call. 32-point Gauss-Legendre runs on the panels [0, h], [h, 2h],
+    [2h, 4h], ... and stops at the end of the first panel where R < 1e-9, or
+    at 1e9 hours. h is 1 hour, halved while R(h) < 1/2 so that a sub-hour
+    lifetime spans several panels. Each panel is also integrated as its two
+    halves. It keeps its own 32 terms when the halves agree with it to 1e-13
+    of the integral up to its end; otherwise it is split, and its halves are
+    checked in turn, left to right, down to a panel too narrow to split in
+    normal floats. So a steep wear-out, whose drop one panel's nodes do not
+    resolve, is integrated on panels that do, and a smooth survival is
+    never split. The kept terms go into one math.fsum. Four calls at most
+    when no panel splits: the ladder 1, 2, 4, ..., 1e9 hours; the halvings
+    2^-1, ..., 2^-64 hours when R(1) < 1/2, and 2^-65, ..., 2^-1022 hours
+    when R is below 1/2 at all of those; the nodes of every panel and of
+    its halves. A split panel adds one call, on the nodes of its quarters.
     math.inf when R is still above 1 - 1e-12 at the end.
     """
     ladder = [1.0]
     while ladder[-1] < _HORIZON_CAP_HOURS:
         ladder.append(min(2.0 * ladder[-1], _HORIZON_CAP_HOURS))
-    at = dict(zip(ladder, survival(ladder)))
+    at = dict(zip(ladder, survival(np.array(ladder))))
     first = 1.0
     if at[first] < 0.5:
         halvings = [2.0**-k for k in range(1, 1023)]  # down to the smallest normal float
         for part in (halvings[:64], halvings[64:]):
-            at.update(zip(part, survival(part)))
+            at.update(zip(part, survival(np.array(part))))
             first = next((h for h in part if at[h] >= 0.5), part[-1])
             if at[first] >= 0.5:
                 break
@@ -160,27 +191,41 @@ def integrate_survival(survival) -> float:
         ends.append(min(2.0 * ends[-1], _HORIZON_CAP_HOURS))
     if at[ends[-1]] > 1.0 - 1e-12:
         return math.inf
-    times, weights = [], []
-    for lo, hi in zip(ends, ends[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        times.extend(mid + half * x for x in _GAUSS_NODES)
-        weights.extend(half * w for w in _GAUSS_WEIGHTS)
-    return math.fsum(w * v for w, v in zip(weights, survival(times)))
+    panels = list(zip(ends, ends[1:]))
+    read = _read_panels(survival, [p for panel in panels for p in (panel, *_halves(*panel))])
+    # (lo, hi, its terms, its halves' terms), the leftmost panel on top.
+    stack = [(lo, hi, read[3 * i], read[3 * i + 1] + read[3 * i + 2]) for i, (lo, hi) in enumerate(panels)]
+    stack.reverse()
+    kept, done = [], 0.0  # the terms of the panels kept so far, and their integral
+    while stack:
+        lo, hi, whole, halves = stack.pop()
+        value, refined = math.fsum(whole), math.fsum(halves)
+        # A quarter's half-width below the smallest normal float would cost
+        # the rule's nodes and weights their bits: such a panel is not split.
+        narrow = 0.125 * (hi - lo) < sys.float_info.min
+        if narrow or abs(refined - value) <= _SPLIT_TOLERANCE * (done + refined):
+            kept.extend(whole)
+            done += value
+            continue
+        mid = 0.5 * (lo + hi)
+        q = _read_panels(survival, [*_halves(lo, mid), *_halves(mid, hi)])
+        stack.append((mid, hi, halves[_GAUSS_POINTS:], q[2] + q[3]))
+        stack.append((lo, mid, halves[:_GAUSS_POINTS], q[0] + q[1]))
+    return math.fsum(kept)
 
 
 def mttf(rf: ReliabilityFunction) -> float:
     """Mean time to failure in hours; math.inf when the hazard is zero.
 
     Exponential and Weibull use their closed forms; a Product is integrated
-    by integrate_survival, truncated once R drops below 1e-9.
+    by integrate_survival, reading the Product on a column of times per
+    call, truncated once R drops below 1e-9.
     """
     if isinstance(rf, Exponential):
         return math.inf if rf.lam == 0.0 else 1.0 / rf.lam
     if isinstance(rf, Weibull):
         return rf.eta * math.gamma(1.0 + 1.0 / rf.beta)
-    if isinstance(rf, Product):
-        return integrate_survival(lambda times: [reliability_at(rf, t) for t in times])
-    raise ValueError(f"not a reliability function: {rf!r}")
+    return integrate_survival(lambda times: reliability_at(rf, times))  # a Product; reliability_at rejects the rest
 
 
 def sample_failure_times(rf: ReliabilityFunction, uniforms: np.ndarray) -> np.ndarray:

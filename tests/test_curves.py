@@ -94,6 +94,23 @@ class TestSystemCurves:
         curves = system_reliability_curves(model, {"pu1": pu1_modes, "pu2": exp_pair(0.0, 0.0)})
         assert curves.mttf_sys == mttf(Product(pu1_modes))
 
+    def test_system_mttf_of_two_steep_wear_outs_against_scipy(self):
+        # Both drop inside the doubling panel [512, 1024], where 32 nodes do
+        # not resolve them; the panels over each drop are split.
+        from scipy import integrate
+
+        modes = {"pu1": (Weibull(700.0, 60.0), Exponential(0.0)), "pu2": (Weibull(900.0, 30.0), Exponential(1e-5))}
+        model = make_model(AND_TREE, horizon=2000.0, points=16)
+        got = system_reliability_curves(model, modes).mttf_sys
+
+        def survival(t):
+            return math.prod(reliability_at(f, t) for pair in modes.values() for f in pair)
+
+        expected, _ = integrate.quad(
+            survival, 0.0, 2000.0, points=[700.0, 900.0], epsabs=0.0, epsrel=1e-13, limit=500
+        )
+        assert got == pytest.approx(expected, rel=1e-10, abs=0.0)
+
     def test_system_mttf_of_sub_hour_and_long_lived_components(self):
         model = make_model(AND_TREE, horizon=1.0, points=16)
         curves = system_reliability_curves(model, {"pu1": exp_pair(5e3, 0.0), "pu2": exp_pair(1e-5, 0.0)})
@@ -179,12 +196,13 @@ class TestSharedReads:
         # "spare" is a component outside the tree: it is never read. The
         # single-read rule makes 2 x events x points reads; reading each
         # component's combined, permanent and transient survivals made
-        # 3 x components x points.
+        # 3 x components x points. A read is one survival value: the MTTF
+        # reads a column of times per call.
         points, in_mttf, reads, mttf_times = 32, [False], {False: 0, True: 0}, []
         real_at, real_integrate = curves.reliability_at, curves.integrate_survival
 
         def counting_at(rf, t):
-            reads[in_mttf[0]] += 1
+            reads[in_mttf[0]] += np.size(t)
             return real_at(rf, t)
 
         def integrate(survival):

@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 import weakref
 
 import numpy as np
@@ -75,6 +76,48 @@ class TestForms:
         inner = Product((Exponential(1e-4), Exponential(2e-4)))
         with pytest.raises(ValueError, match="factor must be an Exponential or a Weibull"):
             Product((inner, Weibull(1000.0, 2.0)))
+
+
+class TestColumns:
+    """A column of times gives the number calls' survivals, bit for bit."""
+
+    @staticmethod
+    def seeded_forms():
+        rnd = random.Random(30)
+
+        def elementary():
+            if rnd.random() < 0.5:
+                return Exponential(rnd.choice([0.0, 10.0 ** rnd.uniform(-9.0, 3.0)]))
+            beta = rnd.choice([0.5, 1.0, 2.0, 60.0, rnd.uniform(0.3, 12.0)])
+            return Weibull(10.0 ** rnd.uniform(-3.0, 6.0), beta)
+
+        forms = [Exponential(0.0), Weibull(1e-3, 2.0)]
+        forms += [elementary() for _ in range(40)]
+        forms += [Product(tuple(elementary() for _ in range(rnd.randint(1, 4)))) for _ in range(40)]
+        return forms, rnd
+
+    def test_entries_have_the_bits_of_the_number_calls(self):
+        forms, rnd = self.seeded_forms()
+        for rf in forms:
+            # 1e300 overflows (t / eta) ** beta for most Weibulls; inf with lam = 0 is 1.
+            times = [0.0, 1e-9, 1.0, 1e300, math.inf] + [10.0 ** rnd.uniform(-6.0, 8.0) for _ in range(20)]
+            column = reliability_at(rf, np.array(times))
+            assert column.dtype == np.float64 and column.shape == (len(times),)
+            assert [v.hex() for v in column.tolist()] == [reliability_at(rf, t).hex() for t in times]
+        assert reliability_at(Weibull(1e-3, 2.0), np.array([1e300]))[0] == 0.0  # the overflow branch
+        assert reliability_at(Exponential(0.0), np.array([math.inf]))[0] == 1.0
+
+    def test_empty_column(self):
+        got = reliability_at(Product((Exponential(1.0), Weibull(2.0, 3.0))), np.array([]))
+        assert got.dtype == np.float64 and got.shape == (0,)
+
+    @pytest.mark.parametrize("bad, shown", [(-0.1, "-0.1"), (math.nan, "nan")])
+    @pytest.mark.parametrize(
+        "rf", [Exponential(0.0), Weibull(10.0, 2.0), Product((Exponential(1.0), Weibull(2.0, 3.0)))]
+    )
+    def test_bad_entry_is_named(self, rf, bad, shown):
+        with pytest.raises(ValueError, match=f"time must be nonnegative, got {shown}$"):
+            reliability_at(rf, np.array([0.0, 5.0, bad, 1.0]))
 
 
 GRID = np.linspace(0.0, 50_000.0, 257)
@@ -205,6 +248,14 @@ class TestMttf:
             rf = Product((Weibull(eta, beta), Exponential(0.0)))
             assert mttf(rf) == pytest.approx(eta * math.gamma(1.0 + 1.0 / beta), rel=rel)
 
+    @pytest.mark.parametrize("beta", [1.0, 1.3, 2.0, 5.0, 12.0, 30.0, 60.0, 100.0])
+    @pytest.mark.parametrize("eta", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_steep_and_shallow_wear_out_against_closed_form(self, eta, beta):
+        # A steep wear-out drops inside one doubling panel; the panels over the
+        # drop are split until their halves agree with them.
+        got = mttf(Product((Weibull(eta, beta), Exponential(0.0))))
+        assert got == pytest.approx(eta * math.gamma(1.0 + 1.0 / beta), rel=1e-12, abs=0.0)
+
     def test_subnormal_scale_terminates(self):
         # R is below 1/2 already at the smallest normal float; the halving stops there.
         assert 0.0 <= mttf(Product((Weibull(5e-324, 2.0), Exponential(0.0)))) <= 1e-300
@@ -229,23 +280,36 @@ class TestMttf:
         calls = []
 
         def survival(times):
-            calls.append(list(times))
+            calls.append(times)
             return [math.exp(-1e-3 * t) for t in times]
 
         got = integrate_survival(survival)
         ladder, nodes = calls
-        assert ladder == [2.0**k for k in range(30)] + [1e9]
+        assert all(isinstance(c, np.ndarray) and c.dtype == np.float64 and c.ndim == 1 for c in calls)
+        assert ladder.tolist() == [2.0**k for k in range(30)] + [1e9]
         # The last panel, [end/2, end], ends at the first doubling end below 1e-9.
         end = 32768.0
         assert end / 2 < max(nodes) < end
         assert math.exp(-1e-3 * end) < 1e-9 <= math.exp(-1e-3 * end / 2)
+        # One call carries each panel's 32 nodes and those of its two halves.
+        ends = [0.0] + [2.0**k for k in range(16)]
+        assert len(nodes) == 3 * 32 * (len(ends) - 1)
+        # No panel splits, so the value is the one fsum of the panels' own
+        # terms, to the bit.
+        from reliatree.reliability import _gauss_legendre
+
+        terms = []
+        for lo, hi in zip(ends, ends[1:]):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            terms += [half * w * math.exp(-1e-3 * (mid + half * x)) for x, w in zip(*_gauss_legendre(32))]
+        assert got == math.fsum(terms)
         assert got == pytest.approx(1000.0, rel=1e-12)
 
     def test_integrate_survival_of_sub_hour_lifetime_reads_three_times(self):
         calls = []
 
         def survival(times):
-            calls.append(list(times))
+            calls.append(times.tolist())
             return [math.exp(-1e4 * t) for t in times]
 
         got = integrate_survival(survival)
@@ -253,7 +317,8 @@ class TestMttf:
         assert ladder == [2.0**k for k in range(30)] + [1e9]
         assert halvings == [2.0**-k for k in range(1, 65)]
         # h is the first halving with R(h) >= 1/2: 2^-14 hours, as R(2^-13) = exp(-1.22).
-        assert max(nodes[:32]) < 2.0**-14 < min(nodes[32:64])
+        # The first panel's nodes and its halves' come first.
+        assert max(nodes[:96]) < 2.0**-14 < min(nodes[96:192])
         assert got == pytest.approx(1e-4, rel=1e-12)
 
     def test_integrate_survival_reads_the_deep_halvings_only_when_needed(self):
@@ -262,13 +327,33 @@ class TestMttf:
         calls = []
 
         def survival(times):
-            calls.append(list(times))
+            calls.append(times.tolist())
             return [math.exp(-1e25 * t) for t in times]
 
         got = integrate_survival(survival)
-        assert [len(c) for c in calls] == [31, 64, 958, 224]
+        assert [len(c) for c in calls] == [31, 64, 958, 7 * 96]
         assert calls[2] == [2.0**-k for k in range(65, 1023)]
         assert got == pytest.approx(1e-25, rel=1e-12)
+
+    def test_a_steep_drop_splits_only_the_panels_around_it(self):
+        # Weibull(700, 60) falls from 0.99 to 1e-9 between 650 and 790 hours,
+        # all inside the doubling panel [512, 1024]; each split reads the 4 x 32
+        # nodes of one panel's quarters, and only panels over the drop split.
+        rf = Product((Weibull(700.0, 60.0), Exponential(0.0)))
+        calls = []
+
+        def survival(times):
+            calls.append(times)
+            return reliability_at(rf, times)
+
+        got = integrate_survival(survival)
+        ladder, nodes, *splits = calls
+        assert len(nodes) == 3 * 32 * 11  # ten panels [2^k, 2^(k+1)] after [0, 1]
+        assert 0 < len(splits) < 10
+        for quarters in splits:
+            assert len(quarters) == 128
+            assert 512.0 < quarters.min() and quarters.max() < 1024.0
+        assert got == pytest.approx(700.0 * math.gamma(1.0 + 1.0 / 60.0), rel=1e-12)
 
     def test_product_is_freed_after_use(self):
         # Evaluation must not keep a reference to the function (no global cache).
