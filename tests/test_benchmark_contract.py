@@ -95,11 +95,11 @@ def test_traced_analysis_passes_every_oracle(tmp_path, capsys, shape, components
 # the output has to update these digests on purpose.
 WORKLOAD_DIGESTS = {
     "tree_kofn16": (
-        "227074be3d484d1746c649b3dd2f3882a726f49d343ae1de4e756d45429cbd03",
+        "a6085260037f38c00fa1b9f746913ebdb64f4f65e5e58c642153f6f24c25fa74",
         "7dbd6b1558ca59d3de82ca27b1b5c28fe4e13eec5f84bf9ec7f568fc9a25386f",
     ),
     "inject_adder32": (
-        "6ead3c7ffa54f8e6df193d0087c14676db402c0a658080d856a7f92f720daadd",
+        "37cb927005d81438352656d313908fcfcadc1a590cee1e99fec727390318318f",
         "955d3966fc5c4a588df6bc009c25108ba71cf2a264b445071a3e072b02cfa67c",
     ),
 }

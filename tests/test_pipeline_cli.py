@@ -10,13 +10,14 @@ import sys
 import pytest
 
 import numpy as np
+from scipy import integrate
 
 from reliatree import cli, pipeline
 from reliatree.aging import black_mttf, weibull_from_mttf
 from reliatree.curves import SystemCurves
 from reliatree.errors import MAX_JSON_DEPTH, InputError, read_json
 from reliatree.model import load_system_file
-from reliatree.reliability import reliability_at
+from reliatree.reliability import Exponential, Product, reliability_at
 from reliatree.pipeline import (
     PipelineOptions,
     injection_seed,
@@ -436,7 +437,7 @@ class TestAnalyzeCli:
             name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in ("report.json", "curves.csv")
         }
         assert digests == {
-            "report.json": "902dc2156e9022dcbd6fe1cb829d05e4eb0ad48963fd964ab0f12d200acd50fb",
+            "report.json": "48ab1023220b1c693e9d8d8bee462b75a8b03e195041cd42b643f79d9696e823",
             "curves.csv": "0760ddfa0f28b05a6bed27cc038916924314a2d14df03798f7dc297bdc4d3319",
         }
 
@@ -1101,6 +1102,34 @@ class TestExitCodes:
             assert err == ""
             pu1_mttf = json.loads(out)["components"]["pu1"]["combined_mttf_hours"]
             assert 0.0 < json.loads(out)["system"]["mttf_hours"] <= pu1_mttf
+
+    def test_long_lived_components_are_integrated_to_the_end(self, tmp_path, capsys):
+        # Both components outlive 1e9 hours: pu1 by wear-out (6.2e9 h) and by
+        # soft errors (1.3e10 h) alike.
+        shutil.copytree(SAMPLE_DIR, tmp_path / "s")
+        system = tmp_path / "s" / "system.json"
+        doc = json.loads(system.read_text())
+        for component in doc["hierarchy"]["children"]:
+            component["aging"]["a_const"] = 1e11
+            component["ser"] = {"default_fit": 0.01}
+        system.write_text(json.dumps(doc))
+        args = ["analyze", "--system", str(system), "--out", str(tmp_path / "o"), "--seed", "1"]
+        code, out, err = run_cli(args, capsys)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        pu1 = report["components"]["pu1"]["combined_mttf_hours"]
+        assert pu1 == pytest.approx(4_721_071_991.12, rel=1e-12, abs=0.0)
+        # The AND survives while both components do: scipy integrates the
+        # product of their survivals in units of pu1's MTTF.
+        model, factors = load_system_file(str(system)), []
+        for cid, c in report["components"].items():
+            beta = model.components()[cid].payload.aging.weibull_beta
+            factors += [weibull_from_mttf(c["permanent_mttf_hours"], beta), Exponential(c["transient_lambda_per_hour"])]
+        both = Product(tuple(factors))
+        scaled, _ = integrate.quad(
+            lambda u: reliability_at(both, u * pu1), 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200
+        )
+        assert report["system"]["mttf_hours"] == pytest.approx(scaled * pu1, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize(
         "default_fit, extra, check",

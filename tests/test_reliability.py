@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import erfcx
 
 from reliatree.reliability import (
     Exponential,
@@ -217,7 +218,8 @@ class TestMttf:
         ],
     )
     def test_gauss_legendre_against_scipy(self, rf):
-        # scipy.integrate.quad on the same doubling panels, far past R = 1e-9.
+        # scipy.integrate.quad on the same doubling panels, up to 1e7 hours,
+        # where every R here is below 1e-100.
         expected = 0.0
         lo, hi = 0.0, 1.0
         while hi < 1e7:
@@ -225,7 +227,7 @@ class TestMttf:
                 lambda t: reliability_at(rf, t), lo, hi, epsabs=0.0, epsrel=1e-13, limit=200
             )[0]
             lo, hi = hi, 2.0 * hi
-        assert mttf(rf) == pytest.approx(expected, rel=1e-9)
+        assert mttf(rf) == pytest.approx(expected, rel=1e-13)
 
     def test_gauss_legendre_rule(self):
         # The Newton-iterated rule equals numpy's eigenvalue-based one and
@@ -240,21 +242,39 @@ class TestMttf:
             got = math.fsum(w * x**degree for x, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS))
             assert got == pytest.approx(2.0 / (degree + 1), rel=1e-13)
 
-    @pytest.mark.parametrize("beta, rel", [(1.0, 1e-10), (2.0, 1e-10), (8.0, 1e-10), (0.5, 5e-7)])
-    def test_sub_hour_lifetimes_against_closed_form(self, beta, rel):
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 8.0])
+    def test_sub_hour_lifetimes_against_closed_form(self, beta):
         # The first panel is halved until R at its end is >= 1/2, so a
         # lifetime far below an hour still spans many panels.
-        for eta in (1e-300, 1e-8, 1e-3, 1.0, 1e4):
+        for eta in (1e-300, 1e-150, 1e-20, 1e-8, 1e-3, 1.0, 1e4):
             rf = Product((Weibull(eta, beta), Exponential(0.0)))
-            assert mttf(rf) == pytest.approx(eta * math.gamma(1.0 + 1.0 / beta), rel=rel)
+            assert mttf(rf) == pytest.approx(eta * math.gamma(1.0 + 1.0 / beta), rel=1e-13, abs=0.0)
 
-    @pytest.mark.parametrize("beta", [1.0, 1.3, 2.0, 5.0, 12.0, 30.0, 60.0, 100.0])
-    @pytest.mark.parametrize("eta", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("beta", [0.2, 0.3, 0.5, 0.7, 1.0, 1.3, 2.0, 5.0, 12.0, 30.0, 60.0, 100.0])
+    @pytest.mark.parametrize("eta", [1e-6, 1e-3, 1.0, 1e3, 5e3, 1e6, 1e12])
     def test_steep_and_shallow_wear_out_against_closed_form(self, eta, beta):
         # A steep wear-out drops inside one doubling panel; the panels over the
-        # drop are split until their halves agree with them.
+        # drop are split until their halves agree with them. A shallow one
+        # (beta < 1) keeps a long tail, and the panels run on until R underflows.
         got = mttf(Product((Weibull(eta, beta), Exponential(0.0))))
-        assert got == pytest.approx(eta * math.gamma(1.0 + 1.0 / beta), rel=1e-12, abs=0.0)
+        assert got == pytest.approx(eta * math.gamma(1.0 + 1.0 / beta), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("k", range(-12, 4))
+    def test_exponential_lifetimes_against_closed_form(self, k):
+        # The tail past a panel end T is R(T) times the MTTF, so the panels
+        # must run on until R(T) is below the MTTF's last bit.
+        for m in (1.0, 1.7, 3.3):
+            lam = m * 10.0**k
+            got = mttf(Product((Exponential(lam), Exponential(0.0))))
+            assert got == pytest.approx(1.0 / lam, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("eta", [1e-3, 1.0, 1e3, 1e6, 1e9])
+    def test_wear_out_beside_soft_errors_against_closed_form(self, eta):
+        # The integral of exp(-(t/eta)^2 - lam t) is eta (sqrt(pi)/2) erfcx(lam eta/2).
+        for a in (1e-6, 0.1, 1.0, 10.0, 100.0):
+            rf = Product((Weibull(eta, 2.0), Exponential(a / eta)))
+            expected = eta * 0.5 * math.sqrt(math.pi) * erfcx(0.5 * a)
+            assert mttf(rf) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_subnormal_scale_terminates(self):
         # R is below 1/2 already at the smallest normal float; the halving stops there.
@@ -265,16 +285,23 @@ class TestMttf:
         assert math.isinf(mttf(Product((Exponential(0.0), Exponential(0.0)))))
 
     def test_negligible_hazard_is_unbounded(self):
-        # R(1e9 h) = exp(-1e-13) is above 1 - 1e-12: no failure within the cap.
-        assert math.isinf(mttf(Product((Exponential(1e-22), Exponential(0.0)))))
+        # R(2^1023 h) = exp(-9e-14) is above 1 - 1e-12: no failure in any float time.
+        assert math.isinf(mttf(Product((Exponential(1e-321), Exponential(0.0)))))
 
-    def test_truncated_at_horizon_cap(self):
-        # R(1e9 h) = exp(-1e-3): finite, integrated up to the cap and no further.
-        lam = 1e-12
-        expected = -math.expm1(-lam * 1e9) / lam
-        assert mttf(Product((Exponential(lam), Exponential(0.0)))) == pytest.approx(
-            expected, rel=1e-12
-        )
+    def test_integrate_survival_reads_the_far_ladder_only_when_needed(self):
+        # R(2^63 h) = exp(-0.09) is above 0, so the doubling ends 2^64 ... 2^1023
+        # hours are read too; R underflows at 2^76 hours, the last panel end.
+        calls = []
+
+        def survival(times):
+            calls.append(times.tolist())
+            return [math.exp(-1e-20 * t) for t in times]
+
+        got = integrate_survival(survival)
+        assert [len(c) for c in calls] == [64, 960, 77 * 96]
+        assert calls[1] == [2.0**k for k in range(64, 1024)]
+        assert max(calls[2]) < 2.0**76
+        assert got == pytest.approx(1e20, rel=1e-15, abs=0.0)
 
     def test_integrate_survival_reads_the_survival_once(self):
         calls = []
@@ -286,13 +313,14 @@ class TestMttf:
         got = integrate_survival(survival)
         ladder, nodes = calls
         assert all(isinstance(c, np.ndarray) and c.dtype == np.float64 and c.ndim == 1 for c in calls)
-        assert ladder.tolist() == [2.0**k for k in range(30)] + [1e9]
-        # The last panel, [end/2, end], ends at the first doubling end below 1e-9.
-        end = 32768.0
+        # R(2^63 h) is 0.0, so the doubling ends past it are not read.
+        assert ladder.tolist() == [2.0**k for k in range(64)]
+        # The last panel, [end/2, end], ends at the first doubling end where R is 0.0.
+        end = 2.0**20
         assert end / 2 < max(nodes) < end
-        assert math.exp(-1e-3 * end) < 1e-9 <= math.exp(-1e-3 * end / 2)
+        assert math.exp(-1e-3 * end) == 0.0 < math.exp(-1e-3 * end / 2)
         # One call carries each panel's 32 nodes and those of its two halves.
-        ends = [0.0] + [2.0**k for k in range(16)]
+        ends = [0.0] + [2.0**k for k in range(21)]
         assert len(nodes) == 3 * 32 * (len(ends) - 1)
         # No panel splits, so the value is the one fsum of the panels' own
         # terms, to the bit.
@@ -314,7 +342,7 @@ class TestMttf:
 
         got = integrate_survival(survival)
         ladder, halvings, nodes = calls
-        assert ladder == [2.0**k for k in range(30)] + [1e9]
+        assert ladder == [2.0**k for k in range(64)]
         assert halvings == [2.0**-k for k in range(1, 65)]
         # h is the first halving with R(h) >= 1/2: 2^-14 hours, as R(2^-13) = exp(-1.22).
         # The first panel's nodes and its halves' come first.
@@ -323,7 +351,8 @@ class TestMttf:
 
     def test_integrate_survival_reads_the_deep_halvings_only_when_needed(self):
         # R < 1/2 at 2^-64 hours too, so the halvings down to 2^-1022 are read;
-        # h is 2^-84 hours, and seven doubling panels reach R < 1e-9.
+        # h is 2^-84 hours, and R underflows at 2^-73 hours, the end of the
+        # twelfth panel.
         calls = []
 
         def survival(times):
@@ -331,7 +360,7 @@ class TestMttf:
             return [math.exp(-1e25 * t) for t in times]
 
         got = integrate_survival(survival)
-        assert [len(c) for c in calls] == [31, 64, 958, 7 * 96]
+        assert [len(c) for c in calls] == [64, 64, 958, 12 * 96]
         assert calls[2] == [2.0**-k for k in range(65, 1023)]
         assert got == pytest.approx(1e-25, rel=1e-12)
 
