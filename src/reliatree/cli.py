@@ -63,7 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rth", type=float, required=True, help="thermal resistance K/W")
     p.add_argument("--cth", type=float, required=True, help="thermal capacitance J/K")
     p.add_argument("--tamb", type=float, required=True, help="ambient temperature K")
-    p.add_argument("--tinit", type=float, help="initial temperature K (default: ambient)")
     p.add_argument("--out", help="write the profile CSV here instead of stdout")
 
     p = sub.add_parser("inject", help="single-net fault injection on a netlist")
@@ -106,9 +105,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_thermal(args) -> int:
-    params = ThermalParams(
-        args.rth, args.cth, args.tamb, args.tinit if args.tinit is not None else args.tamb
-    )
+    params = ThermalParams(args.rth, args.cth, args.tamb)
     trace = read_power_trace(io.StringIO(read_text(args.trace), newline=""))
     profile = simulate_temperature(trace, params)
     buf = io.StringIO()

@@ -138,11 +138,10 @@ def _resolve_file(raw, base_dir: str, node_id: str, fieldname: str) -> str:
 
 def _parse_thermal(obj, node_id: str) -> ThermalParams:
     what = f"node {quoted(node_id)}: field 'thermal'"
-    _require_fields(obj, ("r_th", "c_th", "t_ambient"), ("t_initial",), what)
-    r_th, c_th, t_amb = (_number(obj, key, what) for key in ("r_th", "c_th", "t_ambient"))
-    t_init = _number(obj, "t_initial", what) if "t_initial" in obj else t_amb
+    _require_fields(obj, ("r_th", "c_th", "t_ambient"), (), what)
+    numbers = [_number(obj, key, what) for key in ("r_th", "c_th", "t_ambient")]
     with located(what):
-        return ThermalParams(r_th, c_th, t_amb, t_init)
+        return ThermalParams(*numbers)
 
 
 def _parse_aging(obj, node_id: str) -> AgingParams:

@@ -1,9 +1,9 @@
 """Lumped-RC compact thermal simulation: power trace in, temperature out.
 
-One thermal node per component: C * dT/dt = P(t) - (T - T_amb) / R.
-Power is piecewise constant over the trace step, so each step has the
-exact solution T[k+1] = T_ss + (T[k] - T_ss) * exp(-dt/tau), which is
-unconditionally stable and step-size exact.
+One thermal node per component: C * dT/dt = P(t) - (T - T_amb) / R. Power is
+piecewise constant over a step, so the rise u = T - T_amb has the exact step
+u += (R * P - u) * (1 - exp(-dt/tau)), stable and never below 0. A trace is a
+stationary window that repeats: it starts at its periodic state, never cold.
 """
 from __future__ import annotations
 
@@ -29,17 +29,16 @@ class ThermalParams:
     r_th: float  # K/W
     c_th: float  # J/K
     t_ambient: float  # K
-    t_initial: float  # K
 
     def __post_init__(self):
-        for name in ("r_th", "c_th", "t_ambient", "t_initial"):
+        for name in ("r_th", "c_th", "t_ambient"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise InputError(f"thermal {name} must be positive, got {v!r}")
-        if not self.tau_seconds > 0:
-            raise InputError(
-                f"thermal time constant r_th * c_th underflows to 0 (r_th={self.r_th!r}, c_th={self.c_th!r})"
-            )
+        tau = self.tau_seconds
+        if not 0 < tau < math.inf:
+            limit = "underflows to 0" if tau == 0 else "overflows a float"
+            raise InputError(f"thermal time constant r_th * c_th {limit} (r_th={self.r_th!r}, c_th={self.c_th!r})")
 
     @property
     def tau_seconds(self) -> float:
@@ -86,18 +85,23 @@ def steady_state_temperature(power_w: float, params: ThermalParams) -> float:
 
 
 def simulate_temperature(trace: PowerTrace, params: ThermalParams) -> TemperatureProfile:
-    """Integrate the RC node over the trace; sample k is the end of step k.
-    InputError when the hottest steady state T_amb + R_th * P overflows."""
+    """Integrate the RC node from the window's periodic state; sample k ends step
+    k. A window from rise u0 ends at a * u0 + u_end(0), a = exp(-N dt/tau), so its
+    periodic state is u0 = u_end(0) / (1 - a). InputError if T_amb + R_th * P overflows."""
     peak = max(trace.samples)
     if not math.isfinite(params.t_ambient + params.r_th * peak):
         raise InputError(f"t_ambient + r_th * power overflows a float at power {peak!r} W, r_th {params.r_th!r} K/W")
-    decay = math.exp(-trace.dt_seconds / params.tau_seconds)
-    temp = params.t_initial
+    step = -math.expm1(-trace.dt_seconds / params.tau_seconds)
+    if step == 0:
+        raise InputError(f"trace step dt / tau underflows to 0 (dt={trace.dt_seconds!r}, tau={params.tau_seconds!r})")
+    u = 0.0
+    for power in trace.samples:
+        u += (params.r_th * power - u) * step
+    u /= -math.expm1(-len(trace.samples) * trace.dt_seconds / params.tau_seconds)
     out = []
     for power in trace.samples:
-        t_ss = params.t_ambient + params.r_th * power
-        temp = t_ss + (temp - t_ss) * decay
-        out.append(temp)
+        u += (params.r_th * power - u) * step
+        out.append(params.t_ambient + u)
     return TemperatureProfile(trace.dt_seconds, tuple(out))
 
 

@@ -181,23 +181,47 @@ def test_c4_injection_oracle_coverage():
 
 def test_c5_thermal_analytic_checks():
     started = time.perf_counter()
-    params = ThermalParams(r_th=2.0, c_th=5.0, t_ambient=300.0, t_initial=300.0)
-    # Constant power, tau = 10 s: within 1e-3 K of 320 K after >= 10 tau.
+    params = ThermalParams(r_th=2.0, c_th=5.0, t_ambient=300.0)
+    # A stationary window starts at its periodic state: a constant 10 W
+    # trace sits at its steady state 320 K from the first sample on.
     profile = simulate_temperature(PowerTrace(1.0, (10.0,) * 120), params)
-    for sample in profile.samples[100:]:
-        assert abs(sample - 320.0) < 1e-3
+    assert set(profile.samples) == {320.0}
 
+    # A 30/30-step square wave (20 W, then 2 W, tau = 10 s) against its
+    # closed-form periodic solution.
+    square = simulate_temperature(PowerTrace(1.0, (20.0,) * 30 + (2.0,) * 30), params).samples
+    a = math.exp(-3.0)
+    u_start = (4.0 * (1.0 - a) + 40.0 * (1.0 - a) * a) / (1.0 - a * a)
+    u_mid = 40.0 + (u_start - 40.0) * a
+    for k, temp in enumerate(square, start=1):
+        if k <= 30:
+            rise = 40.0 + (u_start - 40.0) * math.exp(-k / 10.0)
+        else:
+            rise = 4.0 + (u_mid - 4.0) * math.exp(-(k - 30) / 10.0)
+        assert abs(temp / (300.0 + rise) - 1.0) <= 1e-15
+
+    # A ramp against forward Euler at a 1000x finer step, repeated over
+    # ten windows from ambient so that it reaches the periodic state too.
     ramp = PowerTrace(1.0, tuple(10.0 * k / 49 for k in range(50)))
     exact = simulate_temperature(ramp, params).samples
     h = ramp.dt_seconds / 1000.0
-    temp = params.t_initial
-    worst = 0.0
-    for power, reference in zip(ramp.samples, exact):
-        t_ss = params.t_ambient + params.r_th * power
-        for _ in range(1000):
-            temp += h * (t_ss - temp) / params.tau_seconds
-        worst = max(worst, abs(temp - reference))
+    temp = params.t_ambient
+    for _ in range(10):
+        approx = []
+        for power in ramp.samples:
+            t_ss = params.t_ambient + params.r_th * power
+            for _ in range(1000):
+                temp += h * (t_ss - temp) / params.tau_seconds
+            approx.append(temp)
+    worst = max(abs(x - y) for x, y in zip(approx, exact))
     assert worst <= 1e-3
+
+    # One more window from the last sample ends where it started.
+    step = -math.expm1(-ramp.dt_seconds / params.tau_seconds)
+    rise = exact[-1] - params.t_ambient
+    for power in ramp.samples:
+        rise += (params.r_th * power - rise) * step
+    assert abs(params.t_ambient + rise - exact[-1]) <= 4 * math.ulp(exact[-1])
     finish(f"thermal analytic checks (Euler gap {worst:.2e} K)", 1.0, started)
 
 

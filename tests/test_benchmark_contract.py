@@ -95,12 +95,12 @@ def test_traced_analysis_passes_every_oracle(tmp_path, capsys, shape, components
 # the output has to update these digests on purpose.
 WORKLOAD_DIGESTS = {
     "tree_kofn16": (
-        "a6085260037f38c00fa1b9f746913ebdb64f4f65e5e58c642153f6f24c25fa74",
-        "7dbd6b1558ca59d3de82ca27b1b5c28fe4e13eec5f84bf9ec7f568fc9a25386f",
+        "481d70b8d358b51815cabb8afa64cf881e4ebbd88bef1b638a5bd120f4545e27",
+        "2ba19ac207cb3683eed6d69fdeadcd66553e301f76a0eee810c869b7ea19d769",
     ),
     "inject_adder32": (
-        "37cb927005d81438352656d313908fcfcadc1a590cee1e99fec727390318318f",
-        "955d3966fc5c4a588df6bc009c25108ba71cf2a264b445071a3e072b02cfa67c",
+        "a2da0dcf568a5624f24a64abeebc93ce2bb342f9bc4abee394e7dc74c786d6ad",
+        "e70b7a74e77c2fdd2ff6e8f95e53acdb7eb20755ccb14970abbdc465e66a2026",
     ),
 }
 

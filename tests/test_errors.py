@@ -8,7 +8,7 @@ from reliatree.errors import InputError, located
 from reliatree.reliability import Weibull
 from reliatree.softerror import SerParams, exhaustive_derating, inject_campaign, parse_netlist, workload_campaign
 from reliatree.successtree import AndGate, KofNGate, OrGate, brute_force_probability
-from reliatree.thermal import TemperatureProfile, ThermalParams
+from reliatree.thermal import PowerTrace, TemperatureProfile, ThermalParams, simulate_temperature
 
 from conftest import AND2
 
@@ -19,8 +19,13 @@ EVENTS = [f"e{k}" for k in range(21)]
 AGING = dict(a_const=1e6, j_density=1.0, n_exp=2.0, ea_ev=0.7, weibull_beta=2.0)
 
 CASES = {
-    "thermal-r_th": (lambda: ThermalParams(0.0, 1.0, 300.0, 300.0), "thermal r_th must be positive"),
-    "thermal-tau": (lambda: ThermalParams(1e-200, 1e-200, 300.0, 300.0), "underflows to 0"),
+    "thermal-r_th": (lambda: ThermalParams(0.0, 1.0, 300.0), "thermal r_th must be positive"),
+    "thermal-tau": (lambda: ThermalParams(1e-200, 1e-200, 300.0), "underflows to 0"),
+    "thermal-tau-overflow": (lambda: ThermalParams(1e200, 1e200, 300.0), "r_th * c_th overflows a float"),
+    "thermal-step": (
+        lambda: simulate_temperature(PowerTrace(5e-324, (1.0, 2.0)), ThermalParams(2.0, 1.0, 300.0)),
+        "trace step dt / tau underflows to 0",
+    ),
     "aging-a_const": (lambda: AgingParams(**dict(AGING, a_const=-1.0)), "aging a_const must be positive"),
     "aging-n_exp": (lambda: AgingParams(**dict(AGING, n_exp=-1.0)), "aging n_exp must be >= 0"),
     "aging-beta": (lambda: AgingParams(**dict(AGING, weibull_beta=0.005)), "Gamma(1 + 1/beta) overflows"),

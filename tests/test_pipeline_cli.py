@@ -183,15 +183,10 @@ class TestPipeline:
         assert "'pu1'" in str(err.value) and "'permanent'" in str(err.value)
 
     def test_permanent_chain_reproduces_closed_form(self, tmp_path):
-        # Constant 10 W from the steady state: a flat 320 K profile, so the
-        # permanent survival must equal weibull_from_mttf(black_mttf(320), beta).
+        # Constant 10 W: the window's periodic state is its steady state, a
+        # flat 320 K profile, so the permanent survival must equal
+        # weibull_from_mttf(black_mttf(320), beta).
         path = write_two_unit_model(tmp_path, powers=(10.0,) * 16)
-        with open(path) as fp:
-            doc = json.load(fp)
-        for child in doc["hierarchy"]["children"]:
-            child["thermal"]["t_initial"] = 320.0
-        with open(path, "w") as fp:
-            json.dump(doc, fp)
         model = load_system_file(path)
         result = run_pipeline(model, PipelineOptions(seed=None))
         aging = model.components()["pu1"].payload.aging
@@ -437,8 +432,8 @@ class TestAnalyzeCli:
             name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in ("report.json", "curves.csv")
         }
         assert digests == {
-            "report.json": "48ab1023220b1c693e9d8d8bee462b75a8b03e195041cd42b643f79d9696e823",
-            "curves.csv": "0760ddfa0f28b05a6bed27cc038916924314a2d14df03798f7dc297bdc4d3319",
+            "report.json": "ecb18a9015878142228ba15530525ac16ec70bd30d049d20108686dd5e5f420c",
+            "curves.csv": "78b09c10a14ed7c5fbc1dc01aec83111044ba45c80a94083f634fe7a1b561dda",
         }
 
     def test_analyze_serializes_the_report_once(self, sample_system_path, tmp_path, capsys, monkeypatch):
@@ -667,13 +662,25 @@ class TestOtherSubcommands:
         assert "--workload" in err and "--trials" in err and "--seed" in err
         assert len(err.encode("utf-8")) < 300 and "Traceback" not in err
 
-    def test_thermal_time_constant_underflow_exits_one(self, tmp_path, capsys):
-        trace = tmp_path / "p.csv"
-        trace.write_text("time_s,power_w\n0,1.0\n1,2.0\n")
-        args = ["thermal", "--trace", str(trace), "--rth", "1e-200", "--cth", "1e-200", "--tamb", "300"]
+    @pytest.mark.parametrize(
+        "value, message", [("1e-200", "underflows to 0"), ("1e200", "overflows a float")], ids=["underflow", "overflow"]
+    )
+    def test_thermal_time_constant_out_of_range_exits_one(self, capsys, value, message):
+        trace = os.path.join(SAMPLE_DIR, "traces", "pu1_power.csv")
+        args = ["thermal", "--trace", trace, "--rth", value, "--cth", value, "--tamb", "300"]
         code, out, err = run_cli(args, capsys)
         assert code == 1 and out == ""
-        assert "underflows to 0" in err
+        value = repr(float(value))
+        assert err == f"error: thermal time constant r_th * c_th {message} (r_th={value}, c_th={value})\n"
+
+    def test_thermal_step_underflow_exits_one(self, tmp_path, capsys):
+        # dt / tau rounds to 0, so a window would not move from any start.
+        trace = tmp_path / "p.csv"
+        trace.write_text("time_s,power_w\n0,1.0\n5e-324,2.0\n1e-323,3.0\n")
+        args = ["thermal", "--trace", str(trace), "--rth", "2", "--cth", "1", "--tamb", "300"]
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert "trace step dt / tau underflows to 0 (dt=5e-324, tau=2.0)" in err
 
     def test_thermal_out_file(self, tmp_path, capsys):
         trace = tmp_path / "p.csv"
@@ -690,8 +697,6 @@ class TestOtherSubcommands:
                 "2.0",
                 "--tamb",
                 "300.0",
-                "--tinit",
-                "305.0",
                 "--out",
                 str(out_file),
             ],
@@ -761,15 +766,18 @@ class TestOtherSubcommands:
 
         profile = simulate_temperature(
             PowerTrace(1.0, (10.0, 10.0, 10.0)),
-            ThermalParams(2.0, 5.0, 300.0, 300.0),
+            ThermalParams(2.0, 5.0, 300.0),
         )
         got = [float(line.split(",")[1]) for line in lines[1:]]
         assert got == list(profile.samples)
 
 
 class TestExitCodes:
-    # --beta and --component-id were options once; they are unknown now.
-    @pytest.mark.parametrize("command, flag", [("analyze", "--bogus"), ("analyze", "--beta"), ("thermal", "--component-id")])
+    # --beta, --component-id and --tinit were options once; they are unknown now.
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("analyze", "--bogus"), ("analyze", "--beta"), ("thermal", "--component-id"), ("thermal", "--tinit")],
+    )
     def test_unknown_flag(self, sample_system_path, tmp_path, capsys, command, flag):
         args = {
             "analyze": ["analyze", "--system", sample_system_path, "--out", str(tmp_path / "o"), "--seed", "1"],
@@ -1040,6 +1048,20 @@ class TestExitCodes:
         assert code == 1
         assert "'pu1'" in err and "failure rate must be positive" in err
 
+    def test_initial_temperature_is_an_unknown_field(self, tmp_path, capsys):
+        # Every window starts at its own periodic state, so a document
+        # cannot set a starting temperature.
+        shutil.copytree(SAMPLE_DIR, tmp_path / "s")
+        system = tmp_path / "s" / "system.json"
+        doc = json.loads(system.read_text())
+        doc["hierarchy"]["children"][0]["thermal"]["t_initial"] = 300.0
+        system.write_text(json.dumps(doc))
+        args = ["analyze", "--system", str(system), "--out", str(tmp_path / "o"), "--seed", "1"]
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert err == "error: node 'pu1': field 'thermal': unknown fields ['t_initial']\n"
+        assert not (tmp_path / "o").exists()
+
     def test_all_cold_component_is_input_error(self, tmp_path, capsys):
         # Black's exp(Ea / kT) overflows below about 11 K; an overflowing
         # lifetime is unbounded, so a profile cold everywhere has no wear-out.
@@ -1047,7 +1069,7 @@ class TestExitCodes:
         path = str(tmp_path / "s" / "system.json")
         with open(path) as fp:
             doc = json.load(fp)
-        doc["hierarchy"]["children"][0]["thermal"].update(t_ambient=1.0, t_initial=1.0, r_th=0.01)
+        doc["hierarchy"]["children"][0]["thermal"].update(t_ambient=1.0, r_th=0.01)
         with open(path, "w") as fp:
             json.dump(doc, fp)
         code, _, err = run_cli(
@@ -1080,10 +1102,22 @@ class TestExitCodes:
             ("aging", {"a_const": 1e-300, "j_density": 1e10, "n_exp": 2}, 1, "weibull_beta 2.0"),
             ("aging", {"weibull_beta": 0.005}, 1, "node 'pu1': field 'aging': aging weibull_beta 0.005"),
             ("thermal", {"r_th": 1e-200, "c_th": 1e-200}, 1, "node 'pu1': field 'thermal': thermal time"),
+            ("thermal", {"r_th": 1e200, "c_th": 1e200}, 1, "node 'pu1': field 'thermal': thermal time constant r_th"),
+            # tau is 4e300 s, so the node sits at its mean steady state.
+            ("thermal", {"r_th": 1e300}, 0, None),
             # pu1 lasts about 7 ms while pu2 lasts years: the system MTTF is pu1's.
             ("ser", {"default_fit": 1e14}, 0, None),
         ],
-        ids=["huge-beta", "lifetime-underflow", "rate-overflow", "tiny-beta", "tau-underflow", "fit-1e14"],
+        ids=[
+            "huge-beta",
+            "lifetime-underflow",
+            "rate-overflow",
+            "tiny-beta",
+            "tau-underflow",
+            "tau-overflow",
+            "huge-r_th",
+            "fit-1e14",
+        ],
     )
     def test_extreme_sample_parameters_exit_zero_or_one(self, tmp_path, capsys, field, edit, code, message):
         shutil.copytree(SAMPLE_DIR, tmp_path / "s")
@@ -1100,11 +1134,13 @@ class TestExitCodes:
             assert message in err and not (tmp_path / "o").exists()
         else:
             assert err == ""
-            pu1_mttf = json.loads(out)["components"]["pu1"]["combined_mttf_hours"]
-            assert 0.0 < json.loads(out)["system"]["mttf_hours"] <= pu1_mttf
+            pu1 = json.loads(out)["components"]["pu1"]
+            assert 0.0 < json.loads(out)["system"]["mttf_hours"] <= pu1["combined_mttf_hours"]
+            if field == "thermal":
+                assert pu1["peak_temp_k"] == pytest.approx(pu1["steady_state_temp_k"], rel=1e-12, abs=0.0)
 
     def test_long_lived_components_are_integrated_to_the_end(self, tmp_path, capsys):
-        # Both components outlive 1e9 hours: pu1 by wear-out (6.2e9 h) and by
+        # Both components outlive 1e9 hours: pu1 by wear-out (4.8e9 h) and by
         # soft errors (1.3e10 h) alike.
         shutil.copytree(SAMPLE_DIR, tmp_path / "s")
         system = tmp_path / "s" / "system.json"
@@ -1118,7 +1154,7 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         report = json.loads(out)
         pu1 = report["components"]["pu1"]["combined_mttf_hours"]
-        assert pu1 == pytest.approx(4_721_071_991.12, rel=1e-12, abs=0.0)
+        assert pu1 == pytest.approx(3_903_056_542.35, rel=1e-12, abs=0.0)
         # The AND survives while both components do: scipy integrates the
         # product of their survivals in units of pu1's MTTF.
         model, factors = load_system_file(str(system)), []
