@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands expose the full pipeline (`analyze`) and each leaf stage
-standalone (`thermal`, `inject`, `tree-eval`). Every stochastic stage
-requires an explicit seed; there is no silent time-based seeding. The
-exit code follows the exception's type: 0 success, 1 an InputError or an
-OSError (input that is rejected or cannot be read), 2 anything else.
+standalone (`thermal`, `inject`, `tree-eval`), each in one way: the
+netlist, not a flag, decides whether a campaign is exact. Every stage
+that may sample requires an explicit seed, also where it is not read;
+there is no silent time-based seeding. The exit code follows the
+exception's type: 0 success, 1 an InputError or an OSError (input that
+is rejected or cannot be read), 2 anything else.
 """
 from __future__ import annotations
 
@@ -22,14 +24,8 @@ from .pipeline import (
     run_pipeline,
     write_outputs,
 )
-from .softerror import (
-    exhaustive_derating,
-    inject_campaign,
-    parse_netlist,
-    read_workload,
-    workload_campaign,
-)
-from .successtree import brute_force_probability, tree_from_dict, tree_probability
+from .softerror import inject_campaign, parse_netlist, read_workload, workload_campaign
+from .successtree import tree_from_dict, tree_probability
 from .thermal import ThermalParams, read_power_trace, simulate_temperature, write_temperature_profile
 
 __all__ = ["main"]
@@ -68,16 +64,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inject", help="single-net fault injection on a netlist")
     p.add_argument("--netlist", required=True)
     p.add_argument("--node", required=True, help="net to flip")
-    p.add_argument("--trials", type=int, help="Monte Carlo trials over uniform input vectors")
+    p.add_argument("--trials", type=int, help="trials over uniform input vectors; exact over all 2^n when 2^n <= trials")
     p.add_argument("--seed", type=int, help="campaign seed")
     p.add_argument("--workload", help="workload file, one binary vector per line: counted exactly, no --trials/--seed")
-    p.add_argument("--exhaustive", action="store_true", help="also/only compute the exact derating")
     p.add_argument("--out", help="write the result JSON here instead of stdout")
 
     p = sub.add_parser("tree-eval", help="evaluate a success tree on fixed probabilities")
     p.add_argument("--tree", required=True, help="success tree JSON file")
     p.add_argument("--probs", required=True, help="JSON object {component id: probability}")
-    p.add_argument("--brute-force", action="store_true", help="use exhaustive enumeration")
     p.add_argument("--out", help="write the result JSON here instead of stdout")
 
     return parser
@@ -117,28 +111,17 @@ def _cmd_thermal(args) -> int:
 def _cmd_inject(args) -> int:
     if args.workload is not None and (args.trials is not None or args.seed is not None):
         raise InputError("--workload counts each of its vectors once: give it without --trials and --seed")
-    if args.workload is None and not args.exhaustive and (args.trials is None or args.seed is None):
-        raise InputError("--trials and --seed are required unless --workload or --exhaustive is given")
+    if args.workload is None and (args.trials is None or args.seed is None):
+        raise InputError("--trials and --seed are required unless --workload is given")
     netlist = parse_netlist(read_text(args.netlist))
     document: dict = {"node": args.node}
-    res = None
     if args.workload is not None:
         workload = read_workload(io.StringIO(read_text(args.workload), newline=""), len(netlist.inputs))
         res = workload_campaign(netlist, args.node, workload)
-    elif args.trials is not None:
-        if args.seed is None:
-            raise InputError("--seed is required to run a campaign")
+    else:
         res = inject_campaign(netlist, args.node, args.trials, args.seed)
         document["seed"] = args.seed
-    if res is not None:
-        document.update(
-            trials=res.trials,
-            errors=res.errors,
-            derating=res.derating,
-            ci95_half_width=res.ci95_half_width,
-        )
-    if args.exhaustive:
-        document["exhaustive_derating"] = exhaustive_derating(netlist, args.node)
+    document.update(trials=res.trials, errors=res.errors, derating=res.derating, ci95_half_width=res.ci95_half_width)
     _emit(json.dumps(document, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -148,16 +131,8 @@ def _cmd_tree_eval(args) -> int:
     probs = read_json(read_text(args.probs), f"probabilities file {args.probs!r}")
     if not isinstance(probs, dict):
         raise InputError("probabilities file must be a JSON object")
-    if args.brute_force:
-        value = brute_force_probability(tree, probs)
-        method = "brute-force"
-    else:
-        value = tree_probability(tree, probs)
-        method = "shannon"
-    _emit(
-        json.dumps({"probability": value, "method": method}, indent=2, sort_keys=True) + "\n",
-        args.out,
-    )
+    value = tree_probability(tree, probs)
+    _emit(json.dumps({"probability": value}, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 

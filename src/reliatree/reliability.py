@@ -88,7 +88,7 @@ ReliabilityFunction = Union[Exponential, Weibull, Product]
 
 def reliability_at(rf: ReliabilityFunction, t):
     """Survival at t hours (t >= 0), a number or a 1-D float64 column: one entry per time."""
-    factors, values = (rf.factors if isinstance(rf, Product) else (rf,)), []
+    factors, values, tiny, inf = (rf.factors if isinstance(rf, Product) else (rf,)), [], sys.float_info.min, math.inf
     for x in t.tolist() if isinstance(t, np.ndarray) else (t,):
         if not x >= 0:
             raise ValueError(f"time must be nonnegative, got {x!r}")
@@ -98,8 +98,11 @@ def reliability_at(rf: ReliabilityFunction, t):
                 # lam = 0 never fails, even at t = inf, where 0 * inf would be NaN.
                 r *= 1.0 if f.lam == 0.0 else math.exp(-f.lam * x)
             elif isinstance(f, Weibull):
+                z = x / f.eta  # when not a normal float, it lost bits its power may need: that is taken in logs
                 try:
-                    r *= math.exp(-((x / f.eta) ** f.beta))
+                    w = (z**f.beta if tiny <= z < inf or not 0.0 < x < inf
+                         else math.exp(f.beta * (math.log(x) - math.log(f.eta))))
+                    r *= math.exp(-w)
                 except OverflowError:  # (t/eta)^beta past the largest float: R rounds to 0
                     r = 0.0
             else:
@@ -140,13 +143,13 @@ def _halves(lo: float, hi: float) -> tuple:
     return (lo, mid), (mid, hi)
 
 
-def _read_panels(survival, panels: list) -> list:
-    """The 32 terms w * R(t) of the rule on each (lo, hi) of panels, from
-    one survival call. Elementwise float64 sums and products, so every node
-    and term has the bits of the same arithmetic on Python floats."""
+def _read_panels(survival, panels: list, unit: float) -> list:
+    """The 32 terms w * R(unit * t) of the rule on each (lo, hi) of panels,
+    from one survival call. Elementwise float64 sums and products, so every
+    node and term has the bits of the same arithmetic on Python floats."""
     lo, hi = np.array(panels).T[:, :, None]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    values = np.asarray(survival((mid + half * _GAUSS_NODES).ravel()), dtype=float)
+    values = np.asarray(survival(unit * (mid + half * _GAUSS_NODES).ravel()), dtype=float)
     return (half * _GAUSS_WEIGHTS * values.reshape(len(panels), _GAUSS_POINTS)).tolist()
 
 
@@ -159,19 +162,21 @@ def integrate_survival(survival) -> float:
     2^1023 hours. So no tail is cut off that a float could hold: against
     closed forms the relative error is below 1.2e-15, and below 7.1e-14 for
     Weibulls with beta from 12 to 100. h is 1 hour, halved while R(h) < 1/2
-    so that a sub-hour lifetime spans several panels. Each panel is also
-    integrated as its two halves. It keeps its own 32 terms when the halves
-    agree with it to 1e-13 of the integral up to its end; otherwise it is
-    split, and its halves are checked in turn, left to right, down to a
-    panel too narrow to split in normal floats. So a steep wear-out, whose
-    drop one panel's nodes do not resolve, is integrated on panels that do,
-    and a smooth survival is never split. The kept terms go into one
-    math.fsum. Five calls at most when no panel splits: the doubling ends
-    2^0, ..., 2^63 hours, and 2^64, ..., 2^1023 hours when R(2^63) > 0; the
-    halvings 2^-1, ..., 2^-64 hours when R(1) < 1/2, and 2^-65, ...,
-    2^-1022 hours when R is below 1/2 at all of those; the nodes of every
-    panel and of its halves. A split panel adds one call, on the nodes of
-    its quarters. math.inf when R is still above 1 - 1e-12 at the last end.
+    so that a sub-hour lifetime spans several panels; they are read in units
+    of h, or of 2^-1023 of the last end if larger, so that every node keeps
+    its bits and every end is finite. Each panel is also integrated as its
+    two halves. It keeps its own 32 terms when the halves agree with it to
+    1e-13 of the integral up to its end; otherwise it is split, and its
+    halves are checked in turn, left to right, down to a panel too narrow
+    to split. So a steep wear-out, whose drop one panel's nodes do not
+    resolve, is integrated on panels that do, and a smooth survival is never
+    split. The kept terms go into one math.fsum. Five calls at most when no
+    panel splits: the doubling ends 2^0, ..., 2^63 hours, and 2^64, ...,
+    2^1023 hours when R(2^63) > 0; the halvings 2^-1, ..., 2^-64 hours when
+    R(1) < 1/2, and 2^-65, ..., 2^-1022 hours when R is below 1/2 at all of
+    those; the nodes of every panel and of its halves. A split panel adds
+    one call, on the nodes of its quarters. math.inf when R is still above
+    1 - 1e-12 at the last end.
     """
     ladder, at = [2.0**k for k in range(1024)], {}  # 1 hour up to the largest power of two
     for part in (ladder[:64], ladder[64:]):
@@ -191,8 +196,9 @@ def integrate_survival(survival) -> float:
         ends.append(2.0 * ends[-1])
     if at[ends[-1]] > 1.0 - 1e-12:
         return math.inf
-    panels = list(zip(ends, ends[1:]))
-    read = _read_panels(survival, [p for panel in panels for p in (panel, *_halves(*panel))])
+    unit = max(first, ends[-1] * 2.0**-1023)  # a power of two that keeps the last end finite
+    panels = [(lo / unit, hi / unit) for lo, hi in zip(ends, ends[1:])]
+    read = _read_panels(survival, [p for panel in panels for p in (panel, *_halves(*panel))], unit)
     # (lo, hi, its terms, its halves' terms), the leftmost panel on top.
     stack = [(lo, hi, read[3 * i], read[3 * i + 1] + read[3 * i + 2]) for i, (lo, hi) in enumerate(panels)]
     stack.reverse()
@@ -200,18 +206,18 @@ def integrate_survival(survival) -> float:
     while stack:
         lo, hi, whole, halves = stack.pop()
         value, refined = math.fsum(whole), math.fsum(halves)
-        # A quarter's half-width below the smallest normal float would cost
-        # the rule's nodes and weights their bits: such a panel is not split.
-        narrow = 0.125 * (hi - lo) < sys.float_info.min
+        # Not split once a quarter's half-width in hours is below the smallest normal
+        # float, whose times would lose bits, unless it is wider than 2^-52 units.
+        narrow = 0.125 * (hi - lo) < min(sys.float_info.min / unit, sys.float_info.epsilon)
         if narrow or abs(refined - value) <= _SPLIT_TOLERANCE * (done + refined):
             kept.extend(whole)
             done += value
             continue
         mid = 0.5 * (lo + hi)
-        q = _read_panels(survival, [*_halves(lo, mid), *_halves(mid, hi)])
+        q = _read_panels(survival, [*_halves(lo, mid), *_halves(mid, hi)], unit)
         stack.append((mid, hi, halves[_GAUSS_POINTS:], q[2] + q[3]))
         stack.append((lo, mid, halves[:_GAUSS_POINTS], q[0] + q[1]))
-    return math.fsum(kept)
+    return unit * math.fsum(kept)
 
 
 def mttf(rf: ReliabilityFunction) -> float:

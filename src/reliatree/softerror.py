@@ -3,12 +3,13 @@
 A netlist is parsed in topological order, simulated golden and with a
 single bit flipped on one net, and the fraction of input vectors whose
 flip reaches a primary output is the derating factor of that net.
-Uniform campaigns are Monte Carlo with a counter-based RNG drawn
-word-major: trial t sets input j to bit t%64 of counter
-(t//64)*n_inputs + j, so the inputs of one 64-trial word are adjacent
-counters, results are bit-reproducible for a given seed and independent
-of batching. A workload campaign samples nothing: it counts exactly the
-rows of an explicit workload whose flip is visible.
+A uniform campaign of `trials` trials on a netlist with n inputs counts
+each of the 2^n input vectors once when 2^n <= trials, and is exact.
+Otherwise it is Monte Carlo with a counter-based RNG drawn word-major:
+trial t sets input j to bit t%64 of counter (t//64)*n_inputs + j, so
+results are bit-reproducible for a given seed and independent of
+batching. A workload campaign counts exactly the rows of an explicit
+workload whose flip is visible.
 
 Each netlist is compiled once into one flat program of `(ufunc, a, b,
 out)` calls on row indices, one to three per gate (NOT is XOR with an
@@ -17,20 +18,20 @@ Two kinds of net are decided by the structure alone: a flip on a primary
 output is an error in every trial, and a flip on a net with no path to
 an output never is, so their campaigns simulate nothing and draw no RNG
 words. Every other campaign is parallel-pattern single-fault
-propagation, 64 trials (or workload rows) per uint64 word, in blocks of
+propagation, 64 trials (or explicit vectors) per uint64 word, in blocks of
 INJECTION_BLOCK_TRIALS trials so memory does not grow with the trial
 count: a golden pass over the program, a faulty pass over the calls
 that write the nets the flip reaches, and a popcount of the output
 differences. A block's input planes are its RNG words, drawn into them
-in place, or its workload rows, packed 8 to a byte. Both passes are
+in place, or its explicit vectors, packed 8 to a byte. Both passes are
 calls on one row space (a golden and a faulty row per net, an error and
 a difference row, then the all-ones constant) bound to the views of one
 buffer, the only array of a workspace pooled on the compiled netlist.
 Every entry a block reads was written by that block, so a uniform block
-draws its RNG words with rows it writes later as the temporary. A
-per-vector simulator over all input vectors, in blocks, is the exact
-oracle for small circuits. Raw per-net FIT rates weighted by derating
-give the transient failure rate.
+draws its RNG words with rows it writes later as the temporary.
+`exhaustive_derating`, a per-vector simulator over all input vectors,
+is kept as an oracle for the tests and the benchmark. Raw per-net FIT
+rates weighted by derating give the transient failure rate.
 """
 from __future__ import annotations
 
@@ -211,7 +212,7 @@ class _Compiled:
 class _Workspace:
     """The row buffer of one campaign at a time on one compiled netlist.
 
-    Sized for blocks of up to `n_words` words of 64 trials (or workload
+    Sized for blocks of up to `n_words` words of 64 trials (or explicit
     vectors). `buffer`, its only array, holds the 2n + 2 rows of the row
     space (see `_Compiled`); a block of fewer words uses a prefix of it as
     contiguous rows, so its input planes are its first n_inputs * width
@@ -412,7 +413,7 @@ def _require_node(netlist: Netlist, node: str) -> None:
 
 
 def _count_errors(compiled: _Compiled, node: str, count: int, fill) -> int:
-    """Error count of a flip on `node` over `count` trials (or workload
+    """Error count of a flip on `node` over `count` trials (or explicit
     vectors), in blocks of up to INJECTION_BLOCK_TRIALS on a pooled
     workspace; `fill(ws, first, size)` writes the block's input planes,
     bit k of word q of plane j holding input j of trial first + 64q + k.
@@ -447,22 +448,44 @@ def _count_errors(compiled: _Compiled, node: str, count: int, fill) -> int:
     return errors
 
 
-def inject_campaign(netlist: Netlist, node: str, trials: int, seed: int) -> InjectionResult:
-    """Monte Carlo single-bit-flip campaign on one net over uniform input vectors.
+def _vector_fill(n_in: int, vectors):
+    """The `_count_errors` fill of explicit vectors: `vectors(first, size)`
+    gives those of the block as 0/1 rows, one column per input."""
 
-    Each trial draws an input vector, flips the golden value on `node`,
+    def fill(ws, first, size):
+        # Vector first + v is bit v%8 of byte v//8 of the block's input
+        # rows, which the little-endian buffer makes bit v%64 of word v//64.
+        rows = ws.buffer[: n_in * -(-size // 64)].view(np.uint8).reshape(n_in, -1)
+        rows[:, : -(-size // 8)] = np.packbits(vectors(first, size).T, axis=1, bitorder="little")
+
+    return fill
+
+
+def inject_campaign(netlist: Netlist, node: str, trials: int, seed: int) -> InjectionResult:
+    """Single-bit-flip campaign on one net over uniform input vectors.
+
+    Each trial flips the golden value on `node` for one input vector,
     re-propagates only downstream gates, and counts an error when any
-    primary output differs. Trial t depends only on (seed, t): it sets
-    input j to bit t%64 of RNG counter (t//64)*n_inputs + j. Trials run
-    64 to a word in blocks of INJECTION_BLOCK_TRIALS, whole words each, so
-    memory is bounded and the block size does not change the result. A
-    campaign that the structure decides (see `_count_errors`) is decided
-    after the argument checks and draws no RNG words.
+    primary output differs. When the netlist's 2^n input vectors are no
+    more than `trials`, each is counted once and the result is exact:
+    `trials` 2^n, `ci95_half_width` 0.0, no RNG word drawn, `seed` unread.
+    Otherwise trial t sets input j to bit t%64 of RNG counter
+    (t//64)*n_inputs + j. Trials run 64 to a word in blocks of
+    INJECTION_BLOCK_TRIALS, whole words each, so memory is bounded and the
+    block size does not change the result. A campaign that the structure
+    decides (see `_count_errors`) draws no RNG words.
     """
     _require_node(netlist, node)
     if trials <= 0:
         raise InputError(f"trials must be positive, got {trials!r}")
     n_in, n_nets = netlist.compiled.n_inputs, len(netlist.compiled.index)
+    if 1 << n_in <= trials:
+        def vectors(first, size):  # vector v sets input j to bit j of v
+            index = np.arange(first, first + size, dtype="<u8").view(np.uint8).reshape(size, 8)
+            return np.unpackbits(index, axis=1, count=n_in, bitorder="little")
+
+        errors = _count_errors(netlist.compiled, node, 1 << n_in, _vector_fill(n_in, vectors))
+        return InjectionResult(1 << n_in, errors, errors / (1 << n_in), 0.0)
 
     def fill(ws, first, size):
         # Word q of input plane j is RNG counter (first//64 + q)*n_inputs + j,
@@ -505,12 +528,7 @@ def workload_campaign(netlist: Netlist, node: str, workload: np.typing.ArrayLike
         if binary is None or binary.max() > 1 or not (binary is matrix or np.array_equal(binary, matrix)):
             raise InputError("workload vectors must be binary: every entry 0 or 1")
 
-    def fill(ws, first, size):
-        # Vector first + v is bit v%8 of byte v//8 of the block's input
-        # rows, which the little-endian buffer makes bit v%64 of word v//64.
-        rows = ws.buffer[: n_in * -(-size // 64)].view(np.uint8).reshape(n_in, -1)
-        rows[:, : -(-size // 8)] = np.packbits(binary[first : first + size].T, axis=1, bitorder="little")
-
+    fill = _vector_fill(n_in, lambda first, size: binary[first : first + size])
     errors = _count_errors(netlist.compiled, node, len(binary), fill)
     return InjectionResult(len(binary), errors, errors / len(binary), 0.0)
 

@@ -75,6 +75,17 @@ def full_adder():
     return parse_netlist(FULL_ADDER)
 
 
+PAD = 18
+
+
+def padded(text, pad=PAD):
+    """The netlist of `text` with `pad` unused inputs pad0, pad1, ... in
+    front. Its 2^n input vectors outnumber any trial count below 2^pad, so
+    a uniform campaign on it samples where one on `text` would count each
+    vector once; the nets of `text` are its nets from index `pad` on."""
+    return parse_netlist("".join(f"INPUT pad{k}\n" for k in range(pad)) + text)
+
+
 @pytest.fixture
 def sample_system_path():
     path = os.path.join(SAMPLE_DIR, "system.json")

@@ -36,12 +36,14 @@ MC_TRIALS = 20_000
 TRACE_LEN = 20
 
 
-@pytest.mark.parametrize("shape, components", [("kofn-pairs", 3), ("and", 2)])
-def test_traced_analysis_passes_every_oracle(tmp_path, capsys, shape, components):
+# A 5-bit adder has 2^11 input vectors, more than INJECTION_TRIALS, so its
+# campaigns sample; a 2-bit adder's 2^5 are each counted once.
+@pytest.mark.parametrize("shape, components, adder_bits", [("kofn-pairs", 3, 5), ("and", 2, 2)])
+def test_traced_analysis_passes_every_oracle(tmp_path, capsys, shape, components, adder_bits):
     system_path = gen_system.generate(
         str(tmp_path / "in"),
         components=components,
-        adder_bits=2,
+        adder_bits=adder_bits,
         grid_points=16,
         trace_len=TRACE_LEN,
         shape=shape,
@@ -72,6 +74,8 @@ def test_traced_analysis_passes_every_oracle(tmp_path, capsys, shape, components
 
     log = oracles.CheckLog()
     report = json.loads(out)
+    counted = {(d["trials"], d["ci95_half_width"] > 0.0) for c in report["components"].values() for d in c["deratings"].values()}
+    assert counted == ({(INJECTION_TRIALS, True)} if adder_bits == 5 else {(2**5, False)})
     model = load_system_file(system_path)
     funcs = oracles.component_functions(model, report)
     rows = oracles.read_curves((out_dir / "curves.csv").read_text())
@@ -79,7 +83,7 @@ def test_traced_analysis_passes_every_oracle(tmp_path, capsys, shape, components
     reference = oracles.reference_mttf(model, funcs)
     assert oracles.check_mttf_reference(log, model, report, reference) <= 1e-6
     if shape == "and":
-        oracles.check_closed_form(log, gen_system.adder_netlist(2), gen_system.adder_derating)
+        oracles.check_closed_form(log, gen_system.adder_netlist(adder_bits), gen_system.adder_derating)
         oracles.check_deratings(log, model, report, lambda netlist, net: gen_system.adder_derating(net))
     else:
         oracles.check_deratings(log, model, report, oracles.exhaustive_oracle())
@@ -95,8 +99,8 @@ def test_traced_analysis_passes_every_oracle(tmp_path, capsys, shape, components
 # the output has to update these digests on purpose.
 WORKLOAD_DIGESTS = {
     "tree_kofn16": (
-        "481d70b8d358b51815cabb8afa64cf881e4ebbd88bef1b638a5bd120f4545e27",
-        "2ba19ac207cb3683eed6d69fdeadcd66553e301f76a0eee810c869b7ea19d769",
+        "07e6c14f2755cc817187bad62bdd0e8e35bcd62286f8ea1c8d2d6c51214ae806",
+        "23b60fb2bbd01c9d248746327c14cda748930cfddac9a72a595368bb00c79568",
     ),
     "inject_adder32": (
         "a2da0dcf568a5624f24a64abeebc93ce2bb342f9bc4abee394e7dc74c786d6ad",

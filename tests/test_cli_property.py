@@ -1,8 +1,9 @@
 """Whole-CLI property: `analyze` on copies of the sample with extreme but
 valid parameters exits 0 or 1, never 2, and what it reports on exit 0 is
 consistent: survival curves in [0, 1] and non-increasing, finite
-temperatures, and MTTFs ordered as competing risks and an AND tree
-order them."""
+temperatures, MTTFs ordered as competing risks and an AND tree order
+them, and each finite component MTTF equal to scipy's integral of its
+Weibull x exponential survival."""
 import contextlib
 import csv
 import io
@@ -14,8 +15,10 @@ import shutil
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from reliatree import cli
+from reliatree.aging import weibull_from_mttf
 
 from conftest import SAMPLE_DIR
 
@@ -37,7 +40,7 @@ COMPONENT = st.fixed_dictionaries(
                 "j_density": log_uniform(1e-50, 1e50),
                 "n_exp": st.floats(0.0, 5.0),
                 "ea_ev": log_uniform(1e-3, 10.0),
-                "weibull_beta": st.sampled_from([0.2, 0.5, 1.0, 2.0, 5.0, 60.0]) | log_uniform(0.05, 200.0),
+                "weibull_beta": st.sampled_from([0.2, 0.5, 1.0, 2.0, 5.0, 60.0]) | log_uniform(0.0059, 200.0),
             }
         ),
         "default_fit": st.just(0.0) | log_uniform(1e-300, 1e300),
@@ -50,6 +53,27 @@ def sample_copy(tmp_path_factory):
     root = tmp_path_factory.mktemp("property")
     shutil.copytree(SAMPLE_DIR, root / "s")
     return root
+
+
+def scaled_mttf(m, eta, beta, lam):
+    """The integral of exp(-(t/eta)^beta - lam t) over t >= 0, in units of m.
+
+    quad runs in log time s = ln(t/m), where a wear-out's drop is at least
+    1/beta wide and an exponential's 1, with a breakpoint at the wear-out's
+    knee t = eta. It starts at s = -40, below which the integral is under
+    e^-40, and stops where the integrand underflows.
+    """
+    log_b, c = math.log(m / eta), lam * m
+
+    def integrand(s):
+        w = beta * (s + log_b)
+        return 0.0 if w > 700.0 else math.exp(s - math.exp(w) - c * math.exp(s))
+
+    hi = math.log(750.0) / beta - log_b
+    if c > 0.0:
+        hi = min(hi, math.log(750.0 / c))
+    knee = [-log_b] if -40.0 < -log_b < hi else None
+    return integrate.quad(integrand, -40.0, hi, points=knee, epsabs=0.0, epsrel=1e-12, limit=200)[0]
 
 
 def mttf(value):
@@ -89,6 +113,7 @@ def test_analyze_exits_zero_or_one_and_reports_consistent_numbers(sample_copy, c
     assert err == ""
     report = json.loads(stdout.getvalue())
     smallest = math.inf
+    betas = {node["id"]: node["aging"]["weibull_beta"] for node in doc["hierarchy"]["children"]}
     for cid, c in report["components"].items():
         for key in ("steady_state_temp_k", "peak_temp_k"):
             assert isinstance(c[key], float) and 0.0 < c[key] < math.inf, (cid, key, c[key])
@@ -96,6 +121,9 @@ def test_analyze_exits_zero_or_one_and_reports_consistent_numbers(sample_copy, c
         lam = c["transient_lambda_per_hour"]
         transient = 1.0 / lam if lam > 0 else math.inf
         assert combined <= min(permanent, transient) * (1.0 + SLACK), (cid, c)
+        if combined < math.inf:
+            eta = weibull_from_mttf(permanent, betas[cid]).eta
+            assert abs(scaled_mttf(combined, eta, betas[cid], lam) - 1.0) <= 1e-8, (cid, c, betas[cid])
         smallest = min(smallest, combined)
     # The sample's tree is an AND: the system fails with its first component.
     assert mttf(report["system"]["mttf_hours"]) <= smallest * (1.0 + SLACK)

@@ -15,9 +15,11 @@ from scipy import integrate
 from reliatree import cli, pipeline
 from reliatree.aging import black_mttf, weibull_from_mttf
 from reliatree.curves import SystemCurves
-from reliatree.errors import MAX_JSON_DEPTH, InputError, read_json
+from reliatree.errors import MAX_JSON_DEPTH, InputError, read_json, read_text
 from reliatree.model import load_system_file
 from reliatree.reliability import Exponential, Product, reliability_at
+from reliatree.softerror import exhaustive_derating, parse_netlist
+from reliatree.successtree import brute_force_probability, tree_from_dict
 from reliatree.pipeline import (
     PipelineOptions,
     injection_seed,
@@ -432,8 +434,8 @@ class TestAnalyzeCli:
             name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in ("report.json", "curves.csv")
         }
         assert digests == {
-            "report.json": "ecb18a9015878142228ba15530525ac16ec70bd30d049d20108686dd5e5f420c",
-            "curves.csv": "78b09c10a14ed7c5fbc1dc01aec83111044ba45c80a94083f634fe7a1b561dda",
+            "report.json": "cc453ae8577168956f08918836621292b69c35033f55cca1cb0cf6e50eaa2d31",
+            "curves.csv": "57b4f63bdb31b4a3fcd1c2e9559f2385c7d2b152673cadac498a85f656ddd1c8",
         }
 
     def test_analyze_serializes_the_report_once(self, sample_system_path, tmp_path, capsys, monkeypatch):
@@ -490,43 +492,24 @@ class TestAnalyzeCli:
     def test_stage_equivalence_with_standalone_inject(
         self, sample_system_path, tmp_path, capsys
     ):
+        # 6 trials are fewer than pu1's 2^3 input vectors: both campaigns
+        # sample, so each standalone seed must be the one analyze derives.
+        # Every net is compared, so a wrong seed does not match by chance.
         out_dir = str(tmp_path / "out")
-        code, out, _ = run_cli(
-            [
-                "analyze",
-                "--system",
-                sample_system_path,
-                "--out",
-                out_dir,
-                "--seed",
-                "42",
-                "--injection-trials",
-                "600",
-            ],
-            capsys,
-        )
+        args = ["analyze", "--system", sample_system_path, "--out", out_dir, "--seed", "42", "--injection-trials", "6"]
+        code, out, _ = run_cli(args, capsys)
         assert code == 0
-        report = json.loads(out)
-        from_report = report["components"]["pu1"]["deratings"]["s1"]
+        deratings = json.loads(out)["components"]["pu1"]["deratings"]
+        assert len(deratings) == 8
         netlist = os.path.join(os.path.dirname(sample_system_path), "netlists", "pu1.net")
-        code, out, _ = run_cli(
-            [
-                "inject",
-                "--netlist",
-                netlist,
-                "--node",
-                "s1",
-                "--trials",
-                "600",
-                "--seed",
-                str(injection_seed(42, "pu1", "s1")),
-            ],
-            capsys,
-        )
-        assert code == 0
-        standalone = json.loads(out)
-        assert standalone["errors"] == from_report["errors"]
-        assert standalone["derating"] == from_report["derating"]
+        for net, from_report in deratings.items():
+            seed = str(injection_seed(42, "pu1", net))
+            code, out, _ = run_cli(["inject", "--netlist", netlist, "--node", net, "--trials", "6", "--seed", seed], capsys)
+            assert code == 0
+            standalone = json.loads(out)
+            assert standalone["trials"] == from_report["trials"] == 6
+            assert standalone["errors"] == from_report["errors"], net
+            assert standalone["derating"] == from_report["derating"], net
 
     def test_failure_leaves_no_partial_outputs(self, tmp_path, capsys):
         path = write_two_unit_model(tmp_path, default_fit=10.0)
@@ -559,36 +542,32 @@ class TestAnalyzeCli:
 
 
 class TestOtherSubcommands:
-    def test_inject_exhaustive_on_and_gate(self, tmp_path, capsys):
+    def test_inject_counts_every_vector_once_on_and_gate(self, tmp_path, capsys):
+        # 4 trials on 2 inputs: each vector once, and the flip on a is
+        # visible in the two with b = 1.
         netlist = tmp_path / "and.net"
-        netlist.write_text("INPUT a\nINPUT b\nGATE g1 AND a b\nOUTPUT g1\n")
+        netlist.write_text(AND2)
         code, out, _ = run_cli(
-            ["inject", "--netlist", str(netlist), "--node", "a", "--exhaustive"], capsys
+            ["inject", "--netlist", str(netlist), "--node", "a", "--trials", "4", "--seed", "5"], capsys
         )
         assert code == 0
-        assert json.loads(out)["exhaustive_derating"] == 0.5
+        assert json.loads(out) == {
+            "node": "a", "seed": 5, "trials": 4, "errors": 2, "derating": 0.5, "ci95_half_width": 0.0
+        }
 
-    def test_inject_mc_plus_exhaustive(self, tmp_path, capsys):
-        netlist = tmp_path / "and.net"
-        netlist.write_text("INPUT a\nINPUT b\nGATE g1 AND a b\nOUTPUT g1\n")
-        code, out, _ = run_cli(
-            [
-                "inject",
-                "--netlist",
-                str(netlist),
-                "--node",
-                "a",
-                "--trials",
-                "4000",
-                "--seed",
-                "5",
-                "--exhaustive",
-            ],
-            capsys,
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert abs(doc["derating"] - doc["exhaustive_derating"]) < 0.05
+    def test_inject_more_trials_than_vectors_is_exact(self, capsys):
+        # 10,000 trials on the sample's 3-input full adder count its 8
+        # vectors once each, whatever the seed.
+        pu1 = os.path.join(SAMPLE_DIR, "netlists", "pu1.net")
+        exact = exhaustive_derating(parse_netlist(read_text(pu1)), "c1")
+        for seed in (1, 2):
+            code, out, _ = run_cli(
+                ["inject", "--netlist", pu1, "--node", "c1", "--trials", "10000", "--seed", str(seed)], capsys
+            )
+            assert code == 0
+            assert json.loads(out) == {
+                "node": "c1", "seed": seed, "trials": 8, "errors": int(8 * exact), "derating": exact, "ci95_half_width": 0.0
+            }
 
     def test_inject_with_workload_file(self, tmp_path, capsys):
         netlist = tmp_path / "and.net"
@@ -618,17 +597,34 @@ class TestOtherSubcommands:
         with open(os.path.join(os.path.dirname(__file__), "data", "inject_workload_c1.json"), "rb") as fp:
             assert out.encode("utf-8") == fp.read()
 
-    def test_inject_workload_of_every_vector_equals_exhaustive(self, tmp_path, capsys):
+    def test_inject_workload_of_every_vector_equals_enumeration(self, tmp_path, capsys):
         workload = tmp_path / "workload.txt"
         workload.write_text("".join(f"{v:03b}\n" for v in range(8)))
-        code, out, _ = run_cli(
-            ["inject", "--netlist", os.path.join(SAMPLE_DIR, "netlists", "pu1.net"), "--node", "c1",
-             "--workload", str(workload), "--exhaustive"],
-            capsys,
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["trials"] == 8 and doc["derating"] == doc["exhaustive_derating"]
+        pu1 = os.path.join(SAMPLE_DIR, "netlists", "pu1.net")
+        docs = []
+        for flags in (["--workload", str(workload)], ["--trials", "8", "--seed", "1"]):
+            code, out, _ = run_cli(["inject", "--netlist", pu1, "--node", "c1"] + flags, capsys)
+            assert code == 0
+            docs.append(json.loads(out))
+        assert docs[1] == dict(docs[0], seed=1)
+        assert docs[0]["trials"] == 8 and docs[0]["derating"] == exhaustive_derating(parse_netlist(read_text(pu1)), "c1")
+
+    @pytest.mark.parametrize("command, flag", [("inject", "--exhaustive"), ("tree-eval", "--brute-force")])
+    def test_removed_oracle_flags_exit_one(self, tmp_path, capsys, command, flag):
+        # The netlist decides whether a campaign is exact, and tree-eval has
+        # one evaluator: neither flag is an option any more.
+        tree, probs = tmp_path / "tree.json", tmp_path / "probs.json"
+        tree.write_text(json.dumps({"event": "a"}))
+        probs.write_text(json.dumps({"a": 0.5}))
+        args = {
+            "inject": ["--netlist", os.path.join(SAMPLE_DIR, "netlists", "pu1.net"), "--node", "c1", "--trials", "8",
+                       "--seed", "1"],
+            "tree-eval": ["--tree", str(tree), "--probs", str(probs)],
+        }[command]
+        code, out, err = run_cli([command] + args + [flag], capsys)
+        assert code == 1 and out == ""
+        assert f"unrecognized arguments: {flag}" in err
+        assert len(err.encode("utf-8")) < 300 and "Traceback" not in err
 
     def test_inject_rejects_bad_workload_width(self, tmp_path, capsys):
         netlist = tmp_path / "and.net"
@@ -705,13 +701,14 @@ class TestOtherSubcommands:
         assert code == 0 and out == ""
         assert out_file.read_text().startswith("time_s,temp_k\n")
 
-    def test_inject_requires_trials_or_exhaustive(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags", [[], ["--trials", "8"], ["--seed", "1"]], ids=["neither", "trials", "seed"])
+    def test_inject_requires_trials_and_seed(self, tmp_path, capsys, flags):
+        # The seed is required even where the trials cover every vector.
         netlist = tmp_path / "and.net"
-        netlist.write_text("INPUT a\nINPUT b\nGATE g1 AND a b\nOUTPUT g1\n")
-        code, _, err = run_cli(
-            ["inject", "--netlist", str(netlist), "--node", "a"], capsys
-        )
-        assert code == 1 and "required" in err
+        netlist.write_text(AND2)
+        code, out, err = run_cli(["inject", "--netlist", str(netlist), "--node", "a"] + flags, capsys)
+        assert code == 1 and out == ""
+        assert err == "error: --trials and --seed are required unless --workload is given\n"
 
     def test_tree_eval_shared_event(self, tmp_path, capsys):
         tree = tmp_path / "tree.json"
@@ -733,14 +730,10 @@ class TestOtherSubcommands:
         )
         assert code == 0
         doc = json.loads(out)
+        assert list(doc) == ["probability"]
         assert doc["probability"] == pytest.approx(0.375, abs=1e-15)
-        assert doc["method"] == "shannon"
-        code, out, _ = run_cli(
-            ["tree-eval", "--tree", str(tree), "--probs", str(probs), "--brute-force"],
-            capsys,
-        )
-        assert code == 0
-        assert json.loads(out)["probability"] == pytest.approx(0.375, abs=1e-15)
+        brute = brute_force_probability(tree_from_dict(json.loads(tree.read_text())), json.loads(probs.read_text()))
+        assert doc["probability"] == pytest.approx(brute, abs=1e-15)
 
     def test_thermal_subcommand_matches_library(self, tmp_path, capsys):
         trace = tmp_path / "p.csv"
@@ -897,11 +890,8 @@ class TestExitCodes:
         args = ["tree-eval", "--tree", str(tree), "--probs", str(probs)]
         code, out, _ = run_cli(args, capsys)
         assert code == 0
-        code, brute, _ = run_cli(args + ["--brute-force"], capsys)
-        assert code == 0
-        assert json.loads(out)["probability"] == pytest.approx(
-            json.loads(brute)["probability"], abs=1e-12
-        )
+        brute = brute_force_probability(tree_from_dict(read_json(tree.read_text(), "tree")), {"a": 0.9, "b": 0.8, "c": 0.7})
+        assert json.loads(out)["probability"] == pytest.approx(brute, abs=1e-12)
 
     @pytest.mark.parametrize("gates", [MAX_GATES + 1, 900])
     def test_analyze_too_deep_is_input_error(self, tmp_path, capsys, gates):
@@ -985,15 +975,14 @@ class TestExitCodes:
         assert "1200 basic events" in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("brute_force", [False, True], ids=["shannon", "brute-force"])
     @pytest.mark.parametrize("value", ["0.5", None, [0.5], True], ids=["string", "null", "list", "true"])
-    def test_tree_eval_non_numeric_probability(self, tmp_path, capsys, value, brute_force):
+    def test_tree_eval_non_numeric_probability(self, tmp_path, capsys, value):
         tree = tmp_path / "tree.json"
         tree.write_text(json.dumps({"gate": "AND", "inputs": [{"event": "a"}, {"event": "b"}]}))
         probs = tmp_path / "probs.json"
         probs.write_text(json.dumps({"a": value, "b": 0.5}))
         args = ["tree-eval", "--tree", str(tree), "--probs", str(probs)]
-        code, out, err = run_cli(args + ["--brute-force"] * brute_force, capsys)
+        code, out, err = run_cli(args, capsys)
         assert code == 1 and out == ""
         assert "'a'" in err and "must be a number" in err
 
@@ -1139,6 +1128,23 @@ class TestExitCodes:
             if field == "thermal":
                 assert pu1["peak_temp_k"] == pytest.approx(pu1["steady_state_temp_k"], rel=1e-12, abs=0.0)
 
+    def test_shallow_wear_out_without_soft_errors(self, tmp_path, capsys):
+        # pu1's Weibull shape 0.008 puts R(1 h) below 1/2 and keeps R above 0
+        # at 2^1023 h; with no soft errors its combined MTTF is its wear-out's.
+        shutil.copytree(SAMPLE_DIR, tmp_path / "s")
+        system = tmp_path / "s" / "system.json"
+        doc = json.loads(system.read_text())
+        pu1 = doc["hierarchy"]["children"][0]
+        pu1["aging"]["weibull_beta"] = 0.008
+        pu1["ser"] = {"default_fit": 0.0}
+        system.write_text(json.dumps(doc))
+        args = ["analyze", "--system", str(system), "--out", str(tmp_path / "o"), "--seed", "1"]
+        code, out, err = run_cli(args, capsys)
+        assert (code, err) == (0, "")
+        c = json.loads(out)["components"]["pu1"]
+        assert c["transient_lambda_per_hour"] == 0.0
+        assert c["combined_mttf_hours"] == pytest.approx(c["permanent_mttf_hours"], rel=1e-13, abs=0.0)
+
     def test_long_lived_components_are_integrated_to_the_end(self, tmp_path, capsys):
         # Both components outlive 1e9 hours: pu1 by wear-out (4.8e9 h) and by
         # soft errors (1.3e10 h) alike.
@@ -1154,7 +1160,7 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         report = json.loads(out)
         pu1 = report["components"]["pu1"]["combined_mttf_hours"]
-        assert pu1 == pytest.approx(3_903_056_542.35, rel=1e-12, abs=0.0)
+        assert pu1 == pytest.approx(3_903_310_692.12, rel=1e-12, abs=0.0)
         # The AND survives while both components do: scipy integrates the
         # product of their survivals in units of pu1's MTTF.
         model, factors = load_system_file(str(system)), []

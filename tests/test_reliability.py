@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import erfcx
+from scipy.special import erfcx, gammainc
 
 from reliatree.reliability import (
     Exponential,
@@ -41,6 +41,14 @@ class TestForms:
         # (2/1)^1e6 is past the largest float; exp(-that) rounds to 0.0.
         assert reliability_at(Weibull(1.0, 1e6), 2.0) == 0.0
         assert reliability_at(Weibull(1.0, 1e6), 0.5) == 1.0
+
+    @pytest.mark.parametrize("t, eta, beta, decades", [(1e10, 1e-300, 0.001, 310), (1e-300, 1e100, 0.0059, -400)])
+    def test_weibull_ratio_outside_normal_floats_keeps_its_power(self, t, eta, beta, decades):
+        # t/eta overflows, or underflows to 0, where (t/eta)^beta for a small
+        # beta is still a moderate number: R is neither 0 nor 1 there.
+        expected = math.exp(-(10.0 ** (beta * decades)))
+        assert 0.0 < expected < 1.0
+        assert reliability_at(Weibull(eta, beta), t) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -251,13 +259,32 @@ class TestMttf:
             assert mttf(rf) == pytest.approx(eta * math.gamma(1.0 + 1.0 / beta), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("beta", [0.2, 0.3, 0.5, 0.7, 1.0, 1.3, 2.0, 5.0, 12.0, 30.0, 60.0, 100.0])
-    @pytest.mark.parametrize("eta", [1e-6, 1e-3, 1.0, 1e3, 5e3, 1e6, 1e12])
+    @pytest.mark.parametrize("eta", [1e-307, 4.96e-307, 1e-303, 1e-6, 1e-3, 1.0, 1e3, 5e3, 1e6, 1e12])
     def test_steep_and_shallow_wear_out_against_closed_form(self, eta, beta):
         # A steep wear-out drops inside one doubling panel; the panels over the
         # drop are split until their halves agree with them. A shallow one
         # (beta < 1) keeps a long tail, and the panels run on until R underflows.
+        # A lifetime near the smallest normal float is read in units of its
+        # first panel end, so its panels split as a long one's do.
         got = mttf(Product((Weibull(eta, beta), Exponential(0.0))))
         assert got == pytest.approx(eta * math.gamma(1.0 + 1.0 / beta), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("eta, beta", [(1e-150, 0.006), (1e-150, 0.008), (1e-100, 0.008)])
+    def test_long_tail_after_a_sub_hour_start_against_closed_form(self, eta, beta):
+        # R(1 h) < 1/2, so h is below an hour, and R is above 0 at 2^1023 h:
+        # that last end over h would overflow, so the panels are read in
+        # units of 2^-1023 of it. Most of the MTTF lies where t/eta is past
+        # the largest float. lgamma(1 + 1/beta), near 700, carries 1e-13 of
+        # its own.
+        got = mttf(Product((Weibull(eta, beta), Exponential(0.0))))
+        assert got == pytest.approx(math.exp(math.lgamma(1.0 + 1.0 / beta) + math.log(eta)), rel=1e-12, abs=0.0)
+
+    def test_a_tail_past_the_largest_power_of_two_hours_is_cut_there(self):
+        # Weibull(1 h, 0.005) is still exp(-34.6) at T = 2^1023 h, the last
+        # panel end: the integral up to T is Gamma(1 + 1/beta) P(1/beta, T^beta).
+        got = mttf(Product((Weibull(1.0, 0.005), Exponential(0.0))))
+        expected = math.exp(math.lgamma(201.0) + math.log(gammainc(200.0, 2.0 ** (1023 * 0.005))))
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("k", range(-12, 4))
     def test_exponential_lifetimes_against_closed_form(self, k):
@@ -383,6 +410,22 @@ class TestMttf:
             assert len(quarters) == 128
             assert 512.0 < quarters.min() and quarters.max() < 1024.0
         assert got == pytest.approx(700.0 * math.gamma(1.0 + 1.0 / 60.0), rel=1e-12)
+
+    def test_panels_are_not_split_on_the_rounding_of_subnormal_times(self):
+        # R(2^-73 h) >= 1/2, so h = 2^-73 h and the panels are read in units of
+        # it. The first panel splits toward t = 0, where t^0.0059 has an
+        # infinite slope, until a quarter's half-width in hours is below the
+        # smallest normal float. Split on in units, the subnormal times of the
+        # nodes round, and that noise split every panel there: 16,900 calls.
+        rf = Product((Weibull(1e5, 0.0059), Exponential(1e-6)))
+        calls = []
+
+        def survival(times):
+            calls.append(times)
+            return reliability_at(rf, times)
+
+        integrate_survival(survival)
+        assert len(calls) < 1000
 
     def test_product_is_freed_after_use(self):
         # Evaluation must not keep a reference to the function (no global cache).

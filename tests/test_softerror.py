@@ -15,6 +15,7 @@ from reliatree.reliability import Exponential, reliability_at
 from reliatree.softerror import (
     GATE_KINDS,
     INJECTION_BLOCK_TRIALS,
+    Z_95,
     Z_99,
     InjectionResult,
     SerParams,
@@ -30,7 +31,7 @@ from reliatree.softerror import (
     workload_campaign,
 )
 
-from conftest import AND2, FULL_ADDER, OR2, SAMPLE_DIR
+from conftest import AND2, FULL_ADDER, OR2, PAD, SAMPLE_DIR, padded
 
 PARITY4 = (
     "INPUT a\nINPUT b\nINPUT c\nINPUT d\n"
@@ -61,6 +62,10 @@ OUTPUT y
 OUTPUT d
 OUTPUT n4
 """
+# A flip on n is masked at o1 when b = 0, but always reaches o2.
+REACHED_TWICE = "INPUT a\nINPUT b\nGATE n BUF a\nGATE o1 AND n b\nGATE o2 XOR n b\nOUTPUT o1\nOUTPUT o2\n"
+# A net with no path to an output.
+DEAD_AND = "INPUT a\nINPUT b\nGATE dead AND a b\nGATE g1 OR a b\nOUTPUT g1\n"
 
 
 def ripple_adder(bits):
@@ -114,6 +119,14 @@ def all_vectors(n_inputs):
     """The 2^n_inputs input vectors as rows, one column per input."""
     index = np.arange(1 << n_inputs)
     return ((index[:, None] >> np.arange(n_inputs)) & 1).astype(np.uint8)
+
+
+def exact_result(netlist, node):
+    """The result of counting each of the netlist's 2^n input vectors once,
+    from the per-vector oracle."""
+    count = 1 << len(netlist.inputs)
+    errors = int(exhaustive_derating(netlist, node) * count)
+    return InjectionResult(count, errors, errors / count, 0.0)
 
 
 def no_words(*args, **kwargs):
@@ -242,10 +255,7 @@ class TestExhaustive:
         assert exhaustive_derating(parse_netlist(OR2), "a") == 0.5
 
     def test_disconnected_net_has_zero_derating(self):
-        net = parse_netlist(
-            "INPUT a\nINPUT b\nGATE dead AND a b\nGATE g1 OR a b\nOUTPUT g1\n"
-        )
-        assert exhaustive_derating(net, "dead") == 0.0
+        assert exhaustive_derating(parse_netlist(DEAD_AND), "dead") == 0.0
 
     def test_too_many_inputs_rejected(self):
         lines = [f"INPUT i{k}" for k in range(25)]
@@ -267,6 +277,8 @@ class TestExhaustive:
         net = parse_netlist("\n".join(lines) + "\n")
         assert exhaustive_derating(net, "i0") == 2.0**-19
         assert [exhaustive_derating(net, f"g{k}") for k in range(19)] == [2.0 ** (k - 18) for k in range(19)]
+        # A campaign of 2^20 trials enumerates the same vectors in 16 blocks.
+        assert inject_campaign(net, "i0", 1 << 20, seed=0) == InjectionResult(1 << 20, 2, 2.0**-19, 0.0)
 
     def test_memory_bounded_by_block_not_vectors(self):
         # 20 inputs and 100 XOR gates: one uint8 per vector per net over all
@@ -284,8 +296,8 @@ class TestExhaustive:
 
 
 class TestCampaign:
-    def test_output_node_always_errors(self, full_adder):
-        res = inject_campaign(full_adder, "cout", 500, seed=7)
+    def test_output_node_always_errors(self):
+        res = inject_campaign(padded(FULL_ADDER), "cout", 500, seed=7)
         assert res.derating == 1.0 and res.errors == 500
 
     def test_and_gate_masking_with_fixed_workload(self):
@@ -293,18 +305,22 @@ class TestCampaign:
         res = workload_campaign(net, "a", [(0, 0), (1, 0)])
         assert res == InjectionResult(2, 0, 0.0, 0.0)
 
-    def test_same_seed_bit_identical(self, full_adder):
-        a = inject_campaign(full_adder, "c1", 2000, seed=99)
-        b = inject_campaign(full_adder, "c1", 2000, seed=99)
+    def test_same_seed_bit_identical(self):
+        net = padded(FULL_ADDER)
+        a = inject_campaign(net, "c1", 2000, seed=99)
+        b = inject_campaign(net, "c1", 2000, seed=99)
         assert a == b
 
-    def test_different_seeds_differ(self, full_adder):
-        a = inject_campaign(full_adder, "c1", 2000, seed=1)
-        b = inject_campaign(full_adder, "c1", 2000, seed=2)
+    def test_different_seeds_differ(self):
+        # On the padded netlist the campaign samples; an exact count would
+        # not read the seed.
+        net = padded(FULL_ADDER)
+        a = inject_campaign(net, "c1", 2000, seed=1)
+        b = inject_campaign(net, "c1", 2000, seed=2)
         assert a.errors != b.errors
 
-    def test_result_fields_consistent(self, full_adder):
-        res = inject_campaign(full_adder, "c2", 1234, seed=5)
+    def test_result_fields_consistent(self):
+        res = inject_campaign(padded(FULL_ADDER), "c2", 1234, seed=5)
         assert isinstance(res, InjectionResult)
         assert 0 <= res.errors <= res.trials == 1234
         assert res.derating == res.errors / res.trials
@@ -312,7 +328,7 @@ class TestCampaign:
 
     def test_mc_near_exhaustive_for_full_adder(self, full_adder):
         exact = exhaustive_derating(full_adder, "c1")
-        res = inject_campaign(full_adder, "c1", 10_000, seed=42)
+        res = inject_campaign(padded(FULL_ADDER), "c1", 10_000, seed=42)
         center, half = wilson_interval(res.errors, res.trials, Z_99)
         assert center - half <= exact <= center + half
 
@@ -369,15 +385,11 @@ class TestCampaign:
         with pytest.raises(ValueError):
             inject_campaign(full_adder, "s1", 0, seed=0)
 
-    def test_partitioned_trials_merge_to_sequential_counts(self, full_adder):
+    def test_partitioned_trials_merge_to_sequential_counts(self):
         # The keyed RNG makes trial i a pure function of (seed, i), so
         # running index ranges separately and adding counts must equal one
         # sequential campaign.
-        import numpy as np
-
-        from reliatree import rng
-        from reliatree.softerror import _fault_error_mask, _forward
-
+        full_adder = padded(FULL_ADDER)
         seed, trials, node = 31, 1000, "c1"
         whole = inject_campaign(full_adder, node, trials, seed)
 
@@ -417,8 +429,8 @@ class TestBitParallelCampaign:
     @pytest.mark.parametrize("trials", TRIAL_COUNTS)
     @pytest.mark.parametrize("name", sorted(SMALL_NETLISTS))
     def test_every_net_matches_reference(self, name, trials, use_workload):
-        net = parse_netlist(SMALL_NETLISTS[name])
-        for node in net.nets():
+        net = padded(SMALL_NETLISTS[name])
+        for node in net.nets()[PAD:]:
             got, want = campaign_and_reference(net, node, trials, 1000 + trials, use_workload)
             assert got == want, node
 
@@ -463,18 +475,15 @@ class TestBitParallelCampaign:
             assert got == InjectionResult(len(workload), want, want / len(workload), 0.0), node
 
     def test_dead_net_and_output_input(self):
-        net = parse_netlist(ALL_KINDS)
-        assert exhaustive_derating(net, "dead") == 0.0
+        assert exhaustive_derating(parse_netlist(ALL_KINDS), "dead") == 0.0
+        net = padded(ALL_KINDS)
         assert inject_campaign(net, "dead", 5000, seed=4).errors == 0
         assert inject_campaign(net, "d", 5000, seed=4).errors == 5000
 
     def test_flip_counted_at_every_reached_output(self):
-        # The flip on n is masked at o1 when b = 0, but always reaches o2.
-        net = parse_netlist(
-            "INPUT a\nINPUT b\nGATE n BUF a\nGATE o1 AND n b\nGATE o2 XOR n b\nOUTPUT o1\nOUTPUT o2\n"
-        )
+        net = parse_netlist(REACHED_TWICE)
         assert exhaustive_derating(net, "n") == 1.0
-        assert inject_campaign(net, "n", 1000, seed=3).errors == 1000
+        assert inject_campaign(padded(REACHED_TWICE), "n", 1000, seed=3).errors == 1000
         assert workload_campaign(net, "n", [(0, 0), (1, 0), (0, 1)]).errors == 3
 
     def test_memory_bounded_by_block_not_trials(self):
@@ -518,7 +527,7 @@ class TestStructuralCampaigns:
     @pytest.mark.parametrize("use_workload", [False, True], ids=["rng", "workload"])
     @pytest.mark.parametrize("trials", TRIAL_COUNTS)
     def test_decided_without_rng_words(self, trials, use_workload, monkeypatch):
-        net = parse_netlist(ALL_KINDS)
+        net = padded(ALL_KINDS)
         if use_workload:
             workload = random_workload(len(net.inputs), trials, trials)
             want = {node: workload_reference(net, node, workload) for node in self.NODES}
@@ -564,6 +573,59 @@ class TestWorkloadCampaigns:
         monkeypatch.setattr(rng, "word_block", no_words)
         for node in net.nets():
             assert workload_campaign(net, node, workload).errors == workload_reference(net, node, workload), node
+
+
+EXACT_NETLISTS = dict(
+    SMALL_NETLISTS,
+    reached_twice=REACHED_TWICE,
+    dead_and=DEAD_AND,
+    adder1=ripple_adder(1),
+    adder2=ripple_adder(2),
+    adder4=ripple_adder(4),
+    pu1=read_text(os.path.join(SAMPLE_DIR, "netlists", "pu1.net")),
+    pu2=read_text(os.path.join(SAMPLE_DIR, "netlists", "pu2.net")),
+)
+
+
+def assert_exact_at_and_above_every_vector(net):
+    """At 2^n trials and above, each of the 2^n vectors is counted once:
+    the per-vector oracle's count, 0.0 half-width, no RNG word, any seed."""
+    count = 1 << len(net.inputs)
+    for node in net.nets():
+        want = exact_result(net, node)
+        for trials in (count, count + 1, 3 * count, max(count, 10_000)):
+            for seed in (0, 1, 2**64 - 1):
+                assert inject_campaign(net, node, trials, seed) == want, (node, trials, seed)
+
+
+class TestExactCampaigns:
+    """A uniform campaign counts each input vector once when 2^n <= trials."""
+
+    @pytest.mark.parametrize("name", sorted(EXACT_NETLISTS))
+    def test_every_net_equals_exhaustive(self, name, monkeypatch):
+        net = parse_netlist(EXACT_NETLISTS[name])
+        monkeypatch.setattr(rng, "word_block", no_words)
+        assert_exact_at_and_above_every_vector(net)
+
+    @pytest.mark.parametrize("name", sorted(EXACT_NETLISTS))
+    def test_one_trial_short_samples(self, name):
+        # At 2^n - 1 trials the campaign draws its vectors from the RNG stream.
+        net = parse_netlist(EXACT_NETLISTS[name])
+        trials = (1 << len(net.inputs)) - 1
+        for node in net.nets():
+            res = inject_campaign(net, node, trials, 21)
+            assert res.trials == trials and res.errors == reference_errors(net, node, trials, 21), node
+            assert res.ci95_half_width == wilson_interval(res.errors, trials, Z_95)[1], node
+
+    def test_blocks_of_a_21_input_adder_match_the_closed_form(self):
+        # 2^21 vectors, 32 blocks. Every carry is uniform and independent of
+        # the bits at and above its stage, so a flip on g_i is visible unless
+        # p_i = 1 and one on p_i unless g_i = 1, 3/4 of the time each; every
+        # other net reaches a sum output through XORs only.
+        net = parse_netlist(ripple_adder(10))
+        for node in ("a0", "b9", "c0", "x4", "s7", "c5", "g0", "p0", "g9", "p3"):
+            want = 0.75 if node[0] in "gp" else 1.0
+            assert inject_campaign(net, node, 1 << 21, seed=0) == InjectionResult(1 << 21, int(want * 2**21), want, 0.0)
 
 
 class TestWorkspaceReuse:
@@ -674,14 +736,22 @@ def random_netlists(draw):
 @settings(max_examples=60, deadline=None)
 @given(
     net=random_netlists(),
-    trials=st.integers(1, 300),
+    data=st.data(),
     seed=st.integers(0, 2**64 - 1),
     n_vectors=st.integers(1, 300),
 )
-def test_random_netlists_match_reference(net, trials, seed, n_vectors):
+def test_random_netlists_match_reference(net, data, seed, n_vectors):
+    # Trial counts on both sides of the 2^n input vectors: below, the
+    # campaign samples; from 2^n on, it counts each vector once.
+    count = 1 << len(net.inputs)
+    trials = data.draw(st.integers(1, 2 * count), label="trials")
     workload = random_workload(len(net.inputs), n_vectors, seed)
     for node in net.nets():
-        assert inject_campaign(net, node, trials, seed).errors == reference_errors(net, node, trials, seed), node
+        res = inject_campaign(net, node, trials, seed)
+        if count <= trials:
+            assert res == exact_result(net, node), node
+        else:
+            assert res.errors == reference_errors(net, node, trials, seed), node
         got = workload_campaign(net, node, workload)
         assert got.errors == workload_reference(net, node, workload), node
 
@@ -692,6 +762,14 @@ def test_random_netlists_all_vectors_equal_exhaustive(net):
     workload = all_vectors(len(net.inputs))
     for node in net.nets():
         assert workload_campaign(net, node, workload).derating == exhaustive_derating(net, node), node
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(net=random_netlists())
+def test_random_netlists_exact_at_and_above_every_vector(net):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rng, "word_block", no_words)
+        assert_exact_at_and_above_every_vector(net)
 
 
 def full_scan_cone(netlist, node):

@@ -445,6 +445,13 @@ class TestColumns:
         with pytest.raises(InputError, match="probability for 'a' must be a number, got array"):
             brute_force_probability(AndGate((A, B)), {"a": np.full(3, 0.5), "b": 0.5})
 
+    @pytest.mark.parametrize("value", ["0.5", None, [0.5], True], ids=["string", "null", "list", "true"])
+    def test_brute_force_rejects_non_numeric_probability(self, value):
+        # The values a JSON probabilities file can hold that are no numbers.
+        with pytest.raises(InputError) as info:
+            brute_force_probability(AndGate((A, B)), {"a": value, "b": 0.5})
+        assert str(info.value) == f"probability for 'a' must be a number, got {value!r}"
+
     def test_too_wide_tree_of_columns_is_input_error(self):
         events = tuple(f"e{k}" for k in range(1200))
         with pytest.raises(InputError, match="over 1200 basic events is too wide"):
