@@ -1,11 +1,12 @@
 """System-level numerics: reliability curves, MTTF, dominance ratio, and a
 Monte Carlo cross-check of the whole combination chain.
 
-The exact route reads both fault modes of every tree event once per grid
-time and evaluates the tree by successtree.tree_probability, the one tree
-evaluator, on the permanent, the transient and the combined (their product)
-survivals. The system MTTF's survival reads each fault mode of an event on
-the quadrature's whole column of times in one reliability_at call,
+The exact route reads each fault mode of every tree event on the whole grid
+in one reliability_at call and evaluates the tree by
+successtree.tree_probability, the one tree evaluator, at each grid time on
+the entries of the permanent, the transient and the combined (their
+elementwise product) columns. The system MTTF's survival reads the two
+modes of an event on the quadrature's column of times the same way,
 multiplies the two columns, and passes the tree one column per event.
 The Monte Carlo route draws failure times per component and mode by
 inverse CDF and applies the structure function
@@ -68,9 +69,9 @@ def system_reliability_curves(model, component_modes: Mapping[str, tuple], grid=
     component_modes maps component id to (r_perm, r_trans), as for
     monte_carlo_system; a component survives both as independent
     competing risks. grid is model.grid() already allocated by the caller;
-    it is allocated here when omitted. At each time both modes of every
-    tree event are read once, for all three curves: the event's survival
-    of both is the product p * q of the two reads.
+    it is allocated here when omitted. Each mode of every tree event is
+    read once, as a column over the whole grid, for all three curves: the
+    event's survival of both is the elementwise product of its two columns.
 
     The MTTF integrates the exact system survival by integrate_survival,
     whose panels come from that survival itself. ratio(t) = r_sys_perm /
@@ -86,16 +87,13 @@ def system_reliability_curves(model, component_modes: Mapping[str, tuple], grid=
     if grid is None:
         grid = model.grid()
 
-    def modes_at(t: float) -> list:
-        """[perm, trans]: each fault mode of every tree event at t, read once."""
-        return [{cid: reliability_at(component_modes[cid][k], t) for cid in events} for k in (0, 1)]
-
-    r_sys, r_perm, r_trans = (np.empty(len(grid)) for _ in range(3))
-    for i, t in enumerate(grid):
-        perm, trans = modes_at(float(t))
-        r_perm[i] = tree_probability(tree, perm)
-        r_trans[i] = tree_probability(tree, trans)
-        r_sys[i] = tree_probability(tree, {cid: perm[cid] * trans[cid] for cid in events})
+    perm, trans = ({cid: reliability_at(component_modes[cid][k], grid) for cid in events} for k in (0, 1))
+    both = {cid: perm[cid] * trans[cid] for cid in events}
+    r_perm, r_trans, r_sys = (np.empty(len(grid)) for _ in range(3))
+    for curve, columns in ((r_perm, perm), (r_trans, trans), (r_sys, both)):
+        # Row i of the event columns is the tree's input at grid time i.
+        for i, probs in enumerate(zip(*(columns[cid].tolist() for cid in events))):
+            curve[i] = tree_probability(tree, dict(zip(events, probs)))
     # Guard the non-increasing invariant against last-bit rounding.
     r_sys, r_perm, r_trans = (np.minimum.accumulate(np.clip(v, 0.0, 1.0)) for v in (r_sys, r_perm, r_trans))
 

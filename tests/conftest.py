@@ -60,6 +60,14 @@ def seeded_cases(n_cases, seed=2024, max_events=12, max_depth=5):
         yield tree, probs
 
 
+def kofn_pairs(n):
+    """KOFN(n - 2) over ORs of neighbouring pairs around a ring of n events:
+    the kofn-pairs shape of perfbench/gen_system.py."""
+    ids = [f"c{i:02d}" for i in range(n)]
+    pairs = tuple(OrGate((ids[i], ids[(i + 1) % n])) for i in range(n))
+    return KofNGate(n - 2, pairs)
+
+
 def and_or_chain(levels):
     """Alternating ANDs and ORs, each over one new event and the chain
     below it: level k (from 1) is an AND when k is odd, over e{k} and the

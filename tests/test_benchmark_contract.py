@@ -7,8 +7,9 @@ module attributes listed in perfbench/spans.py. A change that renames or
 reroutes one of these makes a benchmark run fail or read 0, so one small
 traced analysis per tree shape goes through those same modules here. The
 output bytes of two workloads, built by perfbench/run.py's make_inputs,
-are pinned, and the output bytes must not follow PYTHONHASHSEED, which
-the benchmark fixes for each run. Nothing under perfbench/ is changed.
+are pinned, as is the curves.csv of the third, and the output bytes must
+not follow PYTHONHASHSEED, which the benchmark fixes for each run.
+Nothing under perfbench/ is changed.
 """
 import json
 import os
@@ -107,10 +108,15 @@ WORKLOAD_DIGESTS = {
         "e70b7a74e77c2fdd2ff6e8f95e53acdb7eb20755ccb14970abbdc465e66a2026",
     ),
 }
+# sha256 of sample_mc's 8192-point curves.csv at seed 101. The curves do not
+# depend on the Monte Carlo, so the same bytes come out without it. Its
+# report.json is not pinned: the benchmark's one carries the Monte Carlo,
+# whose samples follow the host's SIMD np.log.
+SAMPLE_MC_CURVES_DIGEST = "86f7db266b8ea476de1cda7b68480355307a45a7df8e87bee306aa37f851796a"
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOAD_DIGESTS))
-def test_workload_output_bytes(tmp_path, capsys, name):
+def workload_output(tmp_path, capsys, name) -> tuple:
+    """sha256 of report.json and curves.csv of the workload at seed 101, without a Monte Carlo."""
     workload = bench_run.WORKLOADS[name]
     (tmp_path / "in").mkdir()
     system_path = bench_run.make_inputs(workload, 101, str(tmp_path / "in"))
@@ -119,8 +125,16 @@ def test_workload_output_bytes(tmp_path, capsys, name):
     code = cli.main(argv + ["--injection-trials", str(workload.injection_trials)])
     _, err = capsys.readouterr()
     assert (code, err) == (0, "")
-    digests = tuple(bench_run.sha256((out_dir / f).read_bytes()) for f in ("report.json", "curves.csv"))
-    assert digests == WORKLOAD_DIGESTS[name]
+    return tuple(bench_run.sha256((out_dir / f).read_bytes()) for f in ("report.json", "curves.csv"))
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_DIGESTS))
+def test_workload_output_bytes(tmp_path, capsys, name):
+    assert workload_output(tmp_path, capsys, name) == WORKLOAD_DIGESTS[name]
+
+
+def test_sample_mc_curves_bytes(tmp_path, capsys):
+    assert workload_output(tmp_path, capsys, "sample_mc")[1] == SAMPLE_MC_CURVES_DIGEST
 
 
 @pytest.mark.parametrize("system", ["sample", "kofn_pairs6"])

@@ -1,6 +1,6 @@
 """Whole-CLI property: `analyze` on copies of the sample with extreme but
-valid parameters exits 0 or 1, never 2, and what it reports on exit 0 is
-consistent: survival curves in [0, 1] and non-increasing, finite
+valid parameters and FIT maps exits 0 or 1, never 2, and what it reports
+on exit 0 is consistent: survival curves in [0, 1] and non-increasing, finite
 temperatures, MTTFs ordered as competing risks and an AND tree order
 them, and each finite component MTTF equal to scipy's integral of its
 Weibull x exponential survival."""
@@ -19,6 +19,7 @@ from scipy import integrate
 
 from reliatree import cli
 from reliatree.aging import weibull_from_mttf
+from reliatree.softerror import parse_netlist
 
 from conftest import SAMPLE_DIR
 
@@ -29,6 +30,7 @@ def log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
 
 
+FIT = st.just(0.0) | log_uniform(1e-300, 1e300)
 COMPONENT = st.fixed_dictionaries(
     {
         "thermal": st.fixed_dictionaries(
@@ -43,9 +45,15 @@ COMPONENT = st.fixed_dictionaries(
                 "weibull_beta": st.sampled_from([0.2, 0.5, 1.0, 2.0, 5.0, 60.0]) | log_uniform(0.0059, 200.0),
             }
         ),
-        "default_fit": st.just(0.0) | log_uniform(1e-300, 1e300),
+        "default_fit": FIT,
     }
 )
+
+
+def fit_map(component):
+    """A FIT of its own for each net of a random subset of the sample component's nets."""
+    with open(os.path.join(SAMPLE_DIR, "netlists", f"{component}.net")) as fp:
+        return st.dictionaries(st.sampled_from(parse_netlist(fp.read()).nets()), FIT)
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +71,7 @@ def scaled_mttf(m, eta, beta, lam):
     knee t = eta. It starts at s = -40, below which the integral is under
     e^-40, and stops where the integrand underflows.
     """
-    log_b, c = math.log(m / eta), lam * m
+    log_b, c = math.log(m) - math.log(eta), lam * m  # m / eta may underflow
 
     def integrand(s):
         w = beta * (s + log_b)
@@ -84,20 +92,21 @@ def mttf(value):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     components=st.tuples(COMPONENT, COMPONENT),
+    fit_maps=st.tuples(fit_map("pu1"), fit_map("pu2")),
     grid_points=st.sampled_from([2, 3, 17, 64, 300]),
     horizon=log_uniform(1e-6, 1e15),
 )
-def test_analyze_exits_zero_or_one_and_reports_consistent_numbers(sample_copy, components, grid_points, horizon):
+def test_analyze_exits_zero_or_one_and_reports_consistent_numbers(sample_copy, components, fit_maps, grid_points, horizon):
     system = sample_copy / "s" / "system.json"
     out_dir = sample_copy / "o"
     shutil.rmtree(out_dir, ignore_errors=True)
     with open(os.path.join(SAMPLE_DIR, "system.json")) as fp:
         doc = json.load(fp)
     doc.update(grid_points=grid_points, time_horizon_hours=horizon)
-    for node, drawn in zip(doc["hierarchy"]["children"], components):
+    for node, drawn, fits in zip(doc["hierarchy"]["children"], components, fit_maps):
         node["thermal"] = drawn["thermal"]
         node["aging"] = drawn["aging"]
-        node["ser"]["default_fit"] = drawn["default_fit"]
+        node["ser"] = {"default_fit": drawn["default_fit"], "fit_per_node": fits}
     system.write_text(json.dumps(doc))
 
     stdout, stderr = io.StringIO(), io.StringIO()

@@ -1,5 +1,6 @@
 import io
 import math
+import os
 import random
 import tracemalloc
 
@@ -14,7 +15,7 @@ from reliatree.curves import (
     write_curves_csv,
 )
 from reliatree.errors import InputError
-from reliatree.model import HierarchyNode, SystemModel
+from reliatree.model import HierarchyNode, SystemModel, load_system_file
 from reliatree.reliability import (
     Exponential,
     Product,
@@ -25,7 +26,7 @@ from reliatree.reliability import (
 )
 from reliatree.successtree import AndGate, KofNGate, OrGate, basic_events, evaluate_structure, tree_probability
 
-from conftest import and_or_chain
+from conftest import SAMPLE_DIR, and_or_chain, kofn_pairs, seeded_cases
 
 
 def make_model(tree, horizon=10_000.0, points=128, component_ids=("pu1", "pu2")):
@@ -175,8 +176,80 @@ class TestSystemCurves:
             system_reliability_curves(model, {c: exp_pair(1e-6, 1e-6) for c in ids})
 
 
+def random_mode(rnd):
+    if rnd.random() < 0.5:
+        return Weibull(10.0 ** rnd.uniform(2.0, 6.0), rnd.uniform(0.3, 5.0))
+    return Exponential(rnd.choice([0.0, 10.0 ** rnd.uniform(-7.0, -2.0)]))
+
+
+def scalar_curves(tree, component_modes, grid):
+    """(r_sys, r_perm, r_trans) by a number call of each mode and a scalar
+    tree call at each grid point, under the curves' non-increasing guard."""
+    events = basic_events(tree)
+    curves = ([], [], [])
+    for t in grid.tolist():
+        perm = {cid: reliability_at(component_modes[cid][0], t) for cid in events}
+        trans = {cid: reliability_at(component_modes[cid][1], t) for cid in events}
+        curves[0].append(tree_probability(tree, {cid: perm[cid] * trans[cid] for cid in events}))
+        curves[1].append(tree_probability(tree, perm))
+        curves[2].append(tree_probability(tree, trans))
+    return tuple(tuple(np.minimum.accumulate(np.clip(np.array(v), 0.0, 1.0)).tolist()) for v in curves)
+
+
 class TestSharedReads:
-    """Each fault mode of a tree event is read once per time, for all curves."""
+    """Each fault mode of a tree event is read once, as a column over the
+    whole grid, for all curves."""
+
+    @pytest.mark.parametrize("shape", ["sample", "kofn-pairs"])
+    def test_reads_each_mode_of_each_event_as_one_grid_column(self, monkeypatch, shape):
+        # "spare" is a component outside the tree: it is never read. Reading
+        # the grid point by point made 2 x events x points number calls. The
+        # MTTF's survival reads both modes of every event on its own column
+        # of quadrature times; those calls are left out of the grid count.
+        if shape == "sample":
+            model = load_system_file(os.path.join(SAMPLE_DIR, "system.json"))
+        else:
+            tree = kofn_pairs(8)
+            model = make_model(tree, points=256, component_ids=basic_events(tree))
+        rnd = random.Random(34)
+        events = basic_events(model.success_tree)
+        modes = {cid: (random_mode(rnd), random_mode(rnd)) for cid in events}
+        modes["spare"] = exp_pair(1.0, 1.0)
+        in_mttf, calls, mttf_times = [False], [], []
+        real_at, real_integrate = curves.reliability_at, curves.integrate_survival
+
+        def recording_at(rf, t):
+            calls.append((in_mttf[0], rf, t))
+            return real_at(rf, t)
+
+        def integrate(survival):
+            in_mttf[0] = True
+            return real_integrate(lambda times: mttf_times.append(len(times)) or survival(times))
+
+        monkeypatch.setattr(curves, "reliability_at", recording_at)
+        monkeypatch.setattr(curves, "integrate_survival", integrate)
+        system_reliability_curves(model, modes)
+        assert [t for _, _, t in calls if not isinstance(t, np.ndarray)] == []
+        assert not {id(rf) for _, rf, _ in calls} & set(map(id, modes["spare"]))
+        on_grid = [(rf, t) for mttf_call, rf, t in calls if not mttf_call]
+        assert len(on_grid) == 2 * len(events)
+        assert all(np.array_equal(t, model.grid()) for _, t in on_grid)
+        assert sorted(id(rf) for rf, _ in on_grid) == sorted(id(rf) for cid in events for rf in modes[cid])
+        in_mttf_calls = [t for mttf_call, _, t in calls if mttf_call]
+        assert len(in_mttf_calls) == 2 * len(events) * len(mttf_times) > 0
+        assert sum(map(len, in_mttf_calls)) == 2 * len(events) * sum(mttf_times)
+
+    def test_curves_equal_number_reads_and_scalar_tree_calls(self):
+        rnd = random.Random(34)
+        for tree, _ in seeded_cases(50, seed=34):
+            events = basic_events(tree)
+            modes = {cid: (random_mode(rnd), random_mode(rnd)) for cid in events}
+            model = make_model(tree, horizon=10.0 ** rnd.uniform(3.0, 6.0), points=48, component_ids=events)
+            got = system_reliability_curves(model, modes)
+            want = scalar_curves(tree, modes, model.grid())
+            assert tuple(map(repr, got.r_sys)) == tuple(map(repr, want[0])), tree
+            assert tuple(map(repr, got.r_sys_perm)) == tuple(map(repr, want[1])), tree
+            assert tuple(map(repr, got.r_sys_trans)) == tuple(map(repr, want[2])), tree
 
     def test_product_of_reads_has_the_bits_of_the_product_form(self):
         rnd = random.Random(26)
@@ -191,31 +264,6 @@ class TestSharedReads:
                 p, q = reliability_at(perm, t), reliability_at(trans, t)
                 assert repr(p * q) == repr(reliability_at(Product((perm, trans)), t))
         assert reliability_at(Weibull(1e-3, 2.0), 1e300) == 0.0  # the overflow branch was taken
-
-    def test_reads_two_modes_of_each_event_per_grid_point(self, monkeypatch):
-        # "spare" is a component outside the tree: it is never read. The
-        # single-read rule makes 2 x events x points reads; reading each
-        # component's combined, permanent and transient survivals made
-        # 3 x components x points. A read is one survival value: the MTTF
-        # reads a column of times per call.
-        points, in_mttf, reads, mttf_times = 32, [False], {False: 0, True: 0}, []
-        real_at, real_integrate = curves.reliability_at, curves.integrate_survival
-
-        def counting_at(rf, t):
-            reads[in_mttf[0]] += np.size(t)
-            return real_at(rf, t)
-
-        def integrate(survival):
-            in_mttf[0] = True
-            return real_integrate(lambda times: mttf_times.append(len(times)) or survival(times))
-
-        monkeypatch.setattr(curves, "reliability_at", counting_at)
-        monkeypatch.setattr(curves, "integrate_survival", integrate)
-        model = make_model(AND_TREE, points=points, component_ids=("pu1", "pu2", "spare"))
-        modes = {"pu1": (Weibull(4000.0, 2.0), Exponential(1e-4)), "pu2": exp_pair(2e-4, 5e-5), "spare": exp_pair(1.0, 1.0)}
-        system_reliability_curves(model, modes)
-        assert reads[False] == 2 * 2 * points
-        assert reads[True] == 2 * 2 * sum(mttf_times) > 0
 
     def test_curves_equal_the_scalar_tree_over_the_product_form(self):
         tree = KofNGate(2, ("x", OrGate(("x", "y")), "z"))

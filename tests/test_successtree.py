@@ -21,7 +21,7 @@ from reliatree.successtree import (
     tree_probability,
 )
 
-from conftest import JSON_VALUES, and_or_chain, seeded_cases
+from conftest import JSON_VALUES, and_or_chain, kofn_pairs, seeded_cases
 
 A, B, C, D = "a", "b", "c", "d"
 SHARED = OrGate((AndGate((A, B)), AndGate((A, C))))
@@ -164,14 +164,6 @@ class TestProperties:
             want = (np.minimum if k % 2 else np.maximum)(times[f"e{k}"], want)
         got = evaluate_structure(and_or_chain(2000), times)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
-def kofn_pairs(n):
-    """KOFN(n - 2) over ORs of neighbouring pairs around a ring of n events:
-    the kofn-pairs shape of perfbench/gen_system.py."""
-    ids = [f"c{i:02d}" for i in range(n)]
-    pairs = tuple(OrGate((ids[i], ids[(i + 1) % n])) for i in range(n))
-    return KofNGate(n - 2, pairs)
 
 
 def record_walks(monkeypatch, tree, probs) -> list:
