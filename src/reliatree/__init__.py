@@ -45,7 +45,6 @@ from .softerror import (
     InjectionResult,
     Netlist,
     SerParams,
-    evaluate,
     exhaustive_derating,
     inject_campaign,
     parse_netlist,

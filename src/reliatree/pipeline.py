@@ -137,6 +137,9 @@ def _analyze_component(node, options: PipelineOptions) -> ComponentAnalysis:
         lambda_trans = transient_failure_rate(netlist, payload.ser, deratings)
         r_trans = Exponential(lambda_trans)
 
+    with located(f"{stage} 'combine'"):
+        combined_mttf = mttf(Product((r_perm, r_trans)))  # independent competing risks
+
     return ComponentAnalysis(
         steady_state_temp_k=steady_temp,
         peak_temp_k=peak_temp,
@@ -145,7 +148,7 @@ def _analyze_component(node, options: PipelineOptions) -> ComponentAnalysis:
         injections=injections,
         r_perm=r_perm,
         r_trans=r_trans,
-        combined_mttf_hours=mttf(Product((r_perm, r_trans))),  # independent competing risks
+        combined_mttf_hours=combined_mttf,
     )
 
 

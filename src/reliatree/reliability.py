@@ -21,6 +21,8 @@ from typing import Union
 
 import numpy as np
 
+from .errors import InputError
+
 __all__ = [
     "Exponential",
     "Weibull",
@@ -34,7 +36,8 @@ __all__ = [
 
 _GAUSS_POINTS = 32
 # A panel keeps its own value when its two halves agree with it to this
-# fraction of the integral up to its end.
+# fraction of the integral up to its end, and the tail past the last panel
+# end may hold at most this fraction of the integral.
 _SPLIT_TOLERANCE = 1e-13
 
 
@@ -159,8 +162,8 @@ def integrate_survival(survival) -> float:
     survival(times) gives R at each entry of a 1-D float64 column of times,
     in one call. 32-point Gauss-Legendre runs on the panels [0, h], [h, 2h],
     [2h, 4h], ... up to the first end where R underflows to 0.0, or up to
-    2^1023 hours. So no tail is cut off that a float could hold: against
-    closed forms the relative error is below 1.2e-15, and below 7.1e-14 for
+    T = 2^1023 hours, the last panel end a float holds. Against closed
+    forms the relative error is below 1.2e-15, and below 7.1e-14 for
     Weibulls with beta from 12 to 100. h is 1 hour, halved while R(h) < 1/2
     so that a sub-hour lifetime spans several panels; they are read in units
     of h, or of 2^-1023 of the last end if larger, so that every node keeps
@@ -175,8 +178,10 @@ def integrate_survival(survival) -> float:
     2^1023 hours when R(2^63) > 0; the halvings 2^-1, ..., 2^-64 hours when
     R(1) < 1/2, and 2^-65, ..., 2^-1022 hours when R is below 1/2 at all of
     those; the nodes of every panel and of its halves. A split panel adds
-    one call, on the nodes of its quarters. math.inf when R is still above
-    1 - 1e-12 at the last end.
+    one call, on the nodes of its quarters. The MTTF is math.inf when R(T)
+    is still above 1 - 1e-12. The tail past T is not integrated: it is an
+    InputError when T * R(T), the most the next doubling panel can hold, is
+    above 1e-13 of the MTTF.
     """
     ladder, at = [2.0**k for k in range(1024)], {}  # 1 hour up to the largest power of two
     for part in (ladder[:64], ladder[64:]):
@@ -217,7 +222,13 @@ def integrate_survival(survival) -> float:
         q = _read_panels(survival, [*_halves(lo, mid), *_halves(mid, hi)], unit)
         stack.append((mid, hi, halves[_GAUSS_POINTS:], q[2] + q[3]))
         stack.append((lo, mid, halves[:_GAUSS_POINTS], q[0] + q[1]))
-    return unit * math.fsum(kept)
+    integral, last = unit * math.fsum(kept), ends[-1]
+    if last * at[last] > _SPLIT_TOLERANCE * integral:
+        raise InputError(
+            f"survival is {float(at[last])!r} at 2^1023 hours, the last time a panel can end: "
+            "the MTTF's tail past there cannot be integrated"
+        )
+    return integral
 
 
 def mttf(rf: ReliabilityFunction) -> float:

@@ -53,7 +53,6 @@ __all__ = [
     "SerParams",
     "InjectionResult",
     "parse_netlist",
-    "evaluate",
     "inject_campaign",
     "workload_campaign",
     "exhaustive_derating",
@@ -372,21 +371,6 @@ def _forward(netlist: Netlist, values: dict) -> dict:
     for gate in netlist.gates:
         values[gate.output] = _gate_value(gate.kind, [values[n] for n in gate.inputs])
     return values
-
-
-def evaluate(netlist: Netlist, assignment: Mapping[str, int]) -> dict:
-    """Golden single-vector simulation; returns {output net: bit}."""
-    missing = [n for n in netlist.inputs if n not in assignment]
-    if missing:
-        raise ValueError(f"assignment missing input bits: {missing}")
-    values = {}
-    for name in netlist.inputs:
-        bit = int(assignment[name])
-        if bit not in (0, 1):
-            raise ValueError(f"input {quoted(name)} must be 0 or 1, got {quoted(assignment[name])}")
-        values[name] = bit
-    _forward(netlist, values)
-    return {name: values[name] for name in netlist.outputs}
 
 
 def _fault_error_mask(netlist: Netlist, golden: dict, node: str):

@@ -3,12 +3,30 @@ import os
 import random
 
 import pytest
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
+import reliatree
 from reliatree.softerror import parse_netlist
 from reliatree.successtree import AndGate, KofNGate, OrGate, basic_events
 
 SAMPLE_DIR = os.path.join(os.path.dirname(__file__), "..", "sample", "dual_core")
+
+# With the explain phase on, Hypothesis re-runs every shrink step of a
+# failing property under its line tracer, so a failing `analyze` draw took
+# minutes to report, not seconds. Every example and every check still runs.
+settings.register_profile("reliatree", phases=[phase for phase in Phase if phase is not Phase.explain])
+settings.load_profile("reliatree")
+
+
+def package_env(**variables):
+    """os.environ and `variables`, with PYTHONPATH led by the directory of
+    the reliatree these tests import, so that a child interpreter runs the
+    same copy: the one in src/ or an installed one."""
+    parent = os.path.dirname(os.path.dirname(os.path.abspath(reliatree.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [parent, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=pythonpath, **variables)
+
 
 FULL_ADDER = """\
 INPUT a

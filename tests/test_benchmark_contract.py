@@ -6,9 +6,9 @@ reliatree's classes and oracles) and times the layers by wrapping the
 module attributes listed in perfbench/spans.py. A change that renames or
 reroutes one of these makes a benchmark run fail or read 0, so one small
 traced analysis per tree shape goes through those same modules here. The
-output bytes of two workloads, built by perfbench/run.py's make_inputs,
-are pinned, as is the curves.csv of the third, and the output bytes must
-not follow PYTHONHASHSEED, which the benchmark fixes for each run.
+output bytes of the three workloads, built by perfbench/run.py's
+make_inputs, are pinned, and the output bytes must not follow
+PYTHONHASHSEED, which the benchmark fixes for each run.
 Nothing under perfbench/ is changed.
 """
 import json
@@ -27,6 +27,8 @@ import spans
 
 from reliatree import cli
 from reliatree.model import load_system_file
+
+from conftest import package_env
 
 # The two span targets the program no longer has; their spans read 0.
 KNOWN_MISSING = {"reliatree.pipeline.apply_adapter", "reliatree.curves.mttf"}
@@ -95,9 +97,10 @@ def test_traced_analysis_passes_every_oracle(tmp_path, capsys, shape, components
     assert [(name, detail) for name, ok, detail in log.results if not ok] == []
 
 
-# sha256 of report.json and curves.csv at seed 101. Neither workload runs a
-# Monte Carlo, so the bytes do not depend on the host's SIMD; a change to
-# the output has to update these digests on purpose.
+# sha256 of report.json and curves.csv at seed 101, run as perfbench/run.py
+# runs each workload. Only sample_mc's run has a Monte Carlo; its integer
+# counts absorb the last bits that the host's SIMD np.log may change in its
+# draws. A change to the output has to update these digests on purpose.
 WORKLOAD_DIGESTS = {
     "tree_kofn16": (
         "07e6c14f2755cc817187bad62bdd0e8e35bcd62286f8ea1c8d2d6c51214ae806",
@@ -107,34 +110,28 @@ WORKLOAD_DIGESTS = {
         "a2da0dcf568a5624f24a64abeebc93ce2bb342f9bc4abee394e7dc74c786d6ad",
         "e70b7a74e77c2fdd2ff6e8f95e53acdb7eb20755ccb14970abbdc465e66a2026",
     ),
+    "sample_mc": (
+        "f7f76375d064329a6e634b168dae7b27c272740ff90d1afccaa275d234be1732",
+        "86f7db266b8ea476de1cda7b68480355307a45a7df8e87bee306aa37f851796a",
+    ),
 }
-# sha256 of sample_mc's 8192-point curves.csv at seed 101. The curves do not
-# depend on the Monte Carlo, so the same bytes come out without it. Its
-# report.json is not pinned: the benchmark's one carries the Monte Carlo,
-# whose samples follow the host's SIMD np.log.
-SAMPLE_MC_CURVES_DIGEST = "86f7db266b8ea476de1cda7b68480355307a45a7df8e87bee306aa37f851796a"
 
 
-def workload_output(tmp_path, capsys, name) -> tuple:
-    """sha256 of report.json and curves.csv of the workload at seed 101, without a Monte Carlo."""
+@pytest.mark.parametrize("name", sorted(WORKLOAD_DIGESTS))
+def test_workload_output_bytes(tmp_path, capsys, name):
     workload = bench_run.WORKLOADS[name]
     (tmp_path / "in").mkdir()
     system_path = bench_run.make_inputs(workload, 101, str(tmp_path / "in"))
     out_dir = tmp_path / "out"
     argv = ["analyze", "--system", system_path, "--out", str(out_dir), "--seed", "101"]
-    code = cli.main(argv + ["--injection-trials", str(workload.injection_trials)])
+    argv += ["--injection-trials", str(workload.injection_trials)]
+    if workload.mc_trials is not None:
+        argv += ["--mc-trials", str(workload.mc_trials)]
+    code = cli.main(argv)
     _, err = capsys.readouterr()
     assert (code, err) == (0, "")
-    return tuple(bench_run.sha256((out_dir / f).read_bytes()) for f in ("report.json", "curves.csv"))
-
-
-@pytest.mark.parametrize("name", sorted(WORKLOAD_DIGESTS))
-def test_workload_output_bytes(tmp_path, capsys, name):
-    assert workload_output(tmp_path, capsys, name) == WORKLOAD_DIGESTS[name]
-
-
-def test_sample_mc_curves_bytes(tmp_path, capsys):
-    assert workload_output(tmp_path, capsys, "sample_mc")[1] == SAMPLE_MC_CURVES_DIGEST
+    digests = tuple(bench_run.sha256((out_dir / f).read_bytes()) for f in ("report.json", "curves.csv"))
+    assert digests == WORKLOAD_DIGESTS[name]
 
 
 @pytest.mark.parametrize("system", ["sample", "kofn_pairs6"])
@@ -150,15 +147,13 @@ def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path, system):
             str(tmp_path / "in"), components=6, adder_bits=2, grid_points=64,
             trace_len=TRACE_LEN, shape="kofn-pairs", seed=5,
         )
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
     for hash_seed in ("0", "4242"):
         out_dir = tmp_path / f"out_{hash_seed}"
         done = subprocess.run(
             [sys.executable, "-m", "reliatree.cli", "analyze", "--system", system_path, "--out", str(out_dir),
              "--seed", "3", "--mc-trials", str(MC_TRIALS)],
-            env=dict(os.environ, PYTHONPATH=pythonpath, PYTHONHASHSEED=hash_seed),
+            env=package_env(PYTHONHASHSEED=hash_seed),
             capture_output=True, text=True, check=False,
         )
         assert done.returncode == 0, done.stderr

@@ -28,7 +28,7 @@ from reliatree.pipeline import (
     write_outputs,
 )
 
-from conftest import AND2, DEFAULT_CHAINS, SAMPLE_DIR, write_two_unit_model
+from conftest import AND2, DEFAULT_CHAINS, SAMPLE_DIR, package_env, write_two_unit_model
 
 
 def deep_chain_text(depth, events):
@@ -233,7 +233,7 @@ class TestPipeline:
             run_pipeline(model, PipelineOptions(seed=1))
         assert str(err.value).startswith("component 'pu1', stage 'netlist': line 1: ")
 
-    def test_bad_netlist_directive_raises_input_error(self, tmp_path):
+    def test_bad_netlist_directive_raises_input_error(self, tmp_path, capsys):
         # Every rejected input, a netlist inside a stage too, is an InputError.
         shutil.copytree(SAMPLE_DIR, tmp_path / "s")
         netlist = tmp_path / "s" / "netlists" / "pu2.net"
@@ -244,6 +244,9 @@ class TestPipeline:
         with pytest.raises(InputError) as err:
             run_pipeline(model, PipelineOptions(seed=1, injection_trials=100))
         assert str(err.value) == "component 'pu2', stage 'netlist': line 5: unknown directive 'GAT3'"
+        args = ["analyze", "--system", str(tmp_path / "s" / "system.json"), "--out", str(tmp_path / "o"), "--seed", "1"]
+        code, out, stderr = run_cli(args, capsys)
+        assert (code, out, stderr) == (1, "", f"error: {err.value}\n")
 
     def test_unbounded_marker_in_json(self):
         text = report_to_json({"x": math.inf, "nested": [{"y": 1.0}, math.inf]})
@@ -423,18 +426,31 @@ class TestAnalyzeCli:
             with open(os.path.join(dirs[0], name), "rb") as fa, open(os.path.join(dirs[1], name), "rb") as fb:
                 assert fa.read() == fb.read()
 
-    def test_sample_output_bytes(self, sample_system_path, tmp_path, capsys):
-        # No Monte Carlo, so the bytes do not depend on the host; a change
-        # to the output has to update these digests on purpose.
+    # The Monte Carlo's integer counts absorb the last bits that numpy's SIMD
+    # may change in its draws (see test_bytes_do_not_depend_on_simd_dispatch);
+    # a change to the output has to update these digests on purpose. Each net
+    # of the sample's 3-input netlists is counted over its 8 vectors, so the
+    # seed writes the same curves and changes the report's `run.seed` alone.
+    @pytest.mark.parametrize(
+        "flags, report_digest",
+        [
+            (["--seed", "1"], "cc453ae8577168956f08918836621292b69c35033f55cca1cb0cf6e50eaa2d31"),
+            (["--seed", "2"], "a4a924fe9222c902ddc798b35767474b113218dde4bdca76516389857dab61ef"),
+            (["--seed", "7", "--mc-trials", "100000"], "6fc6ad8a5479825525e124a63bf14a75313fee5ac50c39f1f331ec8dff5f6636"),
+        ],
+        ids=["seed-1", "seed-2", "seed-7-monte-carlo"],
+    )
+    def test_sample_output_bytes(self, sample_system_path, tmp_path, capsys, flags, report_digest):
         out_dir = tmp_path / "o"
-        args = ["analyze", "--system", sample_system_path, "--out", str(out_dir), "--seed", "1"]
-        code, _, err = run_cli(args, capsys)
+        code, out, err = run_cli(["analyze", "--system", sample_system_path, "--out", str(out_dir)] + flags, capsys)
         assert code == 0, err
+        deratings = [d for c in json.loads(out)["components"].values() for d in c["deratings"].values()]
+        assert deratings and all((d["trials"], d["ci95_half_width"]) == (8, 0.0) for d in deratings)
         digests = {
             name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in ("report.json", "curves.csv")
         }
         assert digests == {
-            "report.json": "cc453ae8577168956f08918836621292b69c35033f55cca1cb0cf6e50eaa2d31",
+            "report.json": report_digest,
             "curves.csv": "57b4f63bdb31b4a3fcd1c2e9559f2385c7d2b152673cadac498a85f656ddd1c8",
         }
 
@@ -470,11 +486,9 @@ class TestAnalyzeCli:
         """
         from numpy._core._multiarray_umath import __cpu_dispatch__
 
-        src = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         outputs = {}
         for disabled in [None, *__cpu_dispatch__]:
-            env = dict(os.environ, PYTHONPATH=pythonpath)
+            env = package_env()
             env.pop("NPY_DISABLE_CPU_FEATURES", None)
             if disabled is not None:
                 env["NPY_DISABLE_CPU_FEATURES"] = disabled
@@ -555,18 +569,21 @@ class TestOtherSubcommands:
             "node": "a", "seed": 5, "trials": 4, "errors": 2, "derating": 0.5, "ci95_half_width": 0.0
         }
 
-    def test_inject_more_trials_than_vectors_is_exact(self, capsys):
+    # A flip on the output `sum` is an error at every vector.
+    @pytest.mark.parametrize("node, errors", [("c1", 6), ("sum", 8)])
+    def test_inject_more_trials_than_vectors_is_exact(self, capsys, node, errors):
         # 10,000 trials on the sample's 3-input full adder count its 8
         # vectors once each, whatever the seed.
         pu1 = os.path.join(SAMPLE_DIR, "netlists", "pu1.net")
-        exact = exhaustive_derating(parse_netlist(read_text(pu1)), "c1")
+        exact = exhaustive_derating(parse_netlist(read_text(pu1)), node)
+        assert exact == errors / 8
         for seed in (1, 2):
             code, out, _ = run_cli(
-                ["inject", "--netlist", pu1, "--node", "c1", "--trials", "10000", "--seed", str(seed)], capsys
+                ["inject", "--netlist", pu1, "--node", node, "--trials", "10000", "--seed", str(seed)], capsys
             )
             assert code == 0
             assert json.loads(out) == {
-                "node": "c1", "seed": seed, "trials": 8, "errors": int(8 * exact), "derating": exact, "ci95_half_width": 0.0
+                "node": node, "seed": seed, "trials": 8, "errors": errors, "derating": exact, "ci95_half_width": 0.0
             }
 
     def test_inject_with_workload_file(self, tmp_path, capsys):
@@ -710,30 +727,38 @@ class TestOtherSubcommands:
         assert code == 1 and out == ""
         assert err == "error: --trials and --seed are required unless --workload is given\n"
 
-    def test_tree_eval_shared_event(self, tmp_path, capsys):
-        tree = tmp_path / "tree.json"
-        tree.write_text(
-            json.dumps(
-                {
-                    "gate": "OR",
-                    "inputs": [
-                        {"gate": "AND", "inputs": [{"event": "a"}, {"event": "b"}]},
-                        {"gate": "AND", "inputs": [{"event": "a"}, {"event": "c"}]},
-                    ],
-                }
-            )
+    @pytest.mark.parametrize(
+        "tree, probs, printed",
+        [
+            (
+                {"gate": "OR", "inputs": [{"gate": "AND", "inputs": [{"event": "a"}, {"event": "b"}]},
+                                          {"gate": "AND", "inputs": [{"event": "a"}, {"event": "c"}]}]},
+                {"a": 0.5, "b": 0.5, "c": 0.5},
+                "0.375",
+            ),
+            ({"gate": "AND", "inputs": [{"event": "a"}, {"event": "b"}]}, {"a": 0.5, "b": 0.5}, "0.25"),
+            ({"gate": "KOFN", "k": 2, "inputs": [{"event": "a"}, {"event": "b"}]}, {"a": 0.5, "b": 0.5}, "0.25"),
+            ({"event": "a"}, {"a": 0.5}, "0.5"),
+            # KOFN(14) over ORs of neighbouring pairs around a ring of 16 events.
+            (
+                {"gate": "KOFN", "k": 14, "inputs": [
+                    {"gate": "OR", "inputs": [{"event": f"c{i:02d}"}, {"event": f"c{(i + 1) % 16:02d}"}]} for i in range(16)
+                ]},
+                {f"c{i:02d}": round(0.5 + 0.03 * i, 2) for i in range(16)},
+                "0.8103919089033501",
+            ),
+        ],
+        ids=["shared-event", "and", "kofn-all", "one-event", "ring16"],
+    )
+    def test_tree_eval_prints_the_exact_probability(self, tmp_path, capsys, tree, probs, printed):
+        (tmp_path / "tree.json").write_text(json.dumps(tree))
+        (tmp_path / "probs.json").write_text(json.dumps(probs))
+        code, out, err = run_cli(
+            ["tree-eval", "--tree", str(tmp_path / "tree.json"), "--probs", str(tmp_path / "probs.json")], capsys
         )
-        probs = tmp_path / "probs.json"
-        probs.write_text(json.dumps({"a": 0.5, "b": 0.5, "c": 0.5}))
-        code, out, _ = run_cli(
-            ["tree-eval", "--tree", str(tree), "--probs", str(probs)], capsys
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert list(doc) == ["probability"]
-        assert doc["probability"] == pytest.approx(0.375, abs=1e-15)
-        brute = brute_force_probability(tree_from_dict(json.loads(tree.read_text())), json.loads(probs.read_text()))
-        assert doc["probability"] == pytest.approx(brute, abs=1e-15)
+        assert (code, err) == (0, "")
+        assert out == '{\n  "probability": %s\n}\n' % printed
+        assert float(printed) == pytest.approx(brute_force_probability(tree_from_dict(tree), probs), abs=1e-15)
 
     def test_thermal_subcommand_matches_library(self, tmp_path, capsys):
         trace = tmp_path / "p.csv"
@@ -984,7 +1009,7 @@ class TestExitCodes:
         args = ["tree-eval", "--tree", str(tree), "--probs", str(probs)]
         code, out, err = run_cli(args, capsys)
         assert code == 1 and out == ""
-        assert "'a'" in err and "must be a number" in err
+        assert err == f"error: probability for 'a' must be a number, got {value!r}\n"
 
     @pytest.mark.parametrize(
         "chain, adapters",
@@ -1127,19 +1152,37 @@ class TestExitCodes:
             assert 0.0 < json.loads(out)["system"]["mttf_hours"] <= pu1["combined_mttf_hours"]
             if field == "thermal":
                 assert pu1["peak_temp_k"] == pytest.approx(pu1["steady_state_temp_k"], rel=1e-12, abs=0.0)
+            if field == "ser":
+                assert json.loads(out)["system"]["mttf_hours"] == pytest.approx(pu1["combined_mttf_hours"], rel=1e-6)
 
-    def test_shallow_wear_out_without_soft_errors(self, tmp_path, capsys):
-        # pu1's Weibull shape 0.008 puts R(1 h) below 1/2 and keeps R above 0
-        # at 2^1023 h; with no soft errors its combined MTTF is its wear-out's.
+    @pytest.mark.parametrize(
+        "aging, error",
+        [
+            # Shape 0.008 puts R(1 h) below 1/2.
+            ({"weibull_beta": 0.008}, None),
+            # An MTTF of 242 h whose drop falls inside one doubling panel.
+            ({"a_const": 5000.0, "weibull_beta": 60.0}, None),
+            # An exponential wear-out of 9.7e306 h is still exp(-9.3) at
+            # 2^1023 h, where the panels end: its tail cannot be integrated.
+            ({"a_const": 2e296, "n_exp": 0.0, "weibull_beta": 1.0}, "error: component 'pu1', stage 'combine': survival is "),
+        ],
+        ids=["shallow", "steep", "tail-past-the-last-panel"],
+    )
+    def test_wear_out_without_soft_errors(self, tmp_path, capsys, aging, error):
+        # With no soft errors pu1's combined MTTF is its wear-out's.
         shutil.copytree(SAMPLE_DIR, tmp_path / "s")
         system = tmp_path / "s" / "system.json"
         doc = json.loads(system.read_text())
         pu1 = doc["hierarchy"]["children"][0]
-        pu1["aging"]["weibull_beta"] = 0.008
+        pu1["aging"].update(aging)
         pu1["ser"] = {"default_fit": 0.0}
         system.write_text(json.dumps(doc))
         args = ["analyze", "--system", str(system), "--out", str(tmp_path / "o"), "--seed", "1"]
         code, out, err = run_cli(args, capsys)
+        if error is not None:
+            assert code == 1 and out == "" and err.startswith(error)
+            assert len(err.encode()) < 300 and not (tmp_path / "o").exists()
+            return
         assert (code, err) == (0, "")
         c = json.loads(out)["components"]["pu1"]
         assert c["transient_lambda_per_hour"] == 0.0

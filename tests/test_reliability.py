@@ -6,8 +6,9 @@ import weakref
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import erfcx, gammainc
+from scipy.special import erfcx
 
+from reliatree.errors import InputError
 from reliatree.reliability import (
     Exponential,
     Product,
@@ -279,12 +280,15 @@ class TestMttf:
         got = mttf(Product((Weibull(eta, beta), Exponential(0.0))))
         assert got == pytest.approx(math.exp(math.lgamma(1.0 + 1.0 / beta) + math.log(eta)), rel=1e-12, abs=0.0)
 
-    def test_a_tail_past_the_largest_power_of_two_hours_is_cut_there(self):
-        # Weibull(1 h, 0.005) is still exp(-34.6) at T = 2^1023 h, the last
-        # panel end: the integral up to T is Gamma(1 + 1/beta) P(1/beta, T^beta).
-        got = mttf(Product((Weibull(1.0, 0.005), Exponential(0.0))))
-        expected = math.exp(math.lgamma(201.0) + math.log(gammainc(200.0, 2.0 ** (1023 * 0.005))))
-        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+    @pytest.mark.parametrize("eta, beta", [(1.0, 0.005), (1.0, 0.0065), (1.0, 0.007), (1e307, 1.0)])
+    def test_a_tail_past_the_largest_power_of_two_hours_is_an_input_error(self, eta, beta):
+        # R is still above 0 at T = 2^1023 h, the last panel end. The integral
+        # up to T, eta Gamma(1 + 1/beta) P(1/beta, (T/eta)^beta), would read
+        # the MTTF 99.99996% (beta 0.0065), 48% (0.007) and 1.2e-4 (1e307 h,
+        # an exponential) low; at beta 0.005 the MTTF, Gamma(201) h, is past
+        # the largest float.
+        with pytest.raises(InputError, match=r"^survival is .* at 2\^1023 hours"):
+            mttf(Product((Weibull(eta, beta), Exponential(0.0))))
 
     @pytest.mark.parametrize("k", range(-12, 4))
     def test_exponential_lifetimes_against_closed_form(self, k):

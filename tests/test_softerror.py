@@ -21,7 +21,6 @@ from reliatree.softerror import (
     SerParams,
     _fault_error_mask,
     _forward,
-    evaluate,
     exhaustive_derating,
     inject_campaign,
     parse_netlist,
@@ -198,48 +197,21 @@ class TestParser:
         assert "line 3" in str(err.value)
 
 
-class TestEvaluate:
-    @pytest.mark.parametrize("a,b,want", [(1, 1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 0)])
-    def test_and_truth_table(self, a, b, want):
-        net = parse_netlist(AND2)
-        assert evaluate(net, {"a": a, "b": b}) == {"g1": want}
+# A flip on input a of one gate reaches its output iff b = 1 for AND and
+# NAND, iff b = 0 for OR and NOR, and always for XOR, NOT and BUF: an
+# inverted gate masks the same flips, and b is an unused input of NOT and BUF.
+ONE_GATE_VISIBLE = {"AND": {1}, "NAND": {1}, "OR": {0}, "NOR": {0}, "XOR": {0, 1}, "NOT": {0, 1}, "BUF": {0, 1}}
 
-    def test_xor_chain_parity(self):
-        net = parse_netlist(
-            "INPUT a\nINPUT b\nINPUT c\nGATE x1 XOR a b\nGATE x2 XOR x1 c\nOUTPUT x2\n"
-        )
-        assert evaluate(net, {"a": 1, "b": 1, "c": 1}) == {"x2": 1}
 
-    def test_full_adder_matches_arithmetic(self, full_adder):
-        for v in range(8):
-            bits = {"a": v & 1, "b": (v >> 1) & 1, "cin": (v >> 2) & 1}
-            out = evaluate(full_adder, bits)
-            total = sum(bits.values())
-            assert out == {"sum": total % 2, "cout": total // 2}
-
-    def test_all_gate_kinds(self):
-        net = parse_netlist(
-            "INPUT a\nINPUT b\n"
-            "GATE g_and AND a b\nGATE g_or OR a b\nGATE g_not NOT a\n"
-            "GATE g_xor XOR a b\nGATE g_nand NAND a b\nGATE g_nor NOR a b\n"
-            "GATE g_buf BUF a\n"
-            "OUTPUT g_and\nOUTPUT g_or\nOUTPUT g_not\nOUTPUT g_xor\n"
-            "OUTPUT g_nand\nOUTPUT g_nor\nOUTPUT g_buf\n"
-        )
-        out = evaluate(net, {"a": 1, "b": 0})
-        assert out == {
-            "g_and": 0,
-            "g_or": 1,
-            "g_not": 0,
-            "g_xor": 1,
-            "g_nand": 1,
-            "g_nor": 0,
-            "g_buf": 1,
-        }
-
-    def test_missing_input_rejected(self, full_adder):
-        with pytest.raises(ValueError):
-            evaluate(full_adder, {"a": 1, "b": 0})
+class TestOneGateMasking:
+    @pytest.mark.parametrize("kind", GATE_KINDS)
+    def test_flip_on_a_is_visible_for_the_masking_values_of_b(self, kind):
+        operands = "a" if kind in ("NOT", "BUF") else "a b"
+        net = parse_netlist(f"INPUT a\nINPUT b\nGATE g {kind} {operands}\nOUTPUT g\n")
+        for a in (0, 1):
+            for b in (0, 1):
+                visible = int(b in ONE_GATE_VISIBLE[kind])
+                assert workload_campaign(net, "a", [(a, b)]) == InjectionResult(1, visible, float(visible), 0.0), (a, b)
 
 
 class TestExhaustive:
@@ -331,11 +303,6 @@ class TestCampaign:
         res = inject_campaign(padded(FULL_ADDER), "c1", 10_000, seed=42)
         center, half = wilson_interval(res.errors, res.trials, Z_99)
         assert center - half <= exact <= center + half
-
-    def test_restoring_the_flip_reproduces_golden(self, full_adder):
-        bits = {"a": 1, "b": 0, "cin": 1}
-        golden = evaluate(full_adder, bits)
-        assert evaluate(full_adder, bits) == golden
 
     def test_explicit_workload_count(self):
         net = parse_netlist(AND2)
