@@ -5,19 +5,14 @@ The exact route reads each fault mode of every tree event on the whole grid
 in one reliability_at call and evaluates the tree by
 successtree.tree_probability, the one tree evaluator, at each grid time on
 the entries of the permanent, the transient and the combined (their
-elementwise product) columns. The system MTTF's survival reads the two
-modes of an event on the quadrature's column of times the same way,
-multiplies the two columns, and passes the tree one column per event.
-The Monte Carlo route draws failure times per component and mode by
-inverse CDF and applies the structure function
-(successtree.evaluate_structure) to them, which gives the system failure
-time and so its alive/failed state at every time. It streams the samples
-in fixed blocks of MC_BLOCK_SAMPLES, drawn in place into two buffers
-allocated once per call (a row per lane of uniforms and of their words),
-sorts each block's system failure times and keeps only a running count
-of fallen samples per grid point, so its memory is bounded by the block
-size and the grid, its time is linear in the sample count, and the
-result does not depend on the block size.
+elementwise product) columns. The system MTTF is reliability.mttf of the
+system's Structure, and the Monte Carlo route draws its failure times with
+reliability.sample_failure_times. It streams the samples in fixed blocks of
+MC_BLOCK_SAMPLES, drawn in place into two buffers allocated once per call
+(a row per lane of uniforms and of their words), sorts each block's system
+failure times and keeps only a running count of fallen samples per grid
+point, so its memory is bounded by the block size and the grid, its time is
+linear in the sample count, and the result does not depend on the block size.
 """
 from __future__ import annotations
 
@@ -28,9 +23,9 @@ from typing import Mapping
 import numpy as np
 
 from . import rng
-from .errors import InputError, quoted
-from .reliability import Exponential, Weibull, integrate_survival, reliability_at, sample_failure_times
-from .successtree import Gate, basic_events, evaluate_structure, tree_probability
+from .errors import located
+from .reliability import Structure, mttf, reliability_at, sample_failure_times
+from .successtree import Gate, basic_events, tree_probability
 
 __all__ = [
     "SystemCurves",
@@ -73,17 +68,14 @@ def system_reliability_curves(model, component_modes: Mapping[str, tuple], grid=
     read once, as a column over the whole grid, for all three curves: the
     event's survival of both is the elementwise product of its two columns.
 
-    The MTTF integrates the exact system survival by integrate_survival,
-    whose panels come from that survival itself. ratio(t) = r_sys_perm /
-    r_sys_trans; a value above 1 means transient faults are currently the
-    more destructive type. The ratio is absent (None) where both curves
+    The MTTF is mttf of the system's Structure, its exact survival
+    integrated. ratio(t) = r_sys_perm / r_sys_trans; a value above 1 means
+    transient faults are currently the more destructive type. The ratio is absent (None) where both curves
     have vanished below 1e-15.
     """
     tree = model.success_tree
+    system = Structure(tree, component_modes)
     events = basic_events(tree)
-    for event in events:
-        if event not in component_modes:
-            raise InputError(f"no reliability functions for component {quoted(event)}")
     if grid is None:
         grid = model.grid()
 
@@ -106,14 +98,8 @@ def system_reliability_curves(model, component_modes: Mapping[str, tuple], grid=
         else:
             ratio.append(float(p) / float(q))  # Python floats: inf without a warning
 
-    def survival(times: np.ndarray) -> np.ndarray:
-        columns = {}
-        for cid in events:
-            perm, trans = component_modes[cid]
-            columns[cid] = reliability_at(perm, times) * reliability_at(trans, times)
-        return tree_probability(tree, columns)
-
-    mttf_sys = integrate_survival(survival)
+    with located("system, stage 'mttf'"):
+        mttf_sys = mttf(system)
     return SystemCurves(
         grid=tuple(float(t) for t in grid),
         r_sys=tuple(float(v) for v in r_sys),
@@ -135,26 +121,18 @@ def monte_carlo_system(
 
     component_modes maps component id to (r_perm, r_trans), each an
     Exponential or a Weibull. Sample i reads the counters [2C*i, 2C*(i+1)),
-    C the number of tree events: event j in sorted id order draws its
-    permanent failure time from lane 2j and its transient one from lane
-    2j + 1, both by inverse CDF, and fails at the earlier of the two. The
-    structure function of those times is the system failure time. Sample i
-    is a pure function of (seed, i), so any batching yields identical
-    results. A sample has fallen at grid point t when its failure time is
-    <= t; each block is sorted once and searched for every grid point, so
-    the grid may be unsorted and may repeat points.
+    C the number of tree events, as the lanes of sample_failure_times of the
+    system's Structure, its failure time. Sample i is a pure function of
+    (seed, i), so any batching yields identical results. A sample has fallen
+    at grid point t when its failure time is <= t; each block is sorted once
+    and searched for every grid point, so the grid may be unsorted and may
+    repeat points.
     """
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples!r}")
     grid = np.asarray(grid, dtype=float)
-    events = basic_events(tree)
-    for event in events:
-        if event not in component_modes:
-            raise InputError(f"no fault-mode functions for component {quoted(event)}")
-        if not all(isinstance(rf, (Exponential, Weibull)) for rf in component_modes[event]):
-            raise ValueError(f"component {quoted(event)}: fault modes must be Exponentials or Weibulls")
-    modes = [(cid, component_modes[cid]) for cid in sorted(events)]
-    width = 2 * len(modes)  # counters per sample
+    system = Structure(tree, component_modes)
+    width = system.lanes  # counters per sample
 
     # Allocated once per call and refilled every block: a row per lane of uniforms and of their RNG words.
     block_size = min(MC_BLOCK_SAMPLES, n_samples)
@@ -167,11 +145,7 @@ def monte_carlo_system(
         # counter = sample * width + lane: entry (sample, lane) of the transpose
         block = rows[:, :size]
         rng.unit_open_floats(seed, first * width, size * width, out=block.T, scratch=words[:, :size].T)
-        comp_times = {
-            cid: np.minimum(sample_failure_times(r_perm, perm_u), sample_failure_times(r_trans, trans_u))
-            for (cid, (r_perm, r_trans)), perm_u, trans_u in zip(modes, block[0::2], block[1::2])
-        }
-        t_sys = evaluate_structure(tree, comp_times)
+        t_sys = sample_failure_times(system, block)
         t_sys.sort()
         fallen += np.searchsorted(t_sys, grid, side="right")
 

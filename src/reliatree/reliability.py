@@ -1,32 +1,35 @@
 """Survival-function forms: the measure every analysis passes upward.
 
-All times are hours. Three forms cover the engine: closed-form Exponential
-and Weibull, and Product for independent competing failure modes, whose
-factors are Exponentials and Weibulls: a component's permanent wear-out and
-its transient soft errors. Every form evaluates to a probability in [0, 1]
-with R(0) = 1. reliability_at, the one evaluator, reads a form at a number
-or at a column of times, each entry in the scalar math of the number call.
-An MTTF without a closed form, of a Product here or of a whole system in
-curves.py, is integrate_survival of the survival, on panels chosen from it
-alone and read a column per call; a panel whose halves disagree with it is
-split. sample_failure_times draws by inverse CDF from one elementary form;
-a Product's time is the minimum of its factors' times.
+All times are hours. Four forms cover the engine: closed-form Exponential
+and Weibull; Product of a component's independent competing failure modes
+(its permanent wear-out and its transient soft errors), Exponentials and
+Weibulls; and Structure, a success tree over Products. Every form evaluates
+to a probability in [0, 1] with R(0) = 1. reliability_at, the one
+evaluator, reads a form at a number or at a column of times, each entry in
+the scalar math of the number call. An MTTF without a closed form is
+integrate_survival of the survival, on panels chosen from it alone and read
+a column per call; a panel whose halves disagree with it is split.
+sample_failure_times draws by inverse CDF, a lane of uniforms per factor: a
+Product fails at its factors' earliest time, and a Structure's events, in
+sorted id order, take their factors' lanes in turn.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
-from typing import Union
+from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, quoted
+from .successtree import Gate, basic_events, evaluate_structure, tree_probability
 
 __all__ = [
     "Exponential",
     "Weibull",
     "Product",
+    "Structure",
     "ReliabilityFunction",
     "reliability_at",
     "integrate_survival",
@@ -86,11 +89,38 @@ class Product:
                 raise ValueError(f"a product factor must be an Exponential or a Weibull, got {f!r}")
 
 
-ReliabilityFunction = Union[Exponential, Weibull, Product]
+@dataclass(frozen=True)
+class Structure:
+    """Independent components under a success tree: forms maps every tree
+    event, a component id, to the tuple of its fault modes, and holds each
+    event's Product of them, in sorted id order (the lane order)."""
+
+    tree: Gate
+    forms: Mapping
+
+    def __post_init__(self):
+        forms = {}
+        for cid in sorted(basic_events(self.tree)):
+            if cid not in self.forms:
+                raise InputError(f"no reliability functions for component {quoted(cid)}")
+            try:
+                forms[cid] = Product(self.forms[cid])
+            except ValueError as exc:
+                raise ValueError(f"component {quoted(cid)}: {exc}") from None
+        object.__setattr__(self, "forms", forms)
+
+    @property
+    def lanes(self) -> int:  # uniforms per sample: one per fault mode of each event
+        return sum(len(form.factors) for form in self.forms.values())
+
+
+ReliabilityFunction = Union[Exponential, Weibull, Product, Structure]
 
 
 def reliability_at(rf: ReliabilityFunction, t):
     """Survival at t hours (t >= 0), a number or a 1-D float64 column: one entry per time."""
+    if isinstance(rf, Structure):
+        return tree_probability(rf.tree, {cid: reliability_at(form, t) for cid, form in rf.forms.items()})
     factors, values, tiny, inf = (rf.factors if isinstance(rf, Product) else (rf,)), [], sys.float_info.min, math.inf
     for x in t.tolist() if isinstance(t, np.ndarray) else (t,):
         if not x >= 0:
@@ -234,21 +264,30 @@ def integrate_survival(survival) -> float:
 def mttf(rf: ReliabilityFunction) -> float:
     """Mean time to failure in hours; math.inf when the hazard is zero.
 
-    Exponential and Weibull use their closed forms; a Product is integrated
-    by integrate_survival, reading the Product on a column of times per
-    call, up to the first panel end where R underflows.
+    Exponential and Weibull use their closed forms; a Product or a
+    Structure is integrated by integrate_survival, reading the form on a
+    column of times per call, up to the first panel end where R underflows.
     """
     if isinstance(rf, Exponential):
         return math.inf if rf.lam == 0.0 else 1.0 / rf.lam
     if isinstance(rf, Weibull):
         return rf.eta * math.gamma(1.0 + 1.0 / rf.beta)
-    return integrate_survival(lambda times: reliability_at(rf, times))  # a Product; reliability_at rejects the rest
+    return integrate_survival(lambda times: reliability_at(rf, times))  # reliability_at rejects what is not a form
 
 
 def sample_failure_times(rf: ReliabilityFunction, uniforms: np.ndarray) -> np.ndarray:
-    """Inverse-CDF failure times of an Exponential or a Weibull, one per
-    uniform in (0, 1] of the 1-D array uniforms. A time past the largest
-    float is +inf."""
+    """Inverse-CDF failure times, one per uniform in (0, 1] of the 1-D array
+    uniforms, or per column of its 2-D rows, a row per lane, for a Product or
+    a Structure. A time past the largest float is +inf."""
+    if isinstance(rf, Structure):
+        rows = iter(uniforms)  # each event takes the next row per factor of its Product
+        times = {cid: sample_failure_times(form, [next(rows) for _ in form.factors]) for cid, form in rf.forms.items()}
+        return evaluate_structure(rf.tree, times)
+    if isinstance(rf, Product):
+        times = sample_failure_times(rf.factors[0], uniforms[0])
+        for factor, row in zip(rf.factors[1:], uniforms[1:]):
+            np.minimum(times, sample_failure_times(factor, row), out=times)  # pairwise, in factor order
+        return times
     with np.errstate(over="ignore"):
         if isinstance(rf, Exponential):
             if rf.lam == 0.0:

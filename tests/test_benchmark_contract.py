@@ -25,13 +25,13 @@ import oracles
 import run as bench_run
 import spans
 
-from reliatree import cli
+from reliatree import cli, reliability
 from reliatree.model import load_system_file
 
 from conftest import package_env
 
-# The two span targets the program no longer has; their spans read 0.
-KNOWN_MISSING = {"reliatree.pipeline.apply_adapter", "reliatree.curves.mttf"}
+# The span target the program no longer has; its span reads 0.
+KNOWN_MISSING = {"reliatree.pipeline.apply_adapter"}
 INJECTION_TRIALS = 500
 # Enough samples that a single early failure is not a miss of the
 # 3-standard-error check where the exact survival is near 1.
@@ -42,7 +42,7 @@ TRACE_LEN = 20
 # A 5-bit adder has 2^11 input vectors, more than INJECTION_TRIALS, so its
 # campaigns sample; a 2-bit adder's 2^5 are each counted once.
 @pytest.mark.parametrize("shape, components, adder_bits", [("kofn-pairs", 3, 5), ("and", 2, 2)])
-def test_traced_analysis_passes_every_oracle(tmp_path, capsys, shape, components, adder_bits):
+def test_traced_analysis_passes_every_oracle(tmp_path, capsys, monkeypatch, shape, components, adder_bits):
     system_path = gen_system.generate(
         str(tmp_path / "in"),
         components=components,
@@ -55,6 +55,19 @@ def test_traced_analysis_passes_every_oracle(tmp_path, capsys, shape, components
     out_dir = tmp_path / "out"
     argv = ["analyze", "--system", system_path, "--out", str(out_dir), "--seed", "1"]
     argv += ["--injection-trials", str(INJECTION_TRIALS), "--mc-trials", str(MC_TRIALS)]
+    # Survival calls of each MTTF quadrature, counted apart from the tracer.
+    quadratures, integrate = [], reliability.integrate_survival
+
+    def counted_integrate(survival):
+        quadratures.append(0)
+
+        def counted(times):
+            quadratures[-1] += 1
+            return survival(times)
+
+        return integrate(counted)
+
+    monkeypatch.setattr(reliability, "integrate_survival", counted_integrate)
     tracer = spans.Tracer()
     with tracer.installed():
         code = tracer.call(spans.ROOT_SPAN, cli.main, argv)
@@ -68,7 +81,11 @@ def test_traced_analysis_passes_every_oracle(tmp_path, capsys, shape, components
     assert set(tracer.missing) <= KNOWN_MISSING
     wrapped = {span for module, attr, span in spans.SPANS if f"{module}.{attr}" not in tracer.missing}
     assert sorted(span for span in wrapped if tracer.calls[span] == 0) == []
-    assert tracer.counts["reliability.quad_evals"] > 0
+    # One MTTF per component and one for the system, the last; quad_evals
+    # counts the survival calls of all of them, the system's too.
+    assert tracer.calls["reliability.mttf"] == components + 1
+    assert len(quadratures) == components + 1 and quadratures[-1] > 0
+    assert tracer.counts["reliability.quad_evals"] == sum(quadratures)
     assert tracer.counts["rng.words"] > 0
     assert tracer.counts["thermal.samples"] == components * TRACE_LEN
     assert tracer.counts["curves.mc_samples"] == MC_TRIALS

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reliatree import curves, rng
+from reliatree import curves, reliability, rng
 from reliatree.curves import (
     MC_BLOCK_SAMPLES,
     monte_carlo_system,
@@ -16,9 +16,11 @@ from reliatree.curves import (
 )
 from reliatree.errors import InputError
 from reliatree.model import HierarchyNode, SystemModel, load_system_file
+from reliatree.pipeline import PipelineOptions, run_pipeline
 from reliatree.reliability import (
     Exponential,
     Product,
+    Structure,
     Weibull,
     mttf,
     reliability_at,
@@ -204,8 +206,8 @@ class TestSharedReads:
     def test_reads_each_mode_of_each_event_as_one_grid_column(self, monkeypatch, shape):
         # "spare" is a component outside the tree: it is never read. Reading
         # the grid point by point made 2 x events x points number calls. The
-        # MTTF's survival reads both modes of every event on its own column
-        # of quadrature times; those calls are left out of the grid count.
+        # MTTF's survival reads each event's Product once per call, on its own
+        # column of quadrature times; those calls are left out of the grid count.
         if shape == "sample":
             model = load_system_file(os.path.join(SAMPLE_DIR, "system.json"))
         else:
@@ -215,29 +217,43 @@ class TestSharedReads:
         events = basic_events(model.success_tree)
         modes = {cid: (random_mode(rnd), random_mode(rnd)) for cid in events}
         modes["spare"] = exp_pair(1.0, 1.0)
-        in_mttf, calls, mttf_times = [False], [], []
-        real_at, real_integrate = curves.reliability_at, curves.integrate_survival
+        in_mttf, calls, form_calls, systems = [False], [], [], []
+        real_at, real_mttf, real_form_at = curves.reliability_at, curves.mttf, reliability.reliability_at
 
         def recording_at(rf, t):
             calls.append((in_mttf[0], rf, t))
             return real_at(rf, t)
 
-        def integrate(survival):
+        def recording_mttf(rf):
             in_mttf[0] = True
-            return real_integrate(lambda times: mttf_times.append(len(times)) or survival(times))
+            systems.append(rf)
+            return real_mttf(rf)
+
+        def recording_form_at(rf, t):
+            form_calls.append((rf, t))
+            return real_form_at(rf, t)
 
         monkeypatch.setattr(curves, "reliability_at", recording_at)
-        monkeypatch.setattr(curves, "integrate_survival", integrate)
+        monkeypatch.setattr(curves, "mttf", recording_mttf)
+        # The MTTF's survival and the forms it reads call reliability_at through reliability.
+        monkeypatch.setattr(reliability, "reliability_at", recording_form_at)
         system_reliability_curves(model, modes)
         assert [t for _, _, t in calls if not isinstance(t, np.ndarray)] == []
         assert not {id(rf) for _, rf, _ in calls} & set(map(id, modes["spare"]))
-        on_grid = [(rf, t) for mttf_call, rf, t in calls if not mttf_call]
-        assert len(on_grid) == 2 * len(events)
-        assert all(np.array_equal(t, model.grid()) for _, t in on_grid)
-        assert sorted(id(rf) for rf, _ in on_grid) == sorted(id(rf) for cid in events for rf in modes[cid])
-        in_mttf_calls = [t for mttf_call, _, t in calls if mttf_call]
-        assert len(in_mttf_calls) == 2 * len(events) * len(mttf_times) > 0
-        assert sum(map(len, in_mttf_calls)) == 2 * len(events) * sum(mttf_times)
+        assert [mttf_call for mttf_call, _, _ in calls] == [False] * len(calls)
+        assert len(calls) == 2 * len(events)
+        assert all(np.array_equal(t, model.grid()) for _, _, t in calls)
+        assert sorted(id(rf) for _, rf, _ in calls) == sorted(id(rf) for cid in events for rf in modes[cid])
+
+        [system] = systems
+        survival_times = [t for rf, t in form_calls if rf is system]
+        event_reads = [(rf, t) for rf, t in form_calls if rf is not system]
+        assert len(survival_times) > 0 and all(isinstance(t, np.ndarray) for t in survival_times)
+        # Each survival call reads every event's Product once, on that call's column.
+        assert len(event_reads) == len(events) * len(survival_times)
+        read = sorted(id(f) for rf, _ in event_reads for f in rf.factors)
+        assert read == sorted(id(f) for cid in events for f in modes[cid] for _ in survival_times)
+        assert all(any(t is s for s in survival_times) for _, t in event_reads)
 
     def test_curves_equal_number_reads_and_scalar_tree_calls(self):
         rnd = random.Random(34)
@@ -390,29 +406,40 @@ class TestMonteCarlo:
             "pu1": (Exponential(1.0), Exponential(0.0)),
             "pu2": (Product((Weibull(1000.0, 2.0), Exponential(1e-4))), Exponential(0.0)),
         }
-        with pytest.raises(ValueError, match="component 'pu2': fault modes must be Exponentials or Weibulls"):
+        message = "component 'pu2': a product factor must be an Exponential or a Weibull, got Product"
+        with pytest.raises(ValueError, match=message):
             monte_carlo_system(AND_TREE, modes, 10, 1, [0.0])
+        # The exact curves reject it with the same message.
+        with pytest.raises(ValueError, match=message):
+            system_reliability_curves(make_model(AND_TREE), modes)
 
 
 LONG_ID = "x" * 100_000
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, message",
     [
-        lambda: system_reliability_curves(
-            make_model(LONG_ID, component_ids=(LONG_ID,)), {"pu1": exp_pair(1e-4, 1e-4)}
+        (
+            lambda: system_reliability_curves(
+                make_model(LONG_ID, component_ids=(LONG_ID,)), {"pu1": exp_pair(1e-4, 1e-4)}
+            ),
+            "no reliability functions for component 'xxx",
         ),
-        lambda: monte_carlo_system(LONG_ID, {}, 10, 1, [0.0]),
-        lambda: monte_carlo_system(
-            LONG_ID, {LONG_ID: (Product((Exponential(1.0),)), Exponential(0.0))}, 10, 1, [0.0]
+        (lambda: monte_carlo_system(LONG_ID, {}, 10, 1, [0.0]), "no reliability functions for component 'xxx"),
+        (
+            lambda: monte_carlo_system(
+                LONG_ID, {LONG_ID: (Product((Exponential(1.0),)), Exponential(0.0))}, 10, 1, [0.0]
+            ),
+            "xxx...: a product factor must be an Exponential or a Weibull, got Product(",
         ),
     ],
     ids=["no-reliability-functions", "no-fault-modes", "fault-mode-form"],
 )
-def test_long_component_id_is_cut_in_message(call):
+def test_long_component_id_is_cut_in_message(call, message):
     with pytest.raises(ValueError) as info:
         call()
+    assert message in str(info.value)
     assert LONG_ID[:50] in str(info.value)
     assert len(str(info.value).encode("utf-8")) < 300
 
@@ -522,3 +549,95 @@ class TestMonteCarloBlocking:
         finally:
             tracemalloc.stop()
         assert peak < 2.9 * 2**20
+
+
+def written_out_survival(tree, component_modes, times):
+    """The system survival as written out by hand: each event's two mode
+    columns multiplied, and one tree call on those products."""
+    columns = {}
+    for cid in basic_events(tree):
+        perm, trans = component_modes[cid]
+        columns[cid] = reliability_at(perm, times) * reliability_at(trans, times)
+    return tree_probability(tree, columns)
+
+
+def form_cases():
+    """The sample's analysed components under its tree, then 50 random
+    trees over random fault modes."""
+    model = load_system_file(os.path.join(SAMPLE_DIR, "system.json"))
+    result = run_pipeline(model, PipelineOptions(seed=1))
+    yield model.success_tree, {cid: (a.r_perm, a.r_trans) for cid, a in result.components.items()}
+    rnd = random.Random(36)
+    for tree, _ in seeded_cases(50, seed=36):
+        yield tree, {cid: (random_mode(rnd), random_mode(rnd)) for cid in basic_events(tree)}
+
+
+# 0, every seventh power of two from 2^-30 to 2^1023 hours, random times and inf.
+_FORM_TIMES = np.array(
+    [0.0, *(2.0**k for k in range(-30, 1024, 7)), *np.random.default_rng(36).uniform(0.0, 1e6, 200), math.inf]
+)
+
+
+class TestSystemForm:
+    """The Structure form, which the curves and the Monte Carlo go through,
+    against the composition written out by hand."""
+
+    def test_holds_each_events_product_in_sorted_id_order(self):
+        modes = {"z": exp_pair(1.0, 2.0), "a": (Weibull(1.0, 2.0), Exponential(0.0)), "spare": exp_pair(3.0, 4.0)}
+        system = Structure(OrGate(("z", "a")), modes)
+        assert system.forms == {"a": Product(modes["a"]), "z": Product(modes["z"])}
+        assert list(system.forms) == ["a", "z"]
+        assert system.lanes == 4
+
+    def test_missing_event_names_the_component(self):
+        with pytest.raises(InputError, match="^no reliability functions for component 'pu2'$"):
+            Structure(AND_TREE, {"pu1": exp_pair(1e-4, 1e-4)})
+
+    def test_column_read_has_the_bits_of_the_product_of_mode_columns(self):
+        for tree, modes in form_cases():
+            got = reliability_at(Structure(tree, modes), _FORM_TIMES)
+            assert got.tobytes() == written_out_survival(tree, modes, _FORM_TIMES).tobytes(), tree
+
+    def test_number_read_equals_the_column_entry(self):
+        for tree, modes in form_cases():
+            system = Structure(tree, modes)
+            column = reliability_at(system, _FORM_TIMES).tolist()
+            for t, want in list(zip(_FORM_TIMES.tolist(), column))[::5]:
+                assert repr(reliability_at(system, t)) == repr(want), (tree, t)
+
+    def test_sampled_times_equal_the_unblocked_reference(self):
+        n = 1000
+        for seed, (tree, modes) in enumerate(form_cases()):
+            system = Structure(tree, modes)
+            rows = np.empty((system.lanes, n))
+            words = np.empty((system.lanes, n), dtype=np.uint64)
+            rng.unit_open_floats(seed, 0, n * system.lanes, out=rows.T, scratch=words.T)
+            drawn = rows.copy()
+            got = sample_failure_times(system, rows)
+            assert got.tobytes() == unblocked_failure_times(tree, modes, n, seed).tobytes(), tree
+            assert rows.tobytes() == drawn.tobytes()
+
+    def test_product_time_is_the_earliest_of_its_factors(self):
+        rows = 1.0 - np.random.default_rng(5).random((3, 500))
+        factors = (Weibull(3000.0, 2.0), Exponential(2e-4), Exponential(0.0))
+        times = [sample_failure_times(f, row) for f, row in zip(factors, rows)]
+        want = np.minimum(np.minimum(times[0], times[1]), times[2])
+        assert sample_failure_times(Product(factors), rows).tobytes() == want.tobytes()
+        assert sample_failure_times(Product(factors[:1]), rows[:1]).tobytes() == times[0].tobytes()
+
+    def test_mttf_of_an_and_of_exponentials(self):
+        rnd = random.Random(38)
+        for _ in range(50):
+            events = [f"e{k}" for k in range(rnd.randint(1, 6))]
+            rates = [(10.0 ** rnd.uniform(-9.0, 2.0), rnd.choice([0.0, 10.0 ** rnd.uniform(-9.0, 2.0)])) for _ in events]
+            modes = {cid: exp_pair(*pair) for cid, pair in zip(events, rates)}
+            tree = AndGate(tuple(events)) if len(events) > 1 else events[0]
+            want = 1.0 / math.fsum(rf.lam for m in modes.values() for rf in m)
+            got = mttf(Structure(tree, modes))
+            assert abs(got - want) <= 1e-15 * want, modes
+
+    def test_mttf_of_one_event_equals_the_product_form(self):
+        rnd = random.Random(39)
+        for _ in range(40):
+            modes = (random_mode(rnd), random_mode(rnd))
+            assert repr(mttf(Structure("c", {"c": modes}))) == repr(mttf(Product(modes)))

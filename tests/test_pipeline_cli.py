@@ -1188,6 +1188,23 @@ class TestExitCodes:
         assert c["transient_lambda_per_hour"] == 0.0
         assert c["combined_mttf_hours"] == pytest.approx(c["permanent_mttf_hours"], rel=1e-13, abs=0.0)
 
+    def test_system_mttf_error_names_its_stage(self, tmp_path, capsys):
+        # Both components wear out as Weibulls of 1.66e308 h with no soft
+        # errors. Their AND's survival is 1 - 1.2e-12 at 2^1023 h, where the
+        # panels end, so the system MTTF's tail cannot be integrated.
+        shutil.copytree(SAMPLE_DIR, tmp_path / "s")
+        system = tmp_path / "s" / "system.json"
+        doc = json.loads(system.read_text())
+        for component in doc["hierarchy"]["children"]:
+            component["aging"] = {"a_const": 1.66e308, "j_density": 1.0, "n_exp": 0.0, "ea_ev": 1e-300, "weibull_beta": 45.0}
+            component["ser"] = {"default_fit": 0.0}
+        system.write_text(json.dumps(doc))
+        args = ["analyze", "--system", str(system), "--out", str(tmp_path / "o"), "--seed", "1"]
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: system, stage 'mttf': survival is 0.99999999999")
+        assert "at 2^1023 hours" in err and not (tmp_path / "o").exists()
+
     def test_long_lived_components_are_integrated_to_the_end(self, tmp_path, capsys):
         # Both components outlive 1e9 hours: pu1 by wear-out (4.8e9 h) and by
         # soft errors (1.3e10 h) alike.
