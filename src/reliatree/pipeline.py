@@ -7,6 +7,15 @@ wear-out rate -> Weibull survival, FIT -> exponential survival, and the
 product of the two survivals. An error in one of its stages names the
 component and the stage, and rejected input stays an InputError.
 
+Identical circuits are analysed once: a derating belongs to the circuit,
+not to the component that holds a copy of it. A run parses each distinct
+netlist text once, and runs an enumerated campaign (one that counts each
+input vector once and reads no seed) once per net of a text, for every
+component on it. A sampled derating still has its own seed per
+component, so its campaign runs for each component on the text. A
+netlist's workspace pool is emptied after each component, so one
+workspace is alive at a time.
+
 Every stochastic stage derives its own sub-seed from the master seed and a
 stable label, so reruns are byte-identical and each stage can be
 reproduced standalone with the same derived seed. Output files are
@@ -37,7 +46,7 @@ from .curves import (
 from .errors import InputError, located, quoted, read_text
 from .model import SystemModel
 from .reliability import Exponential, Product, Weibull, mttf
-from .softerror import inject_campaign, injection_targets, parse_netlist, transient_failure_rate
+from .softerror import enumerates, inject_campaign, injection_targets, parse_netlist, transient_failure_rate
 from .thermal import read_power_trace, steady_state_temperature
 
 __all__ = [
@@ -92,7 +101,11 @@ def injection_seed(master_seed: int, component_id: str, net: str) -> int:
     return rng.derive_seed(master_seed, f"inject/{component_id}/{net}")
 
 
-def _analyze_component(node, options: PipelineOptions) -> ComponentAnalysis:
+def _analyze_component(node, options: PipelineOptions, netlists: dict, campaigns: dict) -> ComponentAnalysis:
+    """One component's leaf analyses. A run shares netlists, each netlist
+    text parsed so far -> its Netlist, and campaigns, (text, net) of an
+    enumerated campaign or (text, net, component id) of a sampled one ->
+    its InjectionResult; both are filled here."""
     cid = node.id
     payload = node.payload
     stage = f"component {quoted(cid)}, stage"
@@ -119,18 +132,25 @@ def _analyze_component(node, options: PipelineOptions) -> ComponentAnalysis:
     steady_temp = steady_state_temperature(mean_power, payload.thermal)
 
     with located(f"{stage} 'netlist'"):
-        netlist = parse_netlist(read_text(payload.netlist))
+        text = read_text(payload.netlist)
+        if text not in netlists:
+            netlists[text] = parse_netlist(text)
+        netlist = netlists[text]
 
     with located(f"{stage} 'fault-injection'"):
         targets = injection_targets(netlist, payload.ser)
         if targets and options.seed is None:
             raise InputError("a master seed is required to run injection campaigns")
-        injections = {
-            net: inject_campaign(
-                netlist, net, options.injection_trials, injection_seed(options.seed, cid, net)
-            )
-            for net in targets
-        }
+        # An enumerated derating is the circuit's own; a sampled one is the
+        # component's, drawn from its own seed.
+        owner = () if enumerates(netlist, options.injection_trials) else (cid,)
+        for net in targets:
+            if (text, net, *owner) not in campaigns:
+                campaigns[text, net, *owner] = inject_campaign(
+                    netlist, net, options.injection_trials, injection_seed(options.seed, cid, net)
+                )
+        injections = {net: campaigns[text, net, *owner] for net in targets}
+        netlist.compiled.workspaces.clear()  # one workspace alive at a time
 
     with located(f"{stage} 'transient-path'"):
         deratings = {net: res.derating for net, res in injections.items()}
@@ -174,9 +194,9 @@ def run_pipeline(model: SystemModel, options: PipelineOptions) -> PipelineResult
         grid = model.grid()
     except MemoryError:
         raise _grid_too_large(model) from None
-    analyses = {}
+    analyses, netlists, campaigns = {}, {}, {}
     for cid, node in model.components().items():
-        analyses[cid] = _analyze_component(node, options)
+        analyses[cid] = _analyze_component(node, options, netlists, campaigns)
 
     modes = {cid: (a.r_perm, a.r_trans) for cid, a in analyses.items()}
     # The curves hold several grid-sized arrays, so a grid that fits once

@@ -5,10 +5,15 @@ and Weibull; Product of a component's independent competing failure modes
 (its permanent wear-out and its transient soft errors), Exponentials and
 Weibulls; and Structure, a success tree over Products. Every form evaluates
 to a probability in [0, 1] with R(0) = 1. reliability_at, the one
-evaluator, reads a form at a number or at a column of times, each entry in
-the scalar math of the number call. An MTTF without a closed form is
-integrate_survival of the survival, on panels chosen from it alone and read
-a column per call; a panel whose halves disagree with it is split.
+evaluator, reads a form at a number or at a column of times, each entry
+with the bits of the number call. A column is read factor by factor:
+numpy computes only -lam * t and t / eta, which IEEE rounds as Python
+does, each factor's exp and power stay in scalar math, and a Product
+folds its factor columns in factor order with numpy *= from a column of
+ones, elementwise IEEE products that keep the number call's fold. An
+MTTF without a closed form is integrate_survival of the survival, on
+panels chosen from it alone and read a column per call; a panel whose
+halves disagree with it is split.
 sample_failure_times draws by inverse CDF, a lane of uniforms per factor: a
 Product fails at its factors' earliest time, and a Structure's events, in
 sorted id order, take their factors' lanes in turn.
@@ -42,6 +47,7 @@ _GAUSS_POINTS = 32
 # fraction of the integral up to its end, and the tail past the last panel
 # end may hold at most this fraction of the integral.
 _SPLIT_TOLERANCE = 1e-13
+_TINY = sys.float_info.min  # the smallest normal float
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -121,27 +127,62 @@ def reliability_at(rf: ReliabilityFunction, t):
     """Survival at t hours (t >= 0), a number or a 1-D float64 column: one entry per time."""
     if isinstance(rf, Structure):
         return tree_probability(rf.tree, {cid: reliability_at(form, t) for cid, form in rf.forms.items()})
-    factors, values, tiny, inf = (rf.factors if isinstance(rf, Product) else (rf,)), [], sys.float_info.min, math.inf
-    for x in t.tolist() if isinstance(t, np.ndarray) else (t,):
-        if not x >= 0:
-            raise ValueError(f"time must be nonnegative, got {x!r}")
+    factors = rf.factors if isinstance(rf, Product) else (rf,)
+    if not isinstance(t, np.ndarray):
+        if not t >= 0:
+            raise ValueError(f"time must be nonnegative, got {t!r}")
         r = 1.0  # a Product folds its factors in order
         for f in factors:
-            if isinstance(f, Exponential):
-                # lam = 0 never fails, even at t = inf, where 0 * inf would be NaN.
-                r *= 1.0 if f.lam == 0.0 else math.exp(-f.lam * x)
-            elif isinstance(f, Weibull):
-                z = x / f.eta  # when not a normal float, it lost bits its power may need: that is taken in logs
-                try:
-                    w = (z**f.beta if tiny <= z < inf or not 0.0 < x < inf
-                         else math.exp(f.beta * (math.log(x) - math.log(f.eta))))
-                    r *= math.exp(-w)
-                except OverflowError:  # (t/eta)^beta past the largest float: R rounds to 0
-                    r = 0.0
-            else:
-                raise ValueError(f"not a reliability function: {rf!r}")
-        values.append(r)
-    return np.array(values) if isinstance(t, np.ndarray) else r
+            r *= _factor_at(f, t)
+        return r
+    bad = np.flatnonzero(~(t >= 0))
+    if len(bad):
+        raise ValueError(f"time must be nonnegative, got {t[bad[0]].item()!r}")
+    r = np.ones(len(t))
+    for f in factors:  # elementwise IEEE products in factor order: the number calls' fold
+        r *= _factor_column(f, t)
+    return r
+
+
+def _factor_at(f, x: float) -> float:
+    """Survival of one Exponential or Weibull at x hours, in scalar math."""
+    if isinstance(f, Exponential):
+        # lam = 0 never fails, even at t = inf, where 0 * inf would be NaN.
+        return 1.0 if f.lam == 0.0 else math.exp(-f.lam * x)
+    if isinstance(f, Weibull):
+        return _weibull_at(f, x, x / f.eta)
+    raise ValueError(f"not a reliability function: {f!r}")
+
+
+def _weibull_at(f: Weibull, x: float, z: float) -> float:
+    """Survival of f at x hours, from z = x / eta. When z is not a normal
+    float it lost bits its power may need, so that power is taken in logs."""
+    try:
+        w = (z**f.beta if _TINY <= z < math.inf or not 0.0 < x < math.inf
+             else math.exp(f.beta * (math.log(x) - math.log(f.eta))))
+        return math.exp(-w)
+    except OverflowError:  # (t/eta)^beta past the largest float: R rounds to 0
+        return 0.0
+
+
+def _factor_column(f, t: np.ndarray) -> list:
+    """_factor_at(f, x) at each entry x of t, bit for bit. Numpy computes
+    only -lam * t and t / eta, which IEEE rounds as Python does; exp and
+    the power stay in math, whose last bit numpy's SIMD may not match."""
+    with np.errstate(over="ignore", under="ignore"):
+        if isinstance(f, Exponential):
+            return [1.0] * len(t) if f.lam == 0.0 else [math.exp(v) for v in (-f.lam * t).tolist()]
+        if not isinstance(f, Weibull):
+            raise ValueError(f"not a reliability function: {f!r}")
+        z = t / f.eta
+    zs = z.tolist()
+    try:
+        column = [math.exp(-(v**f.beta)) for v in zs]
+    except OverflowError:  # an entry's power is past the largest float
+        return [_weibull_at(f, x, v) for x, v in zip(t.tolist(), zs)]
+    for i in np.flatnonzero(~((_TINY <= z) & (z < math.inf)) & (0.0 < t) & (t < math.inf)).tolist():
+        column[i] = _weibull_at(f, t[i].item(), zs[i])  # the log path
+    return column
 
 
 def _gauss_legendre(n: int) -> tuple:

@@ -54,6 +54,7 @@ __all__ = [
     "InjectionResult",
     "parse_netlist",
     "inject_campaign",
+    "enumerates",
     "workload_campaign",
     "exhaustive_derating",
     "injection_targets",
@@ -445,6 +446,12 @@ def _vector_fill(n_in: int, vectors):
     return fill
 
 
+def enumerates(netlist: Netlist, trials: int) -> bool:
+    """Whether a uniform campaign of `trials` trials counts each of the
+    netlist's 2^n input vectors once: it is then exact and reads no seed."""
+    return 1 << netlist.compiled.n_inputs <= trials
+
+
 def inject_campaign(netlist: Netlist, node: str, trials: int, seed: int) -> InjectionResult:
     """Single-bit-flip campaign on one net over uniform input vectors.
 
@@ -463,7 +470,7 @@ def inject_campaign(netlist: Netlist, node: str, trials: int, seed: int) -> Inje
     if trials <= 0:
         raise InputError(f"trials must be positive, got {trials!r}")
     n_in, n_nets = netlist.compiled.n_inputs, len(netlist.compiled.index)
-    if 1 << n_in <= trials:
+    if enumerates(netlist, trials):
         def vectors(first, size):  # vector v sets input j to bit j of v
             index = np.arange(first, first + size, dtype="<u8").view(np.uint8).reshape(size, 8)
             return np.unpackbits(index, axis=1, count=n_in, bitorder="little")

@@ -41,7 +41,7 @@ TRACE_LEN = 20
 
 # A 5-bit adder has 2^11 input vectors, more than INJECTION_TRIALS, so its
 # campaigns sample; a 2-bit adder's 2^5 are each counted once.
-@pytest.mark.parametrize("shape, components, adder_bits", [("kofn-pairs", 3, 5), ("and", 2, 2)])
+@pytest.mark.parametrize("shape, components, adder_bits", [("kofn-pairs", 3, 5), ("kofn-pairs", 3, 2), ("and", 2, 2)])
 def test_traced_analysis_passes_every_oracle(tmp_path, capsys, monkeypatch, shape, components, adder_bits):
     system_path = gen_system.generate(
         str(tmp_path / "in"),
@@ -91,6 +91,16 @@ def test_traced_analysis_passes_every_oracle(tmp_path, capsys, monkeypatch, shap
     assert tracer.counts["curves.mc_samples"] == MC_TRIALS
     assert tracer.injections and all(trials == INJECTION_TRIALS for _, _, trials in tracer.injections)
     assert all(gate.inputs and gate.output for netlist, _, _ in tracer.injections for gate in netlist.gates)
+
+    # Every component carries the same adder text, with every net a target.
+    # Identical circuits are analysed once: the traced parses count distinct
+    # netlists, and softerror.campaigns distinct (netlist, net) pairs when
+    # enumerated, or one campaign per component and net when sampled.
+    nets = 7 * adder_bits + 1
+    enumerated = 2 ** (2 * adder_bits + 1) <= INJECTION_TRIALS
+    assert tracer.calls["softerror.parse"] == 1
+    assert bench_run.layer_metrics(tracer)["softerror.campaigns"] == (nets if enumerated else components * nets)
+    assert len({(id(netlist), net) for netlist, net, _ in tracer.injections}) == nets
 
     log = oracles.CheckLog()
     report = json.loads(out)

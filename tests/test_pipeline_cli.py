@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -18,7 +19,7 @@ from reliatree.curves import SystemCurves
 from reliatree.errors import MAX_JSON_DEPTH, InputError, read_json, read_text
 from reliatree.model import load_system_file
 from reliatree.reliability import Exponential, Product, reliability_at
-from reliatree.softerror import exhaustive_derating, parse_netlist
+from reliatree.softerror import INJECTION_BLOCK_TRIALS, exhaustive_derating, inject_campaign, parse_netlist
 from reliatree.successtree import brute_force_probability, tree_from_dict
 from reliatree.pipeline import (
     PipelineOptions,
@@ -28,7 +29,20 @@ from reliatree.pipeline import (
     write_outputs,
 )
 
-from conftest import AND2, DEFAULT_CHAINS, SAMPLE_DIR, package_env, write_two_unit_model
+from conftest import (
+    AND2,
+    DEFAULT_CHAINS,
+    FULL_ADDER,
+    SAMPLE_DIR,
+    component_obj,
+    package_env,
+    write_power_csv,
+    write_two_unit_model,
+)
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+
+import gen_system
 
 
 def deep_chain_text(depth, events):
@@ -323,6 +337,124 @@ class TestPipeline:
             header = fp.readline().strip()
         assert header == "t_hours,r_sys,r_sys_perm,r_sys_trans,ratio"
 
+
+def write_netlist_system(tmp_path, netlists, **ser):
+    """A System with one component per (id, netlist text) of `netlists`, in
+    that file order, each in a netlist file of its own, under an AND; `ser`
+    are component_obj's FIT arguments. Returns the loaded model."""
+    tmpdir = str(tmp_path)
+    os.makedirs(tmpdir, exist_ok=True)
+    for cid, text in netlists.items():
+        write_power_csv(os.path.join(tmpdir, f"{cid}.csv"), (1.0, 3.0))
+        with open(os.path.join(tmpdir, f"{cid}.net"), "w") as fp:
+            fp.write(text)
+    doc = {
+        "name": "circuits",
+        "time_horizon_hours": 10000.0,
+        "grid_points": 16,
+        "hierarchy": {
+            "id": "soc",
+            "kind": "System",
+            "children": [component_obj(cid, f"{cid}.csv", f"{cid}.net", **ser) for cid in netlists],
+        },
+        "adapters": {cid: DEFAULT_CHAINS for cid in netlists},
+        "success_tree": {"gate": "AND", "inputs": [{"event": cid} for cid in netlists]},
+    }
+    path = os.path.join(tmpdir, "system.json")
+    with open(path, "w") as fp:
+        json.dump(doc, fp)
+    return load_system_file(path)
+
+
+def spy(monkeypatch, name):
+    """Record the arguments of every call of pipeline.`name`; returns the list."""
+    calls, real = [], getattr(pipeline, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, name, recorded)
+    return calls
+
+
+# 18 unused inputs in front of AND2: 2^20 input vectors, more than any
+# trial count here, so every campaign on it samples.
+PADDED_AND2 = "".join(f"INPUT pad{k}\n" for k in range(18)) + AND2
+
+
+class TestCircuitSharing:
+    """Identical circuits are analysed once: a run parses each distinct
+    netlist text once and runs each enumerated campaign once per net, for
+    every component on that text; a sampled campaign still runs per
+    component, from the component's own seed."""
+
+    OPTIONS = PipelineOptions(seed=7, injection_trials=300)
+
+    def test_each_text_is_parsed_and_enumerated_once(self, tmp_path, monkeypatch):
+        model = write_netlist_system(tmp_path, {"c1": FULL_ADDER, "c2": FULL_ADDER, "c3": AND2}, default_fit=40.0)
+        parses, campaigns = spy(monkeypatch, "parse_netlist"), spy(monkeypatch, "inject_campaign")
+        result = run_pipeline(model, self.OPTIONS)
+        assert parses == [(FULL_ADDER,), (AND2,)]
+        # The 8 nets of the full adder once, on the netlist parsed for c1, then AND2's 3.
+        adder, and2 = (netlist for netlist, *_ in (campaigns[0], campaigns[-1]))
+        assert [(netlist, net) for netlist, net, _, _ in campaigns] == [
+            *((adder, net) for net in adder.nets()),
+            *((and2, net) for net in and2.nets()),
+        ]
+        assert [seed for *_, seed in campaigns[:8]] == [injection_seed(7, "c1", net) for net in adder.nets()]
+        assert result.components["c1"].injections == result.components["c2"].injections
+
+    def test_shared_text_gives_the_results_of_distinct_texts(self, tmp_path):
+        shared = write_netlist_system(tmp_path / "shared", {"c1": FULL_ADDER, "c2": FULL_ADDER, "c3": AND2},
+                                      default_fit=40.0, fit_per_node={"a": 90.0})
+        distinct = write_netlist_system(tmp_path / "distinct", {"c1": FULL_ADDER, "c2": "# a copy\n" + FULL_ADDER,
+                                        "c3": AND2}, default_fit=40.0, fit_per_node={"a": 90.0})
+        one, other = (run_pipeline(model, self.OPTIONS) for model in (shared, distinct))
+        for cid in ("c1", "c2", "c3"):
+            a, b = one.components[cid], other.components[cid]
+            assert (a.injections, a.transient_lambda_per_hour) == (b.injections, b.transient_lambda_per_hour)
+        assert report_to_json(one.report) == report_to_json(other.report)
+        assert one.curves == other.curves
+
+    def test_sampled_campaigns_run_per_component(self, tmp_path, monkeypatch):
+        model = write_netlist_system(tmp_path, {"c1": PADDED_AND2, "c2": PADDED_AND2}, fit_per_node={"a": 10.0, "g1": 30.0})
+        parses, campaigns = spy(monkeypatch, "parse_netlist"), spy(monkeypatch, "inject_campaign")
+        result = run_pipeline(model, self.OPTIONS)
+        assert len(parses) == 1
+        expected = [(cid, net, 300, injection_seed(7, cid, net)) for cid in ("c1", "c2") for net in ("a", "g1")]
+        assert [(cid, *args[1:]) for cid, args in zip(("c1", "c1", "c2", "c2"), campaigns)] == expected
+        netlist = parse_netlist(PADDED_AND2)
+        for cid, net, trials, seed in expected:
+            got = result.components[cid].injections[net]
+            assert got == inject_campaign(netlist, net, trials, seed) and got.ci95_half_width > 0.0
+        assert result.components["c1"].injections != result.components["c2"].injections
+
+    def test_bad_shared_netlist_names_the_first_component_in_file_order(self, tmp_path):
+        model = write_netlist_system(tmp_path, {"c3": "NONSENSE LINE\n", "c2": AND2, "c1": "NONSENSE LINE\n"},
+                                     default_fit=10.0)
+        with pytest.raises(InputError) as err:
+            run_pipeline(model, self.OPTIONS)
+        assert str(err.value) == "component 'c3', stage 'netlist': line 1: unknown directive 'NONSENSE'"
+
+    def test_one_workspace_alive_at_a_time(self, tmp_path):
+        # Three 32-bit adders, each text its own, sample one campaign of one
+        # block each. A block's workspace is 2 * 225 + 2 rows of B / 64
+        # words (3.53 MiB); the pool of each netlist is emptied after its
+        # component, so the run peaks with one workspace alive, not three.
+        adder = gen_system.adder_netlist(32)
+        model = write_netlist_system(tmp_path, {f"c{k}": f"# copy {k}\n" + adder for k in range(3)},
+                                     fit_per_node={"c16": 25.0})
+        workspace = (2 * 225 + 2) * INJECTION_BLOCK_TRIALS // 64 * 8
+        options = PipelineOptions(seed=3, injection_trials=INJECTION_BLOCK_TRIALS)
+        tracemalloc.start()
+        try:
+            result = run_pipeline(model, options)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert {c.injections["c16"].trials for c in result.components.values()} == {INJECTION_BLOCK_TRIALS}
+        assert workspace < peak < 2 * workspace
 
 RATIO_ABOVE = "transient faults dominate (ratio > 1)"
 RATIO_BELOW = "permanent faults dominate (ratio < 1)"

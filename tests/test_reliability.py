@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import sys
 import weakref
 
 import numpy as np
@@ -117,17 +118,61 @@ class TestColumns:
         assert reliability_at(Weibull(1e-3, 2.0), np.array([1e300]))[0] == 0.0  # the overflow branch
         assert reliability_at(Exponential(0.0), np.array([math.inf]))[0] == 1.0
 
+    # Factors whose columns take every path: lam = 0 and lam > 0 at t = inf;
+    # t / eta zero, subnormal or past the largest float (the log path, whose
+    # power may round to 0 or overflow it); and a power past the largest
+    # float at a finite t, where R rounds to 0.
+    EXP0, EXP, TINY_T_OVER_ETA, HUGE_T_OVER_ETA, STEEP = (
+        Exponential(0.0),
+        Exponential(2.5e-4),
+        Weibull(1e10, 0.01),
+        Weibull(1e-5, 0.005),
+        Weibull(2.0, 60.0),
+    )
+
+    def test_ten_thousand_seeded_times(self):
+        times = 10.0 ** np.random.default_rng(37).uniform(-12.0, 14.0, 10_000)
+        special = [0.0, math.inf, 5e-324, 1e-310, 2.0**1023, 1e6]
+        times[: len(special)] = special
+        three = (self.TINY_T_OVER_ETA, self.EXP, self.STEEP)
+        forms = [self.EXP0, self.EXP, self.TINY_T_OVER_ETA, self.HUGE_T_OVER_ETA, self.STEEP,
+                 Weibull(1e-5, 3.0), Weibull(3e4, 0.5), Product(three), Product(three[::-1])]
+        for rf in forms:
+            column = reliability_at(rf, times)
+            assert column.dtype == np.float64 and column.shape == times.shape
+            assert [v.hex() for v in column.tolist()] == [reliability_at(rf, t).hex() for t in times.tolist()]
+
+    def test_special_entries_take_their_paths(self):
+        assert (reliability_at(self.EXP0, math.inf), reliability_at(self.EXP, math.inf)) == (1.0, 0.0)
+        # t / eta is 0 or subnormal: the power of the rounded quotient is not the log path's.
+        rf = self.TINY_T_OVER_ETA
+        for t in (5e-324, 1e-310):
+            z = t / rf.eta
+            assert z < sys.float_info.min and reliability_at(rf, t) != math.exp(-(z**rf.beta))
+        rf = self.HUGE_T_OVER_ETA  # t / eta overflows, its 0.005th power does not
+        assert 2.0**1023 / rf.eta == math.inf and reliability_at(rf, 2.0**1023) > 0.0
+        assert reliability_at(Weibull(1e-5, 3.0), 2.0**1023) == 0.0  # the log path's power overflows
+        with pytest.raises(OverflowError):
+            (1e6 / self.STEEP.eta) ** self.STEEP.beta
+        assert reliability_at(self.STEEP, 1e6) == 0.0
+
     def test_empty_column(self):
         got = reliability_at(Product((Exponential(1.0), Weibull(2.0, 3.0))), np.array([]))
         assert got.dtype == np.float64 and got.shape == (0,)
 
-    @pytest.mark.parametrize("bad, shown", [(-0.1, "-0.1"), (math.nan, "nan")])
+    @pytest.mark.parametrize("bad, shown", [(-0.1, "-0.1"), (math.nan, "nan"), (-math.inf, "-inf")])
     @pytest.mark.parametrize(
-        "rf", [Exponential(0.0), Weibull(10.0, 2.0), Product((Exponential(1.0), Weibull(2.0, 3.0)))]
+        "rf",
+        [
+            Exponential(0.0),
+            Weibull(10.0, 2.0),
+            Product((Exponential(1.0), Weibull(2.0, 3.0))),
+            Product((Weibull(2.0, 3.0), Exponential(1.0), Weibull(1e-5, 60.0))),
+        ],
     )
     def test_bad_entry_is_named(self, rf, bad, shown):
         with pytest.raises(ValueError, match=f"time must be nonnegative, got {shown}$"):
-            reliability_at(rf, np.array([0.0, 5.0, bad, 1.0]))
+            reliability_at(rf, np.array([0.0, 5.0, bad, 1.0, -7.0, math.nan]))
 
 
 GRID = np.linspace(0.0, 50_000.0, 257)
